@@ -13,7 +13,7 @@ via repr); wall-clock timings go to stderr only.
 
 CSV columns of ``scan``: s, status, sup_ratio, bound, argmax_j, argmax_k.
 Rows with s at or above the threshold carry status DIVERGENT and empty
-numeric fields.
+numeric fields; a negative s is a usage error.
 """
 
 from __future__ import annotations
@@ -70,30 +70,22 @@ def _load_cfg(args) -> Config:
 def cmd_threshold(args) -> int:
     if args.invert is not None:
         mu = regularity.mu_for_threshold(args.invert, args.p)
-        report = regularity.threshold(DomainParams(mu), args.p)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "threshold",
-            "inverted_from_r": args.invert,
-            "mu": mu,
-            "p": args.p,
-            "r": report.r,
-            "binding": report.binding,
-            "clause_value": report.clause_value,
-        }
+    elif args.mu is None:
+        raise DomainError("one of --mu or --invert is required")
     else:
-        if args.mu is None:
-            raise DomainError("one of --mu or --invert is required")
-        report = regularity.threshold(DomainParams(args.mu), args.p)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "threshold",
-            "mu": report.mu,
-            "p": report.p,
-            "r": report.r,
-            "binding": report.binding,
-            "clause_value": report.clause_value,
-        }
+        mu = args.mu
+    report = regularity.threshold(DomainParams(mu), args.p)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "threshold",
+        "mu": report.mu,
+        "p": report.p,
+        "r": report.r,
+        "binding": report.binding,
+        "clause_value": report.clause_value,
+    }
+    if args.invert is not None:
+        payload["inverted_from_r"] = args.invert
     _emit(_json(payload), args.output)
     return 0
 
@@ -151,7 +143,12 @@ def _parse_s_grid(spec: str) -> list[float]:
         values = [float(p) for p in spec.split(",") if p.strip()]
     if not values:
         raise DomainError("empty s grid")
+    if not all(v >= 0.0 for v in values):
+        raise DomainError(f"s grid values must be >= 0, got {spec!r}")
     return values
+
+
+_SCAN_COLUMNS = ("s", "status", "sup_ratio", "bound", "argmax_j", "argmax_k")
 
 
 def cmd_scan(args) -> int:
@@ -160,29 +157,18 @@ def cmd_scan(args) -> int:
     rows = []
     thr = regularity.threshold(params, args.p)
     for s in _parse_s_grid(args.s_grid):
-        if 0.0 <= s < thr.r:
+        row = dict.fromkeys(_SCAN_COLUMNS)
+        row.update(s=s, status="DIVERGENT")
+        if s < thr.r:
             cert = regularity.continuity_certificate(params, args.p, s, (jmax, kmax))
-            rows.append(
-                {
-                    "s": s,
-                    "status": "OK",
-                    "sup_ratio": float(cert.sup_ratio),
-                    "bound": float(cert.bound_used),
-                    "argmax_j": cert.sup_attained_at.j,
-                    "argmax_k": cert.sup_attained_at.k,
-                }
+            row.update(
+                status="OK",
+                sup_ratio=float(cert.sup_ratio),
+                bound=float(cert.bound_used),
+                argmax_j=cert.sup_attained_at.j,
+                argmax_k=cert.sup_attained_at.k,
             )
-        else:
-            rows.append(
-                {
-                    "s": s,
-                    "status": "DIVERGENT",
-                    "sup_ratio": None,
-                    "bound": None,
-                    "argmax_j": None,
-                    "argmax_k": None,
-                }
-            )
+        rows.append(row)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -197,17 +183,10 @@ def cmd_scan(args) -> int:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["s", "status", "sup_ratio", "bound", "argmax_j", "argmax_k"])
+        writer.writerow(_SCAN_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    repr(row["s"]),
-                    row["status"],
-                    "" if row["sup_ratio"] is None else repr(row["sup_ratio"]),
-                    "" if row["bound"] is None else repr(row["bound"]),
-                    "" if row["argmax_j"] is None else row["argmax_j"],
-                    "" if row["argmax_k"] is None else row["argmax_k"],
-                ]
+                ["" if v is None else repr(v) if isinstance(v, float) else v for v in row.values()]
             )
         _emit(buf.getvalue(), args.output)
     return 0

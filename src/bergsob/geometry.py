@@ -59,13 +59,13 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class DomainParams:
-    """The single real parameter of the family; requires mu > 1."""
+    """The single real parameter of the family; requires finite mu > 1."""
 
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 1.0:
-            raise DomainError(f"domain family requires mu > 1, got {self.mu}")
+        if not (self.mu > 1.0 and math.isfinite(self.mu)):
+            raise DomainError(f"domain family requires finite mu > 1, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,6 @@ class FrameAt:
     L2: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
-
-    def pairing_matrix(self) -> np.ndarray:
-        thetas = np.vstack([self.theta1, self.theta2])
-        vectors = np.vstack([self.L1, self.L2])
-        return thetas @ vectors.T
 
     def duality_residual(self) -> float:
         """Worst deviation of the pairing from the identity, normalized

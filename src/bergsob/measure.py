@@ -11,8 +11,10 @@ the moment to an exact product of the two special-function integrals:
     lam(x, y, s) = 8 pi^2 mu * alpha(2x/mu + 2 - 2s, 1 - 2s)
                              * beta(2x/mu + 3 - 4s, y).
 
-``lambda_closed`` evaluates that product; ``lambda_quadrature``
-integrates the separable u-coordinate integrand
+``lambda_closed`` evaluates that product from Gamma closed forms, and
+``lambda_ratio_family`` a ratio of three of them over a whole basis
+lattice in log space.  ``lambda_quadrature`` integrates the separable
+u-coordinate integrand
 
     u1^(2x/mu + 1 - 2s) (1 - u1)^(-2s) (cos u2)^(2x/mu + 2 - 4s) e^(y u2)
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,9 +110,20 @@ def _violated(m: MomentArgs) -> str:
     return S_CLAUSE if m.s >= 0.5 else X_CLAUSE
 
 
-def _exponents(m: MomentArgs) -> tuple[float, float]:
-    base = 2.0 * m.x / m.params.mu
-    return base + 2.0 - 2.0 * m.s, base + 3.0 - 4.0 * m.s
+def _exponents(x, s: float, mu: float):
+    """The alpha and beta exponents 2x/mu + 2 - 2s and 2x/mu + 3 - 4s,
+    elementwise over x.
+
+    The first vanishes on the integrability boundary, where 2x/mu + 2
+    cancels against 2s.  It is formed as 2(x + mu - mu s)/mu, with mu s
+    split exactly into two doubles and the four terms summed exactly, so it
+    keeps full relative accuracy up to the boundary.
+    """
+    mu_s = mu * s
+    mu_s_lo = float(Fraction(mu) * Fraction(s) - Fraction(mu_s))  # exact
+    gap = lambda v: 2.0 * math.fsum((v, mu, -mu_s, -mu_s_lo)) / mu
+    alpha_x = gap(x) if np.ndim(x) == 0 else np.vectorize(gap, otypes=[float])(x)
+    return alpha_x, alpha_x + (1.0 - 2.0 * s)
 
 
 def lambda_closed(m: MomentArgs) -> MomentValue:
@@ -117,13 +131,13 @@ def lambda_closed(m: MomentArgs) -> MomentValue:
     are totalized, naming the violated clause."""
     if not is_integrable(m):
         return MomentValue.divergent(_violated(m))
-    X, Y = _exponents(m)
+    X, Y = _exponents(m.x, m.s, m.params.mu)
     val = (
         8.0
         * math.pi**2
         * m.params.mu
         * special.alpha_eval(X, 1.0 - 2.0 * m.s, method="lgamma")
-        * special.beta_eval(Y, m.y, tol=1e-13)
+        * special.beta_eval(Y, m.y)
     )
     return MomentValue.finite(val, 1e-11 * val)
 
@@ -146,7 +160,7 @@ def lambda_quadrature(m: MomentArgs, tol: Optional[float] = None) -> MomentValue
         raise DomainError(f"moment diverges ({_violated(m)}); see is_integrable")
     if tol is None:
         tol = default_quadrature_tol(integrability_margin(m))
-    X, Y = _exponents(m)
+    X, Y = _exponents(m.x, m.s, m.params.mu)
     s = m.s
 
     def f1(u, da, db):
@@ -174,7 +188,7 @@ def lambda_ratio(x: float, y: float, s: float, params: DomainParams) -> float:
     for sign in (s, -s):
         if not is_integrable(MomentArgs(x, y, sign, params)):
             raise DomainError(f"moment at weight {sign} diverges for x = {x}")
-    return float(lambda_ratio_family(x, np.array([y]), s, params)[0])
+    return float(lambda_ratio_family(x, y, s, params))
 
 
 def lambda_ratio_bound(x: float, s: float, params: DomainParams) -> float:
@@ -189,20 +203,22 @@ def lambda_ratio_bound(x: float, s: float, params: DomainParams) -> float:
     return (X * (1.0 + 4.0 * s) * Y) / ((X - 2.0 * s) * (1.0 - 2.0 * s) * (Y - 4.0 * s))
 
 
-def lambda_ratio_family(
-    x: float, ys: np.ndarray, s: float, params: DomainParams
-) -> np.ndarray:
-    """lambda_ratio at fixed (x, s) for a vector of y, on shared nodes."""
-    X = 2.0 * x / params.mu + 2.0
-    Y = X + 1.0
-    if s == 0.0:
-        return np.ones_like(np.asarray(ys, dtype=float))
+def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
+    """lambda_ratio broadcast over array x and ys, e.g. over a whole (j, k)
+    lattice from x[:, None] and ys[None, :].
+
+    Summed in log space from the closed forms (the constant 8 pi^2 mu
+    drops out), so the large log-Gamma terms of the three moments cancel
+    before anything is exponentiated.
+    """
+    mu = params.mu
+    X, Y = _exponents(x, 0.0, mu)
+    Xm, Ym = _exponents(x, s, mu)
+    Xp, Yp = _exponents(x, -s, mu)
     a = lambda u, v: special.alpha_eval(u, v, method="lgamma")
-    a_part = a(X - 2 * s, 1.0 - 2 * s) * a(X + 2 * s, 1.0 + 2 * s) / a(X, 1.0) ** 2
-    b0 = special.beta_family(Y, ys, tol=1e-12)
-    bm = special.beta_family(Y - 4 * s, ys, tol=1e-12)
-    bp = special.beta_family(Y + 4 * s, ys, tol=1e-12)
-    return a_part * bm * bp / b0**2
+    log_a = np.log(a(Xm, 1.0 - 2.0 * s) * a(Xp, 1.0 + 2.0 * s) / a(X, 1.0) ** 2)
+    b = special.log_beta
+    return np.exp(log_a + b(Ym, ys) + b(Yp, ys) - 2.0 * b(Y, ys))
 
 
 def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
@@ -216,7 +232,7 @@ def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
     if not m.s < 0.5:
         raise DomainError("truncation only tames the w1 singularity; need s < 1/2")
     mu = m.params.mu
-    X, Y = _exponents(m)
+    X, Y = _exponents(m.x, m.s, mu)
     s = m.s
     emu = eps**mu
     C = math.acos(emu)

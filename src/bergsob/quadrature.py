@@ -22,7 +22,6 @@ __all__ = [
     "QuadResult",
     "nodes",
     "integrate",
-    "integrate_family",
     "quad",
 ]
 
@@ -125,37 +124,3 @@ def quad(f: Callable, a: float, b: float, **kw) -> float:
         )
     return res.value
 
-
-def integrate_family(
-    fmat: Callable,
-    a: float,
-    b: float,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-300,
-    min_level: int = 5,
-    max_level: int = _MAX_LEVEL,
-) -> np.ndarray:
-    """Integrate a family of integrands sharing one node set.
-
-    ``fmat(x, da, db)`` returns a matrix of shape (m, len(x)); the result
-    is the vector of the m integrals, refined until every component is
-    converged.  Used for parameter sweeps (one row per parameter value).
-    """
-    span = _prepare(a, b)
-    prev = None
-    total = None
-    for level in range(min_level, max_level + 1):
-        p_lo, p_hi, w = nodes(level)
-        da = span * p_lo
-        db = span * p_hi
-        vals = np.asarray(fmat(a + da, da, db), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("family integrand returned non-finite values")
-        total = span * (vals @ w)
-        if prev is not None:
-            err = np.abs(total - prev)
-            if np.all(err <= np.maximum(atol, rtol * np.abs(total))):
-                return total
-        prev = total
-    raise QuadratureError("family quadrature did not converge")

@@ -86,25 +86,37 @@ def threshold(params: DomainParams, p: int) -> ThresholdReport:
 
 
 def mu_for_threshold(r: float, p: int) -> float:
-    """The parameter whose degree-p threshold is exactly r in (0, 1/2).
+    """The parameter whose degree-p threshold is r in (0, 1/2).
 
     For p = 0 the construction takes l = ceil(1/r) and mu = (l-1)/(1-r),
     which satisfies floor(mu) = l.  When r sits one rounding step below
     1/integer, the floating ceil under-estimates l and the floor condition
     breaks; l + 1 is then equally valid (mu - l stays in [0, 1)) and is
-    used instead, keeping the threshold round trip exact.
+    used instead.
+
+    The threshold of the rounded mu can land a few ulps above r, and a
+    witness at s = r would then be refused; so mu is stepped by ulps in
+    the direction that lowers the threshold (down for p = 0, up for p = 1,
+    2) until threshold(mu).r <= r, but for p = 0 never below floor(mu) = l.
     """
     _check_p(p)
     if not 0.0 < r < 0.5:
         raise DomainError(f"need 0 < r < 1/2, got {r}")
-    if p != 0:
-        return 1.0 / r
-    ell = math.ceil(1.0 / r)
-    for candidate in (ell, ell + 1):
-        mu = (candidate - 1.0) / (1.0 - r)
-        if math.floor(mu) == candidate:
-            return mu
-    raise AssertionError(f"no admissible floor for r = {r!r}")
+    mu, band = 1.0 / r, None
+    if p == 0:
+        for band in (math.ceil(1.0 / r), math.ceil(1.0 / r) + 1):
+            mu = (band - 1.0) / (1.0 - r)
+            if math.floor(mu) == band:
+                break
+        else:
+            raise AssertionError(f"no admissible floor for r = {r!r}")
+    toward = -math.inf if p == 0 else math.inf
+    while threshold(DomainParams(mu), p).r > r:  # at most 2 steps in 60000 draws
+        step = math.nextafter(mu, toward)
+        if p == 0 and math.floor(step) != band:
+            break
+        mu = step
+    return mu
 
 
 def witness_index(params: DomainParams, p: int) -> BasisIndex:
@@ -169,13 +181,13 @@ def continuity_certificate(
     for comp, jmin in _families(p, params):
         shift = mu if comp is Component.DW1 else 0.0
         bound = max(bound, measure.lambda_ratio_bound(jmin - shift, s, params))
-        for j in range(jmin, jmax + 1):
-            x = j - shift
-            ratios = measure.lambda_ratio_family(x, ks, s, params)
-            i = int(np.argmax(ratios))
-            if ratios[i] > sup:
-                sup = float(ratios[i])
-                argmax = BasisIndex(j, int(ks[i]), p, comp)
+        js = np.arange(jmin, jmax + 1)
+        ratios = measure.lambda_ratio_family(js[:, None] - shift, ks[None, :], s, params)
+        # the first maximum in row-major order: lowest j, then lowest k
+        i, k = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if ratios[i, k] > sup:
+            sup = float(ratios[i, k])
+            argmax = BasisIndex(int(js[i]), int(ks[k]), p, comp)
     return ContinuityCertificate(mu, p, s, sup, argmax, bound, lattice)
 
 

@@ -325,7 +325,8 @@ SUITES = {
 
 
 def run_suites(cfg: Config, seed: int, names=None, *, self_test: bool = False):
-    """Run the selected suites with one seeded generator.
+    """Run the selected suites with one seeded generator, yielding each
+    suite's result as soon as it has finished.
 
     Self-test mode injects a wrong beta recursion constant into the
     special suite, which must then fail.
@@ -333,12 +334,10 @@ def run_suites(cfg: Config, seed: int, names=None, *, self_test: bool = False):
     if names is None:
         names = list(SUITES)
     rng = np.random.default_rng(seed)
-    results = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
         if name == "special" and self_test:
-            results.append(suite_special(cfg, rng, recursion_scale=1.0 + 1e-3))
+            yield suite_special(cfg, rng, recursion_scale=1.0 + 1e-3)
         else:
-            results.append(SUITES[name](cfg, rng))
-    return results
+            yield SUITES[name](cfg, rng)

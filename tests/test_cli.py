@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from bergsob import cli
+from bergsob import cli, suites
 from bergsob.config import default_config, load_config
 
 
@@ -33,6 +35,11 @@ class TestThresholdCommand:
 
     def test_missing_mu_exits_2(self):
         assert run_cli(["threshold", "--p", "0"]) == 2
+
+    @pytest.mark.parametrize("mu", ["inf", "nan"])
+    def test_non_finite_mu_exits_2(self, mu, capsys):
+        assert run_cli(["threshold", "--mu", mu, "--p", "0"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestLambdaCommand:
@@ -92,6 +99,12 @@ class TestScanCommand:
     def test_empty_grid_exits_2(self):
         assert run_cli(["scan", "--mu", "3", "--p", "0", "--s-grid", "0.4:0.3:0.1"]) == 2
 
+    def test_negative_s_exits_2(self, capsys):
+        assert run_cli(["scan", "--mu", "3", "--p", "0", "--s-grid=-0.1,0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s grid" in captured.err
+
 
 class TestVerifyCommand:
     def test_single_suite_green(self, tmp_path, capsys):
@@ -141,6 +154,24 @@ class TestVerifyCommand:
              "--config", str(cfg_file), "--tol", "recursion_residual=1e-10",
              "--output", str(out)]
         ) == 0
+
+    def test_progress_lines_stream(self, monkeypatch, capsys):
+        # each suite's line is printed when it finishes, not after the last
+        def slow_suite(name):
+            def run(cfg, rng):
+                time.sleep(0.15)
+                return suites.SuiteResult(name)
+
+            return run
+
+        monkeypatch.setattr(
+            suites, "SUITES", {name: slow_suite(name) for name in ("one", "two", "three")}
+        )
+        assert run_cli(["verify", "--seed", "1"]) == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if "elapsed" in ln]
+        elapsed = [float(re.search(r"([0-9.]+)s elapsed", ln).group(1)) for ln in lines]
+        assert len(elapsed) == 3
+        assert all(a < b for a, b in zip(elapsed, elapsed[1:]))
 
     def test_env_var_config(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "cfg.json"

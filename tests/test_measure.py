@@ -9,6 +9,7 @@ r-coordinate integral (agreement ~5e-11).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,24 @@ class TestQuadratureCross:
                 count += 1
 
 
+def _mp_ratio(x, y, s, mu):
+    """lam(x,y,s) lam(x,y,-s) / lam(x,y,0)^2 from the Gamma closed forms at
+    40 digits."""
+    with mpmath.workdps(40):
+        x, y, s, mu = (mpmath.mpf(v) for v in (x, y, s, mu))
+
+        def beta(a):
+            g = mpmath.gamma((a + 1 + 1j * y) / 2)
+            return mpmath.pi * mpmath.power(2, 1 - a) * mpmath.gamma(a) / abs(g) ** 2
+
+        X = 2 * x / mu + 2
+        a_part = (
+            mpmath.beta(X - 2 * s, 1 - 2 * s) * mpmath.beta(X + 2 * s, 1 + 2 * s)
+            / mpmath.beta(X, 1) ** 2
+        )
+        return float(a_part * beta(X + 1 - 4 * s) * beta(X + 1 + 4 * s) / beta(X + 1) ** 2)
+
+
 class TestRatio:
     def test_unweighted_ratio_is_one(self):
         assert measure.lambda_ratio(1.0, 0.0, 0.0, DomainParams(2.0)) == 1.0
@@ -135,6 +154,23 @@ class TestRatio:
                 bound = measure.lambda_ratio_bound(float(j), s, p)
                 assert np.all(ratios >= 1.0 - 1e-9)
                 assert np.all(ratios <= bound + 1e-9)
+
+    def test_lattice_broadcast_matches_scalar(self):
+        p = DomainParams(3.0)
+        xs = np.array([-1.0, 0.5, 4.0])
+        ys = np.array([-7.0, 0.0, 2.5, 30.0])
+        grid = measure.lambda_ratio_family(xs[:, None], ys[None, :], 0.2, p)
+        assert grid.shape == (3, 4)
+        for (i, j), v in np.ndenumerate(grid):
+            assert v == measure.lambda_ratio(float(xs[i]), float(ys[j]), 0.2, p)
+
+    def test_near_boundary_ratio_against_mpmath(self):
+        # dw1 family, j = 1, k = -40: the weight gap 2x/mu + 2 - 2s is 3.2e-7,
+        # and evaluating that expression as written loses 3e-10 of the ratio
+        mu, s = 7.0170301876267, 0.14251026907987766
+        x, y = 1.0 - mu, -40.0
+        got = measure.lambda_ratio(x, y, s, DomainParams(mu))
+        assert abs(got - _mp_ratio(x, y, s, mu)) / got <= 1e-12
 
     def test_divergent_weight_rejected(self):
         with pytest.raises(DomainError):

@@ -56,17 +56,6 @@ def test_bad_interval():
         quadrature.integrate(lambda t, da, db: t, 1.0, 1.0)
 
 
-def test_family_matches_scalar():
-    ys = np.array([-1.0, 0.0, 2.0])
-
-    def fmat(t, da, db):
-        return np.exp(np.outer(ys, t))
-
-    vals = quadrature.integrate_family(fmat, 0.0, 1.0)
-    expected = np.array([1.0 - math.exp(-1.0), 1.0, (math.exp(2.0) - 1.0) / 2.0])
-    np.testing.assert_allclose(vals, expected, rtol=1e-13)
-
-
 def test_node_offsets_are_complementary():
     p_lo, p_hi, w = quadrature.nodes(6)
     assert np.all(p_lo > 0.0) and np.all(p_hi > 0.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergsob import bergman, measure, regularity
+from bergsob.config import Tolerances
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 
@@ -62,6 +63,15 @@ class TestMuForThreshold:
                 assert abs(back - r) <= 1e-12
                 if p == 0:
                     assert math.floor(mu) == math.ceil(1.0 / r)
+
+    def test_threshold_not_rounded_above_r(self):
+        # 1/r rounds so that 1/mu lands one ulp above r; a witness at s = r
+        # used to be refused as below the threshold
+        r, p = 0.4088855203878302, 2
+        params = DomainParams(regularity.mu_for_threshold(r, p))
+        assert regularity.threshold(params, p).r <= r
+        wit = regularity.divergence_witness(params, p, r)
+        assert wit.growth.kind == "log"
 
 
 class TestDiscontinuity:
@@ -218,3 +228,13 @@ def test_threshold_inversion_property(r, p):
     mu = regularity.mu_for_threshold(r, p)
     assert mu > 1.0
     assert regularity.threshold(DomainParams(mu), p).r == pytest.approx(r, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.01, 0.499), p=st.sampled_from([0, 1, 2]))
+def test_threshold_inversion_never_above_r(r, p):
+    mu = regularity.mu_for_threshold(r, p)
+    back = regularity.threshold(DomainParams(mu), p).r
+    assert abs(back - r) <= Tolerances().threshold_roundtrip
+    # above r only at the bottom of the p = 0 band floor(mu) = l, mu = l
+    assert back <= r or (p == 0 and mu == math.floor(mu))

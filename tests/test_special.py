@@ -8,6 +8,7 @@ precision.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,20 +67,44 @@ class TestBetaValues:
         assert special.beta_eval(3.5, 0.0) == pytest.approx(BETA_35_00, rel=1e-12)
 
     def test_singular_regime_both_methods(self):
-        via_recursion = special.beta_eval(0.7, -2.3, method="auto")
+        closed = special.beta_eval(0.7, -2.3, method="auto")
         direct = special.beta_eval(0.7, -2.3, method="quadrature")
-        assert via_recursion == pytest.approx(BETA_07_M23, rel=1e-12)
+        assert closed == pytest.approx(BETA_07_M23, rel=1e-12)
         assert direct == pytest.approx(BETA_07_M23, rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             special.beta_eval(-0.5, 1.0)
+        with pytest.raises(DomainError):
+            special.beta_eval(np.array([1.0, 0.0]), 1.0)
 
     def test_family_matches_scalar(self):
-        ys = np.array([-2.0, 0.0, 2.0])
-        vals = special.beta_family(2.8, ys)
-        scalars = [special.beta_eval(2.8, float(y)) for y in ys]
-        np.testing.assert_allclose(vals, scalars, rtol=1e-12)
+        # the broadcast closed form against the scalar quadrature oracle
+        xs = np.array([0.05, 0.7, 2.8, 11.0])[:, None]
+        ys = np.array([-6.0, -2.0, 0.0, 2.0, 9.5])[None, :]
+        vals = special.beta_eval(xs, ys)
+        assert vals.shape == (4, 5)
+        for (i, j), v in np.ndenumerate(vals):
+            oracle = special.beta_eval(float(xs[i, 0]), float(ys[0, j]), method="quadrature")
+            assert v == pytest.approx(oracle, rel=1e-12)
+
+    def test_closed_form_against_mpmath(self):
+        # 40-digit Gamma-quotient oracle on x in [0.01, 60], |y| <= 45
+        rng = np.random.default_rng(20240901)
+        xs = np.concatenate([np.exp(rng.uniform(math.log(0.01), math.log(60.0), 400)), [0.01, 60.0]])
+        ys = np.concatenate([rng.uniform(-45.0, 45.0, 400), [45.0, -45.0]])
+        vals = special.beta_eval(xs, ys)
+        with mpmath.workdps(40):
+            for x, y, v in zip(xs, ys, vals):
+                x, y = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+                g = mpmath.gamma((x + 1 + 1j * y) / 2)
+                oracle = mpmath.pi * mpmath.power(2, 1 - x) * mpmath.gamma(x) / abs(g) ** 2
+                assert abs(v - oracle) / oracle <= 1e-12
+
+    def test_log_abs_gamma_even_in_imaginary_part(self):
+        z = np.array([0.5 + 3.0j, 7.9 + 0.1j, 30.0 + 22.5j])
+        np.testing.assert_array_equal(special.log_abs_gamma(z), special.log_abs_gamma(z.conj()))
+        assert special.log_abs_gamma(0.5 + 0j) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
 
 
 class TestRecursions:
