@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from . import measure, quadrature
-from .config import SCHEMA_VERSION
 from .errors import DomainError, NonIntegrableTermError
 from .geometry import DomainParams, ModelPoint, contains
 
@@ -179,34 +178,6 @@ class ProjectionResult:
     coefficients: dict[BasisIndex, complex]
     ratios: dict[BasisIndex, tuple[float, float]]  # (numerator, denominator)
     tail_report: str
-
-    def to_dict(self) -> dict:
-        """Serialize to the machine-readable schema used by the CLI:
-        coefficients in deterministic (j, k, component) order, each with
-        its numerator/denominator quadrature pair retained."""
-        entries = []
-        for idx in sorted(
-            self.coefficients, key=lambda i: (i.j, i.k, i.component.value)
-        ):
-            c = self.coefficients[idx]
-            num, den = self.ratios[idx]
-            entries.append(
-                {
-                    "j": idx.j,
-                    "k": idx.k,
-                    "component": idx.component.value,
-                    "real": c.real,
-                    "imag": c.imag,
-                    "numerator": num,
-                    "denominator": den,
-                }
-            )
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "p": self.p,
-            "coefficients": entries,
-            "tail_report": self.tail_report,
-        }
 
 
 def _term_moment(

@@ -102,8 +102,8 @@ def cmd_lambda(args) -> int:
         "s": args.s,
         "integrable": measure.is_integrable(m),
     }
+    closed = measure.lambda_closed(m)
     if measure.is_integrable(m):
-        closed = measure.lambda_closed(m)
         quad = measure.lambda_quadrature(m, tol=args.tol)
         payload.update(
             {
@@ -115,7 +115,6 @@ def cmd_lambda(args) -> int:
             }
         )
     else:
-        closed = measure.lambda_closed(m)
         payload.update(
             {"verdict": "divergent", "violated_condition": closed.violated_condition}
         )
@@ -287,10 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (DomainError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

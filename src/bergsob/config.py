@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from .errors import DomainError
 
 __all__ = [
     "Tolerances",
@@ -30,6 +33,11 @@ CONFIG_ENV = "BERGSOB_CONFIG"
 SCHEMA_VERSION = 1  # version stamp of every machine-readable payload
 
 
+# the least count each suite can use; the growth fit's second differences need 3 eps points
+_MIN_COUNTS = dict(special_points=1, geometry_samples=1, lattice_jmax=1, lattice_kmax=0,
+                   eps_fit_lo=1, eps_fit_hi=3, gram_count=1)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     recursion_residual: float = 1e-10
@@ -43,6 +51,11 @@ class Tolerances:
     gram_diag: float = 1e-6
     growth_exponent: float = 0.05
     threshold_roundtrip: float = 1e-12
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+                raise DomainError(f"tolerance {name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,15 @@ class Grids:
     moment_s_hi: float = 0.45
     sharpness_r: tuple[float, ...] = (0.2, 0.4)
     gram_count: int = 25
+
+    def __post_init__(self):
+        for name, least in _MIN_COUNTS.items():
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= least):
+                raise DomainError(f"grid {name} must be an integer >= {least}, got {value!r}")
+        if self.eps_fit_hi - self.eps_fit_lo < 2:
+            span = f"{self.eps_fit_lo}..{self.eps_fit_hi}"
+            raise DomainError(f"grid eps_fit_lo..eps_fit_hi must span >= 3 points, got {span}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Pointwise geometry of the covering domain and its Reinhardt model.
+"""Geometry of the covering domain and its Reinhardt model, elementwise
+over complex arrays.
 
 The covering domain lives in C x (C \\ {0}) and is cut out by
 
@@ -19,12 +20,12 @@ density of the push-forward metric, and the explicit boundary weight
 which is comparable to the boundary distance and satisfies
 delta0(forward(z)) = -rho(z)/4 exactly.  delta0 is the canonical weight
 everywhere in this package: it turns every downstream moment identity
-into an equality with no unknown comparability constant.
+into an equality with no unknown comparability constant.  A domain check
+on an array of points fails if any point fails it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,30 +71,31 @@ class DomainParams:
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A point w = (w1, w2) of the Reinhardt model."""
+    """A point w = (w1, w2) of the Reinhardt model, or same-shape arrays."""
 
-    w1: complex
-    w2: complex
+    w1: complex | np.ndarray
+    w2: complex | np.ndarray
 
 
 @dataclass(frozen=True)
 class CoverPoint:
-    """A point z = (z1, z2) of the cover, z2 != 0."""
+    """A point z = (z1, z2) of the cover, z2 != 0, or same-shape arrays."""
 
-    z1: complex
-    z2: complex
+    z1: complex | np.ndarray
+    z2: complex | np.ndarray
 
     def __post_init__(self):
-        if self.z2 == 0:
+        if np.any(np.asarray(self.z2) == 0):
             raise DomainError("cover points require z2 != 0")
 
 
 @dataclass(frozen=True)
 class FrameAt:
-    """Orthonormal frame of the push-forward metric at a model point.
+    """Orthonormal frame of the push-forward metric at model points.
 
     L1/L2 are coefficient vectors against (d/dw1, d/dw2); theta1/theta2
-    against (dw1, dw2).  theta^i(L_j) is the Kronecker delta.
+    against (dw1, dw2).  Each is stacked along its first axis, shape
+    (2, *point shape).  theta^i(L_j) is the Kronecker delta.
     """
 
     point: ModelPoint
@@ -102,95 +104,100 @@ class FrameAt:
     theta1: np.ndarray
     theta2: np.ndarray
 
-    def duality_residual(self) -> float:
-        """Worst deviation of the pairing from the identity, normalized
-        entrywise by the pairing's own term magnitude.
+    def duality_residual(self) -> np.ndarray:
+        """Worst deviation of the pairing from the identity at each point,
+        normalized entrywise by the pairing's own term magnitude.
 
         The theta2 row pairs two terms of size ~|w1|^(-mu)/4 that cancel
         exactly; near the inner edge an absolute criterion would only
         measure that cancellation's double-precision conditioning, so the
         deviation is scaled by max(1, sum of term moduli)."""
-        thetas = np.vstack([self.theta1, self.theta2])
-        vectors = np.vstack([self.L1, self.L2])
-        pairing = thetas @ vectors.T
-        scale = np.abs(thetas) @ np.abs(vectors).T
-        return float(
-            np.max(np.abs(pairing - np.eye(2)) / np.maximum(1.0, scale))
-        )
+        thetas = np.stack([self.theta1, self.theta2])
+        vectors = np.stack([self.L1, self.L2])
+        pairing = np.einsum("ic...,jc...->...ij", thetas, vectors)
+        scale = np.einsum("ic...,jc...->...ij", np.abs(thetas), np.abs(vectors))
+        return np.max(np.abs(pairing - np.eye(2)) / np.maximum(1.0, scale), axis=(-2, -1))
 
 
-def contains(params: DomainParams, w: ModelPoint) -> bool:
+def _require(ok, point, what: str) -> None:
+    """Raise DomainError unless ok holds at every point; name the first that fails."""
+    if not np.all(ok):
+        i = np.flatnonzero(np.logical_not(ok))[0]
+        coords = (np.broadcast_to(c, np.shape(ok)).flat[i].item() for c in vars(point).values())
+        raise DomainError(f"{type(point)(*coords)} {what}")
+
+
+def _phase(v):
+    """e^(i log|v|^2), the rotation that straightens the cover's boundary."""
+    return np.exp(1j * np.log(np.abs(v) ** 2))
+
+
+def contains(params: DomainParams, w: ModelPoint):
     """Membership of w in the model domain (total predicate)."""
-    r1 = abs(w.w1)
-    if not 0.0 < r1 < 1.0 or w.w2 == 0:
-        return False
-    return abs(math.log(abs(w.w2) ** 2)) < math.acos(r1**params.mu)
+    r1 = np.abs(w.w1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w2 = 0 gives |log 0| = inf
+        fiber = np.abs(np.log(np.abs(w.w2) ** 2)) < np.arccos(r1**params.mu)
+    return (0.0 < r1) & (r1 < 1.0) & fiber
 
 
-def radial_bounds(params: DomainParams, r1: float) -> tuple[float, float]:
+def radial_bounds(params: DomainParams, r1):
     """The |w2| interval (a, b) of the model's fiber over |w1| = r1.
 
     a(r) = exp(-arccos(r^mu)/2), b(r) = 1/a(r).
     """
-    if not 0.0 < r1 < 1.0:
+    if not np.all((0.0 < r1) & (r1 < 1.0)):
         raise DomainError(f"need 0 < r1 < 1, got {r1}")
-    half = 0.5 * math.acos(r1**params.mu)
-    return math.exp(-half), math.exp(half)
+    half = 0.5 * np.arccos(r1**params.mu)
+    return np.exp(-half), np.exp(half)
 
 
-def delta0(params: DomainParams, w: ModelPoint) -> float:
+def delta0(params: DomainParams, w: ModelPoint):
     """Explicit boundary weight |w1|^mu (cos(log|w2|^2) - |w1|^mu).
 
     Strictly positive on the model domain, zero on its boundary.
     """
-    if not contains(params, w):
-        raise DomainError(f"{w} is not in the model domain")
-    t = abs(w.w1) ** params.mu
-    return t * (math.cos(math.log(abs(w.w2) ** 2)) - t)
+    _require(contains(params, w), w, "is not in the model domain")
+    t = np.abs(w.w1) ** params.mu
+    return t * (np.cos(np.log(np.abs(w.w2) ** 2)) - t)
 
 
-def rho_tilde(z: CoverPoint) -> float:
+def rho_tilde(z: CoverPoint):
     """Defining function |z1 + e^(i log|z2|^2)|^2 - 1 of the cover domain."""
-    return abs(z.z1 + cmath.exp(1j * math.log(abs(z.z2) ** 2))) ** 2 - 1.0
+    return np.abs(z.z1 + _phase(z.z2)) ** 2 - 1.0
 
 
-def rho_tilde_expanded(z: CoverPoint) -> float:
+def rho_tilde_expanded(z: CoverPoint):
     """Equivalent expanded form |z1|^2 + 2 Re(z1 e^(-i log|z2|^2))."""
-    phase = cmath.exp(-1j * math.log(abs(z.z2) ** 2))
-    return abs(z.z1) ** 2 + 2.0 * (z.z1 * phase).real
+    return np.abs(z.z1) ** 2 + 2.0 * (z.z1 * np.conj(_phase(z.z2))).real
 
 
-def levi_form_boundary(z: CoverPoint, *, boundary_tol: float = 1e-10) -> float:
-    """Levi form of the defining function along the complex tangent at a
-    boundary point: 2 (-x) (rho(z) + 1) / |z2|^2 with
+def levi_form_boundary(z: CoverPoint, *, boundary_tol: float = 1e-10):
+    """Levi form of the defining function along the complex tangent at
+    boundary points: 2 (-x) (rho(z) + 1) / |z2|^2 with
     x = Re(z1 e^(-i log|z2|^2)).
 
     Nonnegative on the boundary (pseudoconvexity); zero exactly on the
     torus x = 0.
     """
     r = rho_tilde(z)
-    if abs(r) > boundary_tol:
-        raise DomainError(f"not a boundary point: rho = {r}")
-    x = (z.z1 * cmath.exp(-1j * math.log(abs(z.z2) ** 2))).real
-    return 2.0 * (-x) * (r + 1.0) / abs(z.z2) ** 2
+    _require(np.abs(r) <= boundary_tol, z, "is not a boundary point")
+    x = (z.z1 * np.conj(_phase(z.z2))).real
+    return 2.0 * (-x) * (r + 1.0) / np.abs(z.z2) ** 2
 
 
-def log_branch(t: float, zeta: complex) -> complex:
+def log_branch(t, zeta):
     """The unique logarithm L of zeta with 0 <= Im L - log t^2 < 2 pi."""
-    if zeta == 0:
+    if np.any(zeta == 0):
         raise DomainError("log branch undefined at 0")
-    if not t > 0:
+    if not np.all(t > 0):
         raise DomainError(f"branch parameter must be positive, got {t}")
-    target = 2.0 * math.log(t)
-    L = cmath.log(zeta)
-    n = math.ceil((target - L.imag) / _TWO_PI)
-    im = L.imag + _TWO_PI * n
+    target = 2.0 * np.log(t)
+    L = np.log(np.asarray(zeta, dtype=complex))
+    im = L.imag + _TWO_PI * np.ceil((target - L.imag) / _TWO_PI)
     # one-step nudge against ceil rounding at the window edges
-    if im - target < 0.0:
-        im += _TWO_PI
-    elif im - target >= _TWO_PI:
-        im -= _TWO_PI
-    return complex(L.real, im)
+    im = np.where(im - target < 0.0, im + _TWO_PI, im)
+    im = np.where(im - target >= _TWO_PI, im - _TWO_PI, im)
+    return L.real + 1j * im
 
 
 def forward_map(params: DomainParams, z: CoverPoint) -> ModelPoint:
@@ -199,15 +206,14 @@ def forward_map(params: DomainParams, z: CoverPoint) -> ModelPoint:
     w1 = exp((log^{|z2|}(z1) - log 2)/mu),
     w2 = z2 exp((pi + i log^{|z2|}(z1))/2).
     """
-    if not rho_tilde(z) < 0.0:
-        raise DomainError(f"{z} is not inside the cover domain")
-    L = log_branch(abs(z.z2), z.z1)
-    w1 = cmath.exp((L - math.log(2.0)) / params.mu)
-    w2 = z.z2 * cmath.exp(0.5 * (math.pi + 1j * L))
+    _require(rho_tilde(z) < 0.0, z, "is not inside the cover domain")
+    L = log_branch(np.abs(z.z2), z.z1)
+    w1 = np.exp((L - math.log(2.0)) / params.mu)
+    w2 = z.z2 * np.exp(0.5 * (math.pi + 1j * L))
     return ModelPoint(w1, w2)
 
 
-def inverse_map(params: DomainParams, w: ModelPoint, k: int = 0) -> CoverPoint:
+def inverse_map(params: DomainParams, w: ModelPoint, k=0) -> CoverPoint:
     """The k-th cover representative of the model point w.
 
     z1 = 2 exp(mu Log w1 + 2 pi mu k i),
@@ -216,20 +222,17 @@ def inverse_map(params: DomainParams, w: ModelPoint, k: int = 0) -> CoverPoint:
     with Log the principal branch.  Consecutive k differ by the deck
     transformation (z1, z2) -> (e^(2 pi mu i) z1, e^(pi mu) z2).
     """
-    if not contains(params, w):
-        raise DomainError(f"{w} is not in the model domain")
+    _require(contains(params, w), w, "is not in the model domain")
     mu = params.mu
-    L = cmath.log(w.w1)
-    z1 = 2.0 * cmath.exp(mu * L + 2j * math.pi * mu * k)
-    z2 = math.exp(math.pi * mu * k) * w.w2 * cmath.exp(
+    L = np.log(np.asarray(w.w1, dtype=complex))
+    z1 = 2.0 * np.exp(mu * L + 2j * math.pi * mu * k)
+    z2 = np.exp(math.pi * mu * k) * w.w2 * np.exp(
         -0.5 * (math.pi + 1j * (mu * L + math.log(2.0)))
     )
     return CoverPoint(z1, z2)
 
 
-def isometry_apply(
-    params: DomainParams, theta1: float, theta2: float, z: CoverPoint
-) -> CoverPoint:
+def isometry_apply(params: DomainParams, theta1, theta2, z: CoverPoint) -> CoverPoint:
     """The rotation isometry (z1, z2) -> (e^(i mu t1) z1, e^(mu t1/2 + i t2) z2).
 
     Its push-forward through the biholomorphism rotates the model
@@ -237,13 +240,9 @@ def isometry_apply(
     """
     mu = params.mu
     return CoverPoint(
-        cmath.exp(1j * mu * theta1) * z.z1,
-        cmath.exp(0.5 * mu * theta1 + 1j * theta2) * z.z2,
+        np.exp(1j * mu * theta1) * z.z1,
+        np.exp(0.5 * mu * theta1 + 1j * theta2) * z.z2,
     )
-
-
-def _log_abs_sq(w2: complex) -> float:
-    return math.log(abs(w2) ** 2)
 
 
 def frame_at(params: DomainParams, w: ModelPoint) -> FrameAt:
@@ -255,74 +254,58 @@ def frame_at(params: DomainParams, w: ModelPoint) -> FrameAt:
     theta1 = -2 mu |w1|^mu e^(-i log|w2|^2)/w1 dw1,
     theta2 = -i mu/(2 w1) dw1 + dw2/w2.
     """
-    if w.w1 == 0 or w.w2 == 0:
-        raise DomainError("frame is singular on the coordinate axes")
+    _require((w.w1 != 0) & (w.w2 != 0), w, "is on an axis, where the frame is singular")
     mu = params.mu
-    r1mu = abs(w.w1) ** mu
-    phase = cmath.exp(1j * _log_abs_sq(w.w2))
-    L1 = np.array(
-        [-w.w1 * phase / (2.0 * mu * r1mu), -1j * w.w2 * phase / (4.0 * r1mu)]
-    )
-    L2 = np.array([0.0j, w.w2])
-    theta1 = np.array([-2.0 * mu * r1mu / (w.w1 * phase), 0.0j])
-    theta2 = np.array([-0.5j * mu / w.w1, 1.0 / w.w2])
+    r1mu = np.abs(w.w1) ** mu
+    phase = _phase(w.w2)
+    L1 = np.stack([-w.w1 * phase / (2.0 * mu * r1mu), -1j * w.w2 * phase / (4.0 * r1mu)])
+    L2 = np.stack([0.0 * w.w2, w.w2])
+    theta1 = np.stack([-2.0 * mu * r1mu / (w.w1 * phase), 0.0 * w.w1])
+    theta2 = np.stack([-0.5j * mu / w.w1, 1.0 / w.w2])
     return FrameAt(w, L1, L2, theta1, theta2)
 
 
-def dw1_in_frame(params: DomainParams, w: ModelPoint) -> tuple[complex, complex]:
+def dw1_in_frame(params: DomainParams, w: ModelPoint):
     """Coefficients (c1, c2) with dw1 = c1 theta1 + c2 theta2 at w.
 
-    c1 = -w1 e^(i log|w2|^2)/(2 mu |w1|^mu),  c2 = 0.
+    By duality c_i = dw1(L_i): c1 = -w1 e^(i log|w2|^2)/(2 mu |w1|^mu),  c2 = 0.
     """
-    if w.w1 == 0 or w.w2 == 0:
-        raise DomainError("frame is singular on the coordinate axes")
-    mu = params.mu
-    c1 = -w.w1 * cmath.exp(1j * _log_abs_sq(w.w2)) / (2.0 * mu * abs(w.w1) ** mu)
-    return c1, 0.0j
+    frame = frame_at(params, w)
+    return frame.L1[0], frame.L2[0]
 
 
-def volume_density(params: DomainParams, w: ModelPoint) -> float:
+def volume_density(params: DomainParams, w: ModelPoint):
     """Density 4 mu^2 |w1|^(2 mu - 2)/|w2|^2 of the push-forward volume
     against the Euclidean one."""
-    if w.w1 == 0 or w.w2 == 0:
-        raise DomainError("volume density is singular on the coordinate axes")
+    _require((w.w1 != 0) & (w.w2 != 0), w, "is on an axis, where the density is singular")
     mu = params.mu
-    return 4.0 * mu * mu * abs(w.w1) ** (2.0 * mu - 2.0) / abs(w.w2) ** 2
+    return 4.0 * mu * mu * np.abs(w.w1) ** (2.0 * mu - 2.0) / np.abs(w.w2) ** 2
 
 
-def sample_interior(
-    params: DomainParams, n: int, rng: np.random.Generator
-) -> list[ModelPoint]:
+def sample_interior(params: DomainParams, n: int, rng: np.random.Generator) -> ModelPoint:
     """n seeded interior points of the model domain, spread over the full
     radial range and up to 99% of each fiber's height."""
-    mu = params.mu
     r1 = rng.uniform(0.02, 0.98, size=n)
     frac = rng.uniform(-0.99, 0.99, size=n)
-    u2 = frac * np.arccos(r1**mu)
+    u2 = frac * np.arccos(r1**params.mu)
     phi1 = rng.uniform(0.0, _TWO_PI, size=n)
     phi2 = rng.uniform(0.0, _TWO_PI, size=n)
-    w1 = r1 * np.exp(1j * phi1)
-    w2 = np.exp(0.5 * u2) * np.exp(1j * phi2)
-    return [ModelPoint(complex(a), complex(b)) for a, b in zip(w1, w2)]
+    return ModelPoint(r1 * np.exp(1j * phi1), np.exp(0.5 * u2) * np.exp(1j * phi2))
 
 
 def sample_boundary_cover(
     n: int, rng: np.random.Generator, *, include_torus: bool = True
-) -> list[CoverPoint]:
+) -> CoverPoint:
     """n seeded boundary points of the cover domain.
 
     The boundary is parameterized by x in [-2, 0] via x^2 + y^2 + 2x = 0
     and z1 = (x + i y) e^(i log|z2|^2).  When include_torus is set, every
     eighth sample sits exactly on the Levi-flat torus x = 0.
     """
-    pts = []
-    for i in range(n):
-        x = 0.0 if include_torus and i % 8 == 0 else rng.uniform(-2.0, 0.0)
-        y = math.sqrt(max(-x * (x + 2.0), 0.0))
-        if rng.uniform() < 0.5:
-            y = -y
-        s2 = rng.uniform(-2.0, 2.0)
-        z2 = math.exp(0.5 * s2) * cmath.exp(1j * rng.uniform(0.0, _TWO_PI))
-        z1 = (x + 1j * y) * cmath.exp(1j * math.log(abs(z2) ** 2))
-        pts.append(CoverPoint(z1, z2))
-    return pts
+    x = rng.uniform(-2.0, 0.0, size=n)
+    if include_torus:
+        x[::8] = 0.0
+    y = np.sqrt(np.maximum(-x * (x + 2.0), 0.0))
+    y = np.where(rng.uniform(size=n) < 0.5, -y, y)
+    z2 = np.exp(0.5 * rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(0.0, _TWO_PI, size=n))
+    return CoverPoint((x + 1j * y) * _phase(z2), z2)

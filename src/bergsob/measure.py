@@ -132,13 +132,11 @@ def lambda_closed(m: MomentArgs) -> MomentValue:
     if not is_integrable(m):
         return MomentValue.divergent(_violated(m))
     X, Y = _exponents(m.x, m.s, m.params.mu)
-    val = (
-        8.0
-        * math.pi**2
-        * m.params.mu
-        * special.alpha_eval(X, 1.0 - 2.0 * m.s, method="lgamma")
-        * special.beta_eval(Y, m.y)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = special.alpha_eval(X, 1.0 - 2.0 * m.s, method="lgamma")
+        val = 8.0 * math.pi**2 * m.params.mu * alpha * special.beta_eval(Y, m.y)
+    if not math.isfinite(val):
+        raise DomainError(f"lam({m.x}, {m.y}, {m.s}) at mu = {m.params.mu} overflows a double")
     return MomentValue.finite(val, 1e-11 * val)
 
 

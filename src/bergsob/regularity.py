@@ -100,8 +100,8 @@ def mu_for_threshold(r: float, p: int) -> float:
     2) until threshold(mu).r <= r, but for p = 0 never below floor(mu) = l.
     """
     _check_p(p)
-    if not 0.0 < r < 0.5:
-        raise DomainError(f"need 0 < r < 1/2, got {r}")
+    if not (0.0 < r < 0.5 and math.isfinite(1.0 / r)):
+        raise DomainError(f"need 0 < r < 1/2 with 1/r finite, got {r!r}")
     mu, band = 1.0 / r, None
     if p == 0:
         for band in (math.ceil(1.0 / r), math.ceil(1.0 / r) + 1):
@@ -109,7 +109,7 @@ def mu_for_threshold(r: float, p: int) -> float:
             if math.floor(mu) == band:
                 break
         else:
-            raise AssertionError(f"no admissible floor for r = {r!r}")
+            raise DomainError(f"no mu in the floor bands ceil(1/r), ceil(1/r) + 1 for r = {r!r}")
     toward = -math.inf if p == 0 else math.inf
     while threshold(DomainParams(mu), p).r > r:  # at most 2 steps in 60000 draws
         step = math.nextafter(mu, toward)

@@ -2,12 +2,15 @@
 
 Each suite replays a module's mathematical contracts on the configured
 grids with seeded sampling and reports structured pass/fail results.
-The suites mirror the pytest property tests at certification scale; they
-are deterministic for a fixed seed and configuration.
+The suites are deterministic for a fixed seed and configuration.  Each
+``check_*`` function takes its grid, generator and tolerances as arguments
+and records into a SuiteResult; the acceptance gate calls the same
+functions with its pinned values, so each invariant is defined once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -15,9 +18,11 @@ import numpy as np
 
 from . import bergman, geometry, measure, regularity, special
 from .config import Config
+from .errors import DomainError
 from .geometry import DomainParams, ModelPoint
 
-__all__ = ["SuiteResult", "SUITES", "run_suites"]
+__all__ = ["SuiteResult", "SUITES", "run_suites", "check_geometry", "check_gram",
+           "check_sharpness", "check_threshold_jumps", "check_counterexample_transport"]
 
 
 @dataclass
@@ -36,12 +41,7 @@ class SuiteResult:
             self.failures.append(message)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "failures": self.failures,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -107,54 +107,51 @@ def suite_special(cfg: Config, rng, *, recursion_scale: float = 1.0) -> SuiteRes
     return res
 
 
+def check_geometry(
+    res: SuiteResult, mus, n: int, rng, *, residual_tol: float, levi_floor: float
+) -> geometry.CoverPoint:
+    """Biholomorphism round trips, defining-function transport, isometry
+    push-forward, frame duality and the boundary-weight identity on n
+    seeded interior points per mu, then the Levi form on n seeded boundary
+    points of the cover, which are returned."""
+    largest = lambda *arrays: float(np.max([np.max(np.abs(a)) for a in arrays]))  # NaN fails
+    for mu in mus:
+        params = DomainParams(mu)
+        w = geometry.sample_interior(params, n, rng)
+        z = geometry.inverse_map(params, w, rng.integers(-2, 3, size=n))
+        v = geometry.forward_map(params, z)
+        rho = geometry.rho_tilde(z)
+        t = np.abs(v.w1) ** mu
+        transported = 4.0 * t * (t - np.cos(np.log(np.abs(v.w2) ** 2)))
+        t1, t2 = rng.uniform(-math.pi, math.pi, size=(2, n))
+        zz = geometry.isometry_apply(params, t1, t2, z)
+        vv = geometry.forward_map(params, zz)
+        rotated = (vv.w1 - np.exp(1j * t1) * w.w1, vv.w2 - np.exp(1j * t2) * w.w2)
+        worst = {
+            "round trip": largest(v.w1 - w.w1, v.w2 - w.w2),
+            "transport": largest(rho - transported, np.abs(z.z1) - 2.0 * t),
+            "isometry": largest(*rotated, geometry.rho_tilde(zz) - rho),
+            "frame duality": largest(geometry.frame_at(params, w).duality_residual()),
+            "delta0 vs rho": largest(geometry.delta0(params, v) + rho / 4.0),
+        }
+        for label, value in worst.items():
+            res.check(value <= residual_tol, f"mu={mu}: {label} {value:.2e}")
+    boundary = geometry.sample_boundary_cover(n, rng)
+    levi = geometry.levi_form_boundary(boundary)
+    worst_levi = float(np.min(levi, initial=0.0))
+    res.check(worst_levi >= -levi_floor, f"Levi form dips to {worst_levi:.2e}")
+    torus_exact = bool(np.all(levi[boundary.z1 == 0] == 0.0))
+    res.check(torus_exact, "Levi form not exactly zero on the torus")
+    return boundary
+
+
 def suite_geometry(cfg: Config, rng) -> SuiteResult:
     """Biholomorphism round trips, defining-function transport, isometry
     push-forward, frame duality, boundary-weight identity, Levi form."""
     res = SuiteResult("geometry")
-    tol = cfg.tolerances
-    g = cfg.grids
-    n = g.geometry_samples
-    for mu in g.mu_samples:
-        params = DomainParams(mu)
-        pts = geometry.sample_interior(params, n, rng)
-        worst_rt = worst_def = worst_iso = worst_frame = worst_d0 = 0.0
-        for w in pts:
-            k = int(rng.integers(-2, 3))
-            z = geometry.inverse_map(params, w, k)
-            v = geometry.forward_map(params, z)
-            worst_rt = max(worst_rt, abs(v.w1 - w.w1), abs(v.w2 - w.w2))
-            rho = geometry.rho_tilde(z)
-            lhs = 4.0 * abs(v.w1) ** mu * (
-                abs(v.w1) ** mu - math.cos(math.log(abs(v.w2) ** 2))
-            )
-            worst_def = max(worst_def, abs(rho - lhs), abs(abs(z.z1) - 2.0 * abs(v.w1) ** mu))
-            worst_d0 = max(worst_d0, abs(geometry.delta0(params, v) + rho / 4.0))
-            t1, t2 = rng.uniform(-math.pi, math.pi, size=2)
-            zz = geometry.isometry_apply(params, t1, t2, z)
-            vv = geometry.forward_map(params, zz)
-            worst_iso = max(
-                worst_iso,
-                abs(vv.w1 - np.exp(1j * t1) * w.w1),
-                abs(vv.w2 - np.exp(1j * t2) * w.w2),
-                abs(geometry.rho_tilde(zz) - rho),
-            )
-            fr = geometry.frame_at(params, w)
-            worst_frame = max(worst_frame, fr.duality_residual())
-        res.check(worst_rt <= tol.geometry_residual, f"mu={mu}: round trip {worst_rt:.2e}")
-        res.check(worst_def <= tol.geometry_residual, f"mu={mu}: transport {worst_def:.2e}")
-        res.check(worst_iso <= tol.geometry_residual, f"mu={mu}: isometry {worst_iso:.2e}")
-        res.check(worst_frame <= tol.geometry_residual, f"mu={mu}: frame duality {worst_frame:.2e}")
-        res.check(worst_d0 <= tol.geometry_residual, f"mu={mu}: delta0 vs rho {worst_d0:.2e}")
-    boundary = geometry.sample_boundary_cover(n, rng)
-    worst_levi = 0.0
-    torus_exact = True
-    for z in boundary:
-        levi = geometry.levi_form_boundary(z)
-        worst_levi = min(worst_levi, levi)
-        if z.z1 == 0 and levi != 0.0:
-            torus_exact = False
-    res.check(worst_levi >= -tol.levi_floor, f"Levi form dips to {worst_levi:.2e}")
-    res.check(torus_exact, "Levi form not exactly zero on the torus")
+    g, tol = cfg.grids, cfg.tolerances
+    check_geometry(res, g.mu_samples, g.geometry_samples, rng,
+                   residual_tol=tol.geometry_residual, levi_floor=tol.levi_floor)
     return res
 
 
@@ -217,21 +214,27 @@ def suite_measure(cfg: Config, rng) -> SuiteResult:
     return res
 
 
+def check_gram(res: SuiteResult, count: int, *, offdiag_tol: float, diag_tol: float) -> None:
+    """The Gram matrix of the leading ``count`` normalized basis elements
+    at mu = 3 is the identity, for every degree p and s in {0, 0.2, 0.4}."""
+    params = DomainParams(3.0)
+    for p in (0, 1, 2):
+        for s in (0.0, 0.2, 0.4):
+            idx = bergman.basis_indices(p, s, params, count)
+            G = bergman.gram_matrix(idx, s, params)
+            off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
+            diag = float(np.max(np.abs(np.diag(G) - 1.0)))
+            res.check(off <= offdiag_tol, f"p={p} s={s}: offdiag {off:.2e}")
+            res.check(diag <= diag_tol, f"p={p} s={s}: diag dev {diag:.2e}")
+
+
 def suite_bergman(cfg: Config, rng) -> SuiteResult:
     """Gram identities, reproducing property, selection rule, kernel
     symmetry and positivity."""
     res = SuiteResult("bergman")
     tol = cfg.tolerances
-    g = cfg.grids
+    check_gram(res, cfg.grids.gram_count, offdiag_tol=tol.gram_offdiag, diag_tol=tol.gram_diag)
     params = DomainParams(3.0)
-    for p in (0, 1, 2):
-        for s in (0.0, 0.2, 0.4):
-            idx = bergman.basis_indices(p, s, params, g.gram_count)
-            G = bergman.gram_matrix(idx, s, params)
-            off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
-            diag = float(np.max(np.abs(np.diag(G) - 1.0)))
-            res.check(off <= tol.gram_offdiag, f"p={p} s={s}: offdiag {off:.2e}")
-            res.check(diag <= tol.gram_diag, f"p={p} s={s}: diag dev {diag:.2e}")
     ones = lambda r1, r2: np.ones(np.broadcast(np.asarray(r1), np.asarray(r2)).shape)
     for j in range(-2, 4):
         for k in (-2, 0, 3):
@@ -257,50 +260,52 @@ def suite_bergman(cfg: Config, rng) -> SuiteResult:
     return res
 
 
-def suite_regularity(cfg: Config, rng) -> SuiteResult:
-    """Sharpness sandwich, threshold inversion round trip, witness
-    minimality, discontinuity in mu, counterexample transport."""
-    res = SuiteResult("regularity")
-    tol = cfg.tolerances
-    g = cfg.grids
-    for r in g.sharpness_r:
+def check_sharpness(
+    res: SuiteResult, rs, lattice: tuple[int, int], *, ratio_slack: float, growth_tol: float
+) -> list[regularity.ContinuityCertificate]:
+    """For each target threshold r and degree p, at the mu realizing r: a
+    continuity certificate just below r (at s = r - 0.02) whose sup stays
+    under its bound, and a divergence witness at r whose growth fit matches
+    the analytic exponent.  Returns the certificates."""
+    certs = []
+    for r in rs:
         for p in (0, 1, 2):
-            mu = regularity.mu_for_threshold(r, p)
-            params = DomainParams(mu)
-            cert = regularity.continuity_certificate(
-                params, p, r - 0.02, (g.lattice_jmax, g.lattice_kmax)
-            )
+            params = DomainParams(regularity.mu_for_threshold(r, p))
+            cert = regularity.continuity_certificate(params, p, r - 0.02, lattice)
+            certs.append(cert)
             res.check(
-                cert.sup_ratio <= cert.bound_used + tol.ratio_slack,
+                cert.sup_ratio <= cert.bound_used + ratio_slack,
                 f"r={r} p={p}: sup {cert.sup_ratio:.4g} above bound {cert.bound_used:.4g}",
             )
             wit = regularity.divergence_witness(params, p, r)
             if abs(wit.analytic_exponent) <= 1e-9:
                 ok = wit.growth.kind == "log"
             else:
-                ok = abs(wit.growth.exponent - wit.analytic_exponent) <= tol.growth_exponent
+                ok = abs(wit.growth.exponent - wit.analytic_exponent) <= growth_tol
             res.check(ok, f"r={r} p={p}: witness growth fit mismatch")
-    for r in np.arange(0.05, 0.46, 0.05):
-        for p in (0, 1, 2):
-            mu = regularity.mu_for_threshold(float(r), p)
-            back = regularity.threshold(DomainParams(mu), p).r
-            res.check(
-                abs(back - r) <= tol.threshold_roundtrip,
-                f"threshold inversion drift {abs(back - r):.2e} at r={r}, p={p}",
-            )
+    return certs
+
+
+def check_threshold_jumps(res: SuiteResult, *, tol: float) -> None:
+    """Across each integer mu in {2, 3, 4} the degree-0 threshold jumps by
+    min(1/2, 2/m) - min(1/2, 1/m) and the degree-2 threshold does not."""
     for m in (2, 3, 4):
         lo = regularity.threshold(DomainParams(m - 1e-9), 0).r
         hi = regularity.threshold(DomainParams(m + 1e-9), 0).r
         predicted = min(0.5, 2.0 / m) - min(0.5, 1.0 / m)
         res.check(
-            abs((lo - hi) - predicted) <= 1e-8,
+            abs((lo - hi) - predicted) <= tol,
             f"degree-0 jump at mu={m}: {lo - hi:.3g} vs predicted {predicted:.3g}",
         )
         lo2 = regularity.threshold(DomainParams(m - 1e-9), 2).r
         hi2 = regularity.threshold(DomainParams(m + 1e-9), 2).r
-        res.check(
-            abs(lo2 - hi2) <= 1e-8, f"degree-2 threshold jumps at mu={m}"
-        )
+        res.check(abs(lo2 - hi2) <= tol, f"degree-2 threshold jumps at mu={m}")
+
+
+def check_counterexample_transport(res: SuiteResult) -> None:
+    """At mu = 3 and each degree p, the smooth counterexample projects onto
+    exactly the witness element, with a positive coefficient, and that
+    element's norm diverges at the threshold."""
     params = DomainParams(3.0)
     for p in (0, 1, 2):
         out = bergman.project(regularity.smooth_counterexample(params, p), params)
@@ -312,6 +317,26 @@ def suite_regularity(cfg: Config, rng) -> SuiteResult:
             and bergman.basis_norm_sq(witness, thr.r, params).kind == "divergent"
         )
         res.check(ok, f"counterexample transport failed at p={p}")
+
+
+def suite_regularity(cfg: Config, rng) -> SuiteResult:
+    """Sharpness sandwich, threshold inversion round trip, witness
+    minimality, discontinuity in mu, counterexample transport."""
+    res = SuiteResult("regularity")
+    tol = cfg.tolerances
+    g = cfg.grids
+    check_sharpness(res, g.sharpness_r, (g.lattice_jmax, g.lattice_kmax),
+                    ratio_slack=tol.ratio_slack, growth_tol=tol.growth_exponent)
+    for r in np.arange(0.05, 0.46, 0.05):
+        for p in (0, 1, 2):
+            mu = regularity.mu_for_threshold(float(r), p)
+            back = regularity.threshold(DomainParams(mu), p).r
+            res.check(
+                abs(back - r) <= tol.threshold_roundtrip,
+                f"threshold inversion drift {abs(back - r):.2e} at r={r}, p={p}",
+            )
+    check_threshold_jumps(res, tol=1e-8)
+    check_counterexample_transport(res)
     return res
 
 
@@ -325,18 +350,21 @@ SUITES = {
 
 
 def run_suites(cfg: Config, seed: int, names=None, *, self_test: bool = False):
-    """Run the selected suites with one seeded generator, yielding each
-    suite's result as soon as it has finished.
+    """Run the selected suites, yielding each suite's result as soon as it
+    has finished.  Each suite draws from its own generator, seeded by (seed,
+    suite name), so a suite run alone replays its draws in a full run.
 
     Self-test mode injects a wrong beta recursion constant into the
     special suite, which must then fail.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if names is None:
         names = list(SUITES)
-    rng = np.random.default_rng(seed)
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+        rng = np.random.default_rng([seed, *name.encode()])
         if name == "special" and self_test:
             yield suite_special(cfg, rng, recursion_scale=1.0 + 1e-3)
         else:

@@ -1,7 +1,9 @@
 """Acceptance gate: the package's exit criteria, one test per criterion.
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
-them inline).  Tolerances are pinned here, not configurable.
+them inline).  Tolerances are pinned here, not configurable.  Criteria
+4-8 run the same check functions from ``bergsob.suites`` that ``verify``
+runs, with the pinned seeds, grids and tolerances below.
 """
 
 import json
@@ -11,7 +13,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from bergsob import bergman, cli, geometry, measure, regularity, special, suites
+from bergsob import cli, geometry, measure, special, suites
+from bergsob.config import default_config
 from bergsob.geometry import DomainParams
 
 MU_GEOMETRY = (1.5, 2.0, 2.5, 3.0, 4.2857142857142856)
@@ -87,87 +90,76 @@ def test_criterion_3_base_moment_desk_check():
             assert abs(v.value - expected) / expected <= 1e-10
 
 
+def certify(check, *args, **kwargs):
+    """Run one of the shared invariant checks that ``verify`` also runs and
+    require all of its checks to pass; returns what the check returns."""
+    res = suites.SuiteResult(check.__name__)
+    out = check(res, *args, **kwargs)
+    assert res.passed, res.failures
+    return out
+
+
+def geometry_criterion(res):
+    """Criterion 4's call of the shared geometry check: pinned seed, grid
+    and tolerances."""
+    return suites.check_geometry(
+        res,
+        MU_GEOMETRY,
+        1000,
+        np.random.default_rng(20240903),
+        residual_tol=1e-12,
+        levi_floor=1e-10,
+    )
+
+
 def test_criterion_4_geometry_suite():
     with criterion(4, "geometry residuals on seeded samples"):
-        rng = np.random.default_rng(20240903)
-        for mu in MU_GEOMETRY:
-            params = DomainParams(mu)
-            for w in geometry.sample_interior(params, 1000, rng):
-                k = int(rng.integers(-2, 3))
-                z = geometry.inverse_map(params, w, k)
-                v = geometry.forward_map(params, z)
-                assert abs(v.w1 - w.w1) <= 1e-12 and abs(v.w2 - w.w2) <= 1e-12
-                rho = geometry.rho_tilde(z)
-                t = abs(v.w1) ** mu
-                transported = 4.0 * t * (t - math.cos(math.log(abs(v.w2) ** 2)))
-                assert abs(rho - transported) <= 1e-12
-                assert abs(geometry.delta0(params, v) + rho / 4.0) <= 1e-12
-                t1, t2 = rng.uniform(-math.pi, math.pi, size=2)
-                zz = geometry.isometry_apply(params, t1, t2, z)
-                vv = geometry.forward_map(params, zz)
-                assert abs(vv.w1 - np.exp(1j * t1) * w.w1) <= 1e-12
-                assert abs(vv.w2 - np.exp(1j * t2) * w.w2) <= 1e-12
-                assert geometry.frame_at(params, w).duality_residual() <= 1e-12
-        boundary = geometry.sample_boundary_cover(1000, rng)
-        assert sum(1 for z in boundary if z.z1 == 0) > 0
-        for z in boundary:
-            levi = geometry.levi_form_boundary(z)
-            assert levi >= -1e-10
-            if z.z1 == 0:
-                assert levi == 0.0
+        boundary = certify(geometry_criterion)
+        assert np.any(boundary.z1 == 0)
+
+
+def test_geometry_check_detects_perturbed_map(monkeypatch):
+    # a 1e-11 error in the forward map must fail the shared check, both in
+    # criterion 4's call and inside verify's geometry suite
+    forward_map = geometry.forward_map
+
+    def perturbed(params, z):
+        v = forward_map(params, z)
+        return geometry.ModelPoint(v.w1 + 1e-11, v.w2)
+
+    monkeypatch.setattr(geometry, "forward_map", perturbed)
+    res = suites.SuiteResult("criterion 4")
+    geometry_criterion(res)
+    suite = suites.suite_geometry(default_config(), np.random.default_rng(0))
+    for result in (res, suite):
+        assert any("round trip" in failure for failure in result.failures)
 
 
 def test_criterion_5_orthonormality():
     with criterion(5, "Gram matrices are the identity"):
-        params = DomainParams(3.0)
-        for p in (0, 1, 2):
-            for s in (0.0, 0.2, 0.4):
-                idx = bergman.basis_indices(p, s, params, 25)
-                G = bergman.gram_matrix(idx, s, params)
-                off = np.abs(G - np.diag(np.diag(G)))
-                assert np.max(off) <= 1e-8, (p, s)
-                assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-6, (p, s)
+        certify(suites.check_gram, 25, offdiag_tol=1e-8, diag_tol=1e-6)
 
 
 def test_criterion_6_threshold_sharpness():
     with criterion(6, "sharpness sandwich over (r, p)", budget=300.0):
-        for r in (0.1, 0.2, 0.3, 0.4):
-            for p in (0, 1, 2):
-                mu = regularity.mu_for_threshold(r, p)
-                params = DomainParams(mu)
-                cert = regularity.continuity_certificate(params, p, r - 0.02)
-                assert math.isfinite(cert.sup_ratio)
-                assert cert.sup_ratio <= cert.bound_used + 1e-9, (r, p)
-                wit = regularity.divergence_witness(params, p, r)
-                if abs(wit.analytic_exponent) <= 1e-9:
-                    assert wit.growth.kind == "log", (r, p, wit.growth)
-                else:
-                    assert abs(wit.growth.exponent - wit.analytic_exponent) <= 0.05
+        certs = certify(
+            suites.check_sharpness,
+            (0.1, 0.2, 0.3, 0.4),
+            (40, 40),
+            ratio_slack=1e-9,
+            growth_tol=0.05,
+        )
+        assert all(math.isfinite(cert.sup_ratio) for cert in certs)
 
 
 def test_criterion_7_counterexample_transport():
     with criterion(7, "smooth counterexample hits the witness"):
-        params = DomainParams(3.0)
-        for p in (0, 1, 2):
-            f = regularity.smooth_counterexample(params, p)
-            res = bergman.project(f, params)
-            witness = regularity.witness_index(params, p)
-            assert set(res.coefficients) == {witness}, (p, res.coefficients)
-            assert res.coefficients[witness].real > 0.0
-            thr = regularity.threshold(params, p)
-            assert bergman.basis_norm_sq(witness, thr.r, params).kind == "divergent"
+        certify(suites.check_counterexample_transport)
 
 
 def test_criterion_8_threshold_discontinuity():
     with criterion(8, "threshold jumps in mu at degree 0 only"):
-        for m in (2, 3, 4):
-            lo = regularity.threshold(DomainParams(m - 1e-9), 0).r
-            hi = regularity.threshold(DomainParams(m + 1e-9), 0).r
-            predicted = min(0.5, 2.0 / m) - min(0.5, 1.0 / m)
-            assert abs((lo - hi) - predicted) <= 1e-8, m
-            lo2 = regularity.threshold(DomainParams(m - 1e-9), 2).r
-            hi2 = regularity.threshold(DomainParams(m + 1e-9), 2).r
-            assert abs(lo2 - hi2) <= 1e-8, m
+        certify(suites.check_threshold_jumps, tol=1e-8)
 
 
 def test_criterion_9_verify_determinism(tmp_path):

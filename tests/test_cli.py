@@ -41,6 +41,11 @@ class TestThresholdCommand:
         assert run_cli(["threshold", "--mu", mu, "--p", "0"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", ["0.49999999999999994", "1e-320"])
+    def test_uncomputable_invert_exits_2(self, r, capsys):
+        assert run_cli(["threshold", "--invert", r, "--p", "0"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestLambdaCommand:
     def test_finite_moment(self, capsys):
@@ -72,6 +77,12 @@ class TestLambdaCommand:
 
     def test_bad_mu_exits_2(self):
         assert run_cli(["lambda", "--mu", "0.5", "--x", "0", "--y", "0", "--s", "0"]) == 2
+
+    def test_overflowing_moment_exits_2(self, capsys):
+        assert run_cli(["lambda", "--mu", "2", "--x", "0", "--y", "800", "--s", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestScanCommand:
@@ -172,6 +183,40 @@ class TestVerifyCommand:
         elapsed = [float(re.search(r"([0-9.]+)s elapsed", ln).group(1)) for ln in lines]
         assert len(elapsed) == 3
         assert all(a < b for a, b in zip(elapsed, elapsed[1:]))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--grid", "gram_count=-3", "--suite", "bergman"],
+            ["--grid", "geometry_samples=0", "--suite", "geometry"],
+            ["--tol", "levi_floor=-1e-10", "--suite", "geometry"],
+            ["--seed", "-1", "--suite", "geometry"],
+        ],
+        ids=["gram-count", "geometry-samples", "levi-floor", "seed"],
+    )
+    def test_unusable_settings_exit_2(self, args, capsys):
+        assert run_cli(["verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_suite_alone_replays_its_draws(self, monkeypatch):
+        # a suite run alone receives the same draws as inside a full run
+        first_draws = {name: [] for name in suites.SUITES}
+
+        def recording(name):
+            def run(cfg, rng):
+                first_draws[name].append(rng.random())
+                return suites.SuiteResult(name)
+
+            return run
+
+        monkeypatch.setattr(suites, "SUITES", {name: recording(name) for name in first_draws})
+        list(suites.run_suites(default_config(), 7))
+        for name in first_draws:
+            list(suites.run_suites(default_config(), 7, [name]))
+        for draws in first_draws.values():
+            assert len(draws) == 2 and draws[0] == draws[1]
 
     def test_env_var_config(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "cfg.json"

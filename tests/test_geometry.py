@@ -131,8 +131,8 @@ class TestLeviForm:
             assert val == pytest.approx(1.0 / abs(z2) ** 2, rel=1e-12)
 
     def test_nonnegative_on_samples(self, rng):
-        for z in geometry.sample_boundary_cover(500, rng):
-            assert geometry.levi_form_boundary(z) >= -1e-10
+        z = geometry.sample_boundary_cover(500, rng)
+        assert np.all(geometry.levi_form_boundary(z) >= -1e-10)
 
     def test_interior_point_rejected(self):
         with pytest.raises(DomainError):
@@ -174,25 +174,25 @@ class TestBiholomorphism:
     @pytest.mark.parametrize("mu", MU_SET)
     def test_round_trips(self, mu, rng):
         params = DomainParams(mu)
-        for w in geometry.sample_interior(params, 100, rng):
-            for k in (0, 1, -2):
-                z = geometry.inverse_map(params, w, k)
-                assert geometry.rho_tilde(z) < 0.0
-                v = geometry.forward_map(params, z)
-                assert abs(v.w1 - w.w1) <= 1e-12
-                assert abs(v.w2 - w.w2) <= 1e-12
+        w = geometry.sample_interior(params, 100, rng)
+        for k in (0, 1, -2):
+            z = geometry.inverse_map(params, w, k)
+            assert np.all(geometry.rho_tilde(z) < 0.0)
+            v = geometry.forward_map(params, z)
+            assert np.all(np.abs(v.w1 - w.w1) <= 1e-12)
+            assert np.all(np.abs(v.w2 - w.w2) <= 1e-12)
 
     def test_defining_function_transport(self, rng):
         params = DomainParams(2.0)
-        for w in geometry.sample_interior(params, 300, rng):
-            z = geometry.inverse_map(params, w)
-            v = geometry.forward_map(params, z)
-            rho = geometry.rho_tilde(z)
-            t = abs(v.w1) ** params.mu
-            lhs = 4.0 * t * (t - math.cos(math.log(abs(v.w2) ** 2)))
-            assert abs(rho - lhs) <= 1e-12
-            assert abs(abs(z.z1) - 2.0 * t) <= 1e-12
-            assert abs(geometry.delta0(params, v) + rho / 4.0) <= 1e-12
+        w = geometry.sample_interior(params, 300, rng)
+        z = geometry.inverse_map(params, w)
+        v = geometry.forward_map(params, z)
+        rho = geometry.rho_tilde(z)
+        t = np.abs(v.w1) ** params.mu
+        lhs = 4.0 * t * (t - np.cos(np.log(np.abs(v.w2) ** 2)))
+        assert np.all(np.abs(rho - lhs) <= 1e-12)
+        assert np.all(np.abs(np.abs(z.z1) - 2.0 * t) <= 1e-12)
+        assert np.all(np.abs(geometry.delta0(params, v) + rho / 4.0) <= 1e-12)
 
     def test_deck_transformation_relates_representatives(self):
         params = DomainParams(2.5)
@@ -222,23 +222,23 @@ class TestIsometry:
     def test_push_forward_identity(self, mu, rng):
         params = DomainParams(mu)
         thetas = np.linspace(-math.pi, math.pi, 5)
-        for w in geometry.sample_interior(params, 40, rng):
-            z = geometry.inverse_map(params, w)
-            for t1 in thetas:
-                for t2 in (0.0, 1.1):
-                    zz = geometry.isometry_apply(params, t1, t2, z)
-                    assert abs(geometry.rho_tilde(zz) - geometry.rho_tilde(z)) <= 1e-12
-                    v = geometry.forward_map(params, zz)
-                    assert abs(v.w1 - cmath.exp(1j * t1) * w.w1) <= 1e-12
-                    assert abs(v.w2 - cmath.exp(1j * t2) * w.w2) <= 1e-12
+        w = geometry.sample_interior(params, 40, rng)
+        z = geometry.inverse_map(params, w)
+        for t1 in thetas:
+            for t2 in (0.0, 1.1):
+                zz = geometry.isometry_apply(params, t1, t2, z)
+                assert np.all(np.abs(geometry.rho_tilde(zz) - geometry.rho_tilde(z)) <= 1e-12)
+                v = geometry.forward_map(params, zz)
+                assert np.all(np.abs(v.w1 - cmath.exp(1j * t1) * w.w1) <= 1e-12)
+                assert np.all(np.abs(v.w2 - cmath.exp(1j * t2) * w.w2) <= 1e-12)
 
 
 class TestFrames:
     def test_duality(self, rng):
         for mu in MU_SET:
             params = DomainParams(mu)
-            for w in geometry.sample_interior(params, 100, rng):
-                assert geometry.frame_at(params, w).duality_residual() <= 1e-12
+            w = geometry.sample_interior(params, 100, rng)
+            assert np.all(geometry.frame_at(params, w).duality_residual() <= 1e-12)
 
     def test_dw1_frame_coefficients(self):
         params = DomainParams(2.0)
@@ -281,6 +281,38 @@ class TestVolumeDensity:
     def test_axis_rejected(self):
         with pytest.raises(DomainError):
             geometry.volume_density(DomainParams(2.0), ModelPoint(0.5, 0.0))
+
+
+class TestArrays:
+    def test_arrays_match_pointwise_calls(self, rng):
+        # the array path against the same functions called point by point
+        params = DomainParams(2.5)
+        w = geometry.sample_interior(params, 6, rng)
+        k = np.array([0, 1, -2, 2, -1, 0])
+        t1, t2 = rng.uniform(-math.pi, math.pi, size=(2, 6))
+        z = geometry.isometry_apply(params, t1, t2, geometry.inverse_map(params, w, k))
+        v = geometry.forward_map(params, z)
+        frame = geometry.frame_at(params, w)
+        for i in range(6):
+            wi = ModelPoint(w.w1[i], w.w2[i])
+            zi = geometry.isometry_apply(
+                params, t1[i], t2[i], geometry.inverse_map(params, wi, int(k[i]))
+            )
+            vi = geometry.forward_map(params, zi)
+            assert (z.z1[i], z.z2[i]) == pytest.approx((zi.z1, zi.z2), rel=1e-14)
+            assert (v.w1[i], v.w2[i]) == pytest.approx((vi.w1, vi.w2), rel=1e-14)
+            fi = geometry.frame_at(params, wi)
+            assert np.allclose(frame.theta2[:, i], fi.theta2, rtol=1e-14, atol=0.0)
+            assert frame.duality_residual()[i] == pytest.approx(
+                fi.duality_residual(), abs=1e-15
+            )
+
+    def test_one_outside_point_fails_the_array(self):
+        params = DomainParams(2.0)
+        w = ModelPoint(np.array([0.5, 0.5, 0.3]), np.array([1.0, math.e, 1.0]))
+        assert list(geometry.contains(params, w)) == [True, False, True]
+        with pytest.raises(DomainError, match="2.718"):
+            geometry.delta0(params, w)
 
 
 @settings(max_examples=100, deadline=None)
