@@ -7,13 +7,15 @@ lambda      one moment: closed form, independent quadrature, verdict
 scan        continuity certificates over an s grid (CSV or JSON rows)
 verify      run the invariant suites; exit 0 only if all pass
 
-Exit codes: 0 success, 1 property failure, 2 usage error.  JSON output
+Exit codes: 0 success, 1 property failure, 2 usage error or a value the
+quadrature could not certify.  JSON output
 is deterministic for a fixed seed and configuration (keys sorted, floats
 via repr); wall-clock timings go to stderr only.
 
 CSV columns of ``scan``: s, status, sup_ratio, bound, argmax_j, argmax_k.
 Rows with s at or above the threshold carry status DIVERGENT and empty
-numeric fields; a negative s is a usage error.
+numeric fields; a negative or non-finite s, or a start:stop:step grid of
+10000 or more steps, is a usage error.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from typing import Optional
 
 import numpy as np
 
-from . import measure, regularity, suites
+from . import measure, quadrature, regularity, suites
 from .config import SCHEMA_VERSION, Config, apply_overrides, load_config
 from .errors import DomainError
 from .geometry import DomainParams
@@ -56,7 +59,10 @@ def _parse_kv(pairs: list[str], cast) -> dict:
         if "=" not in pair:
             raise DomainError(f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = cast(value)
+        try:
+            out[key.strip()] = cast(value)
+        except ValueError as exc:
+            raise DomainError(f"bad value for {key.strip()!r}: {exc}") from None
     return out
 
 
@@ -92,6 +98,10 @@ def cmd_threshold(args) -> int:
 
 def cmd_lambda(args) -> int:
     params = DomainParams(args.mu)
+    if not all(map(math.isfinite, (args.x, args.y, args.s))):
+        raise DomainError(f"x, y and s must be finite, got ({args.x}, {args.y}, {args.s})")
+    if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
     m = measure.MomentArgs(args.x, args.y, args.s, params)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -129,17 +139,27 @@ def cmd_lambda(args) -> int:
     return 0
 
 
+_MAX_S_STEPS = 10000
+
+
 def _parse_s_grid(spec: str) -> list[float]:
+    try:
+        parts = [float(p) for p in spec.split(":" if ":" in spec else ",") if p.strip()]
+    except ValueError as exc:
+        raise DomainError(f"bad s grid {spec!r}: {exc}") from None
+    if not all(map(math.isfinite, parts)):
+        raise DomainError(f"s grid values must be finite, got {spec!r}")
     if ":" in spec:
-        parts = spec.split(":")
         if len(parts) != 3:
             raise DomainError(f"s grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = parts
         if step <= 0 or stop < start:
             raise DomainError(f"empty s grid {spec!r}")
+        if (stop - start) / step >= _MAX_S_STEPS:  # before np.arange allocates them
+            raise DomainError(f"s grid {spec!r} has {_MAX_S_STEPS} or more steps")
         values = [float(v) for v in np.arange(start, stop + 0.5 * step, step)]
     else:
-        values = [float(p) for p in spec.split(",") if p.strip()]
+        values = parts
     if not values:
         raise DomainError("empty s grid")
     if not all(v >= 0.0 for v in values):
@@ -286,8 +306,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, KeyError) as exc:
+    except (DomainError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except quadrature.QuadratureError as exc:
+        print(f"not certified: {exc}", file=sys.stderr)
         return 2
 
 

@@ -37,6 +37,20 @@ SCHEMA_VERSION = 1  # version stamp of every machine-readable payload
 _MIN_COUNTS = dict(special_points=1, geometry_samples=1, lattice_jmax=1, lattice_kmax=0,
                    eps_fit_lo=1, eps_fit_hi=3, gram_count=1)
 
+# the range of every other grid value (each entry, for a list), as its suite uses it:
+# special_lo/hi span a log grid, holder_s and moment_s_hi are weights s < 1/2, the mus
+# need mu > 1, and each sharpness r is certified continuous at r - 0.02 >= 0
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+_WEIGHT = ("in [0, 1/2)", lambda v: 0.0 <= v < 0.5)
+_MU = ("> 1", lambda v: v > 1.0)
+_RANGES = dict(special_lo=_POSITIVE, special_hi=_POSITIVE, holder_s=_WEIGHT, mu_samples=_MU,
+               moment_mu=_MU, moment_y_hi=(">= 0", lambda v: v >= 0.0), moment_s_hi=_WEIGHT,
+               sharpness_r=("in [0.02, 1/2)", lambda v: 0.02 <= v < 0.5))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -81,6 +95,16 @@ class Grids:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= least):
                 raise DomainError(f"grid {name} must be an integer >= {least}, got {value!r}")
+        for name, (rule, within) in _RANGES.items():
+            value = getattr(self, name)
+            if isinstance(getattr(Grids, name), tuple):
+                what = f"a list of finite numbers {rule}"
+                ok = isinstance(value, tuple) and all(_is_number(v) and within(v) for v in value)
+            else:
+                what = f"a finite number {rule}"
+                ok = _is_number(value) and within(value)
+            if not ok:
+                raise DomainError(f"grid {name} must be {what}, got {value!r}")
         if self.eps_fit_hi - self.eps_fit_lo < 2:
             span = f"{self.eps_fit_lo}..{self.eps_fit_hi}"
             raise DomainError(f"grid eps_fit_lo..eps_fit_hi must span >= 3 points, got {span}")
@@ -105,8 +129,7 @@ def _merge(section, overrides: dict[str, Any]):
     for key, value in overrides.items():
         if key not in fields:
             raise KeyError(f"unknown config key {key!r} for {type(section).__name__}")
-        current = getattr(section, key)
-        if isinstance(current, tuple):
+        if isinstance(getattr(section, key), tuple) and isinstance(value, list):
             value = tuple(value)
         updates[key] = value
     return dataclasses.replace(section, **updates)
@@ -123,11 +146,15 @@ def load_config(path: Optional[str] = None) -> Config:
         path = os.environ.get(CONFIG_ENV)
     if not path:
         return cfg
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    tol = _merge(cfg.tolerances, data.get("tolerances", {}))
-    grids = _merge(cfg.grids, data.get("grids", {}))
-    return Config(tol, grids)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read config file {path}: {exc}") from None
+    sections = [data.get(key, {}) if isinstance(data, dict) else None for key in ("tolerances", "grids")]
+    if not all(isinstance(section, dict) for section in sections):
+        raise DomainError(f'config file {path}: "tolerances" and "grids" must be JSON objects')
+    return Config(_merge(cfg.tolerances, sections[0]), _merge(cfg.grids, sections[1]))
 
 
 def apply_overrides(cfg: Config, tol: dict[str, float], grids: dict[str, Any]) -> Config:

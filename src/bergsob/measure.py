@@ -120,9 +120,12 @@ def _exponents(x, s: float, mu: float):
     keeps full relative accuracy up to the boundary.
     """
     mu_s = mu * s
-    mu_s_lo = float(Fraction(mu) * Fraction(s) - Fraction(mu_s))  # exact
-    gap = lambda v: 2.0 * math.fsum((v, mu, -mu_s, -mu_s_lo)) / mu
-    alpha_x = gap(x) if np.ndim(x) == 0 else np.vectorize(gap, otypes=[float])(x)
+    try:
+        mu_s_lo = float(Fraction(mu) * Fraction(s) - Fraction(mu_s))  # exact
+        gap = lambda v: 2.0 * math.fsum((v, mu, -mu_s, -mu_s_lo)) / mu
+        alpha_x = gap(x) if np.ndim(x) == 0 else np.vectorize(gap, otypes=[float])(x)
+    except OverflowError:
+        raise DomainError(f"x + mu - mu s overflows a double at mu = {mu}, s = {s}") from None
     return alpha_x, alpha_x + (1.0 - 2.0 * s)
 
 
@@ -132,9 +135,12 @@ def lambda_closed(m: MomentArgs) -> MomentValue:
     if not is_integrable(m):
         return MomentValue.divergent(_violated(m))
     X, Y = _exponents(m.x, m.s, m.params.mu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = special.alpha_eval(X, 1.0 - 2.0 * m.s, method="lgamma")
-        val = 8.0 * math.pi**2 * m.params.mu * alpha * special.beta_eval(Y, m.y)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = special.alpha_eval(X, 1.0 - 2.0 * m.s, method="lgamma")
+            val = 8.0 * math.pi**2 * m.params.mu * alpha * special.beta_eval(Y, m.y)
+    except OverflowError:  # math.lgamma beyond about 2.5e305
+        val = math.inf
     if not math.isfinite(val):
         raise DomainError(f"lam({m.x}, {m.y}, {m.s}) at mu = {m.params.mu} overflows a double")
     return MomentValue.finite(val, 1e-11 * val)
@@ -224,6 +230,17 @@ def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
 
     Finite for every eps in (0, 1) as long as s < 1/2; nondecreasing as
     eps decreases, converging to the full moment in the integrable case.
+
+    The inner u1 integral over (lo, 1), lo = eps^mu / cos u2, runs on the
+    fixed level-6 rule, and its kernel is separable: with span = 1 - lo,
+    (1 - u1)^(-2s) = (span p_hi)^(-2s), so the inner sum is
+
+        span^(1-2s) sum_k exp((X - 1) log u1_k + log_c_k),
+        log_c = log w - 2s log p_hi,
+
+    with log_c formed once per call.  It stays in log space because
+    p_hi^(-2s) alone overflows for subnormal p_hi.  Raises QuadratureError
+    when the outer integral is not finite or does not converge.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"need eps in (0, 1), got {eps}")
@@ -236,8 +253,7 @@ def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
     C = math.acos(emu)
 
     p_in_lo, p_in_hi, w_in = quadrature.nodes(6)
-    log_w_in = np.log(w_in)
-    log_p_hi = np.log(p_in_hi)
+    log_c = np.log(w_in) - 2.0 * s * np.log(p_in_hi)
 
     def outer(u2, da, db):
         # cos u2 - eps^mu = 2 sin(da/2) sin(db/2) exactly (da, db are the
@@ -251,20 +267,20 @@ def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
         ok = span > 1e-250
         spn = span[ok]
         lo = emu / cos_u2[ok]
-        u1 = lo[:, None] + np.outer(spn, p_in_lo)
-        # (1-u1)^(-2s) = (span * p_hi)^(-2s), summed in log space so the
-        # singular factor never overflows before its weight tames it
-        log_term = (
-            log_w_in[None, :]
-            + (X - 1.0) * np.log(u1)
-            - 2.0 * s * (np.log(spn)[:, None] + log_p_hi[None, :])
-        )
-        inner = spn * np.exp(log_term).sum(axis=1)
+        # one (rows, nodes) buffer, updated in place: u1, then its log-space term
+        t = np.multiply.outer(spn, p_in_lo)
+        t += lo[:, None]
+        np.log(t, out=t)
+        t *= X - 1.0
+        t += log_c
+        inner = spn ** (1.0 - 2.0 * s) * np.exp(t, out=t).sum(axis=1)
         out[ok] = cos_u2[ok] ** (Y - 1.0) * np.exp(m.y * u2[ok]) * inner
         return out
 
     res = quadrature.integrate(outer, -C, C, rtol=rtol, min_level=5, max_level=9)
-    if not res.converged and res.err_estimate > 1e-6 * abs(res.value):
+    if not math.isfinite(res.value) or (
+        not res.converged and res.err_estimate > 1e-6 * abs(res.value)
+    ):
         raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
     return 8.0 * math.pi**2 * mu * res.value
 

@@ -52,6 +52,9 @@ __all__ = [
     "witness_index",
 ]
 
+# the most basis elements one certificate scores; each costs a few doubles per
+# array pass, so this keeps a certificate within tens of MB
+_MAX_LATTICE_CELLS = 10**6
 _HALF = "one_half"
 _MU_CLAUSE = "mu_clause"
 _BOTH = "both"
@@ -161,7 +164,8 @@ def continuity_certificate(
     the lowest k) and the analytic bound at the worst admissible moment
     exponent.  Contract: sup_ratio <= bound_used, and the bound dominates
     the tail beyond the lattice.  Refuses s at or above threshold, where
-    a divergence witness exists instead.
+    a divergence witness exists instead, and lattices of more than 10^6
+    basis elements (the families start at j = 1 - floor(mu)).
     """
     _check_p(p)
     thr = threshold(params, p)
@@ -173,12 +177,17 @@ def continuity_certificate(
     jmax, kmax = lattice
     if jmax < 1 or kmax < 0:
         raise DomainError(f"empty lattice {lattice}")
+    families = _families(p, params)
+    cells = sum(jmax - jmin + 1 for _, jmin in families) * (2 * kmax + 1)
+    if cells > _MAX_LATTICE_CELLS:
+        raise DomainError(f"lattice {lattice} at mu = {params.mu} has {cells} basis elements, "
+                          f"more than {_MAX_LATTICE_CELLS}")
     mu = params.mu
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     sup = -math.inf
     argmax = None
     bound = -math.inf
-    for comp, jmin in _families(p, params):
+    for comp, jmin in families:
         shift = mu if comp is Component.DW1 else 0.0
         bound = max(bound, measure.lambda_ratio_bound(jmin - shift, s, params))
         js = np.arange(jmin, jmax + 1)

@@ -1,5 +1,7 @@
 """Front-end behavior: commands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -8,6 +10,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergsob import cli, suites
 from bergsob.config import default_config, load_config
@@ -78,6 +81,27 @@ class TestLambdaCommand:
     def test_bad_mu_exits_2(self):
         assert run_cli(["lambda", "--mu", "0.5", "--x", "0", "--y", "0", "--s", "0"]) == 2
 
+    def test_uncertified_quadrature_exits_2(self, capsys):
+        # the integrability margin 5e-4 is too thin for the independent quadrature
+        assert run_cli(["lambda", "--mu", "2", "--x=-1.999", "--y", "0", "--s", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("not certified:")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "x,y,s,extra",
+        [("nan", "0", "0.1", []), ("0", "inf", "0.1", []), ("0", "0", "-inf", []),
+         ("0", "0", "0.1", ["--tol", "0"])],
+        ids=["x-nan", "y-inf", "s-minus-inf", "tol-zero"],
+    )
+    def test_unusable_argument_exits_2(self, x, y, s, extra, capsys):
+        argv = ["lambda", "--mu", "3", f"--x={x}", f"--y={y}", f"--s={s}", *extra]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_overflowing_moment_exits_2(self, capsys):
         assert run_cli(["lambda", "--mu", "2", "--x", "0", "--y", "800", "--s", "0"]) == 2
         captured = capsys.readouterr()
@@ -115,6 +139,21 @@ class TestScanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "s grid" in captured.err
+
+    @pytest.mark.parametrize("mu,lattice", [("3", "1000000,1"), ("7939961708", "1,0")])
+    def test_oversized_lattice_exits_2(self, mu, lattice, capsys):
+        argv = ["scan", "--mu", mu, "--p", "0", "--s-grid", "0", "--lattice", lattice]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "basis elements" in captured.err
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "0:0.3:1e-300", "abc", "0.1,nan"])
+    def test_unusable_grid_exits_2(self, grid, capsys):
+        assert run_cli(["scan", "--mu", "3", "--p", "0", "--s-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "s grid" in captured.err
 
 
 class TestVerifyCommand:
@@ -191,14 +230,36 @@ class TestVerifyCommand:
             ["--grid", "geometry_samples=0", "--suite", "geometry"],
             ["--tol", "levi_floor=-1e-10", "--suite", "geometry"],
             ["--seed", "-1", "--suite", "geometry"],
+            ["--grid", "mu_samples=3", "--suite", "geometry"],
+            ["--grid", 'mu_samples=["a"]', "--suite", "geometry"],
+            ["--grid", "special_lo=-1", "--suite", "special"],
+            ["--grid", "special_lo=[", "--suite", "special"],
+            ["--tol", "levi_floor=abc", "--suite", "geometry"],
         ],
-        ids=["gram-count", "geometry-samples", "levi-floor", "seed"],
+        ids=["gram-count", "geometry-samples", "levi-floor", "seed", "mu-samples-scalar",
+             "mu-samples-string", "special-lo", "grid-json", "tol-float"],
     )
     def test_unusable_settings_exit_2(self, args, capsys):
         assert run_cli(["verify", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content", [None, "[1]", '{"grids": 3}', "{"],
+                             ids=["missing", "list", "section", "json"])
+    def test_unreadable_config_exits_2(self, content, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        assert run_cli(["verify", "--suite", "geometry", "--config", str(cfg_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "config file" in captured.err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "out.json"
+        assert run_cli(["threshold", "--mu", "3", "--p", "0", "--output", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_suite_alone_replays_its_draws(self, monkeypatch):
         # a suite run alone receives the same draws as inside a full run
@@ -247,3 +308,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["r"] == pytest.approx(0.4, abs=1e-15)
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-5.0, 5.0),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-320, 1e308]),
+).map(repr)
+
+
+# derandomized, so that the gate replays the same 15 examples on every run
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["threshold", "lambda", "scan"]),
+    mu=_NUMBERS,
+    x=_NUMBERS,
+    y=_NUMBERS,
+    s=_NUMBERS,
+    p=st.sampled_from(["0", "1", "2"]),
+    truncate=st.booleans(),
+    lattice=st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+    grid=st.one_of(
+        st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join),
+        st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(":".join),
+    ),
+)
+def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid):
+    # every input ends in exit 0, 1 or 2, and never in a traceback
+    if command == "threshold":
+        argv = ["threshold", f"--p={p}", f"--invert={s}" if truncate else f"--mu={mu}"]
+    elif command == "lambda":
+        argv = ["lambda", f"--mu={mu}", f"--x={x}", f"--y={y}", f"--s={s}"]
+        argv += ["--truncate-fit"] if truncate else []
+    else:
+        argv = ["scan", f"--mu={mu}", f"--p={p}", f"--s-grid={grid}", "--lattice=%d,%d" % lattice]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()

@@ -214,6 +214,26 @@ class TestTruncation:
             # certified growth means the values kept increasing
             assert fit.values[-1] > fit.values[0]
 
+    def test_strong_divergence_fits_without_overflow(self):
+        # exponent -0.72 at mu ~ 20: the truncated values reach ~1e72 and
+        # their log-space inner terms once overflowed to inf for eps <= 2^-13
+        m = MomentArgs(-19.0, 0.0, 0.412, DomainParams(20.042194092827003))
+        fit = measure.truncation_growth_fit(m)
+        assert all(map(math.isfinite, fit.values))
+        assert fit.kind == "power"
+        assert fit.exponent == pytest.approx(-0.72, abs=0.05)
+
+    def test_non_finite_integrand_raises(self, monkeypatch):
+        integrate = measure.quadrature.integrate
+
+        def poisoned(f, a, b, **kw):
+            return integrate(lambda u, da, db: f(u, da, db) * math.inf, a, b, **kw)
+
+        monkeypatch.setattr(measure.quadrature, "integrate", poisoned)
+        m = MomentArgs(-2.2, 0.0, 0.2, DomainParams(2.5))
+        with pytest.raises(measure.quadrature.QuadratureError):
+            measure.lambda_truncated(m, 2.0**-8)
+
     def test_eps_range_checked(self):
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
         with pytest.raises(DomainError):

@@ -20,20 +20,66 @@ def test_interval_mapping():
     assert res.value == pytest.approx(2.0, rel=1e-13)
 
 
-@pytest.mark.parametrize(
-    "a_exp,b_exp,expected",
-    [
-        (-0.5, 0.0, 2.0),           # 1/sqrt(t)
-        (-0.9, 0.0, 10.0),          # t^-0.9
-        (-0.96, 0.0, 25.0),         # near the representable-node limit
-        (0.0, -0.5, 2.0),           # right-endpoint singular
-        (-0.5, -0.5, math.pi),      # Euler Beta(1/2, 1/2)
-    ],
-)
+ENDPOINT_CASES = [
+    (-0.5, 0.0, 2.0),           # 1/sqrt(t)
+    (-0.9, 0.0, 10.0),          # t^-0.9
+    (-0.96, 0.0, 25.0),         # near the representable-node limit
+    (0.0, -0.5, 2.0),           # right-endpoint singular
+    (-0.5, -0.5, math.pi),      # Euler Beta(1/2, 1/2)
+]
+
+
+@pytest.mark.parametrize("a_exp,b_exp,expected", ENDPOINT_CASES)
 def test_endpoint_singularities(a_exp, b_exp, expected):
     res = quadrature.integrate(lambda t, da, db: da**a_exp * db**b_exp, 0.0, 1.0)
     assert res.converged
     assert res.value == pytest.approx(expected, rel=5e-12)
+
+
+def _integrate_every_node(f, a, b, *, rtol=1e-12, atol=1e-300, min_level=5, max_level=11):
+    """Reference rule: the whole level-L rule evaluated afresh at every level."""
+    span = b - a
+    prev = math.nan
+    for level in range(min_level, max_level + 1):
+        p_lo, p_hi, w = quadrature.nodes(level)
+        da, db = span * p_lo, span * p_hi
+        total = span * float(w @ f(a + da, da, db))
+        if level > min_level and abs(total - prev) <= max(atol, rtol * abs(total)):
+            return total, level, True
+        prev = total
+    return total, max_level, False
+
+
+@pytest.mark.parametrize("level", range(6, 12))
+def test_rules_nest(level):
+    # level L at even k is level L-1: same offsets, half the weight
+    p_lo, p_hi, w = quadrature.nodes(level)
+    q_lo, q_hi, v = quadrature.nodes(level - 1)
+    kmax = (len(w) - 1) // 2  # the kept nodes are k = -kmax..kmax
+    even = np.arange(-kmax, kmax + 1) % 2 == 0
+    assert np.array_equal(p_lo[even], q_lo) and np.array_equal(p_hi[even], q_hi)
+    # halving is exact for every normal weight; a subnormal one with an odd
+    # last bit cannot be halved exactly and may differ by one subnormal step
+    normal = v >= 2.0 * np.finfo(float).tiny
+    assert np.array_equal(w[even][normal], 0.5 * v[normal])
+    assert np.all(np.abs(w[even] - 0.5 * v) <= np.finfo(float).smallest_subnormal)
+
+
+def _endpoint_singular(a_exp, b_exp):
+    return lambda t, da, db: da**a_exp * db**b_exp
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_endpoint_singular(a_exp, b_exp) for a_exp, b_exp, _ in ENDPOINT_CASES]
+    + [lambda t, da, db: 1.0 / (1e-4 + (t - 0.3) ** 2)],  # a peak that needs level 10
+    ids=[f"{a_exp}-{b_exp}" for a_exp, b_exp, _ in ENDPOINT_CASES] + ["peak"],
+)
+def test_nested_refinement_matches_full_evaluation(f):
+    res = quadrature.integrate(f, 0.0, 1.0)
+    value, level, converged = _integrate_every_node(f, 0.0, 1.0)
+    assert (res.level, res.converged) == (level, converged)
+    assert res.value == pytest.approx(value, rel=1e-14)
 
 
 def test_log_singularity():
