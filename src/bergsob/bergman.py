@@ -109,6 +109,13 @@ def basis_norm_sq(idx: BasisIndex, s: float, params: DomainParams) -> measure.Mo
     )
 
 
+def _norms_sq(indices: list[BasisIndex], s: float, params: DomainParams) -> np.ndarray:
+    """basis_norm_sq of admissible indices in one array call; raises
+    DomainError for an index whose norm diverges."""
+    x = np.array([idx.moment_x(params) for idx in indices])
+    return measure.lambda_closed_array(x, np.array([float(idx.k) for idx in indices]), s, params)
+
+
 def basis_indices(
     p: int, s: float, params: DomainParams, count: int, k_halfwidth: int = 2
 ) -> list[BasisIndex]:
@@ -180,29 +187,24 @@ class ProjectionResult:
     tail_report: str
 
 
-def _term_moment(
-    term: RadialTerm, params: DomainParams, *, square: bool, rtol: float
-) -> quadrature.QuadResult:
-    """Radial quadrature of the term against itself (square) or against
-    its selected basis monomial (not square)."""
+def _term_integrands(term: RadialTerm, params: DomainParams, pairing: bool):
+    """The exponents (p1, p2) of radial_moment for the term, and a profile
+    that returns its integrands: the term against itself, then, when
+    ``pairing`` is set, the term against its selected basis monomial."""
     mu = params.mu
-    if term.component is Component.DW1:
-        # |dw1|^2 = |w1|^(2-2mu)/(4 mu^2); the pairing against
-        # 2 mu w1^j w2^k dw1 carries one factor 2 mu.
-        shift = 2.0 - 2.0 * mu
-        if square:
-            g = lambda r1, r2: np.asarray(term.profile(r1, r2)) ** 2 / (4.0 * mu * mu)
-        else:
-            g = lambda r1, r2: np.asarray(term.profile(r1, r2)) / (2.0 * mu)
-    else:
-        shift = 0.0
-        if square:
-            g = lambda r1, r2: np.asarray(term.profile(r1, r2)) ** 2
-        else:
-            g = term.profile
-    return measure.radial_moment(
-        g, 2.0 * term.a + shift, 2.0 * term.b, params, rtol=rtol
-    )
+    dw1 = term.component is Component.DW1
+    # |dw1|^2 = |w1|^(2-2mu)/(4 mu^2); the pairing against 2 mu w1^j w2^k dw1
+    # carries one factor 2 mu.
+    shift = 2.0 - 2.0 * mu if dw1 else 0.0
+
+    def integrands(r1, r2):
+        g = np.asarray(term.profile(r1, r2), dtype=float)
+        square = g**2 / (4.0 * mu * mu) if dw1 else g**2
+        if not pairing:
+            return (square,)
+        return square, g / (2.0 * mu) if dw1 else g
+
+    return 2.0 * term.a + shift, 2.0 * term.b, integrands
 
 
 def _target_index(term: RadialTerm, p: int) -> BasisIndex:
@@ -223,34 +225,40 @@ def project(
     the unnormalized basis element (w1^j w2^k, w1^j w2^k theta2, or
     2 mu w1^(j-1) w2^k dw1, wedged with theta2 when p = 2) is the ratio
     of the term's radial pairing integral to the element's squared norm.
-    Terms whose selected monomial is not square-integrable contribute
-    nothing (they lie in the orthogonal complement); terms that are
-    themselves not square-integrable raise NonIntegrableTermError.
+    The pairing and the term's own squared norm come from one
+    radial_moment call.  Terms whose selected monomial is not
+    square-integrable contribute nothing (they lie in the orthogonal
+    complement); terms that are themselves not square-integrable raise
+    NonIntegrableTermError.
     """
     jmax, kmax = truncation
     numerators: dict[BasisIndex, float] = {}
     warnings: list[str] = []
     for term in f.terms:
-        sq = _term_moment(term, params, square=True, rtol=max(tol, 1e-9))
+        idx = _target_index(term, f.p)
+        in_space = idx.admissible(0.0, params)
+        inside = abs(idx.j) <= jmax and abs(idx.k) <= kmax
+        pairing = in_space and inside
+        p1, p2, integrands = _term_integrands(term, params, pairing)
+        rtols = [max(tol, 1e-9), tol] if pairing else [max(tol, 1e-9)]
+        sq, *pair = measure.radial_moment(integrands, p1, p2, params, rtol=rtols)
         if not sq.converged or not math.isfinite(sq.value):
             raise NonIntegrableTermError(term.describe(), "L2 norm quadrature diverges")
-        idx = _target_index(term, f.p)
-        if not idx.admissible(0.0, params):
+        if not in_space:
             continue  # selected monomial outside the Bergman space
-        if abs(idx.j) > jmax or abs(idx.k) > kmax:
+        if not inside:
             warnings.append(f"selected index {(idx.j, idx.k)} outside the truncation")
             continue
-        num = _term_moment(term, params, square=False, rtol=tol)
+        num = pair[0]
         if not num.converged or not math.isfinite(num.value):
             raise NonIntegrableTermError(term.describe(), "pairing quadrature diverges")
         numerators[idx] = numerators.get(idx, 0.0) + num.value
     coefficients: dict[BasisIndex, complex] = {}
     ratios: dict[BasisIndex, tuple[float, float]] = {}
-    for idx, num in numerators.items():
-        den = basis_norm_sq(idx, 0.0, params)
-        assert den.is_finite  # admissibility was checked
-        coefficients[idx] = complex(num / den.value)
-        ratios[idx] = (num, den.value)
+    dens = _norms_sq(list(numerators), 0.0, params)
+    for (idx, num), den in zip(numerators.items(), dens.tolist()):
+        coefficients[idx] = complex(num / den)
+        ratios[idx] = (num, den)
     if not coefficients and not f.terms:
         warnings.append("empty input")
     if not coefficients and f.terms:
@@ -303,6 +311,13 @@ class KernelValue:
     tail_estimate: float
 
 
+def _monomials(point: ModelPoint, j: np.ndarray, k: np.ndarray):
+    """Real and imaginary parts of w1^j w2^k on the (j, k) lattice."""
+    a = np.array([point.w1 ** int(v) for v in j], dtype=complex)[:, None]
+    b = np.array([point.w2 ** int(v) for v in k], dtype=complex)[None, :]
+    return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+
+
 def kernel_eval(
     w: ModelPoint,
     u: ModelPoint,
@@ -314,25 +329,25 @@ def kernel_eval(
         K(w, u) = sum over admissible (j, k), |j| <= Jmax, |k| <= Kmax of
                   w1^j w2^k conj(u1^j u2^k) / lam(j, k, 0),
 
-    summed in a fixed (j, k) order so Hermitian symmetry is exact in
-    floating point.  The tail estimate is the summed magnitude of the
-    outermost included shell."""
+    in one pass over the (j, k) lattice.  The products are formed in real
+    arithmetic, as separate multiplies and adds: swapping w and u then
+    negates each imaginary term exactly, so Hermitian symmetry is exact in
+    floating point and the diagonal is exactly real (a fused multiply-add,
+    as in numpy's complex multiply, would break both).  The tail estimate
+    is the summed magnitude of the outermost included shell."""
     if not (contains(params, w) and contains(params, u)):
         raise DomainError("kernel points must lie inside the model domain")
     jmax, kmax = truncation
     jmin = max(-jmax, membership_min_j(Component.FUNCTION, 0.0, params))
-    total = 0.0 + 0.0j
-    tail = 0.0
-    for j in range(jmin, jmax + 1):
-        wj = w.w1**j
-        uj = u.w1**j
-        for k in range(-kmax, kmax + 1):
-            lam = basis_norm_sq(BasisIndex(j, k, 0, Component.FUNCTION), 0.0, params)
-            term = (wj * w.w2**k) * (uj * u.w2**k).conjugate() / lam.value
-            total += term
-            if j == jmax or abs(k) == kmax:
-                tail += abs(term)
-    return KernelValue(total, tail)
+    j = np.arange(jmin, jmax + 1)
+    k = np.arange(-kmax, kmax + 1)
+    lam = measure.lambda_closed_array(j[:, None].astype(float), k.astype(float), 0.0, params)
+    wr, wi = _monomials(w, j, k)
+    ur, ui = _monomials(u, j, k)
+    re = (wr * ur + wi * ui) / lam
+    im = (wi * ur - wr * ui) / lam
+    shell = (j[:, None] == jmax) | (np.abs(k) == kmax)
+    return KernelValue(complex(re.sum(), im.sum()), float(np.hypot(re, im)[shell].sum()))
 
 
 _ANGULAR_CACHE: dict[int, float] = {}
@@ -364,6 +379,12 @@ def gram_matrix(
     theta2/dw1 entries vanish pointwise by frame orthogonality and are
     returned as exact zeros.  Contract: the result is the identity matrix
     to the module tolerances.
+
+    The radial quadrature of a pair depends on e1 = jA + jB (shifted by
+    -2 mu for dw1 pairs) and on the integer e2 = kA + kB.  The inner u2
+    integrals are built for every e2 from one mesh exp, stepping
+    e^(e2 u2 / 2) up by a factor e^(u2 / 2); the outer r1 integrals are one
+    matrix product with them, one row per distinct e1.
     """
     if not 0.0 <= s < 0.5:
         raise DomainError(f"need 0 <= s < 1/2, got {s}")
@@ -371,53 +392,44 @@ def gram_matrix(
         if not idx.admissible(s, params):
             raise DomainError(f"index {idx} is not admissible at weight s = {s}")
     mu = params.mu
+    n = len(indices)
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    j = np.array([idx.j for idx in indices])
+    k = np.array([idx.k for idx in indices])
+    comp = np.array([idx.component.value for idx in indices])
+    dw1 = comp == Component.DW1.value
+    same = comp[:, None] == comp
 
     p_lo, p_hi, wq = quadrature.nodes(level)
-    with np.errstate(divide="ignore"):
-        c_all = np.arccos(np.exp(mu * np.log1p(-p_hi)))
-    keep = c_all > 0.0  # collapsed fibers at r1 -> 1 contribute nothing
+    keep, c = measure.fibers(p_hi, mu)
     r1 = p_lo[keep]
-    c = c_all[keep]
-    xhat = p_lo - p_hi
-    u2 = np.outer(c, xhat)
-    # cos u2 - r1^mu = 2 sin(c p_lo) sin(c p_hi), stable at the fiber ends
-    gap = 2.0 * np.sin(np.outer(c, p_lo)) * np.sin(np.outer(c, p_hi))
-    log_r1 = np.log(r1)
     base_outer = 8.0 * math.pi**2 * mu * mu * wq[keep] * 2.0 * c
-    gap_pow = gap ** (-2.0 * s) if s != 0.0 else np.ones_like(gap)
 
-    inner_cache: dict[float, np.ndarray] = {}
-    radial_cache: dict[tuple[float, float], float] = {}
+    # ∫ r1^e1 r2^e2 delta0^(-2s) dV with the r1^(-2 s mu) part of delta0
+    # folded into the r1 exponent before exponentiation
+    e2_lo, e2_hi = 2 * int(k.min()), 2 * int(k.max())
+    inner = np.empty((e2_hi - e2_lo + 1, len(r1)))
+    for rows, half_u2 in measure.half_u2_blocks(c, p_lo - p_hi):
+        mesh = np.exp(e2_lo * half_u2)
+        if s != 0.0:
+            # cos u2 - r1^mu = 2 sin(c p_lo) sin(c p_hi), stable at the fiber ends
+            gap = 2.0 * np.sin(np.outer(c[rows], p_lo)) * np.sin(np.outer(c[rows], p_hi))
+            mesh *= gap ** (-2.0 * s)
+        step = np.exp(half_u2, out=half_u2)
+        for i in range(len(inner)):  # e2 = e2_lo + i
+            if i:
+                mesh *= step
+            inner[i, rows] = mesh @ wq
+    e1 = (j[:, None] + j) + np.where(dw1, -2.0 * mu, 0.0)[:, None]
+    e1_vals, e1_at = np.unique(e1[same], return_inverse=True)
+    expo = e1_vals + 2.0 * mu - 1.0 - 2.0 * s * mu
+    radial = (np.exp(np.multiply.outer(expo, np.log(r1))) * base_outer) @ inner.T
 
-    def radial(e1: float, e2: float) -> float:
-        # ∫ r1^e1 r2^e2 delta0^(-2s) dV with the r1^(-2 s mu) part of
-        # delta0 folded into the r1 exponent before exponentiation
-        key = (e1, e2)
-        if key not in radial_cache:
-            if e2 not in inner_cache:
-                inner_cache[e2] = (np.exp((0.5 * e2) * u2) * gap_pow) @ wq
-            expo = e1 + 2.0 * mu - 1.0 - 2.0 * s * mu
-            radial_cache[key] = float(
-                base_outer @ (np.exp(expo * log_r1) * inner_cache[e2])
-            )
-        return radial_cache[key]
-
-    norms = np.array(
-        [basis_norm_sq(idx, s, params).value for idx in indices], dtype=float
-    )
-    n = len(indices)
-    out = np.zeros((n, n), dtype=complex)
-    for a_i in range(n):
-        A = indices[a_i]
-        for b_i in range(a_i, n):
-            B = indices[b_i]
-            if A.component is not B.component:
-                entry = 0.0  # theta1-theta2 frame orthogonality, pointwise
-            else:
-                shift = -2.0 * mu if A.component is Component.DW1 else 0.0
-                ang = _angular_factor(A.j - B.j) * _angular_factor(A.k - B.k)
-                entry = ang * radial(A.j + B.j + shift, float(A.k + B.k))
-                entry /= math.sqrt(norms[a_i] * norms[b_i])
-            out[a_i, b_i] = entry
-            out[b_i, a_i] = entry
+    ang_table = np.array([_angular_factor(m) for m in range(np.ptp(j) + np.ptp(k) + 1)])
+    ang = ang_table[np.abs(j[:, None] - j)] * ang_table[np.abs(k[:, None] - k)]
+    norms = _norms_sq(indices, s, params)
+    out = np.zeros((n, n), dtype=complex)  # theta1-theta2 frame orthogonality, pointwise
+    out[same] = ang[same] * radial[e1_at, (k[:, None] + k)[same] - e2_lo]
+    out[same] /= np.sqrt(np.outer(norms, norms))[same]
     return out

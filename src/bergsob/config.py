@@ -39,12 +39,15 @@ _MIN_COUNTS = dict(special_points=1, geometry_samples=1, lattice_jmax=1, lattice
 
 # the range of every other grid value (each entry, for a list), as its suite uses it:
 # special_lo/hi span a log grid, holder_s and moment_s_hi are weights s < 1/2, the mus
-# need mu > 1, and each sharpness r is certified continuous at r - 0.02 >= 0
+# need mu > 1, and each sharpness r is certified continuous at r - 0.02 >= 0.  The
+# geometry suite's cover points (deck shifts |k| <= 2, rotations |t1| <= pi) reach
+# |z2|^2 ~ e^(6 pi mu), which fits in a double only for mu < 37.6.
 _POSITIVE = ("> 0", lambda v: v > 0.0)
 _WEIGHT = ("in [0, 1/2)", lambda v: 0.0 <= v < 0.5)
 _MU = ("> 1", lambda v: v > 1.0)
-_RANGES = dict(special_lo=_POSITIVE, special_hi=_POSITIVE, holder_s=_WEIGHT, mu_samples=_MU,
-               moment_mu=_MU, moment_y_hi=(">= 0", lambda v: v >= 0.0), moment_s_hi=_WEIGHT,
+_RANGES = dict(special_lo=_POSITIVE, special_hi=_POSITIVE, holder_s=_WEIGHT,
+               mu_samples=("in (1, 37]", lambda v: 1.0 < v <= 37.0), moment_mu=_MU,
+               moment_y_hi=(">= 0", lambda v: v >= 0.0), moment_s_hi=_WEIGHT,
                sharpness_r=("in [0.02, 1/2)", lambda v: 0.02 <= v < 0.5))
 
 
@@ -68,7 +71,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            if not (_is_number(value) and value >= 0):
                 raise DomainError(f"tolerance {name} must be finite and >= 0, got {value!r}")
 
 
@@ -93,13 +96,15 @@ class Grids:
     def __post_init__(self):
         for name, least in _MIN_COUNTS.items():
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= least):
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
                 raise DomainError(f"grid {name} must be an integer >= {least}, got {value!r}")
         for name, (rule, within) in _RANGES.items():
             value = getattr(self, name)
             if isinstance(getattr(Grids, name), tuple):
-                what = f"a list of finite numbers {rule}"
-                ok = isinstance(value, tuple) and all(_is_number(v) and within(v) for v in value)
+                what = f"a non-empty list of finite numbers {rule}"
+                ok = isinstance(value, tuple) and len(value) > 0 and all(
+                    _is_number(v) and within(v) for v in value
+                )
             else:
                 what = f"a finite number {rule}"
                 ok = _is_number(value) and within(value)

@@ -220,15 +220,20 @@ def inverse_map(params: DomainParams, w: ModelPoint, k=0) -> CoverPoint:
     z2 = e^(pi mu k) w2 exp(-(pi + i (mu Log w1 + log 2))/2),
 
     with Log the principal branch.  Consecutive k differ by the deck
-    transformation (z1, z2) -> (e^(2 pi mu i) z1, e^(pi mu) z2).
+    transformation (z1, z2) -> (e^(2 pi mu i) z1, e^(pi mu) z2).  Raises
+    DomainError where a representative does not fit in a double (z2 = 0
+    or a non-finite coordinate, e.g. e^(2 pi mu) overflows for mu >~ 113).
     """
     _require(contains(params, w), w, "is not in the model domain")
     mu = params.mu
     L = np.log(np.asarray(w.w1, dtype=complex))
-    z1 = 2.0 * np.exp(mu * L + 2j * math.pi * mu * k)
-    z2 = np.exp(math.pi * mu * k) * w.w2 * np.exp(
-        -0.5 * (math.pi + 1j * (mu * L + math.log(2.0)))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = 2.0 * np.exp(mu * L + 2j * math.pi * mu * k)
+        z2 = np.exp(math.pi * mu * k) * w.w2 * np.exp(
+            -0.5 * (math.pi + 1j * (mu * L + math.log(2.0)))
+        )
+    if not (np.all(np.isfinite(z1)) and np.all(np.isfinite(z2) & (z2 != 0))):
+        raise DomainError(f"a cover representative at mu = {mu} overflows a double")
     return CoverPoint(z1, z2)
 
 

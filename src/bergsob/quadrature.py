@@ -28,6 +28,7 @@ __all__ = [
     "QuadratureError",
     "QuadResult",
     "nodes",
+    "new_nodes",
     "integrate",
     "quad",
 ]
@@ -86,7 +87,7 @@ def nodes(level: int):
 
 
 @lru_cache(maxsize=None)
-def _new_nodes(level: int):
+def new_nodes(level: int):
     """The nodes of ``level`` that level - 1 lacks: those at odd k.
 
     Selected by the parity of k, not by position, since the kept range
@@ -129,7 +130,7 @@ def integrate(
     err = math.inf
     level = min_level
     for level in range(min_level, max_level + 1):
-        p_lo, p_hi, w = nodes(level) if level == min_level else _new_nodes(level)
+        p_lo, p_hi, w = nodes(level) if level == min_level else new_nodes(level)
         da = span * p_lo
         db = span * p_hi
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

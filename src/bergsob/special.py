@@ -28,6 +28,7 @@ continuity.  The margin functions therefore accept any real y.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -51,20 +52,42 @@ _HALF_PI = 0.5 * math.pi
 # relative to log|Γ(z)|.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 _STIRLING_FROM = 8.0
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.array([math.lgamma(v) for v in x.flat]).reshape(x.shape)
+    try:
+        return np.array([math.lgamma(v) for v in x.flat]).reshape(x.shape)
+    except OverflowError:  # beyond about 2.5e305
+        raise DomainError("log-Gamma overflows a double") from None
+
+
+def _positive(v) -> bool:
+    """Every element of v is finite and > 0."""
+    v = np.asarray(v, dtype=float)
+    return v.size == 0 or bool(0.0 < v.min() and v.max() < math.inf)
+
+
+def _finite(v) -> bool:
+    v = np.asarray(v, dtype=float)
+    return v.size == 0 or bool(np.abs(v).max() < math.inf)
 
 
 def _check_alpha_args(x, y) -> None:
-    if not (np.all(np.asarray(x) > 0) and np.all(np.asarray(y) > 0)):
-        raise DomainError(f"alpha requires x > 0 and y > 0, got ({x}, {y})")
+    if not (_positive(x) and _positive(y)):
+        raise DomainError(f"alpha requires finite x > 0 and y > 0, got ({x}, {y})")
 
 
-def _check_beta_args(x) -> None:
-    if not np.all(np.asarray(x) > 0):
-        raise DomainError(f"beta requires x > 0, got x = {x}")
+def _check_beta_args(x, y) -> None:
+    if not (_positive(x) and _finite(y)):
+        raise DomainError(f"beta requires finite x > 0 and finite y, got ({x}, {y})")
+
+
+def _exp(log_values: np.ndarray, what: str) -> np.ndarray:
+    """exp, raising DomainError where the value overflows a double."""
+    if not (log_values.size == 0 or np.max(log_values) <= _LOG_MAX):
+        raise DomainError(f"{what} overflows a double")
+    return np.exp(log_values)
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -97,11 +120,17 @@ def log_abs_gamma(z) -> np.ndarray:
 
 
 def log_beta(x, y) -> np.ndarray:
-    """log beta(x, y) from the closed form, broadcast over x > 0 and real y."""
+    """log beta(x, y) from the closed form, broadcast over finite x > 0 and
+    finite y.  Raises DomainError where the Stirling terms overflow
+    (|y| beyond about 1e154)."""
     x = np.asarray(x, dtype=float)
-    _check_beta_args(x)
+    _check_beta_args(x, y)
     z = 0.5 * (x + 1.0 + 1j * np.asarray(y, dtype=float))
-    return math.log(math.pi) + (1.0 - x) * math.log(2.0) + _lgamma(x) - 2.0 * log_abs_gamma(z)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return math.log(math.pi) + (1.0 - x) * math.log(2.0) + _lgamma(x) - 2.0 * log_abs_gamma(z)
+    except FloatingPointError:
+        raise DomainError("log beta overflows a double") from None
 
 
 def _alpha_lower_half(x: float, y: float, tol: float) -> float:
@@ -128,11 +157,13 @@ def alpha_eval(x, y, *, tol: float = 1e-12, method: str = "lgamma"):
     method="quadrature": numerical integration kept independent of the
     Gamma path as an oracle (scalars only); weak singular exponents (below
     1/2) are handled by splitting at 1/2 and log-substituting each half.
+    Raises DomainError unless x and y are finite and positive, and where
+    the value overflows a double.
     """
     _check_alpha_args(x, y)
     if method == "lgamma":
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return _scalar_or_array(np.exp(_lgamma(x) + _lgamma(y) - _lgamma(x + y)))
+        return _scalar_or_array(_exp(_lgamma(x) + _lgamma(y) - _lgamma(x + y), "alpha"))
     if method == "quadrature":
         if min(x, y) < 0.5:
             return _alpha_lower_half(x, y, tol) + _alpha_lower_half(y, x, tol)
@@ -177,11 +208,13 @@ def beta_eval(x, y, *, tol: float = 1e-12, method: str = "auto"):
     ``tol``.
     method="quadrature": direct endpoint-clustered quadrature to relative
     accuracy ``tol`` (scalars only), the independent oracle.
+    Raises DomainError unless x is finite and positive and y finite, and
+    where the value overflows a double.
     """
-    _check_beta_args(x)
     if method == "auto":
-        return _scalar_or_array(np.exp(log_beta(x, y)))
+        return _scalar_or_array(_exp(log_beta(x, y), "beta"))
     if method == "quadrature":
+        _check_beta_args(x, y)
         return _beta_quad(x, y, tol)
     raise ValueError(f"unknown method {method!r}")
 
@@ -210,7 +243,7 @@ def beta_recursion_residual(x: float, y: float, *, tol: float = 1e-12) -> float:
     Both sides use direct quadrature (singular-endpoint for x < 1/2), so
     the residual does not share the closed form's Gamma identities.
     """
-    _check_beta_args(x)
+    _check_beta_args(x, y)
     lhs = _beta_quad(x + 2.0, y, tol)
     rhs = _beta_quad(x, y, tol) * x * (x + 1.0) / ((x + 1.0) ** 2 + y * y)
     return abs(lhs - rhs) / lhs

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bergsob import bergman, measure
+from bergsob import bergman, geometry, measure, quadrature, regularity
 from bergsob.bergman import (
     BasisIndex,
     Component,
@@ -25,6 +25,56 @@ from bergsob.measure import MomentArgs
 
 def ones(r1, r2):
     return np.ones(np.broadcast(np.asarray(r1), np.asarray(r2)).shape)
+
+
+def kernel_loop(w, u, params, truncation):
+    """Reference: the kernel summed term by term over the (j, k) lattice,
+    with one scalar basis norm per term."""
+    jmax, kmax = truncation
+    jmin = max(-jmax, bergman.membership_min_j(Component.FUNCTION, 0.0, params))
+    total, tail = 0.0 + 0.0j, 0.0
+    for j in range(jmin, jmax + 1):
+        for k in range(-kmax, kmax + 1):
+            lam = basis_norm_sq(BasisIndex(j, k, 0, Component.FUNCTION), 0.0, params)
+            term = (w.w1**j * w.w2**k) * (u.w1**j * u.w2**k).conjugate() / lam.value
+            total += term
+            if j == jmax or abs(k) == kmax:
+                tail += abs(term)
+    return total, tail
+
+
+def gram_loop(indices, s, params, level):
+    """Reference: the Gram matrix entry by entry, with one mesh exp per
+    distinct kA + kB and one radial quadrature per distinct (e1, e2)."""
+    mu = params.mu
+    p_lo, p_hi, wq = quadrature.nodes(level)
+    with np.errstate(divide="ignore"):
+        c_all = np.arccos(np.exp(mu * np.log1p(-p_hi)))
+    keep = c_all > 0.0
+    r1, c = p_lo[keep], c_all[keep]
+    u2 = np.outer(c, p_lo - p_hi)
+    gap = 2.0 * np.sin(np.outer(c, p_lo)) * np.sin(np.outer(c, p_hi))
+    base_outer = 8.0 * math.pi**2 * mu * mu * wq[keep] * 2.0 * c
+    gap_pow = gap ** (-2.0 * s)
+    inner, radial = {}, {}
+    norms = [basis_norm_sq(idx, s, params).value for idx in indices]
+    n = len(indices)
+    out = np.zeros((n, n), dtype=complex)
+    for a, A in enumerate(indices):
+        for b in range(a, n):
+            B = indices[b]
+            if A.component is not B.component:
+                continue
+            shift = -2.0 * mu if A.component is Component.DW1 else 0.0
+            e1, e2 = A.j + B.j + shift, float(A.k + B.k)
+            if e2 not in inner:
+                inner[e2] = (np.exp((0.5 * e2) * u2) * gap_pow) @ wq
+            if (e1, e2) not in radial:
+                expo = e1 + 2.0 * mu - 1.0 - 2.0 * s * mu
+                radial[e1, e2] = float(base_outer @ (np.exp(expo * np.log(r1)) * inner[e2]))
+            ang = bergman._angular_factor(A.j - B.j) * bergman._angular_factor(A.k - B.k)
+            out[a, b] = out[b, a] = ang * radial[e1, e2] / math.sqrt(norms[a] * norms[b])
+    return out
 
 
 P3 = DomainParams(3.0)
@@ -165,6 +215,28 @@ class TestProjection:
         idx = BasisIndex(j, k, 1, Component.DW1)
         assert res.coefficients[idx] == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("component", [Component.FUNCTION, Component.DW1])
+    def test_one_pass_matches_separate_moments(self, component):
+        # project integrates a term's squared norm and its pairing on one
+        # mesh; each equals its own radial_moment call
+        p = 0 if component is Component.FUNCTION else 1
+        prof = lambda r1, r2: np.exp(-np.asarray(r1)) * np.asarray(r2) ** 1.5
+        term = RadialTerm(prof, 1, -1, component)
+        res = project(RadialTermFunction(p, (term,)), P3)
+        scale = 2.0 * P3.mu if component is Component.DW1 else 1.0
+        p1 = 2.0 + (2.0 - 2.0 * P3.mu if component is Component.DW1 else 0.0)
+        pairing = lambda r1, r2: prof(r1, r2) / scale
+        square = lambda r1, r2: prof(r1, r2) ** 2 / (scale * scale)
+        joint = measure.radial_moment(
+            lambda r1, r2: (square(r1, r2), pairing(r1, r2)), p1, -2.0, P3, rtol=(1e-9, 1e-10)
+        )
+        for got, single in zip(joint, [measure.radial_moment(square, p1, -2.0, P3, rtol=1e-9),
+                                       measure.radial_moment(pairing, p1, -2.0, P3, rtol=1e-10)]):
+            assert (got.level, got.converged) == (single.level, True)
+            assert got.value == pytest.approx(single.value, rel=1e-14)
+        (num, _), = res.ratios.values()
+        assert num == pytest.approx(joint[1].value, rel=1e-14)
+
     def test_idempotence(self):
         f = RadialTermFunction(
             0,
@@ -213,6 +285,26 @@ class TestKernel:
         reproduced = coeff * self.U.w1**j * self.U.w2**k
         assert reproduced == pytest.approx(self.U.w1**j * self.U.w2**k, rel=1e-10)
 
+    @pytest.mark.parametrize("truncation", [(4, 4), (8, 8), (20, 20)])
+    def test_matches_term_by_term_sum(self, truncation):
+        value, tail = kernel_loop(self.W, self.U, P3, truncation)
+        got = kernel_eval(self.W, self.U, P3, truncation)
+        assert abs(got.value - value) <= 1e-14 * abs(value)
+        assert got.tail_estimate == pytest.approx(tail, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_symmetry_exact_on_sampled_points(self, seed):
+        pts = geometry.sample_interior(P3, 2, np.random.default_rng(seed))
+        w, u = (ModelPoint(complex(pts.w1[i]), complex(pts.w2[i])) for i in range(2))
+        for pair in [(self.W, self.U), (w, u)]:
+            a, b = pair
+            for truncation in [(8, 8), (20, 20)]:
+                assert kernel_eval(a, b, P3, truncation).value == (
+                    kernel_eval(b, a, P3, truncation).value.conjugate()
+                )
+                d = kernel_eval(a, a, P3, truncation).value
+                assert d.imag == 0.0 and d.real > 0.0
+
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
             kernel_eval(self.W, ModelPoint(0.5, math.e), P3)
@@ -228,6 +320,13 @@ class TestGram:
         off = np.abs(G - np.diag(np.diag(G)))
         assert np.max(off) <= 1e-8
         assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4])
+    def test_matches_entry_by_entry_assembly(self, p, s):
+        idx = basis_indices(p, s, P3, 25)
+        G = gram_matrix(idx, s, P3, level=7)
+        assert np.max(np.abs(G - gram_loop(idx, s, P3, 7))) <= 1e-14
 
     def test_mixed_components_vanish(self):
         idx = [

@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergsob import cli, suites
 from bergsob.config import default_config, load_config
+from bergsob.errors import DomainError
 
 
 def run_cli(args):
@@ -235,15 +237,22 @@ class TestVerifyCommand:
             ["--grid", "special_lo=-1", "--suite", "special"],
             ["--grid", "special_lo=[", "--suite", "special"],
             ["--tol", "levi_floor=abc", "--suite", "geometry"],
+            ["--grid", "geometry_samples=true", "--suite", "geometry"],
+            ["--grid", "mu_samples=[]", "--suite", "geometry"],
+            ["--grid", "mu_samples=[1e308]", "--suite", "geometry"],
         ],
         ids=["gram-count", "geometry-samples", "levi-floor", "seed", "mu-samples-scalar",
-             "mu-samples-string", "special-lo", "grid-json", "tol-float"],
+             "mu-samples-string", "special-lo", "grid-json", "tol-float", "count-bool",
+             "mu-samples-empty", "mu-samples-huge"],
     )
     def test_unusable_settings_exit_2(self, args, capsys):
-        assert run_cli(["verify", *args]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["verify", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+        assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("content", [None, "[1]", '{"grids": 3}', "{"],
                              ids=["missing", "list", "section", "json"])
@@ -293,6 +302,13 @@ class TestConfigFile:
         current = json.loads(json.dumps(default_config().to_dict()))
         assert shipped == current
 
+    def test_boolean_tolerance_rejected(self, tmp_path):
+        # JSON true is not a tolerance, though Python's bool is an int
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tolerances": {"levi_floor": True}}))
+        with pytest.raises(DomainError):
+            load_config(str(cfg_file))
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"tolerances": {"bogus": 1.0}}))
@@ -317,10 +333,21 @@ _NUMBERS = st.one_of(
 ).map(repr)
 
 
-# derandomized, so that the gate replays the same 15 examples on every run
-@settings(max_examples=15, deadline=None, derandomize=True)
+# --grid/--tol values for verify: JSON numbers, counts up to 2000 (so that no
+# example allocates a large array), booleans, lists and unparsable text
+_SETTINGS = st.one_of(
+    _NUMBERS,
+    st.integers(-3, 2000).map(str),
+    st.sampled_from(["true", "false", "null", "[]", '"a"', "1e308", "-1e308"]),
+    st.lists(st.one_of(_NUMBERS, st.sampled_from(["1.5", "37", "38", "1e308"])),
+             max_size=3).map(lambda v: "[" + ",".join(v) + "]"),
+)
+
+
+# derandomized, so that the gate replays the same examples on every run
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["threshold", "lambda", "scan"]),
+    command=st.sampled_from(["threshold", "lambda", "scan", "verify"]),
     mu=_NUMBERS,
     x=_NUMBERS,
     y=_NUMBERS,
@@ -332,21 +359,32 @@ _NUMBERS = st.one_of(
         st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join),
         st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(":".join),
     ),
+    grid_key=st.sampled_from(["geometry_samples", "mu_samples", "special_points", "holder_s"]),
+    grid_value=_SETTINGS,
+    tol_key=st.sampled_from(["geometry_residual", "levi_floor"]),
+    tol_value=_SETTINGS,
 )
-def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid):
-    # every input ends in exit 0, 1 or 2, and never in a traceback
+def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid,
+                         grid_key, grid_value, tol_key, tol_value):
+    # every input ends in exit 0, 1 or 2, and never in a traceback or a warning
     if command == "threshold":
         argv = ["threshold", f"--p={p}", f"--invert={s}" if truncate else f"--mu={mu}"]
     elif command == "lambda":
         argv = ["lambda", f"--mu={mu}", f"--x={x}", f"--y={y}", f"--s={s}"]
         argv += ["--truncate-fit"] if truncate else []
-    else:
+    elif command == "scan":
         argv = ["scan", f"--mu={mu}", f"--p={p}", f"--s-grid={grid}", "--lattice=%d,%d" % lattice]
+    else:
+        argv = ["verify", "--suite=geometry", f"--grid={grid_key}={grid_value}"]
+        argv += [f"--tol={tol_key}={tol_value}"] if truncate else []
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])

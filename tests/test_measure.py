@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import measure
+from bergsob import measure, quadrature, regularity
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 from bergsob.measure import MomentArgs
@@ -63,6 +63,25 @@ class TestClosedForm:
         assert v.value == pytest.approx(LAM_1_2_03_MU2, rel=1e-11)
         v = measure.lambda_closed(MomentArgs(-1.0, 1.0, 0.2, DomainParams(2.5)))
         assert v.value == pytest.approx(LAM_M1_1_02_MU25, rel=1e-11)
+
+    def test_non_finite_argument_raises(self):
+        # a nan y once reached the Stirling shift as "cannot convert float NaN to integer"
+        with pytest.raises(DomainError):
+            measure.lambda_closed(MomentArgs(0.0, math.nan, 0.0, DomainParams(3.0)))
+
+    def test_array_matches_scalar(self):
+        # one array call over a (j, k) lattice equals the scalar closed form
+        params = DomainParams(2.5)
+        j = np.arange(-1.0, 6.0)[:, None]
+        k = np.arange(-7.0, 8.0)
+        vals = measure.lambda_closed_array(j, k, 0.3, params)
+        for (a, b), v in np.ndenumerate(vals):
+            scalar = measure.lambda_closed(MomentArgs(float(j[a, 0]), float(k[b]), 0.3, params))
+            assert v == pytest.approx(scalar.value, rel=1e-14)
+
+    def test_array_rejects_divergent_element(self):
+        with pytest.raises(DomainError):
+            measure.lambda_closed_array(np.array([0.0, -3.0]), 0.0, 0.0, DomainParams(2.0))
 
 
 class TestQuadratureCross:
@@ -238,6 +257,66 @@ class TestTruncation:
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
         with pytest.raises(DomainError):
             measure.lambda_truncated(m, 1.5)
+
+
+def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=5, max_level=9):
+    """Reference: radial_moment with every level's product rule evaluated
+    at all of its nodes."""
+    mu = params.mu
+    prev = None
+    for level in range(min_level, max_level + 1):
+        p_lo, p_hi, w = quadrature.nodes(level)
+        with np.errstate(divide="ignore"):
+            c = np.arccos(np.exp(mu * np.log1p(-p_hi)))
+        keep = c > 0.0
+        r1, c, w1 = p_lo[keep], c[keep], w[keep]
+        u2 = np.outer(c, p_lo - p_hi)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            g = np.asarray(profile(r1[:, None], np.exp(0.5 * u2)), dtype=float)
+            inner = 2.0 * c * ((g * np.exp((0.5 * p2) * u2)) @ w)
+            vals = np.where(inner == 0.0, 0.0, r1 ** (p1 + 2.0 * mu - 1.0) * inner)
+        total = 8.0 * math.pi**2 * mu * mu * float(w1 @ vals)
+        if prev is not None and abs(total - prev) <= max(1e-300, rtol * abs(total)):
+            return total, level, True
+        prev = total
+    return total, max_level, False
+
+
+def _r2_profile(r1, r2):
+    return np.exp(-np.asarray(r1)) * np.asarray(r2) ** 1.5 + np.cos(np.log(r2))
+
+
+def _dw1_counterexample(mu):
+    # the degree-1 smooth counterexample's squared norm, as project integrates it
+    term = regularity.smooth_counterexample(DomainParams(mu), 1).terms[0]
+    square = lambda r1, r2: term.profile(r1, r2) ** 2 / (4.0 * mu * mu)
+    return square, 2.0 * term.a + 2.0 - 2.0 * mu, 0.0, mu
+
+
+RADIAL_CASES = [(_r2_profile, 2.0, -2.0, mu) for mu in (2.5, 3.0, 4.2)] + [_dw1_counterexample(3.0)]
+
+
+class TestRadialMoment:
+    @pytest.mark.parametrize("profile,p1,p2,mu", RADIAL_CASES, ids=["2.5", "3", "4.2", "dw1"])
+    def test_nested_matches_full_evaluation(self, profile, p1, p2, mu):
+        res = measure.radial_moment(profile, p1, p2, DomainParams(mu))
+        value, level, converged = radial_every_node(profile, p1, p2, DomainParams(mu))
+        assert (res.level, res.converged) == (level, converged)
+        assert res.value == pytest.approx(value, rel=1e-14)
+
+    def test_each_integrand_keeps_its_tolerance(self):
+        # a peak at r1 = 1/2 that the loose tolerance settles a level earlier
+        params = DomainParams(3.0)
+        peak = lambda r1, r2: _r2_profile(r1, r2) / (0.01 + (np.asarray(r1) - 0.5) ** 2)
+        square = lambda r1, r2: peak(r1, r2) ** 2
+        loose, tight = measure.radial_moment(
+            lambda r1, r2: (peak(r1, r2), square(r1, r2)), 2.0, -2.0, params, rtol=[1e-4, 1e-12]
+        )
+        assert loose.level < tight.level
+        for got, profile, rtol in [(loose, peak, 1e-4), (tight, square, 1e-12)]:
+            alone = measure.radial_moment(profile, 2.0, -2.0, params, rtol=rtol)
+            assert (got.level, got.converged) == (alone.level, True)
+            assert got.value == pytest.approx(alone.value, rel=1e-14)
 
 
 class TestToleranceSchedule:

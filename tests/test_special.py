@@ -7,6 +7,7 @@ precision.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -42,6 +43,18 @@ class TestAlphaValues:
             special.alpha_eval(0.0, 1.0)
         with pytest.raises(DomainError):
             special.alpha_eval(1.0, -2.0)
+
+    def test_lgamma_overflow_raises(self):
+        # math.lgamma overflows beyond about 2.5e305
+        with pytest.raises(DomainError):
+            special.alpha_eval(2.56e305, 1.0)
+
+    @pytest.mark.parametrize("x,y", [(math.inf, 1.0), (1.0, math.nan), (np.array([1.0, math.inf]), 2.0)])
+    def test_non_finite_arguments_raise(self, x, y):
+        with pytest.raises(DomainError):
+            special.alpha_eval(x, y)
+        with pytest.raises(DomainError):
+            special.beta_eval(x, y)
 
 
 class TestBetaValues:
@@ -100,6 +113,13 @@ class TestBetaValues:
                 g = mpmath.gamma((x + 1 + 1j * y) / 2)
                 oracle = mpmath.pi * mpmath.power(2, 1 - x) * mpmath.gamma(x) / abs(g) ** 2
                 assert abs(v - oracle) / oracle <= 1e-12
+
+    def test_log_beta_overflow_raises(self):
+        # the Stirling terms overflow for |y| beyond about 1e154; no nan, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                special.log_beta(2.0, 1e300)
 
     def test_log_abs_gamma_even_in_imaginary_part(self):
         z = np.array([0.5 + 3.0j, 7.9 + 0.1j, 30.0 + 22.5j])
