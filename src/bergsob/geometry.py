@@ -42,7 +42,6 @@ __all__ = [
     "radial_bounds",
     "delta0",
     "rho_tilde",
-    "rho_tilde_expanded",
     "levi_form_boundary",
     "log_branch",
     "forward_map",
@@ -162,12 +161,13 @@ def delta0(params: DomainParams, w: ModelPoint):
 
 
 def rho_tilde(z: CoverPoint):
-    """Defining function |z1 + e^(i log|z2|^2)|^2 - 1 of the cover domain."""
-    return np.abs(z.z1 + _phase(z.z2)) ** 2 - 1.0
+    """Defining function |z1 + e^(i log|z2|^2)|^2 - 1 of the cover domain,
+    in the expanded form |z1|^2 + 2 Re(z1 e^(-i log|z2|^2)).
 
-
-def rho_tilde_expanded(z: CoverPoint):
-    """Equivalent expanded form |z1|^2 + 2 Re(z1 e^(-i log|z2|^2))."""
+    The expanded form has no cancellation, so its sign is right for every
+    z1: written as |z1 + e^(i phi)|^2 - 1, it rounds to 0 or a wrong sign
+    once |z1| ~ 1e-16, which large mu reaches (|z1| = 2 |w1|^mu).
+    """
     return np.abs(z.z1) ** 2 + 2.0 * (z.z1 * np.conj(_phase(z.z2))).real
 
 

@@ -24,16 +24,31 @@ genuinely independent cross-check of the closed form.
 ``lambda_truncated`` restricts the moment to |w1| > eps, which is always
 finite for s < 1/2; its growth as eps -> 0 certifies divergence: the
 values grow like eps^(mu e) when e = 2x/mu + 2 - 2s < 0 and like
-mu |log eps| when e = 0.  ``truncation_growth_fit`` extracts the growth
-mode from second differences over a dyadic eps grid (second differencing
-cancels both the convergent part and any additive logarithmic mode, so
-the power exponent survives mixed-mode divergence).
+mu |log eps| when e = 0.  It is integrated in (r1, u2) coordinates, where
+the cut is just r1 > eps:
+
+    lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu e - 1)
+                  ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2 dr1,
+
+c = arccos(r1^mu).  One adaptive tanh-sinh piece covers r1 down to 2^-4,
+where the fibers collapse as r1 -> 1, and the dyadic shells
+[2^-(k+1), 2^-k] below it, smooth in log r1, take a Gauss-Legendre rule
+all in one array pass.  The inner u2 integral substitutes the distance
+to the fiber's ends so that its endpoint power is absorbed exactly, and
+keeps full accuracy up to s -> 1/2.  ``truncation_growth_fit`` takes one
+top piece at 2^-m_lo and the shells down to 2^-m_hi: the shells are the
+first differences of the values, free of cancellation, and the growth
+mode comes from their differences (second differencing cancels both the
+convergent part and any additive logarithmic mode, so the power exponent
+survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
+independent (u1, u2) route, kept off the hot path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -58,6 +73,7 @@ __all__ = [
     "lambda_ratio_bound",
     "lambda_ratio_family",
     "lambda_truncated",
+    "lambda_truncated_oracle",
     "truncation_growth_fit",
     "radial_moment",
 ]
@@ -249,63 +265,217 @@ def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
 
 
 def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
-    """The moment restricted to |w1| > eps (u1 > eps^mu / cos u2, clipped).
+    """The moment restricted to |w1| > eps.
 
     Finite for every eps in (0, 1) as long as s < 1/2; nondecreasing as
     eps decreases, converging to the full moment in the integrable case.
-
-    The inner u1 integral over (lo, 1), lo = eps^mu / cos u2, runs on the
-    fixed level-6 rule, and its kernel is separable: with span = 1 - lo,
-    (1 - u1)^(-2s) = (span p_hi)^(-2s), so the inner sum is
-
-        span^(1-2s) sum_k exp((X - 1) log u1_k + log_c_k),
-        log_c = log w - 2s log p_hi,
-
-    with log_c formed once per call.  It stays in log space because
-    p_hi^(-2s) alone overflows for subnormal p_hi.  Raises QuadratureError
-    when the outer integral is not finite or does not converge.
+    It is the (r1, u2) integral of _truncated_pieces over (eps, 1): one
+    adaptive piece down to max(eps, 2^-4) and dyadic shells below it.
+    Raises QuadratureError when the result is not finite or does not
+    converge to ``rtol``.
     """
+    _check_truncation(m, eps)
+    cuts = [eps]
+    if eps < 2.0**-_TOP_LEVEL:
+        k = np.arange(_TOP_LEVEL, math.ceil(-math.log2(eps)))
+        cuts = np.append(2.0 ** -k.astype(float), eps)
+    pieces = _truncated_pieces(m, cuts, rtol)
+    return _finite_or_raise(8.0 * math.pi**2 * m.params.mu**2 * math.fsum(pieces), m)
+
+
+def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
+    """lambda_truncated by the independent (u1, u2) route, the oracle of
+    the (r1, u2) shells; off every hot path.
+
+    With u1 = r1^mu / cos u2 the cut |w1| > eps is u1 > lo = eps^mu / cos u2,
+    and the moment is 8 pi^2 mu times the adaptive u2 integral of
+    (cos u2)^(Y - 1) e^(y u2) special.alpha_tail(X, 1 - 2s, lo).  The gap
+    cos u2 - eps^mu = 2 sin(da/2) sin(db/2) is exact (da, db are the
+    distances to the ends +-C of the u2 range), so cos u2 and the u1 span
+    keep full accuracy as the fiber collapses.
+    """
+    _check_truncation(m, eps)
+    mu, s = m.params.mu, m.s
+    X, Y = _exponents(m.x, s, mu)
+    log_emu = mu * math.log(eps)
+    emu = math.exp(log_emu)
+    C = _half_width(log_emu)
+
+    def outer(u2, da, db):
+        gap = 2.0 * np.sin(0.5 * da) * np.sin(0.5 * db)
+        cos_u2 = emu + gap
+        inner = special.alpha_tail(X, 1.0 - 2.0 * s, emu / cos_u2, gap / cos_u2)
+        return cos_u2 ** (Y - 1.0) * np.exp(m.y * u2) * inner
+
+    res = quadrature.integrate(outer, -C, C, rtol=rtol, min_level=5, max_level=9)
+    _check_converged(res, m)
+    return _finite_or_raise(8.0 * math.pi**2 * mu * res.value, m)
+
+
+def _check_truncation(m: MomentArgs, eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise DomainError(f"need eps in (0, 1), got {eps}")
     if not m.s < 0.5:
         raise DomainError("truncation only tames the w1 singularity; need s < 1/2")
-    mu = m.params.mu
-    X, Y = _exponents(m.x, m.s, mu)
-    s = m.s
-    emu = eps**mu
-    C = math.acos(emu)
+    _check_finite(m.x, m.y, m.s)
 
-    p_in_lo, p_in_hi, w_in = quadrature.nodes(6)
-    log_c = np.log(w_in) - 2.0 * s * np.log(p_in_hi)
 
-    def outer(u2, da, db):
-        # cos u2 - eps^mu = 2 sin(da/2) sin(db/2) exactly (da, db are the
-        # distances to the interval ends +-C); keeps the u1 span accurate
-        # as the fiber collapses.
-        cos_u2 = np.cos(u2)
-        span = 2.0 * np.sin(0.5 * da) * np.sin(0.5 * db) / cos_u2
-        out = np.zeros_like(u2)
-        # spans below ~1e-250 contribute < span^(1-2s) <= 1e-25 and their
-        # inner node offsets would underflow; drop them.
-        ok = span > 1e-250
-        spn = span[ok]
-        lo = emu / cos_u2[ok]
-        # one (rows, nodes) buffer, updated in place: u1, then its log-space term
-        t = np.multiply.outer(spn, p_in_lo)
-        t += lo[:, None]
-        np.log(t, out=t)
-        t *= X - 1.0
-        t += log_c
-        inner = spn ** (1.0 - 2.0 * s) * np.exp(t, out=t).sum(axis=1)
-        out[ok] = cos_u2[ok] ** (Y - 1.0) * np.exp(m.y * u2[ok]) * inner
-        return out
-
-    res = quadrature.integrate(outer, -C, C, rtol=rtol, min_level=5, max_level=9)
+def _check_converged(res: quadrature.QuadResult, m: MomentArgs) -> None:
     if not math.isfinite(res.value) or (
         not res.converged and res.err_estimate > 1e-6 * abs(res.value)
     ):
         raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
-    return 8.0 * math.pi**2 * mu * res.value
+
+
+def _finite_or_raise(value, m: MomentArgs):
+    """value, raising QuadratureError unless every element is finite."""
+    if not np.all(np.isfinite(value)):
+        raise quadrature.QuadratureError(f"truncated moment of {m} overflows a double")
+    return value
+
+
+# lambda_truncated splits off its adaptive piece at 2^-_TOP_LEVEL.
+_TOP_LEVEL = 4
+
+# The fiber rule is tanh-sinh on (0, 1), refined from level _FIBER_LEVELS[0]
+# (checked against the level below) up to _FIBER_LEVELS[1].  Its substituted
+# integrand is bounded, so the nodes within _FIBER_EDGE of either end, which
+# carry less than that fraction of its sup, are dropped.
+_FIBER_LEVELS = (4, 8)
+_FIBER_EDGE = 1e-20
+
+# Each dyadic shell is split into panels in log r1 on which the integrand's
+# exponential rate times the panel width is at most _PANEL_RATE, and each
+# panel takes a _GL_NODES-point Gauss-Legendre rule.  For e^(k t) on [-1, 1]
+# with k = 4 the 12-point rule's relative error is below 1e-15.
+# Past _MAX_PANELS, a rate above ~1400, every shell is 0 or beyond a double.
+_GL_NODES = 12
+_PANEL_RATE = 8.0
+_MAX_PANELS = 128
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+
+
+def _half_width(log_p):
+    """c = arccos(p) from log p <= 0, as 2 arcsin(sqrt((1 - p)/2)).
+
+    1 - p = -expm1(log p) keeps every digit that 1 - exp(log p) loses once
+    |log p| < 1e-16, and the square root is taken before the halving so
+    that a subnormal 1 - p does not round to zero.
+    """
+    return 2.0 * np.arcsin(np.sqrt(-np.expm1(log_p)) * math.sqrt(0.5))
+
+
+@lru_cache(maxsize=None)
+def _fiber_nodes(level: int, fresh: bool):
+    """(log t, log w) of the kept tanh-sinh nodes t of (0, 1) at ``level``,
+    only those new at ``level`` when ``fresh``."""
+    p_lo, p_hi, w = (quadrature.new_nodes if fresh else quadrature.nodes)(level)
+    keep = np.minimum(p_lo, p_hi) > _FIBER_EDGE
+    p_lo, p_hi, w = p_lo[keep], p_hi[keep], w[keep]
+    return np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
+
+
+def _log_fibers(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarray:
+    """log of the fiber integral
+
+        I(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2,  c = arccos(r1^mu),
+
+    at each log r1 < 0.  The two halves fold onto the distance d in (0, c)
+    from an end, where cos u2 - r1^mu = 2 sin(d/2) sin(c - d/2), and
+    d = c t^(1/b), b = 1 - 2s, absorbs the endpoint power exactly:
+
+        I = (c^b / b) ∫_0^1 2 cosh(y (c - d)) (sinc(d/2) sin(c - d/2))^(-2s) dt.
+
+    The t integrand is bounded, so no mass is lost below the smallest node
+    however close s is to 1/2 (a bare d^(-2s) with b = 0.02 keeps ~1e-6 of
+    its mass below d = 1e-300), and d may underflow to 0 harmlessly.  Each
+    term is summed as exp(log term + log w) with e^(|y| c) (sin c)^(-2s)
+    factored out, so no term overflows or underflows for any s < 1/2.  The
+    rule is refined until every fiber agrees with the level below to
+    ``rtol``, one block of fibers at a time (see _BLOCK_CELLS).
+    """
+    step = _BLOCK_CELLS // 64  # the fiber rule has about 54 nodes per level up to 4
+    blocks = range(0, len(log_r1), step)
+    return np.concatenate([_log_fiber_block(log_r1[i:i + step], m, rtol) for i in blocks])
+
+
+def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarray:
+    mu, s, ay = m.params.mu, m.s, abs(m.y)
+    b = 1.0 - 2.0 * s
+    c = _half_width(mu * log_r1)
+    log_sin_c = np.log(np.sin(c))[:, None]
+
+    def sums(level: int, fresh: bool) -> np.ndarray:
+        log_t, log_w = _fiber_nodes(level, fresh)
+        e = log_t / b  # log(d / c)
+        d = np.multiply.outer(c, np.exp(e))
+        gap = np.multiply.outer(c, -np.expm1(e))  # c - d
+        terms = d * (0.5 / math.pi)
+        terms = np.log(np.sinc(terms) * np.sin(0.5 * (c[:, None] + gap)))
+        terms -= log_sin_c
+        terms *= -2.0 * s
+        if ay:
+            terms += np.log1p(np.exp(-2.0 * ay * gap)) - ay * d
+        terms += log_w
+        return np.exp(terms).sum(axis=1)
+
+    lo, hi = _FIBER_LEVELS
+    with np.errstate(under="ignore", divide="ignore"):
+        prev = sums(lo - 1, False)
+        for level in range(lo, hi + 1):
+            total = 0.5 * prev + sums(level, True)
+            if np.all(np.abs(total - prev) <= rtol * total):
+                break
+            prev = total
+        else:
+            raise quadrature.QuadratureError(f"fiber integrals did not converge for {m}")
+        head = ay * c if ay else math.log(2.0)
+        return head + b * np.log(c) - 2.0 * s * log_sin_c[:, 0] - math.log(b) + np.log(total)
+
+
+def _truncated_pieces(m: MomentArgs, cuts, rtol: float) -> np.ndarray:
+    """The moment over r1 in (cuts[0], 1), then over each (cuts[i+1], cuts[i]),
+    without the factor 8 pi^2 mu^2; cuts decrease in (0, 1), each at least
+    half the one before.
+
+    In (r1, u2) coordinates the cut |w1| > eps is just r1 > eps, and
+
+        lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu X - 1) I(r1) dr1,
+
+    with X = 2x/mu + 2 - 2s and I the fiber integral of _log_fibers.  The
+    first piece, where the fibers collapse as r1 -> 1, is an adaptive
+    tanh-sinh integral in log r1.  The shells below it are smooth in log r1
+    and take a Gauss-Legendre rule on panels of log r1, all in one array
+    pass (see _PANEL_RATE).
+    """
+    mu = m.params.mu
+    X, _ = _exponents(m.x, m.s, mu)
+    rate = mu * X  # of r1^(mu X) in log r1
+
+    def top(log_r1, da, db):
+        # -db is log r1 to full relative accuracy as r1 -> 1
+        return np.exp(_log_fibers(-db, m, rtol) - rate * db)
+
+    log_cuts = np.log(np.asarray(cuts, dtype=float))
+    res = quadrature.integrate(top, log_cuts[0], 0.0, rtol=rtol, min_level=3, max_level=9)
+    _check_converged(res, m)
+    if len(log_cuts) == 1:
+        return np.array([res.value])
+    # log I changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
+    p_top = math.exp(mu * log_cuts[0])
+    rate_c = mu * p_top * (abs(m.y) + 1.0) / math.sqrt(1.0 - p_top * p_top)
+    width = float(np.max(-np.diff(log_cuts)))
+    panels = min(_MAX_PANELS, max(1, math.ceil((abs(rate) + rate_c) * width / _PANEL_RATE)))
+    # (shells, panels, nodes) grid of log r1
+    frac = (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels
+    lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
+    log_r1 = hi + (lo - hi) * frac
+    log_w = np.log(0.5 * (hi - lo) / panels * _GL_W)
+    terms = rate * log_r1 + log_w + _log_fibers(log_r1.ravel(), m, rtol).reshape(log_r1.shape)
+    shift = terms.max(axis=(1, 2))
+    with np.errstate(over="ignore", under="ignore"):
+        shells = np.exp(shift) * np.exp(terms - shift[:, None, None]).sum(axis=(1, 2))
+    return np.concatenate(([res.value], shells))
 
 
 @dataclass(frozen=True)
@@ -330,16 +500,22 @@ def truncation_growth_fit(
     """Certify the divergence mode of a moment from truncated values on
     eps = 2^-m, m = m_lo..m_hi.
 
-    Second differences with respect to m cancel constants and any
-    logarithmic mode exactly, so a surviving geometric trend identifies
-    the power eps^(mu e); its slope against log eps recovers mu e.  When
-    the second differences are negligible against the first differences,
-    the growth is logarithmic.
+    The values are one top piece at 2^-m_lo plus the running sum of the
+    shells down to 2^-m_hi, all from one call of _truncated_pieces, so the
+    first differences are the shells themselves.  Second differences with
+    respect to m cancel constants and any logarithmic mode exactly, so a
+    surviving geometric trend identifies the power eps^(mu e); its slope
+    against log eps recovers mu e.  When the second differences are
+    negligible against the first differences, the growth is logarithmic.
     """
     ms = np.arange(m_lo, m_hi + 1)
     eps = 2.0 ** (-ms.astype(float))
-    vals = np.array([lambda_truncated(m, float(e), rtol=rtol) for e in eps])
-    d1 = np.diff(vals)
+    for e in (eps[0], eps[-1]):
+        _check_truncation(m, float(e))
+    scale = 8.0 * math.pi**2 * m.params.mu**2
+    pieces = _finite_or_raise(scale * _truncated_pieces(m, eps, rtol), m)
+    d1 = pieces[1:]  # the shells: first differences, free of cancellation
+    vals = np.cumsum(pieces)
     d2 = np.diff(d1)
     scale1 = float(np.median(np.abs(d1)))
     scale2 = float(np.median(np.abs(d2)))

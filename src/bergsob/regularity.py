@@ -18,7 +18,8 @@ smooth up to the boundary: exp(-1/|w1|^mu) times the witness monomial
 
 Inverting the threshold: given a target r in (0, 1/2), mu = 1/r realizes
 it for p in {1, 2}; for p = 0 take l = ceil(1/r) and mu = (l-1)/(1-r),
-which lands floor(mu) = l and threshold exactly r.
+which lands floor(mu) = l and threshold exactly r (band l + 1 where the
+rounding at r ~ 1/l leaves band l no mu with threshold <= r).
 
 For p = 0 the scan starts at j = 1 - floor(mu), the first index the
 threshold formula protects; for the dw1 families it starts at j = 1.
@@ -92,34 +93,31 @@ def mu_for_threshold(r: float, p: int) -> float:
     """The parameter whose degree-p threshold is r in (0, 1/2).
 
     For p = 0 the construction takes l = ceil(1/r) and mu = (l-1)/(1-r),
-    which satisfies floor(mu) = l.  When r sits one rounding step below
-    1/integer, the floating ceil under-estimates l and the floor condition
-    breaks; l + 1 is then equally valid (mu - l stays in [0, 1)) and is
-    used instead.
-
-    The threshold of the rounded mu can land a few ulps above r, and a
-    witness at s = r would then be refused; so mu is stepped by ulps in
-    the direction that lowers the threshold (down for p = 0, up for p = 1,
-    2) until threshold(mu).r <= r, but for p = 0 never below floor(mu) = l.
+    which satisfies floor(mu) = l.  The threshold of the rounded mu can
+    land a few ulps above r, and a witness at s = r would then be refused;
+    so mu is stepped by ulps in the direction that lowers the threshold
+    (down for p = 0, up for p = 1, 2) until threshold(mu).r <= r.  For
+    p = 0 the steps stay in the band floor(mu) = l.  Band l cannot reach r
+    when r sits at or one rounding step below 1/l: mu = l is its floor,
+    and the rounded threshold there can exceed r (r = 0.05 gives mu = 20,
+    threshold 0.050000000000000044).  Band l + 1, with
+    mu = l/(1-r) ~ l + 1 + 1/(l-1), realizes such an r and is used then.
     """
     _check_p(p)
     if not (0.0 < r < 0.5 and math.isfinite(1.0 / r)):
         raise DomainError(f"need 0 < r < 1/2 with 1/r finite, got {r!r}")
-    mu, band = 1.0 / r, None
-    if p == 0:
-        for band in (math.ceil(1.0 / r), math.ceil(1.0 / r) + 1):
-            mu = (band - 1.0) / (1.0 - r)
-            if math.floor(mu) == band:
-                break
-        else:
-            raise DomainError(f"no mu in the floor bands ceil(1/r), ceil(1/r) + 1 for r = {r!r}")
-    toward = -math.inf if p == 0 else math.inf
-    while threshold(DomainParams(mu), p).r > r:  # at most 2 steps in 60000 draws
-        step = math.nextafter(mu, toward)
-        if p == 0 and math.floor(step) != band:
-            break
-        mu = step
-    return mu
+    if p != 0:
+        mu = 1.0 / r
+        while threshold(DomainParams(mu), p).r > r:  # at most 2 steps in 60000 draws
+            mu = math.nextafter(mu, math.inf)
+        return mu
+    for band in (math.ceil(1.0 / r), math.ceil(1.0 / r) + 1):
+        mu = (band - 1.0) / (1.0 - r)
+        while math.floor(mu) == band and threshold(DomainParams(mu), 0).r > r:
+            mu = math.nextafter(mu, -math.inf)
+        if math.floor(mu) == band:
+            return mu
+    raise DomainError(f"no mu in the floor bands ceil(1/r), ceil(1/r) + 1 for r = {r!r}")
 
 
 def witness_index(params: DomainParams, p: int) -> BasisIndex:

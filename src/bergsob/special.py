@@ -37,6 +37,7 @@ from .errors import DomainError
 
 __all__ = [
     "alpha_eval",
+    "alpha_tail",
     "beta_eval",
     "log_abs_gamma",
     "log_beta",
@@ -147,6 +148,42 @@ def _alpha_lower_half(x: float, y: float, tol: float) -> float:
         return np.exp(u * x) * (1.0 - np.exp(u)) ** (y - 1.0)
 
     return quadrature.quad(f, u_lo, -math.log(2.0), rtol=tol)
+
+
+# The fixed tanh-sinh level of alpha_tail's two rules.
+_TAIL_LEVEL = 7
+
+
+def alpha_tail(x: float, y: float, lo, span) -> np.ndarray:
+    """The incomplete alpha ∫_lo^1 t^(x-1) (1-t)^(y-1) dt, elementwise over
+    lo in (0, 1) with span = 1 - lo given to full accuracy; any finite x
+    and y > 0.  A quadrature oracle on fixed rules.
+
+    The piece over (max(lo, 1/2), 1), of width w, substitutes
+    1 - t = w u^(1/y), which absorbs the endpoint power exactly:
+
+        w^y / y ∫_0^1 (1 - w u^(1/y))^(x-1) du,
+
+    a bounded integrand, so no mass is lost below the smallest node as
+    y -> 0.  The piece over (lo, 1/2) substitutes t = e^v, as
+    _alpha_lower_half does, which resolves t^(x-1) on the scale of lo
+    however small lo is.
+    """
+    lo = np.asarray(lo, dtype=float)
+    span = np.asarray(span, dtype=float)
+    if not y > 0.0:
+        raise DomainError(f"alpha_tail requires y > 0, got {y}")
+    p_lo, p_hi, w = quadrature.nodes(_TAIL_LEVEL)
+    width = np.minimum(span, 0.5)[..., None]
+    log_u = np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5)))
+    t = 1.0 - width * np.exp(log_u / y)
+    upper = width[..., 0] ** y / y * ((t ** (x - 1.0)) @ w)
+    v_lo = np.log(np.minimum(lo, 0.5))[..., None]
+    v_span = -math.log(2.0) - v_lo
+    v = v_lo + v_span * p_lo
+    with np.errstate(under="ignore"):
+        lower = v_span[..., 0] * ((np.exp(x * v) * (-np.expm1(v)) ** (y - 1.0)) @ w)
+    return upper + lower
 
 
 def alpha_eval(x, y, *, tol: float = 1e-12, method: str = "lgamma"):

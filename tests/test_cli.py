@@ -35,6 +35,11 @@ class TestThresholdCommand:
         assert payload["mu"] == pytest.approx(30.0 / 7.0, rel=1e-12)
         assert payload["r"] == pytest.approx(0.3, abs=1e-12)
 
+    def test_invert_at_reciprocal_stays_at_or_below_r(self, capsys):
+        # mu = 20 would give the threshold 0.050000000000000044 > 0.05
+        assert run_cli(["threshold", "--invert", "0.05", "--p", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["r"] <= 0.05
+
     def test_bad_mu_exits_2(self):
         assert run_cli(["threshold", "--mu", "1", "--p", "0"]) == 2
 
@@ -288,6 +293,16 @@ class TestVerifyCommand:
         for draws in first_draws.values():
             assert len(draws) == 2 and draws[0] == draws[1]
 
+    @pytest.mark.parametrize("mu", [10, 15, 25, 37])
+    def test_large_mu_geometry_round_trip(self, mu, capsys):
+        # |z1| = 2 |w1|^mu reaches ~1e-20 here; the unexpanded defining
+        # function once lost its sign there and refused interior points
+        for k in range(1, 9):
+            argv = ["verify", "--suite", "geometry", "--seed", str(k),
+                    "--grid", f"mu_samples=[{mu}]", "--grid", "geometry_samples=50"]
+            assert run_cli(argv) == 0, (k, capsys.readouterr().err)
+            assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
     def test_env_var_config(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"grids": {"special_points": 3}}))
@@ -377,6 +392,26 @@ def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid,
     else:
         argv = ["verify", "--suite=geometry", f"--grid={grid_key}={grid_value}"]
         argv += [f"--tol={tol_key}={tol_value}"] if truncate else []
+    _assert_total(argv)
+
+
+# s near 1/2, up to 2^-52 below it, where the fiber integrands are most singular
+_NEAR_HALF = st.one_of(st.floats(0.3, 0.5),
+                       st.sampled_from([0.49, 0.4999, 0.49999999, 0.5 - 2.0**-52]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mu=st.floats(1.0001, 40.0), depth=st.floats(0.0, 1.0), s=_NEAR_HALF,
+       y=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)))
+def test_fuzz_truncate_fit_exit_codes(mu, depth, s, y):
+    # divergent moments, x/mu + 1 - s = -depth, so that the growth fit runs
+    x = mu * (s - 1.0 - depth)
+    _assert_total(["lambda", f"--mu={mu!r}", f"--x={x!r}", f"--y={y!r}", f"--s={s!r}",
+                   "--truncate-fit"])
+
+
+def _assert_total(argv):
+    """argv ends in exit 0, 1 or 2, and never in a traceback or a warning."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings(record=True) as caught:

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import measure, quadrature, regularity
+from bergsob import measure, quadrature, regularity, special
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 from bergsob.measure import MomentArgs
 
 LAM_1_2_03_MU2 = 808.844188090424271
 LAM_M1_1_02_MU25 = 1306.67775891974908
+ALPHA_TAIL_1E60 = 1.67108930173655685e25
 
 TWO_PI_CUBED = 2.0 * math.pi**3
 
@@ -196,6 +197,23 @@ class TestRatio:
             measure.lambda_ratio(-1.9, 0.0, 0.4, DomainParams(2.0))
 
 
+class TestAlphaTail:
+    def test_tiny_lower_limit(self):
+        # ∫_lo^1 t^(X-1) (1-t)^(-2s) dt at X = -0.414, s = 0.287, lo = 1e-60 (the
+        # double values): mpmath betainc at 40 digits, confirmed by a 40-digit
+        # quadrature in t = e^u.  The old fixed level-6 u1 rule was off by 7.9e-4.
+        s = 0.287
+        got = special.alpha_tail(-0.414, 1.0 - 2.0 * s, 1e-60, 1.0)
+        assert got == pytest.approx(ALPHA_TAIL_1E60, rel=1e-13)
+
+    @pytest.mark.parametrize("lo", [1e-300, 1e-3, 0.5, 0.97])
+    @pytest.mark.parametrize("x,y", [(-0.9, 0.02), (2.5, 0.02), (0.3, 1.7)])
+    def test_matches_mpmath(self, lo, x, y):
+        want = float(mpmath.betainc(x, y, lo, 1))
+        got = special.alpha_tail(x, y, lo, 1.0 - lo)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 class TestTruncation:
     def test_monotone_convergence(self):
         m = MomentArgs(0.5, 1.0, 0.2, DomainParams(2.0))
@@ -241,6 +259,31 @@ class TestTruncation:
         assert all(map(math.isfinite, fit.values))
         assert fit.kind == "power"
         assert fit.exponent == pytest.approx(-0.72, abs=0.05)
+
+    @pytest.mark.parametrize("s", [0.2, 0.45, 0.49])
+    @pytest.mark.parametrize("y", [0.0, -1.5])
+    def test_integrable_limit(self, s, y):
+        # the shells summed down to 2^-60 reach the closed form; the old fixed
+        # u1 rule was off by 6.6e-7 at s = 0.49 (mass below its smallest node)
+        m = MomentArgs(1.0, y, s, DomainParams(2.0))
+        full = measure.lambda_closed(m).value
+        assert abs(measure.lambda_truncated(m, 2.0**-60) - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("x,s,mu", [(-2.2, 0.2, 2.5), (-1.5, 0.45, 2.5), (-19.0, 0.412, 20.04)])
+    def test_shells_match_oracle_differences(self, x, s, mu):
+        # the (r1, u2) shells against the independent (u1, u2) route, to 1e-12
+        m = MomentArgs(x, 0.0, s, DomainParams(mu))
+        fit = measure.truncation_growth_fit(m, m_lo=4, m_hi=8)
+        oracle = [measure.lambda_truncated_oracle(m, e, rtol=1e-12) for e in fit.eps_grid]
+        shells = np.diff(fit.values)
+        assert np.all(np.abs(shells - np.diff(oracle)) <= 1e-12 * shells)
+        assert np.all(np.abs(np.array(fit.values) - oracle) <= 1e-12 * np.array(oracle))
+
+    def test_fit_values_are_truncated_moments(self):
+        m = MomentArgs(-2.2, 0.3, 0.2, DomainParams(2.5))
+        fit = measure.truncation_growth_fit(m)
+        for e, v in zip(fit.eps_grid[::3], fit.values[::3]):
+            assert measure.lambda_truncated(m, e) == pytest.approx(v, rel=1e-14)
 
     def test_non_finite_integrand_raises(self, monkeypatch):
         integrate = measure.quadrature.integrate

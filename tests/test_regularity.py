@@ -60,9 +60,21 @@ class TestMuForThreshold:
             for p in (0, 1, 2):
                 mu = regularity.mu_for_threshold(float(r), p)
                 back = regularity.threshold(DomainParams(mu), p).r
-                assert abs(back - r) <= 1e-12
+                assert abs(back - r) <= 1e-12 and back <= r
                 if p == 0:
-                    assert math.floor(mu) == math.ceil(1.0 / r)
+                    # r = 0.05 sits on 1/20, where band 20 has no mu with threshold <= r
+                    assert math.floor(mu) == math.ceil(1.0 / r) + (r == 0.05)
+
+    @pytest.mark.parametrize("band", [3, 9, 20, 37])
+    def test_reciprocal_of_an_integer(self, band):
+        # r = 1/l rounds to a threshold above r at mu = l, the floor of band l;
+        # band l + 1 realizes r, and a witness at s = r exists there
+        r = 1.0 / band
+        mu = regularity.mu_for_threshold(r, 0)
+        assert regularity.threshold(DomainParams(mu), 0).r <= r
+        assert math.floor(mu) in (band, band + 1)
+        wit = regularity.divergence_witness(DomainParams(mu), 0, r)
+        assert wit.growth.kind == "log"
 
     def test_threshold_not_rounded_above_r(self):
         # 1/r rounds so that 1/mu lands one ulp above r; a witness at s = r
