@@ -114,7 +114,8 @@ def cmd_lambda(args) -> int:
     }
     closed = measure.lambda_closed(m)
     if measure.is_integrable(m):
-        quad = measure.lambda_quadrature(m, tol=args.tol)
+        tol = {} if args.tol is None else {"tol": args.tol}
+        quad = measure.lambda_quadrature(m, **tol)
         payload.update(
             {
                 "closed": closed.value,

@@ -13,13 +13,11 @@ the moment to an exact product of the two special-function integrals:
 
 ``lambda_closed`` evaluates that product from Gamma closed forms, and
 ``lambda_ratio_family`` a ratio of three of them over a whole basis
-lattice in log space.  ``lambda_quadrature`` integrates the separable
-u-coordinate integrand
-
-    u1^(2x/mu + 1 - 2s) (1 - u1)^(-2s) (cos u2)^(2x/mu + 2 - 4s) e^(y u2)
-
-directly with two independent singular-endpoint quadratures, giving a
-genuinely independent cross-check of the closed form.
+lattice in log space.  ``lambda_quadrature`` evaluates the same product
+from the quadrature oracles of ``special`` (tanh-sinh with log
+substitutions at weak endpoint singularities), so the cross-check shares
+no Gamma identity with the closed form and stays accurate at thin
+integrability margins.
 
 ``lambda_truncated`` restricts the moment to |w1| > eps, which is always
 finite for s < 1/2; its growth as eps -> 0 certifies divergence: the
@@ -77,8 +75,6 @@ __all__ = [
     "truncation_growth_fit",
     "radial_moment",
 ]
-
-_HALF_PI = 0.5 * math.pi
 
 S_CLAUSE = "s < 1/2"
 X_CLAUSE = "x/mu + 1 - s > 0"
@@ -185,40 +181,18 @@ def lambda_closed_array(x, y, s: float, params: DomainParams):
     return val
 
 
-def default_quadrature_tol(margin: float) -> float:
-    """Relative tolerance schedule: 1e-8 for margin >= 0.1, loosened
-    linearly (in the exponent) to 1e-6 as the margin drops to 0.02."""
-    if margin >= 0.1:
-        return 1e-8
-    if margin <= 0.02:
-        return 1e-6
-    frac = (0.1 - margin) / 0.08
-    return 10.0 ** (-8.0 + 2.0 * frac)
-
-
-def lambda_quadrature(m: MomentArgs, tol: Optional[float] = None) -> MomentValue:
-    """Independent evaluation as a product of two 1D singular-endpoint
-    quadratures in the u coordinates, times 8 pi^2 mu."""
+def lambda_quadrature(m: MomentArgs, tol: float = 1e-10) -> MomentValue:
+    """Independent evaluation 8 pi^2 mu alpha(X, 1 - 2s) beta(Y, y) from
+    the quadrature oracles of ``special``, each to relative accuracy
+    0.1 tol; the error estimate adds their own relative estimates.  Raises
+    QuadratureError when either oracle does not converge."""
     if not is_integrable(m):
         raise DomainError(f"moment diverges ({_violated(m)}); see is_integrable")
-    if tol is None:
-        tol = default_quadrature_tol(integrability_margin(m))
     X, Y = _exponents(m.x, m.s, m.params.mu)
-    s = m.s
-
-    def f1(u, da, db):
-        return da ** (X - 1.0) * db ** (-2.0 * s)
-
-    def f2(t, da, db):
-        return np.sin(np.minimum(da, db)) ** (Y - 1.0) * np.exp(m.y * t)
-
-    r1 = quadrature.integrate(f1, 0.0, 1.0, rtol=0.1 * tol)
-    r2 = quadrature.integrate(f2, -_HALF_PI, _HALF_PI, rtol=0.1 * tol)
-    if not (r1.converged and r2.converged):
-        raise quadrature.QuadratureError(f"moment quadrature failed for {m}")
-    val = 8.0 * math.pi**2 * m.params.mu * r1.value * r2.value
-    rel = r1.err_estimate / r1.value + r2.err_estimate / r2.value
-    return MomentValue.finite(val, abs(rel) * val)
+    alpha, alpha_err = special._alpha_quad(X, 1.0 - 2.0 * m.s, 0.1 * tol)
+    beta, beta_err = special._beta_quad(Y, m.y, 0.1 * tol)
+    val = 8.0 * math.pi**2 * m.params.mu * alpha * beta
+    return MomentValue.finite(val, (alpha_err / alpha + beta_err / beta) * val)
 
 
 def lambda_ratio(x: float, y: float, s: float, params: DomainParams) -> float:
@@ -507,6 +481,8 @@ def truncation_growth_fit(
     surviving geometric trend identifies the power eps^(mu e); its slope
     against log eps recovers mu e.  When the second differences are
     negligible against the first differences, the growth is logarithmic.
+    Raises DomainError when fewer than two second differences are
+    positive, as for a convergent moment, whose shells shrink.
     """
     ms = np.arange(m_lo, m_hi + 1)
     eps = 2.0 ** (-ms.astype(float))
@@ -528,6 +504,8 @@ def truncation_growth_fit(
         residual = float(np.sqrt(np.mean((vals - fitted) ** 2)) / np.mean(np.abs(vals)))
         return GrowthFit("log", 0.0, residual, tuple(eps), tuple(vals))
     pos = d2 > 0
+    if np.count_nonzero(pos) < 2:  # a line needs two points
+        raise DomainError(f"truncated moments of {m} show no power growth to fit")
     log_eps = np.log(eps[:-2][pos])
     log_d2 = np.log(d2[pos])
     slope, intercept = np.polyfit(log_eps, log_d2, 1)

@@ -147,12 +147,12 @@ def integrate(
     return QuadResult(total, err, level, False)
 
 
-def quad(f: Callable, a: float, b: float, **kw) -> float:
-    """Like :func:`integrate` but returns the value, raising on failure."""
+def quad(f: Callable, a: float, b: float, **kw) -> QuadResult:
+    """Like :func:`integrate` but raises QuadratureError unless it converged."""
     res = integrate(f, a, b, **kw)
     if not res.converged:
         raise QuadratureError(
             f"no convergence on ({a}, {b}): value={res.value!r}, err={res.err_estimate!r}"
         )
-    return res.value
+    return res
 

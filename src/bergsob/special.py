@@ -134,7 +134,12 @@ def log_beta(x, y) -> np.ndarray:
         raise DomainError("log beta overflows a double") from None
 
 
-def _alpha_lower_half(x: float, y: float, tol: float) -> float:
+def _total(*parts: quadrature.QuadResult) -> tuple[float, float]:
+    """The value and error estimate of a sum of converged quadratures."""
+    return sum(p.value for p in parts), sum(p.err_estimate for p in parts)
+
+
+def _alpha_lower_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
     """∫_0^{1/2} t^(x-1) (1-t)^(y-1) dt via t = e^u.
 
     The substitution trades the weak endpoint singularity t^(x-1) for the
@@ -186,33 +191,40 @@ def alpha_tail(x: float, y: float, lo, span) -> np.ndarray:
     return upper + lower
 
 
+def _alpha_quad(x: float, y: float, tol: float) -> tuple[float, float]:
+    """alpha(x, y) and its error estimate by quadrature, the oracle of the
+    Gamma path; weak singular exponents (below 1/2) are handled by
+    splitting at 1/2 and log-substituting each half."""
+    _check_alpha_args(x, y)
+    if min(x, y) < 0.5:
+        return _total(_alpha_lower_half(x, y, tol), _alpha_lower_half(y, x, tol))
+
+    def f(t, da, db):
+        return da ** (x - 1.0) * db ** (y - 1.0)
+
+    return _total(quadrature.quad(f, 0.0, 1.0, rtol=tol))
+
+
 def alpha_eval(x, y, *, tol: float = 1e-12, method: str = "lgamma"):
     """Evaluate alpha(x, y) to relative accuracy ``tol``.
 
     method="lgamma": exp(lnΓ(x) + lnΓ(y) - lnΓ(x+y)), the primary path;
     broadcasts over array x and y.
     method="quadrature": numerical integration kept independent of the
-    Gamma path as an oracle (scalars only); weak singular exponents (below
-    1/2) are handled by splitting at 1/2 and log-substituting each half.
+    Gamma path as an oracle (scalars only; see _alpha_quad).
     Raises DomainError unless x and y are finite and positive, and where
     the value overflows a double.
     """
-    _check_alpha_args(x, y)
     if method == "lgamma":
+        _check_alpha_args(x, y)
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return _scalar_or_array(_exp(_lgamma(x) + _lgamma(y) - _lgamma(x + y), "alpha"))
     if method == "quadrature":
-        if min(x, y) < 0.5:
-            return _alpha_lower_half(x, y, tol) + _alpha_lower_half(y, x, tol)
-
-        def f(t, da, db):
-            return da ** (x - 1.0) * db ** (y - 1.0)
-
-        return quadrature.quad(f, 0.0, 1.0, rtol=tol)
+        return _alpha_quad(x, y, tol)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
-def _beta_half(x: float, y: float, tol: float) -> float:
+def _beta_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
     """∫_0^{π/2} (cos t)^(x-1) e^(yt) dt for weak exponents, via the
     distance-to-endpoint substitution π/2 - t = e^u."""
     u_lo = -(45.0 + 2.0 * abs(y)) / x
@@ -225,16 +237,19 @@ def _beta_half(x: float, y: float, tol: float) -> float:
     return quadrature.quad(f, u_lo, math.log(_HALF_PI), rtol=tol)
 
 
-def _beta_quad(x: float, y: float, tol: float) -> float:
+def _beta_quad(x: float, y: float, tol: float) -> tuple[float, float]:
+    """beta(x, y) and its error estimate by direct endpoint-clustered
+    quadrature, the oracle of the closed form."""
+    _check_beta_args(x, y)
     if x < 0.5:
-        return _beta_half(x, y, tol) + _beta_half(x, -y, tol)
+        return _total(_beta_half(x, y, tol), _beta_half(x, -y, tol))
 
     # cos t = sin(min(t + π/2, π/2 - t)) exactly; the min form keeps full
     # relative accuracy at both ends.
     def f(t, da, db):
         return np.sin(np.minimum(da, db)) ** (x - 1.0) * np.exp(y * t)
 
-    return quadrature.quad(f, -_HALF_PI, _HALF_PI, rtol=tol)
+    return _total(quadrature.quad(f, -_HALF_PI, _HALF_PI, rtol=tol))
 
 
 def beta_eval(x, y, *, tol: float = 1e-12, method: str = "auto"):
@@ -251,8 +266,7 @@ def beta_eval(x, y, *, tol: float = 1e-12, method: str = "auto"):
     if method == "auto":
         return _scalar_or_array(_exp(log_beta(x, y), "beta"))
     if method == "quadrature":
-        _check_beta_args(x, y)
-        return _beta_quad(x, y, tol)
+        return _beta_quad(x, y, tol)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -263,7 +277,6 @@ def alpha_recursion_residual(x: float, y: float, *, tol: float = 1e-12) -> float
     (not the Gamma path), so a nonzero residual reflects genuine numerics
     rather than a shared formula.
     """
-    _check_alpha_args(x, y)
     q = lambda a, b: alpha_eval(a, b, tol=tol, method="quadrature")
     base = q(x, y)
     r_sym = abs(base - q(y, x)) / base
@@ -274,15 +287,16 @@ def alpha_recursion_residual(x: float, y: float, *, tol: float = 1e-12) -> float
     return max(r_sym, r_y, r_x)
 
 
-def beta_recursion_residual(x: float, y: float, *, tol: float = 1e-12) -> float:
+def beta_recursion_residual(x: float, y: float, *, tol: float = 1e-12, scale: float = 1.0) -> float:
     """Relative residual of beta(x+2, y) = x(x+1)/((x+1)^2+y^2) beta(x, y).
 
     Both sides use direct quadrature (singular-endpoint for x < 1/2), so
     the residual does not share the closed form's Gamma identities.
+    ``scale`` multiplies the right-hand side; any value other than 1 is a
+    wrong recursion constant, which verify's self-test plants.
     """
-    _check_beta_args(x, y)
-    lhs = _beta_quad(x + 2.0, y, tol)
-    rhs = _beta_quad(x, y, tol) * x * (x + 1.0) / ((x + 1.0) ** 2 + y * y)
+    rhs = scale * _beta_quad(x, y, tol)[0] * x * (x + 1.0) / ((x + 1.0) ** 2 + y * y)
+    lhs = _beta_quad(x + 2.0, y, tol)[0]
     return abs(lhs - rhs) / lhs
 
 

@@ -21,8 +21,9 @@ from .config import Config
 from .errors import DomainError
 from .geometry import DomainParams, ModelPoint
 
-__all__ = ["SuiteResult", "SUITES", "run_suites", "check_geometry", "check_gram",
-           "check_sharpness", "check_threshold_jumps", "check_counterexample_transport"]
+__all__ = ["SuiteResult", "SUITES", "run_suites", "check_special", "check_moments",
+           "check_geometry", "check_gram", "check_sharpness", "check_threshold_jumps",
+           "check_counterexample_transport"]
 
 
 @dataclass
@@ -48,62 +49,48 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
 
-def suite_special(cfg: Config, rng, *, recursion_scale: float = 1.0) -> SuiteResult:
-    """Recursion residuals, Hölder margins and the two-path oracle.
+def check_special(res: SuiteResult, grid, beta_ys, holder_s, holder_hi: float, *,
+                  recursion_tol: float, holder_slack: float, oracle_tol: float,
+                  recursion_scale: float = 1.0) -> None:
+    """The alpha and beta recursion residuals over grid x grid and
+    grid x beta_ys, the two Hölder margins at each s in holder_s over
+    x, y up to holder_hi, and the alpha two-path oracle on a fixed grid.
 
-    ``recursion_scale`` deliberately perturbs the beta recursion constant
-    for the self-test mode; any value other than 1 must make the suite
-    fail."""
-    res = SuiteResult("special")
-    tol = cfg.tolerances
-    g = cfg.grids
-    grid = _log_grid(g.special_lo, g.special_hi, g.special_points)
+    ``recursion_scale`` multiplies the beta recursion constant; any value
+    other than 1 must make the check fail (verify's self-test)."""
     for x in grid:
         for y in grid:
             r = special.alpha_recursion_residual(float(x), float(y))
-            res.check(
-                r <= tol.recursion_residual,
-                f"alpha recursion residual {r:.2e} at ({x:.3g}, {y:.3g})",
-            )
+            res.check(r <= recursion_tol, f"alpha recursion residual {r:.2e} at ({x:.3g}, {y:.3g})")
     for x in grid:
-        for y in (-2.0, 0.0, 1.5):
-            lhs = special.beta_eval(float(x) + 2.0, y, method="quadrature")
-            rhs = (
-                recursion_scale
-                * special.beta_eval(float(x), y, method="quadrature")
-                * x
-                * (x + 1.0)
-                / ((x + 1.0) ** 2 + y * y)
-            )
-            r = abs(lhs - rhs) / lhs
-            res.check(
-                r <= tol.recursion_residual,
-                f"beta recursion residual {r:.2e} at ({x:.3g}, {y})",
-            )
-    for s in g.holder_s:
-        for x in np.linspace(2.0 * s + 0.05, 10.0, 5):
-            for y in np.linspace(2.0 * s + 0.05, 10.0, 5):
+        for y in beta_ys:
+            r = special.beta_recursion_residual(float(x), y, scale=recursion_scale)
+            res.check(r <= recursion_tol, f"beta recursion residual {r:.2e} at ({x:.3g}, {y})")
+    for s in holder_s:
+        for x in np.linspace(2.0 * s + 0.05, holder_hi, 5):
+            for y in np.linspace(2.0 * s + 0.05, holder_hi, 5):
                 m = special.alpha_holder_margin(float(x), float(y), float(s))
-                res.check(
-                    m >= -tol.holder_slack,
-                    f"alpha margin {m:.2e} at ({x:.3g}, {y:.3g}, s={s})",
-                )
-        for x in np.linspace(4.0 * s + 0.05, 10.0, 5):
+                res.check(m >= -holder_slack, f"alpha margin {m:.2e} at ({x:.3g}, {y:.3g}, s={s})")
+        for x in np.linspace(4.0 * s + 0.05, holder_hi, 5):
             for y in (-3.0, 0.0, 0.5, 4.0):
                 m = special.beta_holder_margin(float(x), float(y), float(s))
-                res.check(
-                    m >= -tol.holder_slack,
-                    f"beta margin {m:.2e} at ({x:.3g}, {y}, s={s})",
-                )
+                res.check(m >= -holder_slack, f"beta margin {m:.2e} at ({x:.3g}, {y}, s={s})")
     for x in _log_grid(0.05, 40.0, 5):
         for y in _log_grid(0.05, 40.0, 5):
             a = special.alpha_eval(float(x), float(y), method="lgamma")
             b = special.alpha_eval(float(x), float(y), method="quadrature")
             r = abs(a - b) / a
-            res.check(
-                r <= tol.oracle_agreement,
-                f"alpha two-path disagreement {r:.2e} at ({x:.3g}, {y:.3g})",
-            )
+            res.check(r <= oracle_tol, f"alpha two-path disagreement {r:.2e} at ({x:.3g}, {y:.3g})")
+
+
+def suite_special(cfg: Config, rng, *, recursion_scale: float = 1.0) -> SuiteResult:
+    """Recursion residuals, Hölder margins and the two-path oracle."""
+    res = SuiteResult("special")
+    g, tol = cfg.grids, cfg.tolerances
+    check_special(res, _log_grid(g.special_lo, g.special_hi, g.special_points),
+                  (-2.0, 0.0, 1.5), g.holder_s, 10.0, recursion_tol=tol.recursion_residual,
+                  holder_slack=tol.holder_slack, oracle_tol=tol.oracle_agreement,
+                  recursion_scale=recursion_scale)
     return res
 
 
@@ -155,28 +142,34 @@ def suite_geometry(cfg: Config, rng) -> SuiteResult:
     return res
 
 
+def check_moments(
+    res: SuiteResult, mus, count: int, rng, *, s_hi: float, y_hi: float, rel_tol: float
+) -> None:
+    """Closed form against the independent quadrature on ``count`` seeded
+    integrable moments per mu: s ~ U(0, s_hi), y ~ U(-y_hi, y_hi) and x
+    drawn so that the integrability margin x/mu + 1 - s is at least 0.1."""
+    for mu in mus:
+        params = DomainParams(mu)
+        for _ in range(count):
+            s = float(rng.uniform(0.0, s_hi))
+            y = float(rng.uniform(-y_hi, y_hi))
+            x = float(rng.uniform(mu * (s - 0.9), 3.0))
+            m = measure.MomentArgs(x, y, s, params)
+            c = measure.lambda_closed(m)
+            q = measure.lambda_quadrature(m)
+            rel = abs(c.value - q.value) / c.value
+            res.check(rel <= rel_tol,
+                      f"mu={mu} ({x:.3g},{y:.3g},{s:.3g}): paths differ by {rel:.2e}")
+
+
 def suite_measure(cfg: Config, rng) -> SuiteResult:
     """Closed form vs independent quadrature, ratio sandwich, truncation
     growth certification, and integrability agreement."""
     res = SuiteResult("measure")
     tol = cfg.tolerances
     g = cfg.grids
-    for mu in g.moment_mu:
-        params = DomainParams(mu)
-        for _ in range(12):
-            s = float(rng.uniform(0.0, g.moment_s_hi))
-            y = float(rng.uniform(-g.moment_y_hi, g.moment_y_hi))
-            x = float(rng.uniform(mu * (s - 0.9), 3.0))
-            m = measure.MomentArgs(x, y, s, params)
-            if measure.integrability_margin(m) < 0.1:
-                continue
-            c = measure.lambda_closed(m)
-            q = measure.lambda_quadrature(m)
-            rel = abs(c.value - q.value) / c.value
-            res.check(
-                rel <= tol.moment_cross,
-                f"mu={mu} ({x:.3g},{y:.3g},{s:.3g}): paths differ by {rel:.2e}",
-            )
+    check_moments(res, g.moment_mu, 12, rng, s_hi=g.moment_s_hi, y_hi=g.moment_y_hi,
+                  rel_tol=tol.moment_cross)
     params = DomainParams(2.0)
     for s in (0.1, 0.2, 0.3, 0.4):
         for j in range(math.ceil(2.0 * (s - 1.0)) + 1, 5):

@@ -2,8 +2,9 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them inline).  Tolerances are pinned here, not configurable.  Criteria
-4-8 run the same check functions from ``bergsob.suites`` that ``verify``
-runs, with the pinned seeds, grids and tolerances below.
+1, 2 and 4-8 run the shared checks: the same check functions from
+``bergsob.suites`` that ``verify`` runs, with the pinned seeds, grids and
+tolerances below.
 """
 
 import json
@@ -13,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from bergsob import cli, geometry, measure, special, suites
+from bergsob import cli, geometry, measure, suites
 from bergsob.config import default_config
 from bergsob.geometry import DomainParams
 
@@ -36,50 +37,42 @@ def criterion(number, label, budget=None):
         assert elapsed < budget, f"criterion {number} exceeded {budget}s budget"
 
 
+def certify(check, *args, **kwargs):
+    """Run one of the shared invariant checks that ``verify`` also runs and
+    require all of its checks to pass; returns what the check returns, or
+    the SuiteResult when it returns nothing."""
+    res = suites.SuiteResult(check.__name__)
+    out = check(res, *args, **kwargs)
+    assert res.passed, res.failures
+    return res if out is None else out
+
+
 def test_criterion_1_special_function_suite():
     with criterion(1, "special-function suite", budget=10.0):
-        grid = np.exp(np.linspace(math.log(1e-2), math.log(50.0), 6))
-        for x in grid:
-            for y in grid:
-                assert special.alpha_recursion_residual(float(x), float(y)) <= 1e-10
-        for x in grid:
-            for y in (-3.0, 0.0, 2.0):
-                assert special.beta_recursion_residual(float(x), y) <= 1e-10
-        for s in (0.0, 0.1, 0.2, 0.3, 0.4, 0.49):
-            for x in np.linspace(2.0 * s + 0.05, 12.0, 5):
-                for y in np.linspace(2.0 * s + 0.05, 12.0, 5):
-                    assert special.alpha_holder_margin(float(x), float(y), s) >= -1e-9
-            for x in np.linspace(4.0 * s + 0.05, 12.0, 5):
-                for y in (-3.0, 0.0, 0.5, 4.0):
-                    assert special.beta_holder_margin(float(x), y, s) >= -1e-9
-        for x in np.exp(np.linspace(math.log(0.05), math.log(40.0), 5)):
-            for y in np.exp(np.linspace(math.log(0.05), math.log(40.0), 5)):
-                a = special.alpha_eval(float(x), float(y), method="lgamma")
-                b = special.alpha_eval(float(x), float(y), method="quadrature")
-                assert abs(a - b) / a <= 1e-10
+        certify(
+            suites.check_special,
+            np.exp(np.linspace(math.log(1e-2), math.log(50.0), 6)),
+            (-3.0, 0.0, 2.0),
+            (0.0, 0.1, 0.2, 0.3, 0.4, 0.49),
+            12.0,
+            recursion_tol=1e-10,
+            holder_slack=1e-9,
+            oracle_tol=1e-10,
+        )
 
 
 def test_criterion_2_moment_cross_validation():
     with criterion(2, "closed form vs quadrature, 500+ triples", budget=60.0):
-        rng = np.random.default_rng(20240902)
-        checked = 0
-        per_mu = 168
-        for mu in MU_MOMENTS:
-            params = DomainParams(mu)
-            done = 0
-            while done < per_mu:
-                s = float(rng.uniform(0.0, 0.45))
-                y = float(rng.uniform(-4.0, 4.0))
-                x = float(rng.uniform(mu * (s - 0.9), 3.0))
-                m = measure.MomentArgs(x, y, s, params)
-                if measure.integrability_margin(m) < 0.1:
-                    continue
-                c = measure.lambda_closed(m)
-                q = measure.lambda_quadrature(m)
-                assert abs(c.value - q.value) / c.value <= 1e-8, m
-                done += 1
-                checked += 1
-        assert checked >= 500
+        res = certify(
+            suites.check_moments,
+            MU_MOMENTS,
+            168,
+            np.random.default_rng(20240902),
+            s_hi=0.45,
+            y_hi=4.0,
+            rel_tol=1e-8,
+        )
+        assert res.checks >= 500
 
 
 def test_criterion_3_base_moment_desk_check():
@@ -88,15 +81,6 @@ def test_criterion_3_base_moment_desk_check():
             v = measure.lambda_closed(measure.MomentArgs(0.0, 0.0, 0.0, DomainParams(mu)))
             expected = 2.0 * math.pi**3 * mu
             assert abs(v.value - expected) / expected <= 1e-10
-
-
-def certify(check, *args, **kwargs):
-    """Run one of the shared invariant checks that ``verify`` also runs and
-    require all of its checks to pass; returns what the check returns."""
-    res = suites.SuiteResult(check.__name__)
-    out = check(res, *args, **kwargs)
-    assert res.passed, res.failures
-    return out
 
 
 def geometry_criterion(res):

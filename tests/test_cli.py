@@ -4,16 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import cli, suites
+from bergsob import cli, quadrature, suites
 from bergsob.config import default_config, load_config
 from bergsob.errors import DomainError
 
@@ -88,9 +90,17 @@ class TestLambdaCommand:
     def test_bad_mu_exits_2(self):
         assert run_cli(["lambda", "--mu", "0.5", "--x", "0", "--y", "0", "--s", "0"]) == 2
 
-    def test_uncertified_quadrature_exits_2(self, capsys):
-        # the integrability margin 5e-4 is too thin for the independent quadrature
-        assert run_cli(["lambda", "--mu", "2", "--x=-1.999", "--y", "0", "--s", "0"]) == 2
+    def test_thin_margin_is_certified(self, capsys):
+        # integrability margin 5e-4: the alpha exponent is 1e-3
+        assert run_cli(["lambda", "--mu", "2", "--x=-1.999", "--y", "0", "--s", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "finite"
+        assert payload["rel_difference"] <= 1e-8
+
+    def test_uncertified_quadrature_exits_2(self, monkeypatch, capsys):
+        unconverged = lambda f, a, b, **kw: quadrature.QuadResult(1.0, 1.0, 11, False)
+        monkeypatch.setattr(quadrature, "integrate", unconverged)
+        assert run_cli(["lambda", "--mu", "2", "--x", "0", "--y", "0", "--s", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("not certified:")
@@ -190,6 +200,20 @@ class TestVerifyCommand:
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["all_passed"] is False
+        # the wrong constant fails exactly the 18 beta recursion checks
+        (suite,) = payload["suites"]
+        pattern = r"beta recursion residual 1\.00e-03 at \(.*\)"
+        assert len(suite["failures"]) == 18
+        assert all(re.fullmatch(pattern, f) for f in suite["failures"])
+
+    def test_check_counts_pinned(self, tmp_path):
+        # the shape of verify at the default config: a refactor of the shared
+        # checks must neither drop nor add one
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--seed", "1", "--output", str(out)]) == 0
+        counts = {r["name"]: r["checks"] for r in json.loads(out.read_text())["suites"]}
+        assert counts == {"special": 349, "geometry": 27, "measure": 84, "bergman": 38,
+                          "regularity": 48}
 
     def test_unknown_suite_exits_2(self):
         # argparse rejects out-of-choice values with its usage error
@@ -378,9 +402,10 @@ _SETTINGS = st.one_of(
     grid_value=_SETTINGS,
     tol_key=st.sampled_from(["geometry_residual", "levi_floor"]),
     tol_value=_SETTINGS,
+    from_file=st.booleans(),
 )
 def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid,
-                         grid_key, grid_value, tol_key, tol_value):
+                         grid_key, grid_value, tol_key, tol_value, from_file):
     # every input ends in exit 0, 1 or 2, and never in a traceback or a warning
     if command == "threshold":
         argv = ["threshold", f"--p={p}", f"--invert={s}" if truncate else f"--mu={mu}"]
@@ -392,6 +417,16 @@ def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid,
     else:
         argv = ["verify", "--suite=geometry", f"--grid={grid_key}={grid_value}"]
         argv += [f"--tol={tol_key}={tol_value}"] if truncate else []
+        if from_file:
+            # the same settings from a config file, whose text may not parse
+            sections = [f'"grids": {{"{grid_key}": {grid_value}}}']
+            sections += [f'"tolerances": {{"{tol_key}": {tol_value}}}'] if truncate else []
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "cfg.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write("{" + ", ".join(sections) + "}")
+                _assert_total(["verify", "--suite=geometry", f"--config={path}"])
+            return
     _assert_total(argv)
 
 
@@ -404,7 +439,8 @@ _NEAR_HALF = st.one_of(st.floats(0.3, 0.5),
 @given(mu=st.floats(1.0001, 40.0), depth=st.floats(0.0, 1.0), s=_NEAR_HALF,
        y=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)))
 def test_fuzz_truncate_fit_exit_codes(mu, depth, s, y):
-    # divergent moments, x/mu + 1 - s = -depth, so that the growth fit runs
+    # divergent moments, x/mu + 1 - s = -depth, so that the growth fit runs;
+    # at depth ~ 0, x may round integrable, and the two-path evaluation runs
     x = mu * (s - 1.0 - depth)
     _assert_total(["lambda", f"--mu={mu!r}", f"--x={x!r}", f"--y={y!r}", f"--s={s!r}",
                    "--truncate-fit"])

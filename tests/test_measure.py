@@ -97,14 +97,17 @@ class TestQuadratureCross:
         q = measure.lambda_quadrature(m)
         assert abs(c.value - q.value) / c.value <= 1e-8
 
-    def test_near_threshold(self):
-        # margin x/mu + 1 - s = 0.05: looser tolerance still binds
-        p = DomainParams(2.0)
-        m = MomentArgs(2.0 * (0.05 - 1.0 + 0.3), 1.0, 0.3, p)
-        assert measure.integrability_margin(m) == pytest.approx(0.05, abs=1e-12)
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("y", [0.0, -3.0, 10.0])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.49])
+    @pytest.mark.parametrize("margin", [0.02, 1e-3, 1e-6, 1e-10])
+    def test_near_threshold(self, margin, s, y, mu):
+        # thin margins x/mu + 1 - s, where the alpha exponent 2 margin nears 0
+        m = MomentArgs(mu * (margin - 1.0 + s), y, s, DomainParams(mu))
+        assert measure.integrability_margin(m) == pytest.approx(margin, abs=1e-14)
         c = measure.lambda_closed(m)
         q = measure.lambda_quadrature(m)
-        assert abs(c.value - q.value) / c.value <= 1e-6
+        assert abs(c.value - q.value) / c.value <= 1e-12
 
     def test_divergent_rejected(self):
         with pytest.raises(DomainError):
@@ -296,6 +299,13 @@ class TestTruncation:
         with pytest.raises(measure.quadrature.QuadratureError):
             measure.lambda_truncated(m, 2.0**-8)
 
+    @pytest.mark.parametrize("x,s", [(-2.5, -3.0), (1.0, 0.2)])
+    def test_fit_of_convergent_moment_raises(self, x, s):
+        # the shells shrink, so no second difference is positive
+        m = MomentArgs(x, 0.0, s, DomainParams(3.0))
+        with pytest.raises(DomainError, match="no power growth"):
+            measure.truncation_growth_fit(m)
+
     def test_eps_range_checked(self):
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
         with pytest.raises(DomainError):
@@ -360,14 +370,6 @@ class TestRadialMoment:
             alone = measure.radial_moment(profile, 2.0, -2.0, params, rtol=rtol)
             assert (got.level, got.converged) == (alone.level, True)
             assert got.value == pytest.approx(alone.value, rel=1e-14)
-
-
-class TestToleranceSchedule:
-    def test_endpoints_and_interior(self):
-        assert measure.default_quadrature_tol(0.2) == 1e-8
-        assert measure.default_quadrature_tol(0.02) == 1e-6
-        mid = measure.default_quadrature_tol(0.06)
-        assert 1e-8 < mid < 1e-6
 
 
 @settings(max_examples=120, deadline=None)
