@@ -13,7 +13,10 @@ the moment to an exact product of the two special-function integrals:
 
 ``lambda_closed`` evaluates that product from Gamma closed forms, and
 ``lambda_ratio_family`` a ratio of three of them over a whole basis
-lattice in log space.  ``lambda_quadrature`` evaluates the same product
+lattice in log space, with the three weights stacked on one axis so that
+alpha and log beta are one array call each.  The exponents come from an
+error-free TwoSum cascade that stays exact up to the integrability
+boundary (``_exponents``).  ``lambda_quadrature`` evaluates the same product
 from the quadrature oracles of ``special`` (tanh-sinh with log
 substitutions at weak endpoint singularities), so the cross-check shares
 no Gamma identity with the closed form and stays accurate at thin
@@ -47,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,23 +125,47 @@ def _violated(m: MomentArgs) -> str:
     return S_CLAUSE if m.s >= 0.5 else X_CLAUSE
 
 
-def _exponents(x, s: float, mu: float):
-    """The alpha and beta exponents 2x/mu + 2 - 2s and 2x/mu + 3 - 4s,
-    elementwise over x.
+def _two_sum(a, b):
+    """Knuth's error-free TwoSum, elementwise: a + b = total + err exactly."""
+    total = a + b
+    b_virtual = total - a
+    return total, (a - (total - b_virtual)) + (b - b_virtual)
+
+
+def _product_error(a: float, b: float, ab: float) -> float:
+    """a b - ab for the rounded product ab = fl(a b): exact, as the error of
+    a double product is a double (barring underflow); computed on the exact
+    integer ratios of the three doubles, and rounded once."""
+    (na, da), (nb, db), (nab, dab) = (float(v).as_integer_ratio() for v in (a, b, ab))
+    return (na * nb * dab - nab * da * db) / (da * db * dab)
+
+
+def _exponents(x, s: float, mu: float, sign=1.0):
+    """The alpha and beta exponents 2x/mu + 2 - 2w and 2x/mu + 3 - 4w at
+    the weight w = sign s, elementwise over x and sign in {1, -1, 0}, which
+    broadcast (a leading axis of signs stacks several weights).
 
     The first vanishes on the integrability boundary, where 2x/mu + 2
-    cancels against 2s.  It is formed as 2(x + mu - mu s)/mu, with mu s
-    split exactly into two doubles and the four terms summed exactly, so it
-    keeps full relative accuracy up to the boundary.
+    cancels against 2w.  It is formed as 2(x + mu - mu w)/mu, with mu w
+    split exactly into two doubles and the four terms summed by a cascade
+    of TwoSums (Ogita, Rump and Oishi 2005, Sum2), as if in twice the
+    working precision, so it keeps full relative accuracy up to the
+    boundary.  Near the boundary both TwoSums are exact (Sterbenz's lemma),
+    so the sum is rounded only once.
     """
     mu_s = mu * s
     try:
-        mu_s_lo = float(Fraction(mu) * Fraction(s) - Fraction(mu_s))  # exact
-        gap = lambda v: 2.0 * math.fsum((v, mu, -mu_s, -mu_s_lo)) / mu
-        alpha_x = gap(x) if np.ndim(x) == 0 else np.vectorize(gap, otypes=[float])(x)
-    except OverflowError:
-        raise DomainError(f"x + mu - mu s overflows a double at mu = {mu}, s = {s}") from None
-    return alpha_x, alpha_x + (1.0 - 2.0 * s)
+        mu_s_lo = _product_error(mu, s, mu_s)
+    except OverflowError:  # mu s overflows; refused below
+        mu_s_lo = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        head, err_mu = _two_sum(x, mu)
+        head, err_s = _two_sum(head, -sign * mu_s)
+        gap = head + ((err_mu + err_s) - sign * mu_s_lo)
+    if not np.isfinite(gap).all():
+        raise DomainError(f"x + mu - mu s overflows a double at mu = {mu}, s = {s}")
+    alpha_x = 2.0 * gap / mu
+    return alpha_x, alpha_x + (1.0 - 2.0 * s * sign)
 
 
 def lambda_closed(m: MomentArgs) -> MomentValue:
@@ -226,16 +252,17 @@ def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
 
     Summed in log space from the closed forms (the constant 8 pi^2 mu
     drops out), so the large log-Gamma terms of the three moments cancel
-    before anything is exponentiated.
+    before anything is exponentiated.  The weights s, -s and 0 are stacked
+    on a leading axis, so each of alpha and log beta is one array call and
+    the complex log-Gamma makes one pass over the lattice.  The ratio is
+    even in ys bit for bit, since beta(x, y) = beta(x, -y) and
+    special.log_abs_gamma is exactly even in Im z.
     """
-    mu = params.mu
-    X, Y = _exponents(x, 0.0, mu)
-    Xm, Ym = _exponents(x, s, mu)
-    Xp, Yp = _exponents(x, -s, mu)
-    a = lambda u, v: special.alpha_eval(u, v, method="lgamma")
-    log_a = np.log(a(Xm, 1.0 - 2.0 * s) * a(Xp, 1.0 + 2.0 * s) / a(X, 1.0) ** 2)
-    b = special.log_beta
-    return np.exp(log_a + b(Ym, ys) + b(Yp, ys) - 2.0 * b(Y, ys))
+    sign = np.array([1.0, -1.0, 0.0]).reshape(3, *[1] * max(np.ndim(x), np.ndim(ys)))
+    X, Y = _exponents(x, s, params.mu, sign)
+    a = special.alpha_eval(X, 1.0 - 2.0 * s * sign, method="lgamma")
+    b = special.log_beta(Y, ys)
+    return np.exp(np.log(a[0] * a[1] / a[2] ** 2) + b[0] + b[1] - 2.0 * b[2])
 
 
 def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:

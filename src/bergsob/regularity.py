@@ -164,6 +164,12 @@ def continuity_certificate(
     the tail beyond the lattice.  Refuses s at or above threshold, where
     a divergence witness exists instead, and lattices of more than 10^6
     basis elements (the families start at j = 1 - floor(mu)).
+
+    Only the half k <= 0 of the lattice is evaluated, which is exact: each
+    row of ratios is a bitwise mirror image in k (lambda_ratio_family is
+    even in k bit for bit), so the first maximum of a full row lies at
+    some k <= 0 and the tie-break picks the same element.  The lattice
+    size limit still counts the full lattice.
     """
     _check_p(p)
     thr = threshold(params, p)
@@ -181,7 +187,7 @@ def continuity_certificate(
         raise DomainError(f"lattice {lattice} at mu = {params.mu} has {cells} basis elements, "
                           f"more than {_MAX_LATTICE_CELLS}")
     mu = params.mu
-    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    ks = np.arange(-kmax, 1, dtype=float)  # the rows are even in k
     sup = -math.inf
     argmax = None
     bound = -math.inf

@@ -108,7 +108,9 @@ def log_abs_gamma(z) -> np.ndarray:
     n = np.ceil(np.maximum(_STIRLING_FROM - z.real, 0.0))
     shift_sq = np.ones(z.shape)  # |z (z+1) ... (z+n-1)|^2
     for k in range(int(n.max(initial=0.0))):
-        shift_sq *= np.where(k < n, (z.real + k) ** 2 + b2, 1.0)
+        re = z.real + k
+        # re * re, not re ** 2: numpy rounds a 0-d power apart from an array one
+        shift_sq *= np.where(k < n, re * re + b2, 1.0)
     a = z.real + n
     zn = a + 1j * b
     w = 1.0 / (zn * zn)
@@ -225,16 +227,27 @@ def alpha_eval(x, y, *, tol: float = 1e-12, method: str = "lgamma"):
 
 
 def _beta_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
-    """∫_0^{π/2} (cos t)^(x-1) e^(yt) dt for weak exponents, via the
-    distance-to-endpoint substitution π/2 - t = e^u."""
-    u_lo = -(45.0 + 2.0 * abs(y)) / x
+    """∫_0^{π/2} (cos t)^(x-1) e^(yt) dt for weak exponents x.
+
+    The distance d = π/2 - t to the singular end is substituted as
+    d = (π/2) u^(1/x), which absorbs the endpoint power exactly, as
+    alpha_tail does:
+
+        (π/2)^x / x ∫_0^1 (sin(d)/d)^(x-1) e^(y (π/2 - d)) du,
+
+    a bounded integrand, so no mass is lost below the smallest node however
+    small x is, and π/2 - d = -(π/2) expm1(log(u) / x) keeps full accuracy
+    as u -> 1.
+    """
 
     def f(u, da, db):
-        d = np.exp(u)
-        sinc = np.sinc(d / np.pi)  # sin(d)/d, smooth in (2/pi, 1], exact 1 at 0
-        return np.exp(u * x) * sinc ** (x - 1.0) * np.exp(y * (_HALF_PI - d))
+        e = np.where(da < 0.5, np.log(da), np.log1p(-db)) / x  # log(d / (π/2))
+        sinc = np.sinc(0.5 * np.exp(e))  # sin(d)/d, smooth in [2/π, 1], exact 1 at 0
+        return np.exp((x - 1.0) * np.log(sinc) - _HALF_PI * y * np.expm1(e))
 
-    return quadrature.quad(f, u_lo, math.log(_HALF_PI), rtol=tol)
+    res = quadrature.quad(f, 0.0, 1.0, rtol=tol)
+    scale = _HALF_PI**x / x
+    return quadrature.QuadResult(scale * res.value, scale * res.err_estimate, res.level, True)
 
 
 def _beta_quad(x: float, y: float, tol: float) -> tuple[float, float]:
@@ -306,8 +319,9 @@ def alpha_holder_margin(x: float, y: float, s: float) -> float:
         raise DomainError(f"need 0 <= s < 1/2, got s = {s}")
     if not (x > 2 * s and y > 2 * s):
         raise DomainError(f"need x, y > 2s, got ({x}, {y}) with s = {s}")
-    a = lambda u, v: alpha_eval(u, v, method="lgamma")
-    lhs = a(x - 2 * s, y - 2 * s) * a(x + 2 * s, y + 2 * s) / a(x, y) ** 2
+    shift = np.array([-2 * s, 2 * s, 0.0])
+    a = alpha_eval(x + shift, y + shift, method="lgamma")
+    lhs = a[0] * a[1] / a[2] ** 2
     rhs = (x * y) / ((x - 2 * s) * (y - 2 * s))
     return rhs - lhs
 
@@ -321,7 +335,7 @@ def beta_holder_margin(x: float, y: float, s: float) -> float:
         raise DomainError(f"need 0 <= s < 1/2, got s = {s}")
     if not x > 4 * s:
         raise DomainError(f"need x > 4s, got x = {x} with s = {s}")
-    b = lambda u: beta_eval(u, y)
-    lhs = b(x - 4 * s) * b(x + 4 * s) / b(x) ** 2
+    b = beta_eval(x + np.array([-4 * s, 4 * s, 0.0]), y)
+    lhs = b[0] * b[1] / b[2] ** 2
     rhs = (1.0 + 4 * s) * x / (x - 4 * s)
     return rhs - lhs

@@ -97,6 +97,18 @@ class TestLambdaCommand:
         assert payload["verdict"] == "finite"
         assert payload["rel_difference"] <= 1e-8
 
+    @pytest.mark.parametrize("mu,x,y,s", [
+        # beta exponent 2x/mu + 3 - 4s below 0.002 with |y| >= 30: the two
+        # integrable moments of a 3000-moment random sweep that did not converge
+        ("28.73028667752445", "-14.36710633628767", "-32.786555396444896", "0.49979559268718426"),
+        ("26.36272483280837", "-13.200688615528453", "56.98417397625707", "0.49926691160217396"),
+    ])
+    def test_weak_beta_exponent_is_certified(self, capsys, mu, x, y, s):
+        assert run_cli(["lambda", "--mu", mu, f"--x={x}", f"--y={y}", "--s", s]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "finite"
+        assert payload["rel_difference"] <= 1e-10
+
     def test_uncertified_quadrature_exits_2(self, monkeypatch, capsys):
         unconverged = lambda f, a, b, **kw: quadrature.QuadResult(1.0, 1.0, 11, False)
         monkeypatch.setattr(quadrature, "integrate", unconverged)

@@ -8,6 +8,8 @@ r-coordinate integral (agreement ~5e-11).
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -198,6 +200,66 @@ class TestRatio:
     def test_divergent_weight_rejected(self):
         with pytest.raises(DomainError):
             measure.lambda_ratio(-1.9, 0.0, 0.4, DomainParams(2.0))
+
+    @pytest.mark.parametrize("mu", [1.5, 3.0, 7.9])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.45])
+    def test_family_even_in_k_bitwise(self, mu, s):
+        # what lets continuity_certificate scan only k <= 0
+        p = DomainParams(mu)
+        jmin = math.floor((s - 1.0) * mu) + 1
+        js = np.arange(jmin, 25, dtype=float)
+        ks = np.arange(-60.0, 61.0)
+        for x in (js, js - mu):  # the function and dw1 families
+            keep = x / mu + 1.0 - s > 0.0
+            grid = measure.lambda_ratio_family(x[keep, None], ks[None, :], s, p)
+            np.testing.assert_array_equal(grid, grid[:, ::-1])
+
+
+def _exact_gap(x, s, mu):
+    """x + mu - mu s in exact rational arithmetic."""
+    return Fraction(x) + Fraction(mu) - Fraction(mu) * Fraction(s)
+
+
+class TestExponents:
+    @pytest.mark.parametrize("mu,s", [
+        (1.5, 0.0), (3.0, 0.2), (7.9, 0.45), (28.73028667752445, 0.49979559268718426), (5e5, 0.3),
+    ])
+    def test_exact_up_to_the_boundary(self, mu, s):
+        near = [mu * (s - 1.0)]
+        while _exact_gap(near[0], s, mu) <= 0:  # the first double past the boundary
+            near[0] = math.nextafter(near[0], math.inf)
+        for _ in range(8):
+            near.append(math.nextafter(near[-1], math.inf))
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([near, near[0] + mu * np.exp(rng.uniform(-30.0, 3.0, 200))])
+        for sign in (1.0, -1.0, 0.0):
+            got, _ = measure._exponents(xs, s, mu, sign)
+            for i, (x, g) in enumerate(zip(xs, got)):
+                gap = _exact_gap(float(x), sign * s, mu)
+                # the sum is rounded once, as math.fsum rounds it, then scaled by 2/mu
+                assert g == 2.0 * float(gap) / mu
+                assert measure._exponents(float(x), sign * s, mu)[0] == g
+                if i < len(near) and sign == 1.0:
+                    exact = 2 * gap / Fraction(mu)
+                    assert abs(Fraction(float(g)) - exact) <= Fraction(float(np.spacing(float(exact))))
+
+    def test_stacked_weights_match_single(self):
+        xs = np.array([-2.9, -0.5, 1.0, 40.0])[:, None]
+        sign = np.array([1.0, -1.0, 0.0])[:, None, None]
+        X, Y = measure._exponents(xs, 0.2, 3.0, sign)
+        assert X.shape == Y.shape == (3, 4, 1)
+        for i, w in enumerate((0.2, -0.2, 0.0)):
+            Xw, Yw = measure._exponents(xs, w, 3.0)
+            np.testing.assert_array_equal(X[i], Xw)
+            np.testing.assert_array_equal(Y[i], Yw)
+
+    def test_overflow_raises(self):
+        # a DomainError, with no numpy warning first, for scalar and array x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1.7e308, np.array([1.0, 1.7e308])):
+                with pytest.raises(DomainError):
+                    measure._exponents(x, -0.4, 1.7e308)
 
 
 class TestAlphaTail:

@@ -134,6 +134,34 @@ class TestContinuityCertificate:
         with pytest.raises(DomainError):
             regularity.continuity_certificate(DomainParams(3.0), 0, 0.1, (0, 5))
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("mu", [1.2, 3.0, 4.2857, 7.9])
+    @pytest.mark.parametrize("lattice", [(1, 0), (7, 3), (40, 40)])
+    def test_half_lattice_matches_full_scan(self, p, mu, lattice):
+        # the certificate scans k <= 0 only; an explicit -K..K scan with the
+        # same tie-break (lowest j, then lowest k) must give the same bits
+        params = DomainParams(mu)
+        jmax, kmax = lattice
+        ks = np.arange(-kmax, kmax + 1, dtype=float)
+        jmin0 = 1 - math.floor(mu)
+        families = {0: [(bergman.Component.FUNCTION, jmin0)],
+                    1: [(bergman.Component.THETA2, jmin0), (bergman.Component.DW1, 1)],
+                    2: [(bergman.Component.DW1, 1)]}[p]
+        for frac in (0.0, 0.5, 0.95):
+            s = frac * regularity.threshold(params, p).r
+            sup, argmax = -math.inf, None
+            for comp, jmin in families:
+                shift = mu if comp is bergman.Component.DW1 else 0.0
+                js = np.arange(jmin, jmax + 1)
+                full = measure.lambda_ratio_family(js[:, None] - shift, ks[None, :], s, params)
+                i, k = np.unravel_index(np.argmax(full), full.shape)
+                if full[i, k] > sup:
+                    sup = float(full[i, k])
+                    argmax = bergman.BasisIndex(int(js[i]), int(ks[k]), p, comp)
+            cert = regularity.continuity_certificate(params, p, s, lattice)
+            assert cert.sup_ratio == sup
+            assert cert.sup_attained_at == argmax
+
 
 class TestDivergenceWitness:
     def test_log_mode_at_threshold(self):

@@ -121,6 +121,25 @@ class TestBetaValues:
             with pytest.raises(DomainError):
                 special.log_beta(2.0, 1e300)
 
+    @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.002, 0.3, 0.49])
+    @pytest.mark.parametrize("y", [-200.0, -32.8, 0.0, 60.0])
+    def test_weak_exponent_oracle_against_mpmath(self, x, y):
+        # the oracle's endpoint power is absorbed exactly, so it converges
+        # however small x is and however large |y|
+        got = special.beta_eval(x, y, method="quadrature")
+        with mpmath.workdps(30):
+            g = mpmath.gamma((x + 1 + 1j * mpmath.mpf(y)) / 2)
+            oracle = mpmath.pi * mpmath.power(2, 1 - mpmath.mpf(x)) * mpmath.gamma(x) / abs(g) ** 2
+        assert abs(got - oracle) / oracle <= 1e-12
+
+    def test_scalar_matches_array_element(self):
+        # numpy rounds a 0-d power apart from an array square, and the
+        # cancellation in log|Gamma| would grow that ulp to 31 ulp of beta here
+        x, y = np.array([2.7550742638687784, 3.2550742638687784, 3.7550742638687784]), 1.363682838034638
+        z = 0.5 * (x + 1.0 + 1j * y)
+        assert special.log_abs_gamma(z)[1] == special.log_abs_gamma(z[1])
+        assert special.beta_eval(x, y)[1] == special.beta_eval(float(x[1]), y)
+
     def test_log_abs_gamma_even_in_imaginary_part(self):
         z = np.array([0.5 + 3.0j, 7.9 + 0.1j, 30.0 + 22.5j])
         np.testing.assert_array_equal(special.log_abs_gamma(z), special.log_abs_gamma(z.conj()))
@@ -184,6 +203,19 @@ class TestHolderMargins:
             for x in np.linspace(4.0 * s + 0.05, 12.0, 6):
                 for y in (-4.0, -0.5, 0.0, 1.0, 5.0):
                     assert special.beta_holder_margin(float(x), y, s) >= -1e-9
+
+    def test_match_three_calls(self):
+        # one array call per margin against the three scalar calls it replaced
+        rng = np.random.default_rng(11)
+        a, b = special.alpha_eval, special.beta_eval
+        for s, dx, dy, y in rng.uniform((0.0, 0.01, 0.01, -10.0), (0.5, 10.0, 10.0, 10.0), (300, 4)):
+            x, ya = 4.0 * s + dx, 2.0 * s + dy
+            ratio = a(x - 2 * s, ya - 2 * s) * a(x + 2 * s, ya + 2 * s) / a(x, ya) ** 2
+            margin = (x * ya) / ((x - 2 * s) * (ya - 2 * s)) - ratio
+            assert abs(special.alpha_holder_margin(x, ya, s) - margin) <= 4 * np.spacing(ratio)
+            ratio = b(x - 4 * s, y) * b(x + 4 * s, y) / b(x, y) ** 2
+            margin = (1.0 + 4 * s) * x / (x - 4 * s) - ratio
+            assert abs(special.beta_holder_margin(x, y, s) - margin) <= 4 * np.spacing(ratio)
 
     def test_range_errors(self):
         with pytest.raises(DomainError):
