@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ from .geometry import DomainParams, ModelPoint, contains
 
 __all__ = [
     "Component",
+    "FAMILIES",
     "BasisIndex",
     "RadialTerm",
     "RadialTermFunction",
@@ -57,7 +59,8 @@ class Component(str, Enum):
     DW1 = "dw1"
 
 
-_ALLOWED = {0: {Component.FUNCTION}, 1: {Component.THETA2, Component.DW1}, 2: {Component.DW1}}
+# the components of each form degree p, in the order in which they are enumerated
+FAMILIES = {0: (Component.FUNCTION,), 1: (Component.THETA2, Component.DW1), 2: (Component.DW1,)}
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class BasisIndex:
     component: Component
 
     def __post_init__(self):
-        if self.p not in _ALLOWED or self.component not in _ALLOWED[self.p]:
+        if self.component not in FAMILIES.get(self.p, ()):
             raise DomainError(f"component {self.component} invalid for p = {self.p}")
 
     def moment_x(self, params: DomainParams) -> float:
@@ -78,21 +81,29 @@ class BasisIndex:
         return float(self.j)
 
     def admissible(self, s: float, params: DomainParams) -> bool:
-        """Membership of the element in the weight-s Bergman space.
+        """Membership in the weight-s Bergman space, j > s mu (dw1) resp.
+        j > (s-1) mu: the integrability of the squared norm, decided by
+        measure.integrability_margin as the thresholds are."""
+        return _admissible(self.moment_x(params), s, params)
 
-        j > s mu (dw1) resp. j > (s-1) mu, evaluated as s < j/mu (+ 1) so
-        the comparison at s exactly equal to a threshold value resolves
-        without cancellation (thresholds are computed in the same form).
-        """
-        if self.component is Component.DW1:
-            return s < self.j / params.mu
-        return s < self.j / params.mu + 1.0
+
+def _admissible(x: float, s: float, params: DomainParams) -> bool:
+    return bool(measure.integrability_margin(measure.MomentArgs(x, 0.0, s, params)) > 0.0)
 
 
 def membership_min_j(component: Component, s: float, params: DomainParams) -> int:
-    """Smallest integer j admissible for the component at weight s."""
-    bound = s * params.mu if component is Component.DW1 else (s - 1.0) * params.mu
-    return math.floor(bound) + 1
+    """Smallest integer j admissible for the component at weight s.  The
+    rounded bound s mu (dw1) resp. (s-1) mu can land on the other side of
+    an integer than the margin does, so floor(bound) + 1 is stepped until
+    BasisIndex.admissible agrees."""
+    dw1 = component is Component.DW1
+    shift = params.mu if dw1 else 0.0
+    j = math.floor((s if dw1 else s - 1.0) * params.mu) + 1
+    while not _admissible(j - shift, s, params):
+        j += 1
+    while _admissible(j - 1 - shift, s, params):
+        j -= 1
+    return j
 
 
 def basis_norm_sq(idx: BasisIndex, s: float, params: DomainParams) -> measure.MomentValue:
@@ -116,29 +127,21 @@ def _norms_sq(indices: list[BasisIndex], s: float, params: DomainParams) -> np.n
     return measure.lambda_closed_array(x, np.array([float(idx.k) for idx in indices]), s, params)
 
 
-def basis_indices(
-    p: int, s: float, params: DomainParams, count: int, k_halfwidth: int = 2
-) -> list[BasisIndex]:
+def basis_indices(p: int, s: float, params: DomainParams, count: int) -> list[BasisIndex]:
     """The leading ``count`` basis elements at weight s, enumerated per
-    family by increasing j then k in [-k_halfwidth, k_halfwidth].  For
-    p = 1 the theta2 family contributes the extra element when count is
-    odd."""
-    families: list[Component]
-    if p == 0:
-        families = [Component.FUNCTION]
-        quota = [count]
-    elif p == 1:
-        families = [Component.THETA2, Component.DW1]
-        quota = [(count + 1) // 2, count // 2]
-    else:
-        families = [Component.DW1]
-        quota = [count]
+    family of FAMILIES[p] by increasing j then k in [-2, 2].  The families
+    share count in order, the earlier ones taking the remainder: for p = 1
+    the theta2 family contributes the extra element when count is odd."""
+    if p not in FAMILIES:
+        raise DomainError(f"form degree must be 0, 1 or 2, got {p}")
+    families = FAMILIES[p]
     out: list[BasisIndex] = []
-    for comp, n in zip(families, quota):
+    for i, comp in enumerate(families):
+        n = (count + len(families) - 1 - i) // len(families)
         j = membership_min_j(comp, s, params)
         taken = 0
         while taken < n:
-            for k in range(-k_halfwidth, k_halfwidth + 1):
+            for k in range(-2, 3):
                 if taken == n:
                     break
                 out.append(BasisIndex(j, k, p, comp))
@@ -173,7 +176,7 @@ class RadialTermFunction:
 
     def __post_init__(self):
         for t in self.terms:
-            if t.component not in _ALLOWED[self.p]:
+            if t.component not in FAMILIES.get(self.p, ()):
                 raise DomainError(
                     f"term {t.describe()} has component invalid for p = {self.p}"
                 )
@@ -208,16 +211,14 @@ def _term_integrands(term: RadialTerm, params: DomainParams, pairing: bool):
 
 
 def _target_index(term: RadialTerm, p: int) -> BasisIndex:
-    if term.component is Component.DW1:
-        return BasisIndex(term.a + 1, term.b, p, term.component)
-    return BasisIndex(term.a, term.b, p, term.component)
+    a_to_j = 1 if term.component is Component.DW1 else 0  # 2 mu w1^(j-1) w2^k dw1
+    return BasisIndex(term.a + a_to_j, term.b, p, term.component)
 
 
 def project(
     f: RadialTermFunction,
     params: DomainParams,
     truncation: tuple[int, int] = (40, 40),
-    tol: float = 1e-10,
 ) -> ProjectionResult:
     """Bergman projection of a radially decomposable input.
 
@@ -226,7 +227,8 @@ def project(
     2 mu w1^(j-1) w2^k dw1, wedged with theta2 when p = 2) is the ratio
     of the term's radial pairing integral to the element's squared norm.
     The pairing and the term's own squared norm come from one
-    radial_moment call.  Terms whose selected monomial is not
+    radial_moment call, the norm to 1e-9 and the pairing to 1e-10
+    relative.  Terms whose selected monomial is not
     square-integrable contribute nothing (they lie in the orthogonal
     complement); terms that are themselves not square-integrable raise
     NonIntegrableTermError.
@@ -240,7 +242,7 @@ def project(
         inside = abs(idx.j) <= jmax and abs(idx.k) <= kmax
         pairing = in_space and inside
         p1, p2, integrands = _term_integrands(term, params, pairing)
-        rtols = [max(tol, 1e-9), tol] if pairing else [max(tol, 1e-9)]
+        rtols = [1e-9, 1e-10] if pairing else [1e-9]
         sq, *pair = measure.radial_moment(integrands, p1, p2, params, rtol=rtols)
         if not sq.converged or not math.isfinite(sq.value):
             raise NonIntegrableTermError(term.describe(), "L2 norm quadrature diverges")
@@ -285,23 +287,10 @@ def expand_to_terms(result: ProjectionResult, params: DomainParams) -> RadialTer
     for idx, coeff in result.coefficients.items():
         if abs(coeff.imag) > 1e-12 * max(1.0, abs(coeff)):
             raise DomainError("only real-coefficient expansions are re-expressible")
-        if idx.component is Component.DW1:
-            term = RadialTerm(
-                _const_profile(2.0 * params.mu * coeff.real),
-                idx.j - 1,
-                idx.k,
-                Component.DW1,
-                label=f"reexpanded ({idx.j}, {idx.k})",
-            )
-        else:
-            term = RadialTerm(
-                _const_profile(coeff.real),
-                idx.j,
-                idx.k,
-                idx.component,
-                label=f"reexpanded ({idx.j}, {idx.k})",
-            )
-        terms.append(term)
+        dw1 = idx.component is Component.DW1
+        profile = _const_profile((2.0 * params.mu if dw1 else 1.0) * coeff.real)
+        terms.append(RadialTerm(profile, idx.j - 1 if dw1 else idx.j, idx.k, idx.component,
+                                label=f"reexpanded ({idx.j}, {idx.k})"))
     return RadialTermFunction(result.p, tuple(terms))
 
 
@@ -350,17 +339,13 @@ def kernel_eval(
     return KernelValue(complex(re.sum(), im.sum()), float(np.hypot(re, im)[shell].sum()))
 
 
-_ANGULAR_CACHE: dict[int, float] = {}
-
-
-def _angular_factor(m: int, n_nodes: int = 256) -> float:
-    """(1/2 pi) ∫_0^{2 pi} cos(m phi) d phi by composite trapezoid; the
-    imaginary part vanishes by symmetry.  Exact to roundoff for |m| < n."""
-    m = abs(m)
-    if m not in _ANGULAR_CACHE:
-        phi = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
-        _ANGULAR_CACHE[m] = float(np.mean(np.cos(m * phi)))
-    return _ANGULAR_CACHE[m]
+@lru_cache(maxsize=None)
+def _angular_factor(m: int) -> float:
+    """(1/2 pi) ∫_0^{2 pi} cos(m phi) d phi by the composite trapezoid rule on
+    256 nodes; the imaginary part vanishes by symmetry.  Exact to roundoff
+    for |m| < 256."""
+    phi = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    return float(np.mean(np.cos(abs(m) * phi)))
 
 
 def gram_matrix(

@@ -39,7 +39,8 @@ _MIN_COUNTS = dict(special_points=1, geometry_samples=1, lattice_jmax=1, lattice
 
 # the range of every other grid value (each entry, for a list), as its suite uses it:
 # special_lo/hi span a log grid, holder_s and moment_s_hi are weights s < 1/2, the mus
-# need mu > 1, and each sharpness r is certified continuous at r - 0.02 >= 0.  The
+# need mu > 1, y is drawn from U(-moment_y_hi, moment_y_hi), whose width must be a
+# finite double, and each sharpness r is certified continuous at r - 0.02 >= 0.  The
 # geometry suite's cover points (deck shifts |k| <= 2, rotations |t1| <= pi) reach
 # |z2|^2 ~ e^(6 pi mu), which fits in a double only for mu < 37.6.
 _POSITIVE = ("> 0", lambda v: v > 0.0)
@@ -47,7 +48,8 @@ _WEIGHT = ("in [0, 1/2)", lambda v: 0.0 <= v < 0.5)
 _MU = ("> 1", lambda v: v > 1.0)
 _RANGES = dict(special_lo=_POSITIVE, special_hi=_POSITIVE, holder_s=_WEIGHT,
                mu_samples=("in (1, 37]", lambda v: 1.0 < v <= 37.0), moment_mu=_MU,
-               moment_y_hi=(">= 0", lambda v: v >= 0.0), moment_s_hi=_WEIGHT,
+               moment_y_hi=("in [0, 8.9e307]", lambda v: 0.0 <= v <= 8.9e307),
+               moment_s_hi=_WEIGHT,
                sharpness_r=("in [0.02, 1/2)", lambda v: 0.02 <= v < 0.5))
 
 

@@ -59,13 +59,14 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class DomainParams:
-    """The single real parameter of the family; requires finite mu > 1."""
+    """The single real parameter of the family; requires 1 < mu < 2^53,
+    where 1 - floor(mu) and 1 - mu are exact (see integrability_margin)."""
 
     mu: float
 
     def __post_init__(self):
-        if not (self.mu > 1.0 and math.isfinite(self.mu)):
-            raise DomainError(f"domain family requires finite mu > 1, got {self.mu}")
+        if not 1.0 < self.mu < 2.0**53:
+            raise DomainError(f"domain family requires 1 < mu < 2^53, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -171,16 +172,16 @@ def rho_tilde(z: CoverPoint):
     return np.abs(z.z1) ** 2 + 2.0 * (z.z1 * np.conj(_phase(z.z2))).real
 
 
-def levi_form_boundary(z: CoverPoint, *, boundary_tol: float = 1e-10):
+def levi_form_boundary(z: CoverPoint):
     """Levi form of the defining function along the complex tangent at
     boundary points: 2 (-x) (rho(z) + 1) / |z2|^2 with
     x = Re(z1 e^(-i log|z2|^2)).
 
     Nonnegative on the boundary (pseudoconvexity); zero exactly on the
-    torus x = 0.
+    torus x = 0.  Points with |rho| > 1e-10 are refused as off the boundary.
     """
     r = rho_tilde(z)
-    _require(np.abs(r) <= boundary_tol, z, "is not a boundary point")
+    _require(np.abs(r) <= 1e-10, z, "is not a boundary point")
     x = (z.z1 * np.conj(_phase(z.z2))).real
     return 2.0 * (-x) * (r + 1.0) / np.abs(z.z2) ** 2
 
@@ -298,18 +299,15 @@ def sample_interior(params: DomainParams, n: int, rng: np.random.Generator) -> M
     return ModelPoint(r1 * np.exp(1j * phi1), np.exp(0.5 * u2) * np.exp(1j * phi2))
 
 
-def sample_boundary_cover(
-    n: int, rng: np.random.Generator, *, include_torus: bool = True
-) -> CoverPoint:
+def sample_boundary_cover(n: int, rng: np.random.Generator) -> CoverPoint:
     """n seeded boundary points of the cover domain.
 
     The boundary is parameterized by x in [-2, 0] via x^2 + y^2 + 2x = 0
-    and z1 = (x + i y) e^(i log|z2|^2).  When include_torus is set, every
-    eighth sample sits exactly on the Levi-flat torus x = 0.
+    and z1 = (x + i y) e^(i log|z2|^2).  Every eighth sample sits exactly
+    on the Levi-flat torus x = 0.
     """
     x = rng.uniform(-2.0, 0.0, size=n)
-    if include_torus:
-        x[::8] = 0.0
+    x[::8] = 0.0
     y = np.sqrt(np.maximum(-x * (x + 2.0), 0.0))
     y = np.where(rng.uniform(size=n) < 0.5, -y, y)
     z2 = np.exp(0.5 * rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(0.0, _TWO_PI, size=n))

@@ -4,9 +4,11 @@ The central object is
 
     lam(x, y, s) = ∫_D |w1|^(2x) |w2|^(2y) delta0(w)^(-2s) dV_D,
 
-finite iff x/mu + 1 - s > 0 and s < 1/2.  Under the delta0 convention
-the change of variables u = (r1^mu / cos(log r2^2), log r2^2) collapses
-the moment to an exact product of the two special-function integrals:
+finite iff x/mu + 1 - s > 0 and s < 1/2; ``integrability_margin`` alone
+evaluates the first clause, for moments, basis membership and thresholds.
+Under the delta0 convention the change of variables
+u = (r1^mu / cos(log r2^2), log r2^2) collapses the moment to an exact
+product of the two special-function integrals:
 
     lam(x, y, s) = 8 pi^2 mu * alpha(2x/mu + 2 - 2s, 1 - 2s)
                              * beta(2x/mu + 3 - 4s, y).
@@ -113,8 +115,12 @@ class MomentValue:
         return cls("divergent", violated_condition=f"{condition} violated")
 
 
-def integrability_margin(m: MomentArgs) -> float:
-    return m.x / m.params.mu + 1.0 - m.s
+def integrability_margin(m: MomentArgs):
+    """x/mu + 1 - s, elementwise over array x, as (x + mu)/mu - s: x + mu
+    is exact for the witnesses x = 1 - floor(mu) and 1 - mu (mu < 2^53),
+    so the margin at s equal to a threshold computed from it is exactly 0."""
+    mu = m.params.mu
+    return (m.x + mu) / mu - m.s
 
 
 def is_integrable(m: MomentArgs) -> bool:
@@ -195,11 +201,11 @@ def lambda_closed_array(x, y, s: float, params: DomainParams):
     """
     mu = params.mu
     _check_finite(x, y, s)
-    margin = np.asarray(x) / mu + 1.0 - s
+    margin = integrability_margin(MomentArgs(np.asarray(x), y, s, params))
     if not (s < 0.5 and np.all(margin > 0.0)):
         raise DomainError(f"lam(x, y, {s}) diverges at x = {np.min(x)} for mu = {mu}")
     X, Y = _exponents(x, s, mu)
-    alpha = special.alpha_eval(X, 1.0 - 2.0 * s, method="lgamma")
+    alpha = special.alpha_eval(X, 1.0 - 2.0 * s)
     with np.errstate(over="ignore"):
         val = 8.0 * math.pi**2 * mu * alpha * special.beta_eval(Y, y)
     if not np.all(np.isfinite(val)):
@@ -215,8 +221,8 @@ def lambda_quadrature(m: MomentArgs, tol: float = 1e-10) -> MomentValue:
     if not is_integrable(m):
         raise DomainError(f"moment diverges ({_violated(m)}); see is_integrable")
     X, Y = _exponents(m.x, m.s, m.params.mu)
-    alpha, alpha_err = special._alpha_quad(X, 1.0 - 2.0 * m.s, 0.1 * tol)
-    beta, beta_err = special._beta_quad(Y, m.y, 0.1 * tol)
+    alpha, alpha_err = special.alpha_quadrature(X, 1.0 - 2.0 * m.s, 0.1 * tol)
+    beta, beta_err = special.beta_quadrature(Y, m.y, 0.1 * tol)
     val = 8.0 * math.pi**2 * m.params.mu * alpha * beta
     return MomentValue.finite(val, (alpha_err / alpha + beta_err / beta) * val)
 
@@ -260,12 +266,12 @@ def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
     """
     sign = np.array([1.0, -1.0, 0.0]).reshape(3, *[1] * max(np.ndim(x), np.ndim(ys)))
     X, Y = _exponents(x, s, params.mu, sign)
-    a = special.alpha_eval(X, 1.0 - 2.0 * s * sign, method="lgamma")
+    a = special.alpha_eval(X, 1.0 - 2.0 * s * sign)
     b = special.log_beta(Y, ys)
     return np.exp(np.log(a[0] * a[1] / a[2] ** 2) + b[0] + b[1] - 2.0 * b[2])
 
 
-def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
+def lambda_truncated(m: MomentArgs, eps: float) -> float:
     """The moment restricted to |w1| > eps.
 
     Finite for every eps in (0, 1) as long as s < 1/2; nondecreasing as
@@ -273,14 +279,14 @@ def lambda_truncated(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
     It is the (r1, u2) integral of _truncated_pieces over (eps, 1): one
     adaptive piece down to max(eps, 2^-4) and dyadic shells below it.
     Raises QuadratureError when the result is not finite or does not
-    converge to ``rtol``.
+    converge to _TRUNCATED_RTOL.
     """
     _check_truncation(m, eps)
     cuts = [eps]
     if eps < 2.0**-_TOP_LEVEL:
         k = np.arange(_TOP_LEVEL, math.ceil(-math.log2(eps)))
         cuts = np.append(2.0 ** -k.astype(float), eps)
-    pieces = _truncated_pieces(m, cuts, rtol)
+    pieces = _truncated_pieces(m, cuts)
     return _finite_or_raise(8.0 * math.pi**2 * m.params.mu**2 * math.fsum(pieces), m)
 
 
@@ -335,8 +341,10 @@ def _finite_or_raise(value, m: MomentArgs):
     return value
 
 
-# lambda_truncated splits off its adaptive piece at 2^-_TOP_LEVEL.
+# lambda_truncated splits off its adaptive piece at 2^-_TOP_LEVEL; the
+# adaptive piece and the fiber integrals converge to _TRUNCATED_RTOL.
 _TOP_LEVEL = 4
+_TRUNCATED_RTOL = 1e-9
 
 # The fiber rule is tanh-sinh on (0, 1), refined from level _FIBER_LEVELS[0]
 # (checked against the level below) up to _FIBER_LEVELS[1].  Its substituted
@@ -376,7 +384,7 @@ def _fiber_nodes(level: int, fresh: bool):
     return np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
 
 
-def _log_fibers(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarray:
+def _log_fibers(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
     """log of the fiber integral
 
         I(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2,  c = arccos(r1^mu),
@@ -393,14 +401,14 @@ def _log_fibers(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarray:
     term is summed as exp(log term + log w) with e^(|y| c) (sin c)^(-2s)
     factored out, so no term overflows or underflows for any s < 1/2.  The
     rule is refined until every fiber agrees with the level below to
-    ``rtol``, one block of fibers at a time (see _BLOCK_CELLS).
+    _TRUNCATED_RTOL, one block of fibers at a time (see _BLOCK_CELLS).
     """
     step = _BLOCK_CELLS // 64  # the fiber rule has about 54 nodes per level up to 4
     blocks = range(0, len(log_r1), step)
-    return np.concatenate([_log_fiber_block(log_r1[i:i + step], m, rtol) for i in blocks])
+    return np.concatenate([_log_fiber_block(log_r1[i:i + step], m) for i in blocks])
 
 
-def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarray:
+def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
     mu, s, ay = m.params.mu, m.s, abs(m.y)
     b = 1.0 - 2.0 * s
     c = _half_width(mu * log_r1)
@@ -425,7 +433,7 @@ def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarr
         prev = sums(lo - 1, False)
         for level in range(lo, hi + 1):
             total = 0.5 * prev + sums(level, True)
-            if np.all(np.abs(total - prev) <= rtol * total):
+            if np.all(np.abs(total - prev) <= _TRUNCATED_RTOL * total):
                 break
             prev = total
         else:
@@ -434,7 +442,7 @@ def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs, rtol: float) -> np.ndarr
         return head + b * np.log(c) - 2.0 * s * log_sin_c[:, 0] - math.log(b) + np.log(total)
 
 
-def _truncated_pieces(m: MomentArgs, cuts, rtol: float) -> np.ndarray:
+def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
     """The moment over r1 in (cuts[0], 1), then over each (cuts[i+1], cuts[i]),
     without the factor 8 pi^2 mu^2; cuts decrease in (0, 1), each at least
     half the one before.
@@ -455,10 +463,11 @@ def _truncated_pieces(m: MomentArgs, cuts, rtol: float) -> np.ndarray:
 
     def top(log_r1, da, db):
         # -db is log r1 to full relative accuracy as r1 -> 1
-        return np.exp(_log_fibers(-db, m, rtol) - rate * db)
+        return np.exp(_log_fibers(-db, m) - rate * db)
 
     log_cuts = np.log(np.asarray(cuts, dtype=float))
-    res = quadrature.integrate(top, log_cuts[0], 0.0, rtol=rtol, min_level=3, max_level=9)
+    res = quadrature.integrate(top, log_cuts[0], 0.0, rtol=_TRUNCATED_RTOL,
+                               min_level=3, max_level=9)
     _check_converged(res, m)
     if len(log_cuts) == 1:
         return np.array([res.value])
@@ -472,7 +481,7 @@ def _truncated_pieces(m: MomentArgs, cuts, rtol: float) -> np.ndarray:
     lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
     log_r1 = hi + (lo - hi) * frac
     log_w = np.log(0.5 * (hi - lo) / panels * _GL_W)
-    terms = rate * log_r1 + log_w + _log_fibers(log_r1.ravel(), m, rtol).reshape(log_r1.shape)
+    terms = rate * log_r1 + log_w + _log_fibers(log_r1.ravel(), m).reshape(log_r1.shape)
     shift = terms.max(axis=(1, 2))
     with np.errstate(over="ignore", under="ignore"):
         shells = np.exp(shift) * np.exp(terms - shift[:, None, None]).sum(axis=(1, 2))
@@ -495,9 +504,7 @@ class GrowthFit:
     values: tuple[float, ...]
 
 
-def truncation_growth_fit(
-    m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16, rtol: float = 1e-9
-) -> GrowthFit:
+def truncation_growth_fit(m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16) -> GrowthFit:
     """Certify the divergence mode of a moment from truncated values on
     eps = 2^-m, m = m_lo..m_hi.
 
@@ -516,7 +523,7 @@ def truncation_growth_fit(
     for e in (eps[0], eps[-1]):
         _check_truncation(m, float(e))
     scale = 8.0 * math.pi**2 * m.params.mu**2
-    pieces = _finite_or_raise(scale * _truncated_pieces(m, eps, rtol), m)
+    pieces = _finite_or_raise(scale * _truncated_pieces(m, eps), m)
     d1 = pieces[1:]  # the shells: first differences, free of cancellation
     vals = np.cumsum(pieces)
     d2 = np.diff(d1)
@@ -543,16 +550,7 @@ def truncation_growth_fit(
     )
 
 
-def radial_moment(
-    profile: Callable,
-    p1: float,
-    p2: float,
-    params: DomainParams,
-    *,
-    rtol=1e-10,
-    min_level: int = 5,
-    max_level: int = 9,
-):
+def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *, rtol=1e-10):
     """∫_D g(|w1|, |w2|) |w1|^p1 |w2|^p2 dV_D for a radial profile g.
 
     Computed as the iterated integral (u2 = log r2^2)
@@ -560,10 +558,11 @@ def radial_moment(
         8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1)
             ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g(r1, e^(u2/2)) du2 dr1
 
-    on the product of two tanh-sinh rules of one level.  The rules nest, so
-    level L evaluates only its new cells, all outer nodes of L times the
-    new inner nodes plus the new outer nodes times the inner nodes of
-    L - 1, and adds their sum to 1/4 of the previous level's sum.
+    on the product of two tanh-sinh rules of one level, refined from level
+    5 up to level 9.  The rules nest, so level L evaluates only its new
+    cells, all outer nodes of L times the new inner nodes plus the new
+    outer nodes times the inner nodes of L - 1, and adds their sum to 1/4
+    of the previous level's sum.
 
     The profile must be vectorized over numpy arrays.  Several integrands
     that share p1 and p2 integrate on one mesh: give ``rtol`` as a
@@ -583,7 +582,7 @@ def radial_moment(
     cells = lambda outer, inner: _radial_cells(profile, p1, p2, mu, outer, inner, many)
     results: list = [None] * n
     raw = None
-    for level in range(min_level, max_level + 1):
+    for level in range(5, 10):
         if raw is None:
             part = cells(quadrature.nodes(level), quadrature.nodes(level))
         else:

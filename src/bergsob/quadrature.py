@@ -109,7 +109,6 @@ def integrate(
     b: float,
     *,
     rtol: float = 1e-12,
-    atol: float = 1e-300,
     min_level: int = 5,
     max_level: int = _MAX_LEVEL,
 ) -> QuadResult:
@@ -118,7 +117,7 @@ def integrate(
     ``f(x, da, db)`` must accept numpy arrays; ``da = x - a`` and
     ``db = b - x`` are supplied separately for endpoint-singular factors.
     The level is refined (h halved) until two successive evaluations agree
-    to ``max(atol, rtol*|I|)``; the difference is reported as the error
+    to ``max(1e-300, rtol*|I|)``; the difference is reported as the error
     estimate.  Each refinement evaluates ``f`` only at the new (odd-k)
     nodes and adds their sum to half the previous level's sum.  The
     returned result carries ``converged=False`` instead of raising, so
@@ -141,7 +140,7 @@ def integrate(
         total = part if level == min_level else 0.5 * prev + part
         if level > min_level:
             err = abs(total - prev)
-            if err <= max(atol, rtol * abs(total)):
+            if err <= max(1e-300, rtol * abs(total)):
                 return QuadResult(total, err, level, True)
         prev = total
     return QuadResult(total, err, level, False)

@@ -6,6 +6,10 @@ surrogate norm below a sharp exponent and fails at it:
     r(mu, 0)      = min(1/2, (1 - floor(mu))/mu + 1),
     r(mu, 1 or 2) = min(1/2, 1/mu).
 
+Each clause is measure.integrability_margin of the witness element's
+squared norm at s = 0, which also decides divergence, so a witness at
+s = r diverges exactly.
+
 Below threshold, continuity is certified by scanning the normalized
 moment ratio lam(x,y,s) lam(x,y,-s)/lam(x,y,0)^2 over the basis lattice
 and checking it stays under the closed-form bound; at or above threshold
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure
-from .bergman import BasisIndex, Component, RadialTerm, RadialTermFunction, basis_norm_sq
+from .bergman import FAMILIES, BasisIndex, Component, RadialTerm, RadialTermFunction, basis_norm_sq
 from .errors import DomainError
 from .geometry import DomainParams
 from .measure import GrowthFit, MomentArgs, MomentValue
@@ -47,6 +51,7 @@ __all__ = [
     "DivergenceWitness",
     "threshold",
     "mu_for_threshold",
+    "sharpness_checks",
     "continuity_certificate",
     "divergence_witness",
     "smooth_counterexample",
@@ -76,9 +81,8 @@ def _check_p(p: int) -> None:
 
 
 def threshold(params: DomainParams, p: int) -> ThresholdReport:
-    _check_p(p)
-    mu = params.mu
-    clause = (1.0 - math.floor(mu)) / mu + 1.0 if p == 0 else 1.0 / mu
+    x = witness_index(params, p).moment_x(params)
+    clause = measure.integrability_margin(MomentArgs(x, 0.0, 0.0, params))
     r = min(0.5, clause)
     if clause < 0.5:
         binding = _MU_CLAUSE
@@ -86,7 +90,7 @@ def threshold(params: DomainParams, p: int) -> ThresholdReport:
         binding = _HALF
     else:
         binding = _BOTH
-    return ThresholdReport(mu, p, r, binding, clause)
+    return ThresholdReport(params.mu, p, r, binding, clause)
 
 
 def mu_for_threshold(r: float, p: int) -> float:
@@ -98,9 +102,8 @@ def mu_for_threshold(r: float, p: int) -> float:
     so mu is stepped by ulps in the direction that lowers the threshold
     (down for p = 0, up for p = 1, 2) until threshold(mu).r <= r.  For
     p = 0 the steps stay in the band floor(mu) = l.  Band l cannot reach r
-    when r sits at or one rounding step below 1/l: mu = l is its floor,
-    and the rounded threshold there can exceed r (r = 0.05 gives mu = 20,
-    threshold 0.050000000000000044).  Band l + 1, with
+    when r sits just below 1/l: mu = l is its floor, with threshold
+    fl(1/l), which can exceed r.  Band l + 1, with
     mu = l/(1-r) ~ l + 1 + 1/(l-1), realizes such an r and is used then.
     """
     _check_p(p)
@@ -141,13 +144,10 @@ class ContinuityCertificate:
 
 
 def _families(p: int, params: DomainParams) -> list[tuple[Component, int]]:
-    """(component, minimal lattice j) per family scanned at degree p."""
+    """(component, minimal lattice j) per family scanned at degree p: the
+    first j the threshold protects, 1 for dw1 and 1 - floor(mu) else."""
     jmin0 = 1 - math.floor(params.mu)
-    if p == 0:
-        return [(Component.FUNCTION, jmin0)]
-    if p == 1:
-        return [(Component.THETA2, jmin0), (Component.DW1, 1)]
-    return [(Component.DW1, 1)]
+    return [(comp, 1 if comp is Component.DW1 else jmin0) for comp in FAMILIES[p]]
 
 
 def continuity_certificate(
@@ -242,6 +242,23 @@ def divergence_witness(params: DomainParams, p: int, s: float) -> DivergenceWitn
     return DivergenceWitness(params.mu, p, s, idx, lam0, lam_s, growth, exponent)
 
 
+def sharpness_checks(
+    cert: ContinuityCertificate, wit: DivergenceWitness, *, ratio_slack: float, growth_tol: float
+) -> tuple[bool, bool]:
+    """The acceptance rule of a sharpness pair, as (certificate, witness).
+
+    The certificate passes when its sup is at most its bound plus
+    ratio_slack.  The witness passes when its growth fit is the log mode
+    for an analytic exponent within 1e-9 of 0, and otherwise when the
+    fitted exponent is within growth_tol of the analytic one.
+    """
+    if abs(wit.analytic_exponent) <= 1e-9:
+        fits = wit.growth.kind == "log"
+    else:
+        fits = abs(wit.growth.exponent - wit.analytic_exponent) <= growth_tol
+    return cert.sup_ratio <= cert.bound_used + ratio_slack, fits
+
+
 def smooth_counterexample(params: DomainParams, p: int) -> RadialTermFunction:
     """The boundary-smooth input whose projection is the witness monomial:
     exp(-1/|w1|^mu) times w1^(1 - floor(mu)) for functions, times dw1
@@ -256,8 +273,6 @@ def smooth_counterexample(params: DomainParams, p: int) -> RadialTermFunction:
             return np.exp(-(r1**-mu)) + 0.0 * np.asarray(r2, dtype=float)
 
     idx = witness_index(params, p)
-    if p == 0:
-        term = RadialTerm(profile, idx.j, 0, Component.FUNCTION, label="smooth counterexample")
-    else:
-        term = RadialTerm(profile, idx.j - 1, 0, Component.DW1, label="smooth counterexample")
+    a = idx.j - 1 if idx.component is Component.DW1 else idx.j
+    term = RadialTerm(profile, a, 0, idx.component, label="smooth counterexample")
     return RadialTermFunction(p, (term,))

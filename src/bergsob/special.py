@@ -9,9 +9,10 @@ arrays: alpha(x, y) = Γ(x) Γ(y) / Γ(x+y) and (Gradshteyn-Ryzhik 3.631)
     beta(x, y) = π 2^(1-x) Γ(x) / |Γ((x+1+iy)/2)|^2,
 
 with log|Γ(z)| from the Stirling series after an upward shift of Re z
-(Hare 1997), as numpy has no complex log-Gamma.  Direct endpoint-
-clustered quadratures are kept only as independent oracles, behind
-``method="quadrature"`` and the recursion residuals (for beta,
+(Hare 1997), as numpy has no complex log-Gamma; ``alpha_eval`` and
+``beta_eval`` evaluate them.  Direct endpoint-clustered quadratures are
+kept only as independent oracles, ``alpha_quadrature`` and
+``beta_quadrature``, which the recursion residuals also use (for beta,
 beta(x+2, y) = x (x+1) / ((x+1)^2 + y^2) * beta(x, y)).  The module also
 gives margins for the Hölder-type normalized bounds
 
@@ -37,8 +38,10 @@ from .errors import DomainError
 
 __all__ = [
     "alpha_eval",
+    "alpha_quadrature",
     "alpha_tail",
     "beta_eval",
+    "beta_quadrature",
     "log_abs_gamma",
     "log_beta",
     "alpha_recursion_residual",
@@ -150,6 +153,8 @@ def _alpha_lower_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
     slowly inside the representable node range).
     """
     u_lo = -(45.0 + 0.7 * (x + max(y, 0.0))) / x
+    if not math.isfinite(u_lo):  # x subnormal
+        raise DomainError(f"the alpha oracle needs 1/x finite, got x = {x}")
 
     def f(u, da, db):
         return np.exp(u * x) * (1.0 - np.exp(u)) ** (y - 1.0)
@@ -193,10 +198,11 @@ def alpha_tail(x: float, y: float, lo, span) -> np.ndarray:
     return upper + lower
 
 
-def _alpha_quad(x: float, y: float, tol: float) -> tuple[float, float]:
-    """alpha(x, y) and its error estimate by quadrature, the oracle of the
-    Gamma path; weak singular exponents (below 1/2) are handled by
-    splitting at 1/2 and log-substituting each half."""
+def alpha_quadrature(x: float, y: float, tol: float = 1e-12) -> tuple[float, float]:
+    """alpha(x, y) and its error estimate by quadrature to relative accuracy
+    ``tol``, the oracle of the Gamma path; weak singular exponents (below
+    1/2) are handled by splitting at 1/2 and log-substituting each half.
+    Raises QuadratureError when a piece does not converge."""
     _check_alpha_args(x, y)
     if min(x, y) < 0.5:
         return _total(_alpha_lower_half(x, y, tol), _alpha_lower_half(y, x, tol))
@@ -207,23 +213,13 @@ def _alpha_quad(x: float, y: float, tol: float) -> tuple[float, float]:
     return _total(quadrature.quad(f, 0.0, 1.0, rtol=tol))
 
 
-def alpha_eval(x, y, *, tol: float = 1e-12, method: str = "lgamma"):
-    """Evaluate alpha(x, y) to relative accuracy ``tol``.
-
-    method="lgamma": exp(lnΓ(x) + lnΓ(y) - lnΓ(x+y)), the primary path;
-    broadcasts over array x and y.
-    method="quadrature": numerical integration kept independent of the
-    Gamma path as an oracle (scalars only; see _alpha_quad).
-    Raises DomainError unless x and y are finite and positive, and where
-    the value overflows a double.
-    """
-    if method == "lgamma":
-        _check_alpha_args(x, y)
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return _scalar_or_array(_exp(_lgamma(x) + _lgamma(y) - _lgamma(x + y), "alpha"))
-    if method == "quadrature":
-        return _alpha_quad(x, y, tol)[0]
-    raise ValueError(f"unknown method {method!r}")
+def alpha_eval(x, y):
+    """alpha(x, y) = exp(lnΓ(x) + lnΓ(y) - lnΓ(x+y)), broadcast over array
+    x and y.  Raises DomainError unless x and y are finite and positive,
+    and where the value overflows a double."""
+    _check_alpha_args(x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return _scalar_or_array(_exp(_lgamma(x) + _lgamma(y) - _lgamma(x + y), "alpha"))
 
 
 def _beta_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
@@ -250,9 +246,10 @@ def _beta_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
     return quadrature.QuadResult(scale * res.value, scale * res.err_estimate, res.level, True)
 
 
-def _beta_quad(x: float, y: float, tol: float) -> tuple[float, float]:
+def beta_quadrature(x: float, y: float, tol: float = 1e-12) -> tuple[float, float]:
     """beta(x, y) and its error estimate by direct endpoint-clustered
-    quadrature, the oracle of the closed form."""
+    quadrature to relative accuracy ``tol``, the oracle of the closed form.
+    Raises QuadratureError when a piece does not converge."""
     _check_beta_args(x, y)
     if x < 0.5:
         return _total(_beta_half(x, y, tol), _beta_half(x, -y, tol))
@@ -265,32 +262,31 @@ def _beta_quad(x: float, y: float, tol: float) -> tuple[float, float]:
     return _total(quadrature.quad(f, -_HALF_PI, _HALF_PI, rtol=tol))
 
 
-def beta_eval(x, y, *, tol: float = 1e-12, method: str = "auto"):
-    """Evaluate beta(x, y).
-
-    method="auto": the closed form π 2^(1-x) Γ(x) / |Γ((x+1+iy)/2)|^2,
-    to about 1e-13 relative; broadcasts over array x and y and ignores
-    ``tol``.
-    method="quadrature": direct endpoint-clustered quadrature to relative
-    accuracy ``tol`` (scalars only), the independent oracle.
-    Raises DomainError unless x is finite and positive and y finite, and
-    where the value overflows a double.
-    """
-    if method == "auto":
-        return _scalar_or_array(_exp(log_beta(x, y), "beta"))
-    if method == "quadrature":
-        return _beta_quad(x, y, tol)[0]
-    raise ValueError(f"unknown method {method!r}")
+def beta_eval(x, y):
+    """beta(x, y) from the closed form π 2^(1-x) Γ(x) / |Γ((x+1+iy)/2)|^2, to
+    about 1e-13 relative, broadcast over array x and y.  Raises DomainError
+    unless x is finite and positive and y finite, and where the value
+    overflows a double."""
+    return _scalar_or_array(_exp(log_beta(x, y), "beta"))
 
 
-def alpha_recursion_residual(x: float, y: float, *, tol: float = 1e-12) -> float:
+def _oracle(quad, x: float, y: float) -> float:
+    """The oracle's value at (x, y), which a residual divides by; refused
+    where it is 0, as the integrand underflows everywhere for large x."""
+    value = quad(x, y)[0]
+    if not value > 0.0:
+        raise DomainError(f"{quad.__name__}({x}, {y}) is {value}; no relative residual there")
+    return value
+
+
+def alpha_recursion_residual(x: float, y: float) -> float:
     """Worst relative residual of the three alpha identities at (x, y).
 
     Both sides of each identity are evaluated by independent quadratures
     (not the Gamma path), so a nonzero residual reflects genuine numerics
     rather than a shared formula.
     """
-    q = lambda a, b: alpha_eval(a, b, tol=tol, method="quadrature")
+    q = lambda a, b: _oracle(alpha_quadrature, a, b)
     base = q(x, y)
     r_sym = abs(base - q(y, x)) / base
     up_y = q(x, y + 1.0)
@@ -300,7 +296,7 @@ def alpha_recursion_residual(x: float, y: float, *, tol: float = 1e-12) -> float
     return max(r_sym, r_y, r_x)
 
 
-def beta_recursion_residual(x: float, y: float, *, tol: float = 1e-12, scale: float = 1.0) -> float:
+def beta_recursion_residual(x: float, y: float, *, scale: float = 1.0) -> float:
     """Relative residual of beta(x+2, y) = x(x+1)/((x+1)^2+y^2) beta(x, y).
 
     Both sides use direct quadrature (singular-endpoint for x < 1/2), so
@@ -308,8 +304,8 @@ def beta_recursion_residual(x: float, y: float, *, tol: float = 1e-12, scale: fl
     ``scale`` multiplies the right-hand side; any value other than 1 is a
     wrong recursion constant, which verify's self-test plants.
     """
-    rhs = scale * _beta_quad(x, y, tol)[0] * x * (x + 1.0) / ((x + 1.0) ** 2 + y * y)
-    lhs = _beta_quad(x + 2.0, y, tol)[0]
+    rhs = scale * beta_quadrature(x, y)[0] * x * (x + 1.0) / ((x + 1.0) ** 2 + y * y)
+    lhs = _oracle(beta_quadrature, x + 2.0, y)
     return abs(lhs - rhs) / lhs
 
 
@@ -320,7 +316,7 @@ def alpha_holder_margin(x: float, y: float, s: float) -> float:
     if not (x > 2 * s and y > 2 * s):
         raise DomainError(f"need x, y > 2s, got ({x}, {y}) with s = {s}")
     shift = np.array([-2 * s, 2 * s, 0.0])
-    a = alpha_eval(x + shift, y + shift, method="lgamma")
+    a = alpha_eval(x + shift, y + shift)
     lhs = a[0] * a[1] / a[2] ** 2
     rhs = (x * y) / ((x - 2 * s) * (y - 2 * s))
     return rhs - lhs

@@ -98,6 +98,41 @@ class TestBasisIndex:
         assert dw.admissible(0.2, P3)
         assert not dw.admissible(regularity.threshold(P3, 1).r, P3)
 
+    @pytest.mark.parametrize("mu,s", [(15.675328139329817, 1.0 / 15.675328139329817),
+                                      (11.11876234645657, 3.0 / 11.11876234645657),
+                                      (46.02379566179654, 0.04397281086219607),
+                                      (57.63464598562521, 0.3233236826035666)])
+    def test_min_j_agrees_with_admissible(self, mu, s):
+        # the rounded bound s mu resp. (s-1) mu sits on the other side of an
+        # integer than the margin here, and floor(bound) + 1 was one off
+        params = DomainParams(mu)
+        for comp in Component:
+            j = bergman.membership_min_j(comp, s, params)
+            p = 0 if comp is Component.FUNCTION else 1
+            assert BasisIndex(j, 0, p, comp).admissible(s, params)
+            assert not BasisIndex(j - 1, 0, p, comp).admissible(s, params)
+
+    def test_gram_at_a_threshold_weight(self):
+        # at s = 1/mu the first dw1 index was the inadmissible (1, k)
+        params = DomainParams(15.675328139329817)
+        s = regularity.threshold(params, 1).r
+        idx = basis_indices(1, s, params, 6)
+        G = gram_matrix(idx, s, params)
+        assert np.max(np.abs(G - np.eye(6))) <= 1e-6
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("count", [0, 1, 4, 7])
+    def test_families_share_count_in_order(self, p, count):
+        # for p = 1 theta2 takes the extra element of an odd count
+        idx = basis_indices(p, 0.1, P3, count)
+        comps = [i.component for i in idx]
+        families = bergman.FAMILIES[p]
+        quota = [(count + 1) // 2, count // 2] if p == 1 else [count]
+        assert comps == [c for c, n in zip(families, quota) for _ in range(n)]
+        assert all(i.admissible(0.1, P3) and abs(i.k) <= 2 for i in idx)
+        with pytest.raises(DomainError):
+            basis_indices(3, 0.1, P3, count)
+
 
 class TestBasisNorms:
     def test_constant_function(self):

@@ -1,6 +1,7 @@
 """Front-end behavior: commands, formats, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,10 +55,20 @@ class TestThresholdCommand:
         assert run_cli(["threshold", "--mu", mu, "--p", "0"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("r", ["0.49999999999999994", "1e-320"])
+    @pytest.mark.parametrize("r", ["0.49999999999999994", "1e-320", "1e-17"])
     def test_uncomputable_invert_exits_2(self, r, capsys):
         assert run_cli(["threshold", "--invert", r, "--p", "0"]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command", ["threshold", "scan"])
+    def test_mu_beyond_exact_integers_exits_2(self, command, capsys):
+        # at mu = 1e17, 1 - floor(mu) is no longer exact; the threshold once
+        # read 0.0 and scan labelled s = 0 DIVERGENT
+        extra = ["--s-grid", "0"] if command == "scan" else []
+        assert run_cli([command, "--mu", "1e17", "--p", "0", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 class TestLambdaCommand:
@@ -159,6 +171,16 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         sups = [row["sup_ratio"] for row in payload["rows"] if row["status"] == "OK"]
         assert all(a <= b + 1e-12 for a, b in zip(sups, sups[1:]))
+
+    def test_threshold_row_at_one_twentieth(self, capsys):
+        # mu = 20 has threshold exactly 0.05, so s = 0.05 is a divergence row;
+        # it used to read as just below the threshold, and the certificate
+        # then failed on a negative alpha argument
+        assert run_cli(["scan", "--mu", "20", "--p", "0", "--s-grid", "0.04,0.05",
+                        "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["threshold"] == 0.05
+        assert [row["status"] for row in payload["rows"]] == ["OK", "DIVERGENT"]
 
     def test_empty_grid_exits_2(self):
         assert run_cli(["scan", "--mu", "3", "--p", "0", "--s-grid", "0.4:0.3:0.1"]) == 2
@@ -281,10 +303,14 @@ class TestVerifyCommand:
             ["--grid", "geometry_samples=true", "--suite", "geometry"],
             ["--grid", "mu_samples=[]", "--suite", "geometry"],
             ["--grid", "mu_samples=[1e308]", "--suite", "geometry"],
+            ["--grid", "special_hi=1e300", "--suite", "special"],
+            ["--grid", "special_lo=1e-320", "--suite", "special"],
+            ["--grid", "moment_y_hi=1e308", "--suite", "measure"],
         ],
         ids=["gram-count", "geometry-samples", "levi-floor", "seed", "mu-samples-scalar",
              "mu-samples-string", "special-lo", "grid-json", "tol-float", "count-bool",
-             "mu-samples-empty", "mu-samples-huge"],
+             "mu-samples-empty", "mu-samples-huge", "special-hi-huge", "special-lo-subnormal",
+             "moment-y-hi-huge"],
     )
     def test_unusable_settings_exit_2(self, args, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -294,6 +320,13 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert not caught, [str(w.message) for w in caught]
+
+    def test_negative_zero_bounds(self, capsys):
+        # numpy's uniform refuses the upper bound -0.0, a valid 0
+        argv = ["verify", "--suite", "measure", "--grid", "moment_s_hi=-0.0",
+                "--grid", "moment_y_hi=-0.0"]
+        assert run_cli(argv) == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"] is True
 
     @pytest.mark.parametrize("content", [None, "[1]", '{"grids": 3}', "{"],
                              ids=["missing", "list", "section", "json"])
@@ -367,6 +400,17 @@ class TestConfigFile:
             load_config(str(cfg_file))
 
 
+def test_certify_sharpness_script(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "certify_sharpness.py"
+    spec = importlib.util.spec_from_file_location("certify_sharpness", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--r", "0.2"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [(e["r"], e["p"]) for e in entries] == [(0.2, 0), (0.2, 1), (0.2, 2)]
+    assert all(e["certificate"]["within_bound"] for e in entries)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bergsob", "threshold", "--mu", "2.5", "--p", "2"],
@@ -427,19 +471,76 @@ def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid,
     elif command == "scan":
         argv = ["scan", f"--mu={mu}", f"--p={p}", f"--s-grid={grid}", "--lattice=%d,%d" % lattice]
     else:
-        argv = ["verify", "--suite=geometry", f"--grid={grid_key}={grid_value}"]
-        argv += [f"--tol={tol_key}={tol_value}"] if truncate else []
-        if from_file:
-            # the same settings from a config file, whose text may not parse
-            sections = [f'"grids": {{"{grid_key}": {grid_value}}}']
-            sections += [f'"tolerances": {{"{tol_key}": {tol_value}}}'] if truncate else []
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "cfg.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write("{" + ", ".join(sections) + "}")
-                _assert_total(["verify", "--suite=geometry", f"--config={path}"])
-            return
+        _assert_verify_total("geometry", grid_key, grid_value, tol_key if truncate else None,
+                             tol_value, from_file)
+        return
     _assert_total(argv)
+
+
+def _assert_verify_total(suite, grid_key, grid_value, tol_key, tol_value, from_file):
+    """verify --suite is total with the grid setting and, unless tol_key is
+    None, the tolerance setting, given as flags or in a config file."""
+    if not from_file:
+        argv = [f"--grid={grid_key}={grid_value}"]
+        argv += [f"--tol={tol_key}={tol_value}"] if tol_key else []
+        _assert_total(["verify", f"--suite={suite}", *argv])
+        return
+    # the same settings from a config file, whose text may not parse
+    sections = [f'"grids": {{"{grid_key}": {grid_value}}}']
+    sections += [f'"tolerances": {{"{tol_key}": {tol_value}}}'] if tol_key else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{" + ", ".join(sections) + "}")
+        _assert_total(["verify", f"--suite={suite}", f"--config={path}"])
+
+
+def _list_of(*values):
+    return st.lists(st.one_of(*values), max_size=3).map(lambda v: "[" + ",".join(v) + "]")
+
+
+# per suite, the grid settings it reads, drawn small enough (a few points, few
+# moments, a small lattice) that a run takes well under a second, and the
+# tolerances it checks against
+_SUITE_GRIDS = {
+    "special": {
+        "special_lo": _NUMBERS,
+        "special_hi": _NUMBERS,
+        "special_points": st.integers(-1, 4).map(str),
+        "holder_s": _list_of(_NUMBERS, st.floats(0.0, 0.5).map(repr)),
+    },
+    "measure": {
+        "moment_mu": _list_of(_NUMBERS, st.floats(1.0, 40.0).map(repr)),
+        "moment_y_hi": _NUMBERS,
+        "moment_s_hi": st.one_of(_NUMBERS, st.floats(0.0, 0.5).map(repr)),
+        "eps_fit_lo": st.integers(-1, 12).map(str),
+        "eps_fit_hi": st.integers(-1, 30).map(str),
+    },
+    "bergman": {"gram_count": st.one_of(st.integers(-2, 40).map(str), _NUMBERS)},
+    "regularity": {
+        "sharpness_r": _list_of(_NUMBERS, st.floats(0.0, 0.5).map(repr)),
+        "lattice_jmax": st.integers(-1, 8).map(str),
+        "lattice_kmax": st.integers(-1, 8).map(str),
+    },
+}
+_SUITE_TOLERANCES = {
+    "special": ["recursion_residual", "holder_slack", "oracle_agreement"],
+    "measure": ["moment_cross", "ratio_slack", "growth_exponent"],
+    "bergman": ["gram_offdiag", "gram_diag"],
+    "regularity": ["ratio_slack", "growth_exponent", "threshold_roundtrip"],
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), suite=st.sampled_from(sorted(_SUITE_GRIDS)), with_tol=st.booleans(),
+       tol_value=_SETTINGS, from_file=st.booleans())
+def test_fuzz_verify_suites_exit_codes(data, suite, with_tol, tol_value, from_file):
+    # every suite's settings, as flags or in a config file, end in exit 0, 1
+    # or 2, and never in a traceback or a warning
+    grid_key = data.draw(st.sampled_from(sorted(_SUITE_GRIDS[suite])))
+    grid_value = data.draw(_SUITE_GRIDS[suite][grid_key])
+    tol_key = data.draw(st.sampled_from(_SUITE_TOLERANCES[suite])) if with_tol else None
+    _assert_verify_total(suite, grid_key, grid_value, tol_key, tol_value, from_file)
 
 
 # s near 1/2, up to 2^-52 below it, where the fiber integrands are most singular
@@ -471,3 +572,6 @@ def _assert_total(argv):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue()
     assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 2:  # one message line, after any progress lines of verify
+        lines = [ln for ln in stderr.getvalue().splitlines() if not ln.startswith("[verify]")]
+        assert len(lines) == 1, (argv, stderr.getvalue())

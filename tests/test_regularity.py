@@ -1,6 +1,8 @@
 """Threshold arithmetic, certificates, witnesses, counterexamples."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,8 +64,8 @@ class TestMuForThreshold:
                 back = regularity.threshold(DomainParams(mu), p).r
                 assert abs(back - r) <= 1e-12 and back <= r
                 if p == 0:
-                    # r = 0.05 sits on 1/20, where band 20 has no mu with threshold <= r
-                    assert math.floor(mu) == math.ceil(1.0 / r) + (r == 0.05)
+                    # r = 0.05 included: mu = 20 has threshold exactly 0.05
+                    assert math.floor(mu) == math.ceil(1.0 / r)
 
     @pytest.mark.parametrize("band", [3, 9, 20, 37])
     def test_reciprocal_of_an_integer(self, band):
@@ -84,6 +86,64 @@ class TestMuForThreshold:
         assert regularity.threshold(params, p).r <= r
         wit = regularity.divergence_witness(params, p, r)
         assert wit.growth.kind == "log"
+
+
+class TestIntegrabilityBoundary:
+    @pytest.mark.parametrize("mu", [1.5, 3.0, 30.0 / 7.0, 20.0, 1e6 + 0.25, 1e15 + 0.5,
+                                    2.0**53 - 1.0])
+    def test_thresholds_are_correctly_rounded(self, mu):
+        # (1 - floor(mu))/mu + 1 cancelled to 0 at mu = 1e17 and lost 5 digits
+        # at 1e12; the margin forms 1 + frac(mu) exactly and divides once
+        params = DomainParams(mu)
+        exact = (1 + Fraction(mu) - math.floor(mu)) / Fraction(mu)
+        assert regularity.threshold(params, 0).clause_value == float(exact)
+        for p in (1, 2):
+            assert regularity.threshold(params, p).clause_value == 1.0 / mu
+
+    @pytest.mark.parametrize("mu", [3.0, 30.0 / 7.0, 20.0, 37.5, 1e6 + 0.25, 2.0**53 - 1.0])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_witness_leaves_the_space_exactly_at_threshold(self, mu, p):
+        params = DomainParams(mu)
+        r = regularity.threshold(params, p).r
+        witness = regularity.witness_index(params, p)
+        assert not witness.admissible(r, params)
+        assert witness.admissible(math.nextafter(r, 0.0), params)
+        m = measure.MomentArgs(witness.moment_x(params), 0.0, r, params)
+        assert measure.integrability_margin(m) == 0.0
+
+    def test_witness_at_one_twentieth(self):
+        # mu = 20 once had the threshold 0.050000000000000044 and refused s = 0.05
+        wit = regularity.divergence_witness(DomainParams(20.0), 0, 0.05)
+        assert wit.lambda_s.kind == "divergent"
+        assert wit.growth.kind == "log"
+
+    def test_tiny_threshold_inverts(self):
+        mu = regularity.mu_for_threshold(1e-12, 0)
+        back = regularity.threshold(DomainParams(mu), 0).r
+        assert back <= 1e-12 and abs(back - 1e-12) <= 1e-15 * 1e-12
+
+    @pytest.mark.parametrize("mu", [2.0**53, 1e17])
+    def test_mu_beyond_exact_integers_refused(self, mu):
+        with pytest.raises(DomainError):
+            DomainParams(mu)
+
+
+class TestSharpnessChecks:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_rule(self, p):
+        params = DomainParams(regularity.mu_for_threshold(0.2, p))
+        cert = regularity.continuity_certificate(params, p, 0.18, (10, 10))
+        for s in (0.2, 0.3):
+            wit = regularity.divergence_witness(params, p, s)
+            assert regularity.sharpness_checks(cert, wit, ratio_slack=1e-9, growth_tol=0.05) == (
+                True, True)
+            # a log-mode fit against a nonzero exponent, a power fit 0.1 off
+            off = dataclasses.replace(wit, analytic_exponent=wit.analytic_exponent + 0.1)
+            assert not regularity.sharpness_checks(cert, off, ratio_slack=1e-9,
+                                                   growth_tol=0.05)[1]
+        over = dataclasses.replace(cert, sup_ratio=cert.bound_used + 2e-9)
+        assert regularity.sharpness_checks(over, wit, ratio_slack=1e-9, growth_tol=0.05) == (
+            False, True)
 
 
 class TestDiscontinuity:
