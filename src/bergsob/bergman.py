@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import measure, quadrature
+from . import measure
 from .errors import DomainError, NonIntegrableTermError
 from .geometry import DomainParams, ModelPoint, contains
 
@@ -358,58 +358,34 @@ def gram_matrix(
     """Pairwise weight-s inner products of normalized basis elements.
 
     Each entry is (angular factor in phi1) x (angular factor in phi2) x
-    (2D radial quadrature) / sqrt of the two closed-form norms, so the
+    (radial moment) / sqrt of the two closed-form norms, so the
     orthogonality content (vanishing angular integrals, radial moments
     matching the closed form) is computed rather than assumed.  Mixed
     theta2/dw1 entries vanish pointwise by frame orthogonality and are
     returned as exact zeros.  Contract: the result is the identity matrix
     to the module tolerances.
 
-    The radial quadrature of a pair depends on e1 = jA + jB (shifted by
-    -2 mu for dw1 pairs) and on the integer e2 = kA + kB.  The inner u2
-    integrals are built for every e2 from one mesh exp, stepping
-    e^(e2 u2 / 2) up by a factor e^(u2 / 2); the outer r1 integrals are one
-    matrix product with them, one row per distinct e1.
+    The radial moment of a pair is lam(e1 / 2, e2 / 2, s), with
+    e1 = jA + jB (shifted by -2 mu for dw1 pairs) and the integer
+    e2 = kA + kB; one measure.mesh_moments call at ``level`` tabulates it
+    for every distinct e1 and every e2.
     """
     if not 0.0 <= s < 0.5:
         raise DomainError(f"need 0 <= s < 1/2, got {s}")
     for idx in indices:
         if not idx.admissible(s, params):
             raise DomainError(f"index {idx} is not admissible at weight s = {s}")
-    mu = params.mu
     n = len(indices)
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     j = np.array([idx.j for idx in indices])
     k = np.array([idx.k for idx in indices])
     comp = np.array([idx.component.value for idx in indices])
-    dw1 = comp == Component.DW1.value
     same = comp[:, None] == comp
-
-    p_lo, p_hi, wq = quadrature.nodes(level)
-    keep, c = measure.fibers(p_hi, mu)
-    r1 = p_lo[keep]
-    base_outer = 8.0 * math.pi**2 * mu * mu * wq[keep] * 2.0 * c
-
-    # ∫ r1^e1 r2^e2 delta0^(-2s) dV with the r1^(-2 s mu) part of delta0
-    # folded into the r1 exponent before exponentiation
-    e2_lo, e2_hi = 2 * int(k.min()), 2 * int(k.max())
-    inner = np.empty((e2_hi - e2_lo + 1, len(r1)))
-    for rows, half_u2 in measure.half_u2_blocks(c, p_lo - p_hi):
-        mesh = np.exp(e2_lo * half_u2)
-        if s != 0.0:
-            # cos u2 - r1^mu = 2 sin(c p_lo) sin(c p_hi), stable at the fiber ends
-            gap = 2.0 * np.sin(np.outer(c[rows], p_lo)) * np.sin(np.outer(c[rows], p_hi))
-            mesh *= gap ** (-2.0 * s)
-        step = np.exp(half_u2, out=half_u2)
-        for i in range(len(inner)):  # e2 = e2_lo + i
-            if i:
-                mesh *= step
-            inner[i, rows] = mesh @ wq
-    e1 = (j[:, None] + j) + np.where(dw1, -2.0 * mu, 0.0)[:, None]
+    e1 = (j[:, None] + j) + np.where(comp == Component.DW1.value, -2.0 * params.mu, 0.0)[:, None]
     e1_vals, e1_at = np.unique(e1[same], return_inverse=True)
-    expo = e1_vals + 2.0 * mu - 1.0 - 2.0 * s * mu
-    radial = (np.exp(np.multiply.outer(expo, np.log(r1))) * base_outer) @ inner.T
+    e2_lo, e2_hi = 2 * int(k.min()), 2 * int(k.max())
+    radial = measure.mesh_moments(0.5 * e1_vals, 0.5 * e2_lo, e2_hi - e2_lo + 1, s, params, level)
 
     ang_table = np.array([_angular_factor(m) for m in range(np.ptp(j) + np.ptp(k) + 1)])
     ang = ang_table[np.abs(j[:, None] - j)] * ang_table[np.abs(k[:, None] - k)]

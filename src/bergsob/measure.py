@@ -45,6 +45,10 @@ mode comes from their differences (second differencing cancels both the
 convergent part and any additive logarithmic mode, so the power exponent
 survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
 independent (u1, u2) route, kept off the hot path.
+
+Every other integral over the domain is one (r1, u2) product of tanh-sinh
+rules, ``_product_rule``: ``radial_moment`` (the projection) refines it
+level by level, ``mesh_moments`` (the Gram matrices) takes one level.
 """
 
 from __future__ import annotations
@@ -243,13 +247,15 @@ def lambda_ratio(x: float, y: float, s: float, params: DomainParams) -> float:
 def lambda_ratio_bound(x: float, s: float, params: DomainParams) -> float:
     """Closed-form bound for lambda_ratio, independent of y:
 
-    (X (1+4s) Y) / ((X-2s)(1-2s)(Y-4s)),  X = 2x/mu + 2, Y = 2x/mu + 3.
+    (X (1+4s) Y) / ((X-2s)(1-2s)(Y-4s)),  X = 2x/mu + 2, Y = 2x/mu + 3,
+
+    with the denominators from _exponents, exact up to the boundary.
     """
-    X = 2.0 * x / params.mu + 2.0
-    Y = X + 1.0
-    if not (0.0 <= s < 0.5 and X > 2.0 * s):
-        raise DomainError(f"bound needs 0 <= s < 1/2 and 2x/mu + 2 > 2s")
-    return (X * (1.0 + 4.0 * s) * Y) / ((X - 2.0 * s) * (1.0 - 2.0 * s) * (Y - 4.0 * s))
+    if not (0.0 <= s < 0.5 and integrability_margin(MomentArgs(x, 0.0, s, params)) > 0.0):
+        raise DomainError(f"bound needs 0 <= s < 1/2 and {X_CLAUSE}")
+    Xs, Ys = _exponents(x, s, params.mu)
+    X, Y = Xs + 2.0 * s, Ys + 4.0 * s
+    return (X * (1.0 + 4.0 * s) * Y) / (Xs * (1.0 - 2.0 * s) * Ys)
 
 
 def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
@@ -558,11 +564,11 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
         8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1)
             ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g(r1, e^(u2/2)) du2 dr1
 
-    on the product of two tanh-sinh rules of one level, refined from level
-    5 up to level 9.  The rules nest, so level L evaluates only its new
-    cells, all outer nodes of L times the new inner nodes plus the new
-    outer nodes times the inner nodes of L - 1, and adds their sum to 1/4
-    of the previous level's sum.
+    on the product of two tanh-sinh rules of one level (_product_rule),
+    refined from level 5 up to level 9.  The rules nest, so level L
+    evaluates only its new cells, all outer nodes of L times the new inner
+    nodes plus the new outer nodes times the inner nodes of L - 1, and adds
+    their sum to 1/4 of the previous level's sum.
 
     The profile must be vectorized over numpy arrays.  Several integrands
     that share p1 and p2 integrate on one mesh: give ``rtol`` as a
@@ -577,21 +583,26 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
     many = np.ndim(rtol) == 1
     rtols = np.atleast_1d(np.asarray(rtol, dtype=float))
     n = len(rtols)
-    mu = params.mu
-    scale = 8.0 * math.pi**2 * mu * mu
-    cells = lambda outer, inner: _radial_cells(profile, p1, p2, mu, outer, inner, many)
+    powers = np.array([p1 + 2.0 * params.mu - 1.0])
+
+    def integrands(r1, c, half_u2):
+        values = profile(r1[:, None], np.exp(half_u2))
+        half_u2 *= p2
+        factor = np.exp(half_u2, out=half_u2)
+        return (np.asarray(g, dtype=float) * factor for g in (values if many else (values,)))
+
+    cells = lambda outer, inner: _product_rule(outer, inner, params.mu, powers, integrands)[0]
     results: list = [None] * n
-    raw = None
+    total = None
     for level in range(5, 10):
-        if raw is None:
+        if total is None:
             part = cells(quadrature.nodes(level), quadrature.nodes(level))
         else:
             fresh = quadrature.new_nodes(level)
             part = cells(quadrature.nodes(level), fresh)
             part += 0.5 * cells(fresh, quadrature.nodes(level - 1))
-        prev, raw = raw, part if raw is None else 0.25 * raw + part
-        total = scale * raw
-        err = np.full(n, math.inf) if prev is None else np.abs(total - scale * prev)
+        prev, total = total, part if total is None else 0.25 * total + part
+        err = np.full(n, math.inf) if prev is None else np.abs(total - prev)
         for i in range(n):
             if results[i] is not None:
                 continue
@@ -608,6 +619,32 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
     return results if many else results[0]
 
 
+def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams, level: int):
+    """lam(x_a, y_lo + i/2, s), i < count, as a (len(x), count) array over
+    the integrable x_a of the 1-d x, on the level-``level`` product rule:
+    the Gram matrices' lam.  (cos u2 - r1^mu)^(-2s) at an inner node q is
+    the bounded (2 sin(c q_lo) sin(c q_hi) / (q_lo q_hi))^(-2s) times the
+    weights' (q_lo q_hi)^(-2s), so no cell overflows for s < 1/2.  One mesh
+    exp serves every y, stepped by a factor e^(u2 / 2).
+    """
+    q_lo, q_hi, v = rule = quadrature.nodes(level)
+    inner = (q_lo, q_hi, np.exp(np.log(v) - 2.0 * s * np.log(q_lo * q_hi)))
+
+    def integrands(r1, c, half_u2):
+        mesh = np.exp((2.0 * y_lo) * half_u2)
+        if s != 0.0:
+            fiber = (2.0 * np.sin(np.outer(c, q_lo)) / q_lo) * (np.sin(np.outer(c, q_hi)) / q_hi)
+            mesh *= fiber ** (-2.0 * s)
+        step = np.exp(half_u2, out=half_u2)
+        for i in range(count):  # y = y_lo + i/2; each mesh is summed before the next step
+            if i:
+                mesh *= step
+            yield mesh
+
+    powers = 2.0 * np.asarray(x, dtype=float) + 2.0 * params.mu - 1.0 - 2.0 * s * params.mu
+    return _product_rule(rule, inner, params.mu, powers, integrands)
+
+
 # Mesh temporaries are built a block of rows at a time, each block at most
 # this many cells (128 KiB of doubles, glibc's default mmap threshold), so
 # that they are reused from the heap.  Whole-mesh temporaries are freshly
@@ -617,47 +654,30 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
 _BLOCK_CELLS = 16384
 
 
-def fibers(p_hi: np.ndarray, mu: float):
-    """The mask of the r1 nodes (r1 = 1 - p_hi) whose fiber |u2| < c(r1) =
-    arccos(r1^mu) has not collapsed to a point, and c at those nodes."""
-    with np.errstate(divide="ignore"):
-        c = np.arccos(np.exp(mu * np.log1p(-p_hi)))
-    keep = c > 0.0  # collapsed fibers at r1 -> 1 contribute nothing
-    return keep, c[keep]
-
-
-def half_u2_blocks(c: np.ndarray, xhat: np.ndarray):
-    """Yield (rows, u2 / 2) over blocks of rows of the mesh u2 = c x xhat
-    of fiber half-widths c and inner nodes xhat in (-1, 1)."""
-    step = max(1, _BLOCK_CELLS // len(xhat))
-    for lo in range(0, len(c), step):
-        rows = slice(lo, lo + step)
-        yield rows, np.multiply.outer(0.5 * c[rows], xhat)
-
-
-def _radial_cells(profile, p1, p2, mu, outer, inner, many) -> np.ndarray:
-    """The weighted sums of the radial_moment integrands (without the
-    factor 8 pi^2 mu^2) over the outer x inner product of two node sets;
-    NaN for an integrand with a value that is not finite."""
+def _product_rule(outer, inner, mu: float, powers: np.ndarray, integrands) -> np.ndarray:
+    """8 pi^2 mu^2 ∫_0^1 r1^a ∫_{-c}^{c} f(r1, u2) du2 dr1, c = arccos(r1^mu),
+    as a (powers a, integrands f) array, on the outer node triple in r1 =
+    p_lo times the inner one in u2 = c (q_lo - q_hi); NaN where a cell is
+    not finite.  integrands(r1, c, u2 / 2) yields each f on a block of rows
+    (u2 / 2 is (rows, inner nodes) and may be overwritten), and each is
+    summed before the next is asked for.
+    """
     p_lo, p_hi, w = outer
-    keep, c = fibers(p_hi, mu)
-    r1 = p_lo[keep]
     q_lo, q_hi, v = inner
-    blocks = []
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for rows, half_u2 in half_u2_blocks(c, q_lo - q_hi):
-            integrands = profile(r1[rows, None], np.exp(half_u2))
-            half_u2 *= p2
-            factor = np.exp(half_u2, out=half_u2)
-            blocks.append([
-                np.einsum("ij,ij,j->i", np.broadcast_to(np.asarray(g, dtype=float), factor.shape),
-                          factor, v)
-                for g in (integrands if many else (integrands,))
-            ])
-        row = 2.0 * c * np.concatenate(blocks, axis=1)
-        # rows whose profile underflowed to zero contribute nothing even
-        # where the bare power diverges
-        vals = np.where(row == 0.0, 0.0, r1 ** (p1 + 2.0 * mu - 1.0) * row)
-        sums = vals @ w[keep]
-    sums[~np.all(np.isfinite(vals), axis=1)] = math.nan
-    return sums
+    step = max(1, _BLOCK_CELLS // len(v))
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        c = np.arccos(np.exp(mu * np.log1p(-p_hi)))
+        keep = c > 0.0  # collapsed fibers at r1 -> 1 contribute nothing
+        r1, c = p_lo[keep], c[keep]
+        sums = np.concatenate([
+            [f @ v for f in integrands(r1[i:i + step], c[i:i + step],
+                                       np.multiply.outer(0.5 * c[i:i + step], q_lo - q_hi))]
+            for i in range(0, len(c), step)
+        ], axis=1)
+        cells = 2.0 * c * sums
+        # a cell that underflowed to 0 adds 0 even where r1^a overflows
+        r1_powers = np.exp(np.multiply.outer(powers, np.log(r1)))[:, None, :]
+        vals = np.where(cells == 0.0, 0.0, r1_powers * cells)
+        out = vals @ (8.0 * math.pi**2 * mu * mu * w[keep])
+    out[~np.all(np.isfinite(vals), axis=-1)] = math.nan
+    return out

@@ -222,7 +222,8 @@ def divergence_witness(params: DomainParams, p: int, s: float) -> DivergenceWitn
     The witness's unweighted moment is finite while its weight-s moment
     violates the integrability predicate; the truncation growth fit
     certifies the divergence numerically, with analytic growth exponent
-    2x/mu + 2 - 2s (a logarithmic mode when it vanishes).
+    2x/mu + 2 - 2s, twice the integrability margin, which is exactly 0 (a
+    logarithmic mode) at s = threshold.
     """
     _check_p(p)
     thr = threshold(params, p)
@@ -237,8 +238,9 @@ def divergence_witness(params: DomainParams, p: int, s: float) -> DivergenceWitn
     lam_s = basis_norm_sq(idx, s, params)
     if not lam0.is_finite or lam_s.is_finite:
         raise AssertionError("witness must be finite at s = 0 and divergent at s")
-    growth = measure.truncation_growth_fit(MomentArgs(x, 0.0, s, params))
-    exponent = 2.0 * x / params.mu + 2.0 - 2.0 * s
+    m = MomentArgs(x, 0.0, s, params)
+    growth = measure.truncation_growth_fit(m)
+    exponent = 2.0 * measure.integrability_margin(m)
     return DivergenceWitness(params.mu, p, s, idx, lam0, lam_s, growth, exponent)
 
 

@@ -1,5 +1,6 @@
-"""The settable surface of the package: every defaulted parameter of a
-public function or method, pinned, so that a new knob is added on purpose."""
+"""The settable surface and the layering of the package: every defaulted
+parameter of a public function or method, and every module's imports from
+the package, pinned, so that a new knob or dependency is added on purpose."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,42 @@ def _knobs() -> set[str]:
 def test_knobs_pinned():
     assert _knobs() == KNOBS
     assert len(KNOBS) == 23
+
+
+# each module's imports from the package; bergman is algebra over measure's
+# integrals and builds no quadrature of its own
+IMPORTS = {
+    "__init__": {"bergman", "errors", "geometry", "measure", "regularity"},
+    "__main__": {"cli"},
+    "bergman": {"errors", "geometry", "measure"},
+    "cli": {"config", "errors", "geometry", "measure", "quadrature", "regularity", "suites"},
+    "config": {"errors"},
+    "errors": set(),
+    "geometry": {"errors"},
+    "measure": {"errors", "geometry", "quadrature", "special"},
+    "quadrature": set(),
+    "regularity": {"bergman", "errors", "geometry", "measure"},
+    "special": {"errors", "quadrature"},
+    "suites": {"bergman", "config", "errors", "geometry", "measure", "regularity", "special"},
+}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules that a module imports; the package imports
+    itself only relatively."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])  # from . import a, b
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "bergsob"
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "bergsob" for alias in node.names)
+    return found
+
+
+def test_module_imports_pinned():
+    got = {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+           for path in sorted(SRC.glob("*.py"))}
+    assert got == IMPORTS

@@ -347,7 +347,7 @@ class TestKernel:
 
 class TestGram:
     @pytest.mark.parametrize("p", [0, 1, 2])
-    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.48])
     def test_identity(self, p, s):
         idx = basis_indices(p, s, P3, 25)
         assert len(idx) == 25
@@ -355,6 +355,16 @@ class TestGram:
         off = np.abs(G - np.diag(np.diag(G)))
         assert np.max(off) <= 1e-8
         assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("mu", [1.5, 3.0, 4.2857142857142856])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_finite_near_one_half(self, mu, p):
+        # (cos u2 - r1^mu)^(-2s) overflowed next to the fiber ends, and every
+        # entry was inf from s = 0.48 on; at 0.499 a level-6 rule cannot
+        # resolve the endpoint power, but the entries stay finite
+        params = DomainParams(mu)
+        G = gram_matrix(basis_indices(p, 0.499, params, 10), 0.499, params)
+        assert np.all(np.isfinite(G))
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     @pytest.mark.parametrize("s", [0.0, 0.2, 0.4])

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,22 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["threshold"] == 0.05
         assert [row["status"] for row in payload["rows"]] == ["OK", "DIVERGENT"]
+
+    @pytest.mark.parametrize("p,s", [(0, "0.0012692709265677813"), (1, "0.0008100005913004312")])
+    def test_bound_holds_ulps_below_threshold(self, p, s, capsys):
+        # the bound cancelled here: p = 0 printed an OK row with its sup above
+        # a bound of 4.26e13, and p = 1 exited 2 with "2x/mu + 2 > 2s"
+        assert run_cli(["scan", "--mu", "1234.567", "--p", str(p), "--s-grid", s,
+                        "--lattice", "5,2", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        mu, s_exact = Fraction(1234.567), Fraction(float(s))
+        x = Fraction(1) - mu if p else Fraction(1 - math.floor(1234.567))
+        X = 2 * x / mu + 2
+        exact = X * (1 + 4 * s_exact) * (X + 1) / (
+            (X - 2 * s_exact) * (1 - 2 * s_exact) * (X + 1 - 4 * s_exact))
+        assert row["status"] == "OK"
+        assert row["bound"] == pytest.approx(float(exact), rel=1e-12)
+        assert row["sup_ratio"] <= row["bound"]
 
     def test_empty_grid_exits_2(self):
         assert run_cli(["scan", "--mu", "3", "--p", "0", "--s-grid", "0.4:0.3:0.1"]) == 2

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import measure, quadrature, regularity, special
+from bergsob import bergman, measure, quadrature, regularity, special
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 from bergsob.measure import MomentArgs
@@ -432,6 +432,20 @@ class TestRadialMoment:
             alone = measure.radial_moment(profile, 2.0, -2.0, params, rtol=rtol)
             assert (got.level, got.converged) == (alone.level, True)
             assert got.value == pytest.approx(alone.value, rel=1e-14)
+
+
+class TestMeshMoments:
+    @pytest.mark.parametrize("mu", [1.5, 2.5, 3.0, 4.2857142857142856, 7.3])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4])
+    def test_against_closed_form(self, mu, s):
+        # the Gram matrices' moments, a third evaluation of lam; the worst
+        # relative difference seen on this grid was 1.8e-11 (mu = 1.5, s = 0.4)
+        params = DomainParams(mu)
+        j = bergman.membership_min_j(bergman.Component.FUNCTION, s, params)
+        x = np.arange(j, j + 6, 0.5)
+        got = measure.mesh_moments(x, -2.0, 9, s, params, 6)
+        want = measure.lambda_closed_array(x[:, None], np.arange(-2.0, 2.5, 0.5), s, params)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-9
 
 
 @settings(max_examples=120, deadline=None)

@@ -127,6 +127,29 @@ class TestIntegrabilityBoundary:
         with pytest.raises(DomainError):
             DomainParams(mu)
 
+    def test_certificates_just_below_threshold_keep_their_bound(self):
+        # the bound formed X - 2s and Y - 4s in plain floating point: a few
+        # ulps below the threshold it fell under the sup (about a fifth of
+        # these draws) or refused the certificate (another fifth)
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            params = DomainParams(float(np.exp(rng.uniform(math.log(1.2), math.log(1e4)))))
+            p = int(rng.integers(0, 3))
+            s = regularity.threshold(params, p).r
+            for _ in range(int(rng.integers(1, 65))):
+                s = math.nextafter(s, -math.inf)
+            cert = regularity.continuity_certificate(params, p, s, (3, 1))
+            assert cert.sup_ratio <= cert.bound_used, (params.mu, p, s)
+
+    @pytest.mark.parametrize("r", np.round(np.arange(0.05, 0.46, 0.05), 2).tolist())
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_witness_exponent_vanishes_at_threshold(self, r, p):
+        # 2x/mu + 2 - 2s left residues such as 8.3e-17 at mu = 20
+        params = DomainParams(regularity.mu_for_threshold(r, p))
+        wit = regularity.divergence_witness(params, p, regularity.threshold(params, p).r)
+        assert wit.analytic_exponent == 0.0
+        assert wit.growth.kind == "log"
+
 
 class TestSharpnessChecks:
     @pytest.mark.parametrize("p", [0, 1, 2])
