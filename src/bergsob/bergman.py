@@ -348,13 +348,7 @@ def _angular_factor(m: int) -> float:
     return float(np.mean(np.cos(abs(m) * phi)))
 
 
-def gram_matrix(
-    indices: list[BasisIndex],
-    s: float,
-    params: DomainParams,
-    *,
-    level: int = 6,
-) -> np.ndarray:
+def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np.ndarray:
     """Pairwise weight-s inner products of normalized basis elements.
 
     Each entry is (angular factor in phi1) x (angular factor in phi2) x
@@ -367,8 +361,8 @@ def gram_matrix(
 
     The radial moment of a pair is lam(e1 / 2, e2 / 2, s), with
     e1 = jA + jB (shifted by -2 mu for dw1 pairs) and the integer
-    e2 = kA + kB; one measure.mesh_moments call at ``level`` tabulates it
-    for every distinct e1 and every e2.
+    e2 = kA + kB; one measure.mesh_moments call tabulates it for every
+    distinct e1 and every e2 to 1e-10 relative, or raises QuadratureError.
     """
     if not 0.0 <= s < 0.5:
         raise DomainError(f"need 0 <= s < 1/2, got {s}")
@@ -385,7 +379,7 @@ def gram_matrix(
     e1 = (j[:, None] + j) + np.where(comp == Component.DW1.value, -2.0 * params.mu, 0.0)[:, None]
     e1_vals, e1_at = np.unique(e1[same], return_inverse=True)
     e2_lo, e2_hi = 2 * int(k.min()), 2 * int(k.max())
-    radial = measure.mesh_moments(0.5 * e1_vals, 0.5 * e2_lo, e2_hi - e2_lo + 1, s, params, level)
+    radial = measure.mesh_moments(0.5 * e1_vals, 0.5 * e2_lo, e2_hi - e2_lo + 1, s, params)
 
     ang_table = np.array([_angular_factor(m) for m in range(np.ptp(j) + np.ptp(k) + 1)])
     ang = ang_table[np.abs(j[:, None] - j)] * ang_table[np.abs(k[:, None] - k)]

@@ -36,19 +36,18 @@ the cut is just r1 > eps:
 c = arccos(r1^mu).  One adaptive tanh-sinh piece covers r1 down to 2^-4,
 where the fibers collapse as r1 -> 1, and the dyadic shells
 [2^-(k+1), 2^-k] below it, smooth in log r1, take a Gauss-Legendre rule
-all in one array pass.  The inner u2 integral substitutes the distance
-to the fiber's ends so that its endpoint power is absorbed exactly, and
-keeps full accuracy up to s -> 1/2.  ``truncation_growth_fit`` takes one
-top piece at 2^-m_lo and the shells down to 2^-m_hi: the shells are the
+all in one array pass.  ``truncation_growth_fit`` takes one top piece at 2^-m_lo and the shells down to 2^-m_hi: the shells are the
 first differences of the values, free of cancellation, and the growth
 mode comes from their differences (second differencing cancels both the
 convergent part and any additive logarithmic mode, so the power exponent
 survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
 independent (u1, u2) route, kept off the hot path.
 
-Every other integral over the domain is one (r1, u2) product of tanh-sinh
-rules, ``_product_rule``: ``radial_moment`` (the projection) refines it
-level by level, ``mesh_moments`` (the Gram matrices) takes one level.
+Every integral over the domain takes one fiber rule in u2 (``_fold``) that
+absorbs the weight's endpoint power exactly, up to s -> 1/2.  The rest
+are one (r1, u2) product rule refined level by level (``_product_rule``):
+``radial_moment`` (the projection) at s = 0 and ``mesh_moments`` (the Gram
+matrices) at s.
 """
 
 from __future__ import annotations
@@ -352,12 +351,15 @@ def _finite_or_raise(value, m: MomentArgs):
 _TOP_LEVEL = 4
 _TRUNCATED_RTOL = 1e-9
 
-# The fiber rule is tanh-sinh on (0, 1), refined from level _FIBER_LEVELS[0]
-# (checked against the level below) up to _FIBER_LEVELS[1].  Its substituted
-# integrand is bounded, so the nodes within _FIBER_EDGE of either end, which
-# carry less than that fraction of its sup, are dropped.
-_FIBER_LEVELS = (4, 8)
+# The fiber rule is tanh-sinh on (0, 1) less its nodes within _FIBER_EDGE of
+# an end, which carry less than that fraction of the bounded integrand's sup.
+# The truncated moments refine it per fiber over _FIBER_LEVELS (the first one
+# checked against the level below); the product rule refines it with its r1
+# rule over _MESH_LEVELS, a Gram table until every entry settles to _MESH_RTOL.
 _FIBER_EDGE = 1e-20
+_FIBER_LEVELS = (4, 8)
+_MESH_LEVELS = (4, 9)
+_MESH_RTOL = 1e-10
 
 # Each dyadic shell is split into panels in log r1 on which the integrand's
 # exponential rate times the panel width is at most _PANEL_RATE, and each
@@ -390,21 +392,34 @@ def _fiber_nodes(level: int, fresh: bool):
     return np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
 
 
-def _log_fibers(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
-    """log of the fiber integral
-
-        I(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2,  c = arccos(r1^mu),
-
-    at each log r1 < 0.  The two halves fold onto the distance d in (0, c)
-    from an end, where cos u2 - r1^mu = 2 sin(d/2) sin(c - d/2), and
+def _fold(c: np.ndarray, log_t: np.ndarray, b: float):
+    """The one fiber rule of the domain: the halves of u2 in (-c, c) fold
+    onto the distance d from an end, |u2| = c - d, where cos u2 - r1^mu =
+    d F with the bounded fold factor F = sinc(d/2 pi) sin(c - d/2), and
     d = c t^(1/b), b = 1 - 2s, absorbs the endpoint power exactly:
 
-        I = (c^b / b) ∫_0^1 2 cosh(y (c - d)) (sinc(d/2) sin(c - d/2))^(-2s) dt.
+        ∫_{-c}^{c} f (cos u2 - r1^mu)^(-2s) du2 = (c^b/b) ∫_0^1 (f(c-d) + f(d-c)) F^(-2s) dt.
 
-    The t integrand is bounded, so no mass is lost below the smallest node
-    however close s is to 1/2 (a bare d^(-2s) with b = 0.02 keeps ~1e-6 of
-    its mass below d = 1e-300), and d may underflow to 0 harmlessly.  Each
-    term is summed as exp(log term + log w) with e^(|y| c) (sin c)^(-2s)
+    No mass is lost below the smallest t however close s is to 1/2 (a bare
+    d^(-2s) at b = 0.02 keeps ~1e-6 of its mass below d = 1e-300), and d may
+    underflow to 0 harmlessly.  Returns d, c - d and log F (0 at s = 0,
+    where F has no weight) on the (fibers, nodes) mesh.
+    """
+    e = log_t / b  # log(d / c)
+    d = np.multiply.outer(c, np.exp(e))
+    gap = np.multiply.outer(c, -np.expm1(e))
+    if b == 1.0:
+        return d, gap, 0.0
+    return d, gap, np.log(np.sinc(d * (0.5 / math.pi)) * np.sin(0.5 * (c[:, None] + gap)))
+
+
+def _log_fibers(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
+    """log of the fiber integral at each log r1 < 0, on the fiber rule of _fold:
+
+        I(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2
+              = (c^b / b) ∫_0^1 2 cosh(y (c - d)) (sinc(d/2 pi) sin(c - d/2))^(-2s) dt.
+
+    Each term is summed as exp(log term + log w) with e^(|y| c) (sin c)^(-2s)
     factored out, so no term overflows or underflows for any s < 1/2.  The
     rule is refined until every fiber agrees with the level below to
     _TRUNCATED_RTOL, one block of fibers at a time (see _BLOCK_CELLS).
@@ -422,17 +437,11 @@ def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
 
     def sums(level: int, fresh: bool) -> np.ndarray:
         log_t, log_w = _fiber_nodes(level, fresh)
-        e = log_t / b  # log(d / c)
-        d = np.multiply.outer(c, np.exp(e))
-        gap = np.multiply.outer(c, -np.expm1(e))  # c - d
-        terms = d * (0.5 / math.pi)
-        terms = np.log(np.sinc(terms) * np.sin(0.5 * (c[:, None] + gap)))
-        terms -= log_sin_c
-        terms *= -2.0 * s
+        d, gap, log_fold = _fold(c, log_t, b)
+        terms = -2.0 * s * (log_fold - log_sin_c)
         if ay:
-            terms += np.log1p(np.exp(-2.0 * ay * gap)) - ay * d
-        terms += log_w
-        return np.exp(terms).sum(axis=1)
+            terms = terms + (np.log1p(np.exp(-2.0 * ay * gap)) - ay * d)
+        return np.exp(terms + log_w).sum(axis=1)
 
     lo, hi = _FIBER_LEVELS
     with np.errstate(under="ignore", divide="ignore"):
@@ -557,18 +566,12 @@ def truncation_growth_fit(m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16) -> Gr
 
 
 def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *, rtol=1e-10):
-    """∫_D g(|w1|, |w2|) |w1|^p1 |w2|^p2 dV_D for a radial profile g.
-
-    Computed as the iterated integral (u2 = log r2^2)
+    """∫_D g(|w1|, |w2|) |w1|^p1 |w2|^p2 dV_D for a radial profile g, as
 
         8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1)
             ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g(r1, e^(u2/2)) du2 dr1
 
-    on the product of two tanh-sinh rules of one level (_product_rule),
-    refined from level 5 up to level 9.  The rules nest, so level L
-    evaluates only its new cells, all outer nodes of L times the new inner
-    nodes plus the new outer nodes times the inner nodes of L - 1, and adds
-    their sum to 1/4 of the previous level's sum.
+    (u2 = log r2^2) on the product rule at s = 0 (_product_rule, levels 4..9).
 
     The profile must be vectorized over numpy arrays.  Several integrands
     that share p1 and p2 integrate on one mesh: give ``rtol`` as a
@@ -582,59 +585,37 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
     """
     many = np.ndim(rtol) == 1
     rtols = np.atleast_1d(np.asarray(rtol, dtype=float))
-    n = len(rtols)
     powers = np.array([p1 + 2.0 * params.mu - 1.0])
 
     def integrands(r1, c, half_u2):
-        values = profile(r1[:, None], np.exp(half_u2))
+        values = profile(r1[:, None, None], np.exp(half_u2))
         half_u2 *= p2
         factor = np.exp(half_u2, out=half_u2)
         return (np.asarray(g, dtype=float) * factor for g in (values if many else (values,)))
 
-    cells = lambda outer, inner: _product_rule(outer, inner, params.mu, powers, integrands)[0]
-    results: list = [None] * n
-    total = None
-    for level in range(5, 10):
-        if total is None:
-            part = cells(quadrature.nodes(level), quadrature.nodes(level))
-        else:
-            fresh = quadrature.new_nodes(level)
-            part = cells(quadrature.nodes(level), fresh)
-            part += 0.5 * cells(fresh, quadrature.nodes(level - 1))
-        prev, total = total, part if total is None else 0.25 * total + part
-        err = np.full(n, math.inf) if prev is None else np.abs(total - prev)
-        for i in range(n):
-            if results[i] is not None:
-                continue
-            if not math.isfinite(total[i]):
-                results[i] = quadrature.QuadResult(math.inf, math.inf, level, False)
-            elif err[i] <= max(1e-300, rtols[i] * abs(total[i])):
-                results[i] = quadrature.QuadResult(float(total[i]), float(err[i]), level, True)
-        if all(r is not None for r in results):
+    results: list = [None] * len(rtols)
+    for level, (total,), (err,) in _product_rule(params.mu, 0.0, powers, integrands):
+        settled = err <= np.maximum(1e-300, rtols * np.abs(total))
+        for i in np.flatnonzero(settled | ~np.isfinite(total)):
+            if results[i] is None:
+                ok = math.isfinite(total[i])
+                results[i] = quadrature.QuadResult(float(total[i]) if ok else math.inf,
+                                                   float(err[i]) if ok else math.inf, level, ok)
+        if None not in results:
             break
-    results = [
-        r or quadrature.QuadResult(float(total[i]), float(err[i]), level, False)
-        for i, r in enumerate(results)
-    ]
+    results = [r or quadrature.QuadResult(float(v), float(e), level, False)
+               for r, v, e in zip(results, total, err)]
     return results if many else results[0]
 
 
-def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams, level: int):
+def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
     """lam(x_a, y_lo + i/2, s), i < count, as a (len(x), count) array over
-    the integrable x_a of the 1-d x, on the level-``level`` product rule:
-    the Gram matrices' lam.  (cos u2 - r1^mu)^(-2s) at an inner node q is
-    the bounded (2 sin(c q_lo) sin(c q_hi) / (q_lo q_hi))^(-2s) times the
-    weights' (q_lo q_hi)^(-2s), so no cell overflows for s < 1/2.  One mesh
-    exp serves every y, stepped by a factor e^(u2 / 2).
+    the integrable x_a of the 1-d x: the Gram matrices' lam, at the first
+    level where every entry agrees with the level below to _MESH_RTOL (else
+    QuadratureError).  One mesh exp serves every y, stepped by e^(u2 / 2).
     """
-    q_lo, q_hi, v = rule = quadrature.nodes(level)
-    inner = (q_lo, q_hi, np.exp(np.log(v) - 2.0 * s * np.log(q_lo * q_hi)))
-
     def integrands(r1, c, half_u2):
         mesh = np.exp((2.0 * y_lo) * half_u2)
-        if s != 0.0:
-            fiber = (2.0 * np.sin(np.outer(c, q_lo)) / q_lo) * (np.sin(np.outer(c, q_hi)) / q_hi)
-            mesh *= fiber ** (-2.0 * s)
         step = np.exp(half_u2, out=half_u2)
         for i in range(count):  # y = y_lo + i/2; each mesh is summed before the next step
             if i:
@@ -642,7 +623,13 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams, lev
             yield mesh
 
     powers = 2.0 * np.asarray(x, dtype=float) + 2.0 * params.mu - 1.0 - 2.0 * s * params.mu
-    return _product_rule(rule, inner, params.mu, powers, integrands)
+    for level, table, err in _product_rule(params.mu, s, powers, integrands):
+        if not np.all(np.isfinite(table)):
+            break
+        if np.all(err <= np.maximum(1e-300, _MESH_RTOL * np.abs(table))):
+            return table
+    raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {params.mu} "
+                                     f"did not settle to a finite table by level {level}")
 
 
 # Mesh temporaries are built a block of rows at a time, each block at most
@@ -654,30 +641,49 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams, lev
 _BLOCK_CELLS = 16384
 
 
-def _product_rule(outer, inner, mu: float, powers: np.ndarray, integrands) -> np.ndarray:
-    """8 pi^2 mu^2 ∫_0^1 r1^a ∫_{-c}^{c} f(r1, u2) du2 dr1, c = arccos(r1^mu),
-    as a (powers a, integrands f) array, on the outer node triple in r1 =
-    p_lo times the inner one in u2 = c (q_lo - q_hi); NaN where a cell is
-    not finite.  integrands(r1, c, u2 / 2) yields each f on a block of rows
-    (u2 / 2 is (rows, inner nodes) and may be overwritten), and each is
-    summed before the next is asked for.
+def _product_rule(mu: float, s: float, powers: np.ndarray, integrands):
+    """(level, total, err) at each level of _MESH_LEVELS: total is
+
+        8 pi^2 mu^2 ∫_0^1 r1^a ∫_{-c}^{c} f(r1, u2) (cos u2 - r1^mu)^(-2s) du2 dr1
+
+    as a (powers a, integrands f) array, c from _half_width, on tanh-sinh in
+    r1 times the fiber rule of _fold (NaN where a cell is not finite), and
+    err is its change from the level below.  integrands(r1, c, u2 / 2) yields
+    each f on a block of rows (u2 / 2 is (rows, 2 halves, nodes) and may be
+    overwritten), each summed before the next is asked for.  The rules nest,
+    so level L adds only its new cells (all outer nodes times the new fiber
+    nodes, new outer nodes times the fiber nodes of L - 1) to 1/4 of the sum
+    of level L - 1.
     """
-    p_lo, p_hi, w = outer
-    q_lo, q_hi, v = inner
-    step = max(1, _BLOCK_CELLS // len(v))
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        c = np.arccos(np.exp(mu * np.log1p(-p_hi)))
-        keep = c > 0.0  # collapsed fibers at r1 -> 1 contribute nothing
-        r1, c = p_lo[keep], c[keep]
-        sums = np.concatenate([
-            [f @ v for f in integrands(r1[i:i + step], c[i:i + step],
-                                       np.multiply.outer(0.5 * c[i:i + step], q_lo - q_hi))]
-            for i in range(0, len(c), step)
-        ], axis=1)
-        cells = 2.0 * c * sums
-        # a cell that underflowed to 0 adds 0 even where r1^a overflows
-        r1_powers = np.exp(np.multiply.outer(powers, np.log(r1)))[:, None, :]
-        vals = np.where(cells == 0.0, 0.0, r1_powers * cells)
-        out = vals @ (8.0 * math.pi**2 * mu * mu * w[keep])
-    out[~np.all(np.isfinite(vals), axis=-1)] = math.nan
-    return out
+    b = 1.0 - 2.0 * s
+
+    def cells(outer, level: int, fresh: bool) -> np.ndarray:
+        p_lo, p_hi, w = outer
+        log_t, log_w = _fiber_nodes(level, fresh)
+        step = max(1, _BLOCK_CELLS // (2 * len(log_t)))
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            c = _half_width(mu * np.log1p(-p_hi))
+            sums = []
+            for rows in (slice(i, i + step) for i in range(0, len(c), step)):
+                _, gap, log_fold = _fold(c[rows], log_t, b)
+                weights = np.broadcast_to(np.exp(-2.0 * s * log_fold + log_w), gap.shape)
+                half_u2 = np.stack((0.5 * gap, -0.5 * gap), axis=1)
+                sums.append([np.einsum("ijk,ik->i", f, weights)
+                             for f in integrands(p_lo[rows], c[rows], half_u2)])
+            fibers = (c**b / b) * np.concatenate(sums, axis=1)
+            # r1^a w as one exp, as r1^a times a fiber can overflow at a -> -1;
+            # a fiber that underflowed to 0 adds 0 even where r1^a w overflows
+            weighted = np.exp(np.multiply.outer(powers, np.log(p_lo)) + np.log(w))[:, None, :]
+            vals = np.where(fibers == 0.0, 0.0, weighted * fibers)
+            out = vals.sum(axis=-1) * (8.0 * math.pi**2 * mu * mu)
+        out[~np.all(np.isfinite(vals), axis=-1)] = math.nan
+        return out
+
+    lo, hi = _MESH_LEVELS
+    total = cells(quadrature.nodes(lo), lo, False)
+    yield lo, total, np.full_like(total, math.inf)
+    for level in range(lo + 1, hi + 1):
+        part = cells(quadrature.nodes(level), level, True)
+        part += 0.5 * cells(quadrature.new_nodes(level), level - 1, False)
+        prev, total = total, 0.25 * total + part
+        yield level, total, np.abs(total - prev)

@@ -209,11 +209,11 @@ def suite_measure(cfg: Config, rng) -> SuiteResult:
 
 
 def check_gram(res: SuiteResult, count: int, *, offdiag_tol: float, diag_tol: float) -> None:
-    """The Gram matrix of the leading ``count`` normalized basis elements
-    at mu = 3 is the identity, for every degree p and s in {0, 0.2, 0.4}."""
+    """The Gram matrix of the leading ``count`` normalized basis elements at
+    mu = 3 is the identity, for every degree p and s in {0, 0.2, 0.4, 0.49}."""
     params = DomainParams(3.0)
     for p in (0, 1, 2):
-        for s in (0.0, 0.2, 0.4):
+        for s in (0.0, 0.2, 0.4, 0.49):
             idx = bergman.basis_indices(p, s, params, count)
             G = bergman.gram_matrix(idx, s, params)
             off = float(np.max(np.abs(G - np.diag(np.diag(G)))))

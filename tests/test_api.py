@@ -8,7 +8,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergsob"
 
 KNOBS = {
-    "bergman.gram_matrix(level)",
     "bergman.kernel_eval(truncation)",
     "bergman.project(truncation)",
     "cli.main(argv)",
@@ -60,7 +59,7 @@ def _knobs() -> set[str]:
 
 def test_knobs_pinned():
     assert _knobs() == KNOBS
-    assert len(KNOBS) == 23
+    assert len(KNOBS) == 22
 
 
 # each module's imports from the package; bergman is algebra over measure's

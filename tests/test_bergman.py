@@ -44,18 +44,26 @@ def kernel_loop(w, u, params, truncation):
 
 
 def gram_loop(indices, s, params, level):
-    """Reference: the Gram matrix entry by entry, with one mesh exp per
-    distinct kA + kB and one radial quadrature per distinct (e1, e2)."""
-    mu = params.mu
+    """Reference: the Gram matrix entry by entry on every node of the
+    level-``level`` product rule, with one fiber sum per distinct kA + kB and
+    one radial quadrature per distinct (e1, e2); returns the matrix and the
+    radial moments by (e1, e2).
+
+    The fiber rule is the folded one: both halves u2 = +-(c - d) on the
+    nodes d = c t^(1/b), b = 1 - 2s, of the tanh-sinh rule on (0, 1) less
+    its nodes within measure._FIBER_EDGE of an end, with the bounded weight
+    (sinc(d/2 pi) sin(c - d/2))^(-2s) times c^b / b."""
+    mu, b_exp = params.mu, 1.0 - 2.0 * s
     p_lo, p_hi, wq = quadrature.nodes(level)
-    with np.errstate(divide="ignore"):
-        c_all = np.arccos(np.exp(mu * np.log1p(-p_hi)))
-    keep = c_all > 0.0
-    r1, c = p_lo[keep], c_all[keep]
-    u2 = np.outer(c, p_lo - p_hi)
-    gap = 2.0 * np.sin(np.outer(c, p_lo)) * np.sin(np.outer(c, p_hi))
-    base_outer = 8.0 * math.pi**2 * mu * mu * wq[keep] * 2.0 * c
-    gap_pow = gap ** (-2.0 * s)
+    t, t_hi, v = quadrature.nodes(level)
+    keep = np.minimum(t, t_hi) > measure._FIBER_EDGE
+    t, v = t[keep], v[keep]
+    with np.errstate(divide="ignore", under="ignore"):  # r1 = 0 to a double; d underflows
+        c = measure._half_width(mu * np.log1p(-p_hi))
+        d = np.outer(c, t ** (1.0 / b_exp))
+    gap = c[:, None] - d
+    fiber_w = v * (np.sinc(d / (2.0 * math.pi)) * np.sin(c[:, None] - 0.5 * d)) ** (-2.0 * s)
+    base_outer = 8.0 * math.pi**2 * mu * mu * wq * c**b_exp / b_exp
     inner, radial = {}, {}
     norms = [basis_norm_sq(idx, s, params).value for idx in indices]
     n = len(indices)
@@ -68,13 +76,25 @@ def gram_loop(indices, s, params, level):
             shift = -2.0 * mu if A.component is Component.DW1 else 0.0
             e1, e2 = A.j + B.j + shift, float(A.k + B.k)
             if e2 not in inner:
-                inner[e2] = (np.exp((0.5 * e2) * u2) * gap_pow) @ wq
+                inner[e2] = ((np.exp(0.5 * e2 * gap) + np.exp(-0.5 * e2 * gap)) * fiber_w).sum(1)
             if (e1, e2) not in radial:
                 expo = e1 + 2.0 * mu - 1.0 - 2.0 * s * mu
-                radial[e1, e2] = float(base_outer @ (np.exp(expo * np.log(r1)) * inner[e2]))
+                radial[e1, e2] = float(base_outer @ (np.exp(expo * np.log(p_lo)) * inner[e2]))
             ang = bergman._angular_factor(A.j - B.j) * bergman._angular_factor(A.k - B.k)
             out[a, b] = out[b, a] = ang * radial[e1, e2] / math.sqrt(norms[a] * norms[b])
-    return out
+    return out, radial
+
+
+def settled_level(indices, s, params):
+    """The first level from 5 at which every radial moment of gram_loop
+    agrees with the level below to 1e-10 relative, as gram_matrix refines."""
+    prev = gram_loop(indices, s, params, 4)[1]
+    for level in range(5, 10):
+        radial = gram_loop(indices, s, params, level)[1]
+        if all(abs(radial[key] - prev[key]) <= 1e-10 * abs(radial[key]) for key in radial):
+            return level
+        prev = radial
+    raise AssertionError("gram_loop did not settle by level 9")
 
 
 P3 = DomainParams(3.0)
@@ -347,7 +367,7 @@ class TestKernel:
 
 class TestGram:
     @pytest.mark.parametrize("p", [0, 1, 2])
-    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.48])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.48, 0.49, 0.499])
     def test_identity(self, p, s):
         idx = basis_indices(p, s, P3, 25)
         assert len(idx) == 25
@@ -358,20 +378,31 @@ class TestGram:
 
     @pytest.mark.parametrize("mu", [1.5, 3.0, 4.2857142857142856])
     @pytest.mark.parametrize("p", [0, 1, 2])
-    def test_finite_near_one_half(self, mu, p):
-        # (cos u2 - r1^mu)^(-2s) overflowed next to the fiber ends, and every
-        # entry was inf from s = 0.48 on; at 0.499 a level-6 rule cannot
-        # resolve the endpoint power, but the entries stay finite
+    @pytest.mark.parametrize("s", [0.48, 0.49, 0.499])
+    def test_identity_near_one_half(self, s, mu, p):
+        # the fold d = c t^(1/(1 - 2s)) absorbs the fiber weight's endpoint
+        # power (cos u2 - r1^mu)^(-2s); a plain level-6 u2 rule is off by
+        # 6.7e-7 at s = 0.49 and by 0.24 at 0.499
         params = DomainParams(mu)
-        G = gram_matrix(basis_indices(p, 0.499, params, 10), 0.499, params)
-        assert np.all(np.isfinite(G))
+        G = gram_matrix(basis_indices(p, s, params, 10), s, params)
+        assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-8
+        assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-6
+
+    def test_unsettled_table_raises(self):
+        # at mu = 20, s = 0.4999 the leading element's norm lam(-10, 0, s)
+        # has margin 1e-4, and its r1^(-0.996) edge outruns level 9
+        params = DomainParams(20.0)
+        idx = basis_indices(0, 0.4999, params, 1)
+        with pytest.raises(quadrature.QuadratureError, match="did not settle"):
+            gram_matrix(idx, 0.4999, params)
 
     @pytest.mark.parametrize("p", [0, 1, 2])
-    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.49])
     def test_matches_entry_by_entry_assembly(self, p, s):
         idx = basis_indices(p, s, P3, 25)
-        G = gram_matrix(idx, s, P3, level=7)
-        assert np.max(np.abs(G - gram_loop(idx, s, P3, 7))) <= 1e-14
+        G = gram_matrix(idx, s, P3)
+        level = settled_level(idx, s, P3)
+        assert np.max(np.abs(G - gram_loop(idx, s, P3, level)[0])) <= 1e-14
 
     def test_mixed_components_vanish(self):
         idx = [
@@ -387,7 +418,10 @@ class TestGram:
             gram_matrix([BasisIndex(1, 0, 1, Component.DW1)], 0.4, P3)
 
     def test_level_refinement_stable(self):
+        # the table is returned at the level where it settled, and one more
+        # level moves it by less than the settling tolerance
         idx = basis_indices(0, 0.2, P3, 9)
-        G6 = gram_matrix(idx, 0.2, P3, level=6)
-        G7 = gram_matrix(idx, 0.2, P3, level=7)
-        assert np.max(np.abs(G6 - G7)) <= 1e-10
+        G = gram_matrix(idx, 0.2, P3)
+        level = settled_level(idx, 0.2, P3)
+        assert np.max(np.abs(G - gram_loop(idx, 0.2, P3, level)[0])) <= 1e-14
+        assert np.max(np.abs(G - gram_loop(idx, 0.2, P3, level + 1)[0])) <= 1e-10

@@ -263,7 +263,7 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert run_cli(["verify", "--seed", "1", "--output", str(out)]) == 0
         counts = {r["name"]: r["checks"] for r in json.loads(out.read_text())["suites"]}
-        assert counts == {"special": 349, "geometry": 27, "measure": 84, "bergman": 38,
+        assert counts == {"special": 349, "geometry": 27, "measure": 84, "bergman": 44,
                           "regularity": 48}
 
     def test_unknown_suite_exits_2(self):

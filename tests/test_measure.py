@@ -374,23 +374,27 @@ class TestTruncation:
             measure.lambda_truncated(m, 1.5)
 
 
-def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=5, max_level=9):
+def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=4, max_level=9):
     """Reference: radial_moment with every level's product rule evaluated
-    at all of its nodes."""
+    at all of its nodes.  The fiber rule is the folded one at s = 0: both
+    halves u2 = +-(c - d) on d = c t, t the tanh-sinh nodes of (0, 1) less
+    those within measure._FIBER_EDGE of an end, with the weight c."""
     mu = params.mu
     prev = None
     for level in range(min_level, max_level + 1):
-        p_lo, p_hi, w = quadrature.nodes(level)
-        with np.errstate(divide="ignore"):
-            c = np.arccos(np.exp(mu * np.log1p(-p_hi)))
-        keep = c > 0.0
-        r1, c, w1 = p_lo[keep], c[keep], w[keep]
-        u2 = np.outer(c, p_lo - p_hi)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            g = np.asarray(profile(r1[:, None], np.exp(0.5 * u2)), dtype=float)
-            inner = 2.0 * c * ((g * np.exp((0.5 * p2) * u2)) @ w)
-            vals = np.where(inner == 0.0, 0.0, r1 ** (p1 + 2.0 * mu - 1.0) * inner)
-        total = 8.0 * math.pi**2 * mu * mu * float(w1 @ vals)
+        r1, p_hi, w = quadrature.nodes(level)
+        t, t_hi, v = quadrature.nodes(level)
+        keep = np.minimum(t, t_hi) > measure._FIBER_EDGE
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            c = measure._half_width(mu * np.log1p(-p_hi))
+            gap = np.outer(c, t_hi[keep])  # |u2| = c - d = c (1 - t)
+            inner = 0.0
+            for u2 in (gap, -gap):
+                g = np.asarray(profile(r1[:, None], np.exp(0.5 * u2)), dtype=float)
+                inner = inner + (g * np.exp((0.5 * p2) * u2)) @ v[keep]
+            inner *= c
+            vals = np.where(inner == 0.0, 0.0, r1 ** (p1 + 2.0 * mu - 1.0) * w * inner)
+        total = 8.0 * math.pi**2 * mu * mu * float(vals.sum())
         if prev is not None and abs(total - prev) <= max(1e-300, rtol * abs(total)):
             return total, level, True
         prev = total
@@ -436,14 +440,14 @@ class TestRadialMoment:
 
 class TestMeshMoments:
     @pytest.mark.parametrize("mu", [1.5, 2.5, 3.0, 4.2857142857142856, 7.3])
-    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.49, 0.499])
     def test_against_closed_form(self, mu, s):
         # the Gram matrices' moments, a third evaluation of lam; the worst
-        # relative difference seen on this grid was 1.8e-11 (mu = 1.5, s = 0.4)
+        # relative difference seen on this grid was 1.4e-14
         params = DomainParams(mu)
         j = bergman.membership_min_j(bergman.Component.FUNCTION, s, params)
         x = np.arange(j, j + 6, 0.5)
-        got = measure.mesh_moments(x, -2.0, 9, s, params, 6)
+        got = measure.mesh_moments(x, -2.0, 9, s, params)
         want = measure.lambda_closed_array(x[:, None], np.arange(-2.0, 2.5, 0.5), s, params)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-9
 
