@@ -20,7 +20,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bergsob import regularity
+from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
+from bergsob.quadrature import QuadratureError
 
 
 def entry(r: float, p: int, gap: float) -> tuple[dict, bool]:
@@ -65,7 +67,11 @@ def main(argv=None) -> int:
     ok = True
     for r in args.r:
         for p in (0, 1, 2):
-            row, passed = entry(r, p, args.gap)
+            try:
+                row, passed = entry(r, p, args.gap)
+            except (DomainError, QuadratureError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             table.append(row)
             ok = ok and passed
             print(f"done r={r} p={p} ({time.perf_counter() - started:.1f}s)",

@@ -13,16 +13,19 @@ Example:
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bergsob import cli, regularity
+from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
+from bergsob.quadrature import QuadratureError
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mu", type=float, required=True)
     parser.add_argument("--p", type=int, choices=(0, 1, 2), required=True)
@@ -31,19 +34,26 @@ def main() -> int:
                         help="extend the grid this far past the threshold")
     parser.add_argument("--lattice", default="40,40")
     parser.add_argument("--output", default=None)
-    args = parser.parse_args()
-
-    thr = regularity.threshold(DomainParams(args.mu), args.p)
+    args = parser.parse_args(argv)
+    if args.points < 1 or not math.isfinite(args.overshoot):
+        print(f"error: need --points >= 1 and a finite --overshoot, got {args.points} "
+              f"and {args.overshoot}", file=sys.stderr)
+        return 2
+    try:
+        thr = regularity.threshold(DomainParams(args.mu), args.p)
+    except (DomainError, QuadratureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stop = min(0.499, thr.r + args.overshoot)
     step = stop / args.points
     grid = f"0:{stop}:{step}"
     print(f"threshold r = {thr.r} (binding: {thr.binding}); scanning {grid}",
           file=sys.stderr)
-    argv = ["scan", "--mu", str(args.mu), "--p", str(args.p),
-            "--s-grid", grid, "--lattice", args.lattice]
+    scan_argv = ["scan", "--mu", str(args.mu), "--p", str(args.p),
+                 "--s-grid", grid, "--lattice", args.lattice]
     if args.output:
-        argv += ["--output", args.output]
-    return cli.main(argv)
+        scan_argv += ["--output", args.output]
+    return cli.main(scan_argv)
 
 
 if __name__ == "__main__":

@@ -33,21 +33,24 @@ the cut is just r1 > eps:
     lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu e - 1)
                   ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2 dr1,
 
-c = arccos(r1^mu).  One adaptive tanh-sinh piece covers r1 down to 2^-4,
-where the fibers collapse as r1 -> 1, and the dyadic shells
-[2^-(k+1), 2^-k] below it, smooth in log r1, take a Gauss-Legendre rule
-all in one array pass.  ``truncation_growth_fit`` takes one top piece at 2^-m_lo and the shells down to 2^-m_hi: the shells are the
-first differences of the values, free of cancellation, and the growth
-mode comes from their differences (second differencing cancels both the
+with c the fiber half-width (``_half_width``).  A tanh-sinh piece in
+log r1 covers r1 down to 2^-4, where the fibers collapse as r1 -> 1, and
+the dyadic shells [2^-(k+1), 2^-k] below it, smooth in log r1, take a
+Gauss-Legendre rule.  ``truncation_growth_fit`` takes one top piece at
+2^-m_lo and the shells down to 2^-m_hi: the shells are the first
+differences of the values, free of cancellation, and the growth mode
+comes from their differences (second differencing cancels both the
 convergent part and any additive logarithmic mode, so the power exponent
 survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
 independent (u1, u2) route, kept off the hot path.
 
-Every integral over the domain takes one fiber rule in u2 (``_fold``) that
-absorbs the weight's endpoint power exactly, up to s -> 1/2.  The rest
-are one (r1, u2) product rule refined level by level (``_product_rule``):
-``radial_moment`` (the projection) at s = 0 and ``mesh_moments`` (the Gram
-matrices) at s.
+Every integral over the domain is one (r1, u2) product rule refined level
+by level (``_product_rule``): an outer rule in r1, given as groups of
+nodes, times one fiber rule in u2 (``_fold``) that absorbs the weight's
+endpoint power exactly, up to s -> 1/2.  ``radial_moment`` (the
+projection) runs it at s = 0 and ``mesh_moments`` (the Gram matrices) at
+s, each on tanh-sinh in r1; the truncated moments run it on the top piece
+and the shells at once, one total per group.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -282,7 +285,7 @@ def lambda_truncated(m: MomentArgs, eps: float) -> float:
     Finite for every eps in (0, 1) as long as s < 1/2; nondecreasing as
     eps decreases, converging to the full moment in the integrable case.
     It is the (r1, u2) integral of _truncated_pieces over (eps, 1): one
-    adaptive piece down to max(eps, 2^-4) and dyadic shells below it.
+    tanh-sinh piece down to max(eps, 2^-4) and dyadic shells below it.
     Raises QuadratureError when the result is not finite or does not
     converge to _TRUNCATED_RTOL.
     """
@@ -291,8 +294,7 @@ def lambda_truncated(m: MomentArgs, eps: float) -> float:
     if eps < 2.0**-_TOP_LEVEL:
         k = np.arange(_TOP_LEVEL, math.ceil(-math.log2(eps)))
         cuts = np.append(2.0 ** -k.astype(float), eps)
-    pieces = _truncated_pieces(m, cuts)
-    return _finite_or_raise(8.0 * math.pi**2 * m.params.mu**2 * math.fsum(pieces), m)
+    return _finite_or_raise(math.fsum(_truncated_pieces(m, cuts)), m)
 
 
 def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
@@ -320,7 +322,9 @@ def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) ->
         return cos_u2 ** (Y - 1.0) * np.exp(m.y * u2) * inner
 
     res = quadrature.integrate(outer, -C, C, rtol=rtol, min_level=5, max_level=9)
-    _check_converged(res, m)
+    settled = res.converged or res.err_estimate <= 1e-6 * abs(res.value)
+    if not (math.isfinite(res.value) and settled):
+        raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
     return _finite_or_raise(8.0 * math.pi**2 * mu * res.value, m)
 
 
@@ -332,13 +336,6 @@ def _check_truncation(m: MomentArgs, eps: float) -> None:
     _check_finite(m.x, m.y, m.s)
 
 
-def _check_converged(res: quadrature.QuadResult, m: MomentArgs) -> None:
-    if not math.isfinite(res.value) or (
-        not res.converged and res.err_estimate > 1e-6 * abs(res.value)
-    ):
-        raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
-
-
 def _finite_or_raise(value, m: MomentArgs):
     """value, raising QuadratureError unless every element is finite."""
     if not np.all(np.isfinite(value)):
@@ -346,19 +343,17 @@ def _finite_or_raise(value, m: MomentArgs):
     return value
 
 
-# lambda_truncated splits off its adaptive piece at 2^-_TOP_LEVEL; the
-# adaptive piece and the fiber integrals converge to _TRUNCATED_RTOL.
+# lambda_truncated splits off its tanh-sinh piece at 2^-_TOP_LEVEL; every
+# piece of a truncated moment settles to _TRUNCATED_RTOL.
 _TOP_LEVEL = 4
 _TRUNCATED_RTOL = 1e-9
 
 # The fiber rule is tanh-sinh on (0, 1) less its nodes within _FIBER_EDGE of
 # an end, which carry less than that fraction of the bounded integrand's sup.
-# The truncated moments refine it per fiber over _FIBER_LEVELS (the first one
-# checked against the level below); the product rule refines it with its r1
-# rule over _MESH_LEVELS, a Gram table until every entry settles to _MESH_RTOL.
+# The product rule refines it with its outer rule over _LEVELS (the first one
+# checked against nothing); a Gram table settles to _MESH_RTOL.
 _FIBER_EDGE = 1e-20
-_FIBER_LEVELS = (4, 8)
-_MESH_LEVELS = (4, 9)
+_LEVELS = (3, 9)
 _MESH_RTOL = 1e-10
 
 # Each dyadic shell is split into panels in log r1 on which the integrand's
@@ -383,16 +378,24 @@ def _half_width(log_p):
 
 
 @lru_cache(maxsize=None)
-def _fiber_nodes(level: int, fresh: bool):
-    """(log t, log w) of the kept tanh-sinh nodes t of (0, 1) at ``level``,
-    only those new at ``level`` when ``fresh``."""
+def _nodes(level: int, fresh: bool, edge: float = 0.0):
+    """(t, log t, log w) of the tanh-sinh nodes t of (0, 1) at ``level`` that
+    lie farther than ``edge`` from both ends, only those new at ``level`` when
+    ``fresh``; log t keeps full accuracy as t -> 1."""
     p_lo, p_hi, w = (quadrature.new_nodes if fresh else quadrature.nodes)(level)
-    keep = np.minimum(p_lo, p_hi) > _FIBER_EDGE
+    keep = np.minimum(p_lo, p_hi) > edge
     p_lo, p_hi, w = p_lo[keep], p_hi[keep], w[keep]
-    return np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
+    return p_lo, np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
 
 
-def _fold(c: np.ndarray, log_t: np.ndarray, b: float):
+def _unit_outer(level: int, fresh: bool):
+    """The outer rule of radial_moment and mesh_moments: tanh-sinh in r1 on
+    (0, 1), one group."""
+    _, log_r1, log_w = _nodes(level, fresh)
+    return log_r1, log_w, (len(log_w),)
+
+
+def _fold(c: np.ndarray, log_t: np.ndarray, log_w: np.ndarray, s: float):
     """The one fiber rule of the domain: the halves of u2 in (-c, c) fold
     onto the distance d from an end, |u2| = c - d, where cos u2 - r1^mu =
     d F with the bounded fold factor F = sinc(d/2 pi) sin(c - d/2), and
@@ -402,105 +405,81 @@ def _fold(c: np.ndarray, log_t: np.ndarray, b: float):
 
     No mass is lost below the smallest t however close s is to 1/2 (a bare
     d^(-2s) at b = 0.02 keeps ~1e-6 of its mass below d = 1e-300), and d may
-    underflow to 0 harmlessly.  Returns d, c - d and log F (0 at s = 0,
-    where F has no weight) on the (fibers, nodes) mesh.
+    underflow to 0 harmlessly.  Returns c - d and the weights w F^(-2s) of
+    the nodes t (only w at s = 0, where F has no weight) on the (fibers,
+    nodes) mesh.
     """
+    b = 1.0 - 2.0 * s
     e = log_t / b  # log(d / c)
-    d = np.multiply.outer(c, np.exp(e))
     gap = np.multiply.outer(c, -np.expm1(e))
     if b == 1.0:
-        return d, gap, 0.0
-    return d, gap, np.log(np.sinc(d * (0.5 / math.pi)) * np.sin(0.5 * (c[:, None] + gap)))
-
-
-def _log_fibers(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
-    """log of the fiber integral at each log r1 < 0, on the fiber rule of _fold:
-
-        I(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2
-              = (c^b / b) ∫_0^1 2 cosh(y (c - d)) (sinc(d/2 pi) sin(c - d/2))^(-2s) dt.
-
-    Each term is summed as exp(log term + log w) with e^(|y| c) (sin c)^(-2s)
-    factored out, so no term overflows or underflows for any s < 1/2.  The
-    rule is refined until every fiber agrees with the level below to
-    _TRUNCATED_RTOL, one block of fibers at a time (see _BLOCK_CELLS).
-    """
-    step = _BLOCK_CELLS // 64  # the fiber rule has about 54 nodes per level up to 4
-    blocks = range(0, len(log_r1), step)
-    return np.concatenate([_log_fiber_block(log_r1[i:i + step], m) for i in blocks])
-
-
-def _log_fiber_block(log_r1: np.ndarray, m: MomentArgs) -> np.ndarray:
-    mu, s, ay = m.params.mu, m.s, abs(m.y)
-    b = 1.0 - 2.0 * s
-    c = _half_width(mu * log_r1)
-    log_sin_c = np.log(np.sin(c))[:, None]
-
-    def sums(level: int, fresh: bool) -> np.ndarray:
-        log_t, log_w = _fiber_nodes(level, fresh)
-        d, gap, log_fold = _fold(c, log_t, b)
-        terms = -2.0 * s * (log_fold - log_sin_c)
-        if ay:
-            terms = terms + (np.log1p(np.exp(-2.0 * ay * gap)) - ay * d)
-        return np.exp(terms + log_w).sum(axis=1)
-
-    lo, hi = _FIBER_LEVELS
-    with np.errstate(under="ignore", divide="ignore"):
-        prev = sums(lo - 1, False)
-        for level in range(lo, hi + 1):
-            total = 0.5 * prev + sums(level, True)
-            if np.all(np.abs(total - prev) <= _TRUNCATED_RTOL * total):
-                break
-            prev = total
-        else:
-            raise quadrature.QuadratureError(f"fiber integrals did not converge for {m}")
-        head = ay * c if ay else math.log(2.0)
-        return head + b * np.log(c) - 2.0 * s * log_sin_c[:, 0] - math.log(b) + np.log(total)
+        return gap, np.broadcast_to(np.exp(log_w), gap.shape)
+    half = np.multiply.outer(0.5 * c, np.exp(e))  # h = d/2 <= c/2 <= pi/4
+    np.maximum(half, 1e-300, out=half)  # sin(h)/h is 1 below, and d may underflow to 0
+    sin_h = np.sin(half)
+    # sin(c - h) = sin c cos h - cos c sin h, with cos h from sin h by one sqrt in place
+    # of a second mesh sin; it loses at most a bit, as c - h >= c/2
+    fold = np.sqrt(1.0 - sin_h * sin_h) * np.sin(c)[:, None] - np.cos(c)[:, None] * sin_h
+    sin_h /= half
+    fold *= sin_h
+    fold = np.log(fold, out=fold)
+    fold *= -2.0 * s
+    fold += log_w
+    return gap, np.exp(fold, out=fold)
 
 
 def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
-    """The moment over r1 in (cuts[0], 1), then over each (cuts[i+1], cuts[i]),
-    without the factor 8 pi^2 mu^2; cuts decrease in (0, 1), each at least
-    half the one before.
+    """The moment over r1 in (cuts[0], 1), then over each (cuts[i+1], cuts[i]);
+    cuts decrease in (0, 1), each at least half the one before.
 
     In (r1, u2) coordinates the cut |w1| > eps is just r1 > eps, and
 
-        lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu X - 1) I(r1) dr1,
+        lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu X - 1)
+                      ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2 dr1,
 
-    with X = 2x/mu + 2 - 2s and I the fiber integral of _log_fibers.  The
-    first piece, where the fibers collapse as r1 -> 1, is an adaptive
-    tanh-sinh integral in log r1.  The shells below it are smooth in log r1
-    and take a Gauss-Legendre rule on panels of log r1, all in one array
-    pass (see _PANEL_RATE).
+    X = 2x/mu + 2 - 2s, is one _product_rule whose groups are the pieces.
+    The top piece, where the fibers collapse as r1 -> 1, is tanh-sinh in
+    log r1 (its nodes -(log cuts[0]) t reach log r1 to full relative accuracy
+    as r1 -> 1).  The shells below it are smooth in log r1 and take a fixed
+    Gauss-Legendre rule on panels of log r1 (see _PANEL_RATE).  Every piece
+    settles to _TRUNCATED_RTOL together (else QuadratureError).
     """
     mu = m.params.mu
     X, _ = _exponents(m.x, m.s, mu)
     rate = mu * X  # of r1^(mu X) in log r1
-
-    def top(log_r1, da, db):
-        # -db is log r1 to full relative accuracy as r1 -> 1
-        return np.exp(_log_fibers(-db, m) - rate * db)
-
     log_cuts = np.log(np.asarray(cuts, dtype=float))
-    res = quadrature.integrate(top, log_cuts[0], 0.0, rtol=_TRUNCATED_RTOL,
-                               min_level=3, max_level=9)
-    _check_converged(res, m)
-    if len(log_cuts) == 1:
-        return np.array([res.value])
+    span = -float(log_cuts[0])
     # log I changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
     p_top = math.exp(mu * log_cuts[0])
     rate_c = mu * p_top * (abs(m.y) + 1.0) / math.sqrt(1.0 - p_top * p_top)
-    width = float(np.max(-np.diff(log_cuts)))
+    width = float(np.max(-np.diff(log_cuts), initial=0.0))
     panels = min(_MAX_PANELS, max(1, math.ceil((abs(rate) + rate_c) * width / _PANEL_RATE)))
-    # (shells, panels, nodes) grid of log r1
+    # (shells, panels, nodes) grid of log r1, each shell one group
     frac = (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels
     lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
-    log_r1 = hi + (lo - hi) * frac
-    log_w = np.log(0.5 * (hi - lo) / panels * _GL_W)
-    terms = rate * log_r1 + log_w + _log_fibers(log_r1.ravel(), m).reshape(log_r1.shape)
-    shift = terms.max(axis=(1, 2))
-    with np.errstate(over="ignore", under="ignore"):
-        shells = np.exp(shift) * np.exp(terms - shift[:, None, None]).sum(axis=(1, 2))
-    return np.concatenate(([res.value], shells))
+    shell_r1 = hi + (lo - hi) * frac
+    shell_w = (np.log(0.5 * (hi - lo) / panels * _GL_W) + shell_r1).ravel()
+    shell_r1 = shell_r1.ravel()
+    shells = (len(cuts) - 1) * (panels * _GL_NODES,)
+
+    def outer(level: int, fresh: bool):
+        t, _, log_w = _nodes(level, fresh)
+        top_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
+        top_w = log_w + math.log(span) + top_r1
+        if fresh:  # the shells' rule is fixed
+            return top_r1, top_w, (len(t),) + len(shells) * (0,)
+        return (np.concatenate((top_r1, shell_r1)), np.concatenate((top_w, shell_w)),
+                (len(t),) + shells)
+
+    def integrands(log_r1, gap):
+        # e^(y u2) over both halves |u2| = gap
+        yield 2.0 * np.cosh(m.y * gap) if m.y else np.broadcast_to(2.0, gap.shape)
+
+    for level, total, err in _product_rule(mu, m.s, np.array([rate - 1.0]), integrands, outer):
+        pieces = _finite_or_raise(total[:, 0, 0], m)
+        if np.all(err[:, 0, 0] <= np.maximum(1e-300, _TRUNCATED_RTOL * pieces)):
+            return pieces
+    raise quadrature.QuadratureError(f"truncated moment did not converge for {m} by level {level}")
 
 
 @dataclass(frozen=True)
@@ -537,8 +516,7 @@ def truncation_growth_fit(m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16) -> Gr
     eps = 2.0 ** (-ms.astype(float))
     for e in (eps[0], eps[-1]):
         _check_truncation(m, float(e))
-    scale = 8.0 * math.pi**2 * m.params.mu**2
-    pieces = _finite_or_raise(scale * _truncated_pieces(m, eps), m)
+    pieces = _truncated_pieces(m, eps)
     d1 = pieces[1:]  # the shells: first differences, free of cancellation
     vals = np.cumsum(pieces)
     d2 = np.diff(d1)
@@ -565,36 +543,38 @@ def truncation_growth_fit(m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16) -> Gr
     )
 
 
-def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *, rtol=1e-10):
-    """∫_D g(|w1|, |w2|) |w1|^p1 |w2|^p2 dV_D for a radial profile g, as
+def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *,
+                  rtol: Sequence[float]) -> list:
+    """∫_D g_i(|w1|, |w2|) |w1|^p1 |w2|^p2 dV_D for radial profiles g_i, as
 
         8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1)
-            ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g(r1, e^(u2/2)) du2 dr1
+            ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g_i(r1, e^(u2/2)) du2 dr1
 
-    (u2 = log r2^2) on the product rule at s = 0 (_product_rule, levels 4..9).
+    (u2 = log r2^2) on the product rule at s = 0 (_product_rule, tanh-sinh
+    in r1), one integrand per tolerance in ``rtol``, all on one mesh.
 
-    The profile must be vectorized over numpy arrays.  Several integrands
-    that share p1 and p2 integrate on one mesh: give ``rtol`` as a
-    sequence, one tolerance per integrand, and let the profile return a
-    sequence of the integrands' values.  The result is then a list of
-    QuadResult, each taken at the first level where its own tolerance was
-    met (or its values stopped being finite), and the refinement stops
-    once every integrand is settled.  The mesh is evaluated a block of
-    rows at a time (see _BLOCK_CELLS), so the profile may be called
-    several times per level.
+    ``profile(r1, r2)`` returns the sequence of the g_i, vectorized over
+    numpy arrays.  The result is a list of QuadResult, each taken at the
+    first level where its own tolerance was met (or its values stopped
+    being finite), and the refinement stops once every integrand is
+    settled.  The mesh is evaluated a block of rows at a time (see
+    _BLOCK_CELLS), so the profile may be called several times per level.
     """
-    many = np.ndim(rtol) == 1
-    rtols = np.atleast_1d(np.asarray(rtol, dtype=float))
+    rtols = np.asarray(rtol, dtype=float)
     powers = np.array([p1 + 2.0 * params.mu - 1.0])
 
-    def integrands(r1, c, half_u2):
-        values = profile(r1[:, None, None], np.exp(half_u2))
-        half_u2 *= p2
-        factor = np.exp(half_u2, out=half_u2)
-        return (np.asarray(g, dtype=float) * factor for g in (values if many else (values,)))
+    def integrands(log_r1, gap):
+        r1 = np.exp(log_r1)[:, None]
+        halves = []
+        for half_u2 in (0.5 * gap, -0.5 * gap):  # u2 / 2 on both halves
+            factor = np.exp(p2 * half_u2)
+            halves.append([np.asarray(g, dtype=float) * factor
+                           for g in profile(r1, np.exp(half_u2))])
+        return (up + down for up, down in zip(*halves))
 
     results: list = [None] * len(rtols)
-    for level, (total,), (err,) in _product_rule(params.mu, 0.0, powers, integrands):
+    for level, total, err in _product_rule(params.mu, 0.0, powers, integrands, _unit_outer):
+        total, err = total[0, 0], err[0, 0]
         settled = err <= np.maximum(1e-300, rtols * np.abs(total))
         for i in np.flatnonzero(settled | ~np.isfinite(total)):
             if results[i] is None:
@@ -603,27 +583,29 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
                                                    float(err[i]) if ok else math.inf, level, ok)
         if None not in results:
             break
-    results = [r or quadrature.QuadResult(float(v), float(e), level, False)
-               for r, v, e in zip(results, total, err)]
-    return results if many else results[0]
+    return [r or quadrature.QuadResult(float(v), float(e), level, False)
+            for r, v, e in zip(results, total, err)]
 
 
 def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
     """lam(x_a, y_lo + i/2, s), i < count, as a (len(x), count) array over
     the integrable x_a of the 1-d x: the Gram matrices' lam, at the first
     level where every entry agrees with the level below to _MESH_RTOL (else
-    QuadratureError).  One mesh exp serves every y, stepped by e^(u2 / 2).
+    QuadratureError).  e^(+-y_lo |u2|) serve every y, stepped by e^(+-|u2| / 2).
     """
-    def integrands(r1, c, half_u2):
-        mesh = np.exp((2.0 * y_lo) * half_u2)
-        step = np.exp(half_u2, out=half_u2)
-        for i in range(count):  # y = y_lo + i/2; each mesh is summed before the next step
+    def integrands(log_r1, gap):
+        # e^(y u2) over both halves |u2| = gap, y = y_lo + i/2
+        up, down = np.exp(y_lo * gap), np.exp(-y_lo * gap)
+        step, back = np.exp(0.5 * gap), np.exp(-0.5 * gap)
+        for i in range(count):  # each integrand is summed before the next step
             if i:
-                mesh *= step
-            yield mesh
+                up *= step
+                down *= back
+            yield up + down
 
     powers = 2.0 * np.asarray(x, dtype=float) + 2.0 * params.mu - 1.0 - 2.0 * s * params.mu
-    for level, table, err in _product_rule(params.mu, s, powers, integrands):
+    for level, table, err in _product_rule(params.mu, s, powers, integrands, _unit_outer):
+        table, err = table[0], err[0]
         if not np.all(np.isfinite(table)):
             break
         if np.all(err <= np.maximum(1e-300, _MESH_RTOL * np.abs(table))):
@@ -632,58 +614,69 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
                                      f"did not settle to a finite table by level {level}")
 
 
-# Mesh temporaries are built a block of rows at a time, each block at most
-# this many cells (128 KiB of doubles, glibc's default mmap threshold), so
-# that they are reused from the heap.  Whole-mesh temporaries are freshly
-# mapped on every call, and their page faults cost more than the arithmetic:
-# on a 2-vCPU Linux VM a level-6 project() took ~8 ms and ~3100 minor page
-# faults whole-mesh, ~4.5 ms and ~500 faults in blocks.
-_BLOCK_CELLS = 16384
+# Mesh temporaries are built a block of rows at a time, the rows split evenly
+# into blocks of at most this many cells (64 KiB of doubles, half glibc's
+# default mmap threshold), so that they are reused from the heap.  Whole-mesh
+# temporaries are freshly mapped on every call, and their page faults cost
+# more than the arithmetic: on a 2-vCPU Linux VM the project() of a smooth
+# counterexample at mu = 3 took a median ~7.9 ms and ~1200 minor page faults
+# whole-mesh, ~5.4 ms and ~100 faults in blocks.
+_BLOCK_CELLS = 8192
 
 
-def _product_rule(mu: float, s: float, powers: np.ndarray, integrands):
-    """(level, total, err) at each level of _MESH_LEVELS: total is
+def _product_rule(mu: float, s: float, powers: np.ndarray, integrands, outer):
+    """(level, total, err) at each level of _LEVELS: total is
 
-        8 pi^2 mu^2 ∫_0^1 r1^a ∫_{-c}^{c} f(r1, u2) (cos u2 - r1^mu)^(-2s) du2 dr1
+        8 pi^2 mu^2 ∫ r1^a ∫_{-c}^{c} f(r1, u2) (cos u2 - r1^mu)^(-2s) du2 dr1
 
-    as a (powers a, integrands f) array, c from _half_width, on tanh-sinh in
-    r1 times the fiber rule of _fold (NaN where a cell is not finite), and
-    err is its change from the level below.  integrands(r1, c, u2 / 2) yields
-    each f on a block of rows (u2 / 2 is (rows, 2 halves, nodes) and may be
-    overwritten), each summed before the next is asked for.  The rules nest,
-    so level L adds only its new cells (all outer nodes times the new fiber
-    nodes, new outer nodes times the fiber nodes of L - 1) to 1/4 of the sum
-    of level L - 1.
+    over each group of r1 nodes, as a (groups, powers a, integrands f)
+    array, c from _half_width, on the outer rule times the fiber rule of
+    _fold, and err is its change from the level below.
+
+    outer(level, fresh) gives (log r1, log w, sizes): log r1 accurate as
+    r1 -> 1, log weights with the dr1 Jacobian folded in, and the sizes of
+    the contiguous groups; with fresh set, only the nodes that the rule of
+    level - 1 lacks.  A group is either nested tanh-sinh or fixed (it has no
+    fresh nodes).  integrands(log r1, |u2|) yields each f summed over both
+    halves u2 = +-|u2|, on a block of rows (|u2| is (rows, nodes)), each
+    summed before the next is asked for.  Level L adds
+    only its new cells, all outer nodes times the new fiber nodes and new
+    outer nodes times the fiber nodes of L - 1, to the carried total: a
+    quarter of it for a nested group, half for a fixed one, whose outer
+    weights stay while the fiber weights halve.
     """
     b = 1.0 - 2.0 * s
 
-    def cells(outer, level: int, fresh: bool) -> np.ndarray:
-        p_lo, p_hi, w = outer
-        log_t, log_w = _fiber_nodes(level, fresh)
-        step = max(1, _BLOCK_CELLS // (2 * len(log_t)))
+    def cells(rule, level: int, fresh: bool) -> np.ndarray:
+        log_r1, log_w, sizes = rule
+        _, log_t, log_v = _nodes(level, fresh, _FIBER_EDGE)
+        blocks = max(1, math.ceil(len(log_r1) * len(log_t) / _BLOCK_CELLS))
+        step = math.ceil(len(log_r1) / blocks)
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            c = _half_width(mu * np.log1p(-p_hi))
+            c = _half_width(mu * log_r1)
             sums = []
             for rows in (slice(i, i + step) for i in range(0, len(c), step)):
-                _, gap, log_fold = _fold(c[rows], log_t, b)
-                weights = np.broadcast_to(np.exp(-2.0 * s * log_fold + log_w), gap.shape)
-                half_u2 = np.stack((0.5 * gap, -0.5 * gap), axis=1)
-                sums.append([np.einsum("ijk,ik->i", f, weights)
-                             for f in integrands(p_lo[rows], c[rows], half_u2)])
+                gap, weights = _fold(c[rows], log_t, log_v, s)
+                sums.append([np.einsum("ij,ij->i", f, weights)
+                             for f in integrands(log_r1[rows], gap)])
             fibers = (c**b / b) * np.concatenate(sums, axis=1)
             # r1^a w as one exp, as r1^a times a fiber can overflow at a -> -1;
             # a fiber that underflowed to 0 adds 0 even where r1^a w overflows
-            weighted = np.exp(np.multiply.outer(powers, np.log(p_lo)) + np.log(w))[:, None, :]
+            weighted = np.exp(np.multiply.outer(powers, log_r1) + log_w)[:, None, :]
             vals = np.where(fibers == 0.0, 0.0, weighted * fibers)
-            out = vals.sum(axis=-1) * (8.0 * math.pi**2 * mu * mu)
-        out[~np.all(np.isfinite(vals), axis=-1)] = math.nan
-        return out
+        sizes = np.asarray(sizes)
+        out = np.zeros((len(sizes),) + vals.shape[:-1])
+        full = sizes > 0  # one sum per group, 0 for an empty one
+        starts = (np.cumsum(sizes) - sizes)[full]
+        out[full] = np.add.reduceat(vals, starts, axis=-1).transpose(2, 0, 1)
+        return out * (8.0 * math.pi**2 * mu * mu)
 
-    lo, hi = _MESH_LEVELS
-    total = cells(quadrature.nodes(lo), lo, False)
+    lo, hi = _LEVELS
+    total = cells(outer(lo, False), lo, False)
     yield lo, total, np.full_like(total, math.inf)
     for level in range(lo + 1, hi + 1):
-        part = cells(quadrature.nodes(level), level, True)
-        part += 0.5 * cells(quadrature.new_nodes(level), level - 1, False)
-        prev, total = total, 0.25 * total + part
+        fresh = outer(level, True)
+        part = cells(outer(level, False), level, True) + 0.5 * cells(fresh, level - 1, False)
+        carry = np.where(np.asarray(fresh[2]) > 0, 0.25, 0.5)[:, None, None]
+        prev, total = total, carry * total + part
         yield level, total, np.abs(total - prev)

@@ -175,8 +175,8 @@ def continuity_certificate(
     thr = threshold(params, p)
     if not 0.0 <= s < thr.r:
         raise DomainError(
-            f"s = {s} is not below the threshold {thr.r}; "
-            "use divergence_witness for s at or above it"
+            f"need 0 <= s < {thr.r} (the threshold), got s = {s}; "
+            "use divergence_witness for s at or above the threshold"
         )
     jmax, kmax = lattice
     if jmax < 1 or kmax < 0:

@@ -1,6 +1,7 @@
 """The settable surface and the layering of the package: every defaulted
-parameter of a public function or method, and every module's imports from
-the package, pinned, so that a new knob or dependency is added on purpose."""
+parameter of a public function or method, every module's imports from the
+package and every caller of the adaptive quadrature, pinned, so that a new
+knob, dependency or integrator is added on purpose."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,6 @@ KNOBS = {
     "geometry.inverse_map(k)",
     "measure.lambda_quadrature(tol)",
     "measure.lambda_truncated_oracle(rtol)",
-    "measure.radial_moment(rtol)",
     "measure.truncation_growth_fit(m_hi)",
     "measure.truncation_growth_fit(m_lo)",
     "quadrature.integrate(max_level)",
@@ -59,7 +59,7 @@ def _knobs() -> set[str]:
 
 def test_knobs_pinned():
     assert _knobs() == KNOBS
-    assert len(KNOBS) == 22
+    assert len(KNOBS) == 21
 
 
 # each module's imports from the package; bergman is algebra over measure's
@@ -99,3 +99,35 @@ def test_module_imports_pinned():
     got = {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
            for path in sorted(SRC.glob("*.py"))}
     assert got == IMPORTS
+
+
+# the callers of the adaptive 1-d rule are the oracles; every integral over
+# the domain runs on measure's product rule
+ADAPTIVE_CALLERS = {
+    "measure.lambda_truncated_oracle",
+    "special._alpha_lower_half",
+    "special._beta_half",
+    "special.alpha_quadrature",
+    "special.beta_quadrature",
+}
+
+
+def _adaptive_callers() -> set[str]:
+    """module.function for each module-level function whose body, nested
+    functions included, calls quadrature.integrate or quadrature.quad."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
+                        and func.attr in {"integrate", "quad"}
+                        and isinstance(func.value, ast.Name) and func.value.id == "quadrature"):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_adaptive_quadrature_callers_pinned():
+    assert _adaptive_callers() == ADAPTIVE_CALLERS

@@ -285,8 +285,9 @@ class TestProjection:
         joint = measure.radial_moment(
             lambda r1, r2: (square(r1, r2), pairing(r1, r2)), p1, -2.0, P3, rtol=(1e-9, 1e-10)
         )
-        for got, single in zip(joint, [measure.radial_moment(square, p1, -2.0, P3, rtol=1e-9),
-                                       measure.radial_moment(pairing, p1, -2.0, P3, rtol=1e-10)]):
+        alone = [measure.radial_moment(lambda r1, r2: (g(r1, r2),), p1, -2.0, P3, rtol=[rtol])
+                 for g, rtol in [(square, 1e-9), (pairing, 1e-10)]]
+        for got, [single] in zip(joint, alone):
             assert (got.level, got.converged) == (single.level, True)
             assert got.value == pytest.approx(single.value, rel=1e-14)
         (num, _), = res.ratios.values()

@@ -417,15 +417,34 @@ class TestConfigFile:
             load_config(str(cfg_file))
 
 
-def test_certify_sharpness_script(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "certify_sharpness.py"
-    spec = importlib.util.spec_from_file_location("certify_sharpness", path)
+def _script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_certify_sharpness_script(capsys):
+    script = _script("certify_sharpness")
     assert script.main(["--r", "0.2"]) == 0
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert [(e["r"], e["p"]) for e in entries] == [(0.2, 0), (0.2, 1), (0.2, 2)]
     assert all(e["certificate"]["within_bound"] for e in entries)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("scan_blowup", ["--mu", "0.5", "--p", "0"]),  # mu <= 1 is not a domain
+    ("scan_blowup", ["--mu", "3", "--p", "0", "--points", "0"]),
+    ("scan_blowup", ["--mu", "3", "--p", "0", "--overshoot", "nan"]),  # would scan to 0.499
+    ("certify_sharpness", ["--r", "0.7"]),  # no threshold reaches 0.7
+    ("certify_sharpness", ["--r", "0.3", "--gap", "0.5"]),  # certificate at s < 0
+])
+def test_scripts_refuse_bad_input(capsys, name, argv):
+    # exit 2 and one error line, as the bergsob command does; exit 1 stays a failed check
+    assert _script(name).main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point():
