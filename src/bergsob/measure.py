@@ -267,10 +267,10 @@ def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
     Summed in log space from the closed forms (the constant 8 pi^2 mu
     drops out), so the large log-Gamma terms of the three moments cancel
     before anything is exponentiated.  The weights s, -s and 0 are stacked
-    on a leading axis, so each of alpha and log beta is one array call and
-    the complex log-Gamma makes one pass over the lattice.  The ratio is
-    even in ys bit for bit, since beta(x, y) = beta(x, -y) and
-    special.log_abs_gamma is exactly even in Im z.
+    on a leading axis, so each of alpha and log beta is one array call; the
+    complex log-Gamma shifts Re z on the rows and reduces its shift product
+    over the lattice once.  The ratio is even in ys bit for bit, since
+    beta(x, y) = beta(x, -y) and special.log_abs_gamma is even in Im z.
     """
     sign = np.array([1.0, -1.0, 0.0]).reshape(3, *[1] * max(np.ndim(x), np.ndim(ys)))
     X, Y = _exponents(x, s, params.mu, sign)

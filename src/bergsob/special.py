@@ -9,12 +9,13 @@ arrays: alpha(x, y) = Γ(x) Γ(y) / Γ(x+y) and (Gradshteyn-Ryzhik 3.631)
     beta(x, y) = π 2^(1-x) Γ(x) / |Γ((x+1+iy)/2)|^2,
 
 with log|Γ(z)| from the Stirling series after an upward shift of Re z
-(Hare 1997), as numpy has no complex log-Gamma; ``alpha_eval`` and
-``beta_eval`` evaluate them.  Direct endpoint-clustered quadratures are
-kept only as independent oracles, ``alpha_quadrature`` and
-``beta_quadrature``, which the recursion residuals also use (for beta,
-beta(x+2, y) = x (x+1) / ((x+1)^2 + y^2) * beta(x, y)).  The module also
-gives margins for the Hölder-type normalized bounds
+(Hare 1997) on separable arrays Re z and Im z, its shift product one
+reduction; ``alpha_eval`` and ``beta_eval`` evaluate them.  Direct
+endpoint-clustered quadratures are kept only as independent oracles,
+``alpha_quadrature`` and ``beta_quadrature``, which the recursion
+residuals also use (for beta, beta(x+2, y) = x (x+1) / ((x+1)^2 + y^2)
+beta(x, y)).  The module also gives margins for the Hölder-type
+normalized bounds
 
     alpha(x-2s, y-2s) alpha(x+2s, y+2s) / alpha(x, y)^2
         <= x y / ((x-2s)(y-2s)),                    0 <= s < 1/2, x, y > 2s
@@ -61,7 +62,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
     try:
-        return np.array([math.lgamma(v) for v in x.flat]).reshape(x.shape)
+        return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
     except OverflowError:  # beyond about 2.5e305
         raise DomainError("log-Gamma overflows a double") from None
 
@@ -98,31 +99,39 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _log_abs_gamma(re, im) -> np.ndarray:
+    """log_abs_gamma on real arrays that broadcast, for finite re > 0 (so
+    n <= 8) and finite im.  The factors (re + k)^2 + im^2, k < 8, lie on a
+    leading axis, and their product skips k >= n, in a loop's order."""
+    b2 = im * im
+    n = np.ceil(np.maximum(_STIRLING_FROM - re, 0.0))
+    k = np.arange(n.max(initial=0.0)).reshape(-1, *[1] * n.ndim)
+    factors = re + k
+    factors *= factors  # not ** 2: numpy rounds a 0-d power apart from an array one
+    shift_sq = np.multiply.reduce(factors + b2, axis=0, initial=1.0, where=k < n)
+    a = re + n
+    zn = a + 1j * im
+    w = 1.0 / (zn * zn)
+    series = w * _STIRLING[-1] + _STIRLING[-2]
+    for c in reversed(_STIRLING[:-2]):
+        series *= w
+        series += c
+    # Re[(z - 1/2) log z - z] + Re[series / z] + log sqrt(2π)
+    stirling = (a - 0.5) * 0.5 * np.log(a * a + b2) - im * np.arctan2(im, a) - a
+    return stirling + (series / zn).real + 0.5 * (math.log(2.0 * math.pi) - np.log(shift_sq))
+
+
 def log_abs_gamma(z) -> np.ndarray:
-    """log|Γ(z)| for complex z with Re z > 0, elementwise.
+    """log|Γ(z)| for finite complex z with Re z > 0, elementwise.
 
     Shifts each z up to Re z >= 8 with |Γ(z)| = |Γ(z+n)| / |z (z+1) ... (z+n-1)|
-    and sums the Stirling series there.  Written in real and imaginary
-    parts, so it is exactly even in Im z.
+    and sums the Stirling series there, on real and imaginary parts that
+    broadcast apart (_log_abs_gamma), so it is exactly even in Im z.
     """
     z = np.asarray(z, dtype=complex)
-    b = z.imag
-    b2 = b * b
-    n = np.ceil(np.maximum(_STIRLING_FROM - z.real, 0.0))
-    shift_sq = np.ones(z.shape)  # |z (z+1) ... (z+n-1)|^2
-    for k in range(int(n.max(initial=0.0))):
-        re = z.real + k
-        # re * re, not re ** 2: numpy rounds a 0-d power apart from an array one
-        shift_sq *= np.where(k < n, re * re + b2, 1.0)
-    a = z.real + n
-    zn = a + 1j * b
-    w = 1.0 / (zn * zn)
-    series = np.zeros_like(zn)
-    for c in reversed(_STIRLING):
-        series = series * w + c
-    # Re[(z - 1/2) log z - z] + Re[series / z] + log sqrt(2π)
-    stirling = (a - 0.5) * 0.5 * np.log(a * a + b2) - b * np.arctan2(b, a) - a
-    return stirling + (series / zn).real + 0.5 * (math.log(2.0 * math.pi) - np.log(shift_sq))
+    if not (_positive(z.real) and _finite(z.imag)):
+        raise DomainError(f"log_abs_gamma requires finite z with Re z > 0, got {z}")
+    return _log_abs_gamma(z.real, z.imag)
 
 
 def log_beta(x, y) -> np.ndarray:
@@ -131,10 +140,10 @@ def log_beta(x, y) -> np.ndarray:
     (|y| beyond about 1e154)."""
     x = np.asarray(x, dtype=float)
     _check_beta_args(x, y)
-    z = 0.5 * (x + 1.0 + 1j * np.asarray(y, dtype=float))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return math.log(math.pi) + (1.0 - x) * math.log(2.0) + _lgamma(x) - 2.0 * log_abs_gamma(z)
+            log_g = _log_abs_gamma(0.5 * (x + 1.0), 0.5 * np.asarray(y, dtype=float))
+            return math.log(math.pi) + (1.0 - x) * math.log(2.0) + _lgamma(x) - 2.0 * log_g
     except FloatingPointError:
         raise DomainError("log beta overflows a double") from None
 

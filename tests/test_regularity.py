@@ -246,6 +246,24 @@ class TestContinuityCertificate:
             assert cert.sup_attained_at == argmax
 
 
+    # frozen from the log-Gamma kernel that looped over the shift k: the
+    # separable kernel must reproduce every certificate bit for bit
+    @pytest.mark.parametrize("mu,p,s,sup,bound,at", [
+        (1.3, 0, 0.3, "2.5072828566344927", "13.095238095238098", (0, -40, "FUNCTION")),
+        (2.7, 1, 0.18518518518518517, "1.8789893567431593", "9.625272331154685", (1, -40, "DW1")),
+        (4.2857, 0, 0.28499778332594444, "25.10468032234019", "346.19911663631086", (-3, -40, "FUNCTION")),
+        (4.2857, 2, 0.07000023333411111, "1.156755431146196", "2.6279490570082413", (1, -40, "DW1")),
+        (7.9, 1, 0.10126582278481011, "3.1244720892530946", "13.017057569296368", (1, -40, "DW1")),
+        (7.9, 2, 0.1253164556962025, "60.23600677867359", "333.89639639639097", (1, -40, "DW1")),
+    ])
+    def test_default_lattice_bits_frozen(self, mu, p, s, sup, bound, at):
+        cert = regularity.continuity_certificate(DomainParams(mu), p, s)
+        assert repr(cert.sup_ratio) == sup
+        assert repr(cert.bound_used) == bound
+        j, k, comp = at
+        assert cert.sup_attained_at == bergman.BasisIndex(j, k, p, bergman.Component[comp])
+
+
 class TestDivergenceWitness:
     def test_log_mode_at_threshold(self):
         params = DomainParams(3.0)

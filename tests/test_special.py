@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import special
+from bergsob import measure, regularity, special
 from bergsob.errors import DomainError
+from bergsob.geometry import DomainParams
 
 # independently computed reference values (25-digit evaluation, frozen)
 ALPHA_25_17 = 0.155722381342194181
@@ -144,6 +145,80 @@ class TestBetaValues:
         z = np.array([0.5 + 3.0j, 7.9 + 0.1j, 30.0 + 22.5j])
         np.testing.assert_array_equal(special.log_abs_gamma(z), special.log_abs_gamma(z.conj()))
         assert special.log_abs_gamma(0.5 + 0j) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
+
+    @pytest.mark.parametrize("mu,p", [(1.3, 0), (4.2857, 1), (7.9, 2)])
+    def test_certificate_lattice_matches_scalar_calls(self, mu, p):
+        # log_beta over a broadcast (3, rows, k) certificate lattice, as
+        # lambda_ratio_family forms it, equals 0-d calls bit for bit
+        s = 0.9 * regularity.threshold(DomainParams(mu), p).r
+        # the dw1 rows (p > 0) start at j = 1 and shift by mu
+        x = np.arange(1 if p else 1 - math.floor(mu), 13, dtype=float)[:, None] - (mu if p else 0.0)
+        sign = np.array([1.0, -1.0, 0.0]).reshape(3, 1, 1)
+        _, Y = measure._exponents(x, s, mu, sign)
+        ys = np.arange(-9.0, 1.0)[None, :]
+        lattice = special.log_beta(Y, ys)
+        assert lattice.shape == (3, x.shape[0], ys.shape[1])
+        for (i, j, k), v in np.ndenumerate(lattice):
+            assert v == special.log_beta(float(Y[i, j, 0]), float(ys[0, k]))
+
+
+def _loop_log_abs_gamma(z):
+    """The element-by-element reference: the shift product as a loop over k."""
+    z = np.asarray(z, dtype=complex)
+    b = z.imag
+    b2 = b * b
+    n = np.ceil(np.maximum(8.0 - z.real, 0.0))
+    shift_sq = np.ones(z.shape)
+    for k in range(int(n.max(initial=0.0))):
+        re = z.real + k
+        shift_sq *= np.where(k < n, re * re + b2, 1.0)
+    a = z.real + n
+    zn = a + 1j * b
+    w = 1.0 / (zn * zn)
+    series = np.zeros_like(zn)
+    for c in reversed(special._STIRLING):
+        series = series * w + c
+    stirling = (a - 0.5) * 0.5 * np.log(a * a + b2) - b * np.arctan2(b, a) - a
+    return stirling + (series / zn).real + 0.5 * (math.log(2.0 * math.pi) - np.log(shift_sq))
+
+
+class TestLogAbsGamma:
+    def test_matches_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        re = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 2000)), np.arange(1.0, 12.0)])
+        im = np.concatenate([rng.uniform(-80.0, 80.0, 2000), np.zeros(11)])
+        z = re + 1j * im
+        np.testing.assert_array_equal(special.log_abs_gamma(z), _loop_log_abs_gamma(z))
+        lattice = special._log_abs_gamma(re[:40, None], im[None, 40:80])
+        np.testing.assert_array_equal(lattice, _loop_log_abs_gamma(re[:40, None] + 1j * im[None, 40:80]))
+        assert all(special.log_abs_gamma(v) == _loop_log_abs_gamma(v) for v in z[:200])
+
+    def test_against_mpmath(self):
+        # 40-digit loggamma on Re z log-uniform in [1e-3, 40], |Im z| <= 60
+        rng = np.random.default_rng(20261019)
+        re = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(40.0), 300)), [1e-3, 1e-3, 40.0, 40.0]])
+        im = np.concatenate([rng.uniform(-60.0, 60.0, 300), [0.0, 60.0, 0.0, -60.0]])
+        vals = special.log_abs_gamma(re + 1j * im)
+        with mpmath.workdps(40):
+            for a, b, v in zip(re, im, vals):
+                oracle = float(mpmath.re(mpmath.loggamma(mpmath.mpc(float(a), float(b)))))
+                assert abs(v - oracle) <= 1e-14 * max(1.0, abs(oracle))
+
+    def test_separable_form_even_and_broadcast(self):
+        # rows of Re z against columns of Im z, as log_beta passes them
+        re = np.array([1e-3, 0.5, 3.25, 7.9, 8.0, 30.0])[:, None]
+        im = np.array([0.0, 0.1, 2.5, 22.5, 60.0])[None, :]
+        vals = special._log_abs_gamma(re, im)
+        assert vals.shape == (6, 5)
+        np.testing.assert_array_equal(vals, special._log_abs_gamma(re, -im))
+        np.testing.assert_array_equal(vals, special.log_abs_gamma(re + 1j * im))
+
+    @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan), math.inf, complex(2.0, -math.inf), 0j, -2 + 0j,
+                                   np.array([1.0 + 1j, -0.5 + 2j])])
+    def test_domain_errors(self, z):
+        # Re z > 0 and finite z, checked before the shift is sized
+        with pytest.raises(DomainError):
+            special.log_abs_gamma(z)
 
 
 class TestRecursions:
