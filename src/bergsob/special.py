@@ -101,11 +101,11 @@ def _scalar_or_array(values: np.ndarray):
 
 def _log_abs_gamma(re, im) -> np.ndarray:
     """log_abs_gamma on real arrays that broadcast, for finite re > 0 (so
-    n <= 8) and finite im.  The factors (re + k)^2 + im^2, k < 8, lie on a
-    leading axis, and their product skips k >= n, in a loop's order."""
+    n <= 8) and finite im.  The factors (re + k)^2 + im^2, k < 8, lie on an
+    axis before the broadcast shape; the product skips k >= n, in loop order."""
     b2 = im * im
     n = np.ceil(np.maximum(_STIRLING_FROM - re, 0.0))
-    k = np.arange(n.max(initial=0.0)).reshape(-1, *[1] * n.ndim)
+    k = np.arange(n.max(initial=0.0)).reshape(-1, *[1] * max(np.ndim(re), np.ndim(im)))
     factors = re + k
     factors *= factors  # not ** 2: numpy rounds a 0-d power apart from an array one
     shift_sq = np.multiply.reduce(factors + b2, axis=0, initial=1.0, where=k < n)

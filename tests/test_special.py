@@ -213,6 +213,19 @@ class TestLogAbsGamma:
         np.testing.assert_array_equal(vals, special._log_abs_gamma(re, -im))
         np.testing.assert_array_equal(vals, special.log_abs_gamma(re + 1j * im))
 
+    @pytest.mark.parametrize("x,y", [(1.5, np.arange(7.0)), (1.5, np.arange(3.0)), (np.array([0.2, 3.0]), np.arange(-6.0, 6.0).reshape(3, 2, 2))])
+    def test_y_with_more_dimensions_than_x(self, x, y):
+        # the shift axis sits in front of the broadcast shape, not of x's
+        lb, b = special.log_beta(x, y), special.beta_eval(x, y)
+        assert lb.shape == b.shape == np.broadcast_shapes(np.shape(x), y.shape)
+        for idx, v in np.ndenumerate(lb):
+            xv = float(np.broadcast_to(x, lb.shape)[idx])
+            assert v == special.log_beta(xv, float(y[idx]))
+            assert b[idx] == special.beta_eval(xv, float(y[idx]))
+        params = DomainParams(2.0)
+        lam = measure.lambda_closed_array(0.5, y, 0.1, params)
+        assert all(lam[idx] == measure.lambda_closed_array(0.5, float(v), 0.1, params) for idx, v in np.ndenumerate(y))
+
     @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan), math.inf, complex(2.0, -math.inf), 0j, -2 + 0j,
                                    np.array([1.0 + 1j, -0.5 + 2j])])
     def test_domain_errors(self, z):
