@@ -215,11 +215,7 @@ def _target_index(term: RadialTerm, p: int) -> BasisIndex:
     return BasisIndex(term.a + a_to_j, term.b, p, term.component)
 
 
-def project(
-    f: RadialTermFunction,
-    params: DomainParams,
-    truncation: tuple[int, int] = (40, 40),
-) -> ProjectionResult:
+def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
     """Bergman projection of a radially decomposable input.
 
     Each term selects at most one basis index; its coefficient against
@@ -230,26 +226,21 @@ def project(
     radial_moment call, the norm to 1e-9 and the pairing to 1e-10
     relative.  Terms whose selected monomial is not
     square-integrable contribute nothing (they lie in the orthogonal
-    complement); terms that are themselves not square-integrable raise
-    NonIntegrableTermError.
+    complement) and are named in the report; terms that are themselves
+    not square-integrable raise NonIntegrableTermError.
     """
-    jmax, kmax = truncation
     numerators: dict[BasisIndex, float] = {}
     warnings: list[str] = []
     for term in f.terms:
         idx = _target_index(term, f.p)
         in_space = idx.admissible(0.0, params)
-        inside = abs(idx.j) <= jmax and abs(idx.k) <= kmax
-        pairing = in_space and inside
-        p1, p2, integrands = _term_integrands(term, params, pairing)
-        rtols = [1e-9, 1e-10] if pairing else [1e-9]
+        p1, p2, integrands = _term_integrands(term, params, in_space)
+        rtols = [1e-9, 1e-10] if in_space else [1e-9]
         sq, *pair = measure.radial_moment(integrands, p1, p2, params, rtol=rtols)
         if not sq.converged or not math.isfinite(sq.value):
             raise NonIntegrableTermError(term.describe(), "L2 norm quadrature diverges")
         if not in_space:
-            continue  # selected monomial outside the Bergman space
-        if not inside:
-            warnings.append(f"selected index {(idx.j, idx.k)} outside the truncation")
+            warnings.append(f"selected monomial {(idx.j, idx.k)} outside the Bergman space")
             continue
         num = pair[0]
         if not num.converged or not math.isfinite(num.value):
@@ -261,10 +252,10 @@ def project(
     for (idx, num), den in zip(numerators.items(), dens.tolist()):
         coefficients[idx] = complex(num / den)
         ratios[idx] = (num, den)
-    if not coefficients and not f.terms:
+    if not f.terms:
         warnings.append("empty input")
-    if not coefficients and f.terms:
-        warnings.append("no selected index inside the truncation; empty result")
+    elif not coefficients:
+        warnings.append("empty result")
     report = "; ".join(warnings) if warnings else (
         "selection rule is exact for radial-term inputs; no truncation tail"
     )

@@ -14,9 +14,10 @@ product of the two special-function integrals:
                              * beta(2x/mu + 3 - 4s, y).
 
 ``lambda_closed`` evaluates that product from Gamma closed forms, and
-``lambda_ratio_family`` a ratio of three of them over a whole basis
-lattice in log space, with the three weights stacked on one axis so that
-alpha and log beta are one array call each.  The exponents come from an
+``lambda_ratio_family``, the one ratio function, a ratio of three of them
+elementwise over any broadcast (x, y) grid (a scalar point or a whole
+basis lattice) in log space, with the three weights stacked on one axis so
+that alpha and log beta are one array call each.  The exponents come from an
 error-free TwoSum cascade that stays exact up to the integrability
 boundary (``_exponents``).  ``lambda_quadrature`` evaluates the same product
 from the quadrature oracles of ``special`` (tanh-sinh with log
@@ -77,7 +78,6 @@ __all__ = [
     "lambda_closed",
     "lambda_closed_array",
     "lambda_quadrature",
-    "lambda_ratio",
     "lambda_ratio_bound",
     "lambda_ratio_family",
     "lambda_truncated",
@@ -233,21 +233,8 @@ def lambda_quadrature(m: MomentArgs, tol: float = 1e-10) -> MomentValue:
     return MomentValue.finite(val, (alpha_err / alpha + beta_err / beta) * val)
 
 
-def lambda_ratio(x: float, y: float, s: float, params: DomainParams) -> float:
-    """Normalized second moment lam(x,y,s) lam(x,y,-s) / lam(x,y,0)^2.
-
-    Always >= 1 (Cauchy-Schwarz) and bounded by lambda_ratio_bound.
-    """
-    if not 0.0 <= s < 0.5:
-        raise DomainError(f"need 0 <= s < 1/2, got {s}")
-    for sign in (s, -s):
-        if not is_integrable(MomentArgs(x, y, sign, params)):
-            raise DomainError(f"moment at weight {sign} diverges for x = {x}")
-    return float(lambda_ratio_family(x, y, s, params))
-
-
 def lambda_ratio_bound(x: float, s: float, params: DomainParams) -> float:
-    """Closed-form bound for lambda_ratio, independent of y:
+    """Closed-form bound for lambda_ratio_family, independent of y:
 
     (X (1+4s) Y) / ((X-2s)(1-2s)(Y-4s)),  X = 2x/mu + 2, Y = 2x/mu + 3,
 
@@ -261,8 +248,12 @@ def lambda_ratio_bound(x: float, s: float, params: DomainParams) -> float:
 
 
 def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
-    """lambda_ratio broadcast over array x and ys, e.g. over a whole (j, k)
-    lattice from x[:, None] and ys[None, :].
+    """The normalized second moment lam(x,y,s) lam(x,y,-s) / lam(x,y,0)^2,
+    elementwise over x and ys, which broadcast against each other (e.g. a
+    whole (j, k) lattice from x[:, None] and ys[None, :]); a numpy float for
+    scalar x and ys.  Always >= 1 (Cauchy-Schwarz) and bounded by
+    lambda_ratio_bound.  Raises DomainError unless 0 <= s < 1/2 and every x
+    is integrable at s, hence also at 0 and -s; each check runs once per call.
 
     Summed in log space from the closed forms (the constant 8 pi^2 mu
     drops out), so the large log-Gamma terms of the three moments cancel
@@ -272,6 +263,10 @@ def lambda_ratio_family(x, ys, s: float, params: DomainParams) -> np.ndarray:
     over the lattice once.  The ratio is even in ys bit for bit, since
     beta(x, y) = beta(x, -y) and special.log_abs_gamma is even in Im z.
     """
+    if not 0.0 <= s < 0.5:
+        raise DomainError(f"need 0 <= s < 1/2, got {s}")
+    if not np.all(integrability_margin(MomentArgs(np.asarray(x), ys, s, params)) > 0.0):
+        raise DomainError(f"moment at weight {s} diverges for x = {np.min(x)}")
     sign = np.array([1.0, -1.0, 0.0]).reshape(3, *[1] * max(np.ndim(x), np.ndim(ys)))
     X, Y = _exponents(x, s, params.mu, sign)
     a = special.alpha_eval(X, 1.0 - 2.0 * s * sign)
@@ -321,7 +316,7 @@ def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) ->
         inner = special.alpha_tail(X, 1.0 - 2.0 * s, emu / cos_u2, gap / cos_u2)
         return cos_u2 ** (Y - 1.0) * np.exp(m.y * u2) * inner
 
-    res = quadrature.integrate(outer, -C, C, rtol=rtol, min_level=5, max_level=9)
+    res = quadrature.integrate(outer, -C, C, rtol=rtol, max_level=9)
     settled = res.converged or res.err_estimate <= 1e-6 * abs(res.value)
     if not (math.isfinite(res.value) and settled):
         raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")

@@ -36,6 +36,7 @@ __all__ = [
 # |t| past this point the transformed weights / endpoint offsets underflow;
 # nodes() masks the handful of stragglers that still do.
 _T_CUTOFF = 6.2
+_MIN_LEVEL = 5  # integrate() refines from here up to max_level
 _MAX_LEVEL = 11
 
 
@@ -109,27 +110,27 @@ def integrate(
     b: float,
     *,
     rtol: float = 1e-12,
-    min_level: int = 5,
     max_level: int = _MAX_LEVEL,
 ) -> QuadResult:
     """Adaptively integrate ``f`` over (a, b).
 
     ``f(x, da, db)`` must accept numpy arrays; ``da = x - a`` and
     ``db = b - x`` are supplied separately for endpoint-singular factors.
-    The level is refined (h halved) until two successive evaluations agree
-    to ``max(1e-300, rtol*|I|)``; the difference is reported as the error
-    estimate.  Each refinement evaluates ``f`` only at the new (odd-k)
-    nodes and adds their sum to half the previous level's sum.  The
-    returned result carries ``converged=False`` instead of raising, so
-    callers can use non-convergence as a divergence signal.
+    From level _MIN_LEVEL on, the level is refined (h halved) until two
+    successive evaluations agree to ``max(1e-300, rtol*|I|)``; the
+    difference is reported as the error estimate.  Each refinement
+    evaluates ``f`` only at the new (odd-k) nodes and adds their sum to
+    half the previous level's sum.  The returned result carries
+    ``converged=False`` instead of raising, so callers can use
+    non-convergence as a divergence signal.
     """
     span = _prepare(a, b)
     prev = math.nan
     total = math.nan
     err = math.inf
-    level = min_level
-    for level in range(min_level, max_level + 1):
-        p_lo, p_hi, w = nodes(level) if level == min_level else new_nodes(level)
+    level = _MIN_LEVEL
+    for level in range(_MIN_LEVEL, max_level + 1):
+        p_lo, p_hi, w = nodes(level) if level == _MIN_LEVEL else new_nodes(level)
         da = span * p_lo
         db = span * p_hi
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -137,8 +138,8 @@ def integrate(
         if not np.all(np.isfinite(vals)):
             return QuadResult(math.inf, math.inf, level, False)
         part = span * float(w @ vals)
-        total = part if level == min_level else 0.5 * prev + part
-        if level > min_level:
+        total = part if level == _MIN_LEVEL else 0.5 * prev + part
+        if level > _MIN_LEVEL:
             err = abs(total - prev)
             if err <= max(1e-300, rtol * abs(total)):
                 return QuadResult(total, err, level, True)

@@ -144,13 +144,6 @@ class ContinuityCertificate:
     lattice_bounds: tuple[int, int]
 
 
-def _families(p: int, params: DomainParams) -> list[tuple[Component, int]]:
-    """(component, minimal lattice j) per family scanned at degree p: the
-    first j the threshold protects, 1 for dw1 and 1 - floor(mu) else."""
-    jmin0 = 1 - math.floor(params.mu)
-    return [(comp, 1 if comp is Component.DW1 else jmin0) for comp in FAMILIES[p]]
-
-
 def continuity_certificate(
     params: DomainParams,
     p: int,
@@ -159,12 +152,15 @@ def continuity_certificate(
 ) -> ContinuityCertificate:
     """Scan the normalized ratio over the degree-p basis lattice.
 
-    Returns the sup, its argmax (ties broken toward the lowest j, then
-    the lowest k) and the analytic bound at the worst admissible moment
-    exponent.  Contract: sup_ratio <= bound_used, and the bound dominates
-    the tail beyond the lattice.  Refuses s at or above threshold, where
-    a divergence witness exists instead, and lattices of more than 10^6
-    basis elements (the families start at j = 1 - floor(mu)).
+    The rows of every family of degree p (FAMILIES[p]) are stacked into one
+    lattice and scored in one lambda_ratio_family pass.  Returns the sup,
+    its argmax (ties broken toward the first family, then the lowest j,
+    then the lowest k) and the analytic bound at the worst admissible
+    moment exponent, the largest over the family starts.  Contract:
+    sup_ratio <= bound_used, and the bound dominates the tail beyond the
+    lattice.  Refuses s at or above threshold, where a divergence witness
+    exists instead, and lattices of more than 10^6 basis elements (the
+    families start at j = 1 - floor(mu)).
 
     Only the half k <= 0 of the lattice is evaluated, which is exact: each
     row of ratios is a bitwise mirror image in k (lambda_ratio_family is
@@ -182,27 +178,27 @@ def continuity_certificate(
     jmax, kmax = lattice
     if jmax < 1 or kmax < 0:
         raise DomainError(f"empty lattice {lattice}")
-    families = _families(p, params)
-    cells = sum(jmax - jmin + 1 for _, jmin in families) * (2 * kmax + 1)
-    if cells > _MAX_LATTICE_CELLS:
-        raise DomainError(f"lattice {lattice} at mu = {params.mu} has {cells} basis elements, "
-                          f"more than {_MAX_LATTICE_CELLS}")
     mu = params.mu
+    # (component, first row j, shift) per family, x = j - shift: the first j the
+    # threshold protects, 1 for dw1 (x = 1 - mu) and 1 - floor(mu) else
+    families = [(comp, 1, mu) if comp is Component.DW1 else (comp, 1 - math.floor(mu), 0.0)
+                for comp in FAMILIES[p]]
+    sizes = [jmax - jmin + 1 for _, jmin, _ in families]
+    cells = sum(sizes) * (2 * kmax + 1)
+    if cells > _MAX_LATTICE_CELLS:
+        raise DomainError(f"lattice {lattice} at mu = {mu} has {cells} basis elements, "
+                          f"more than {_MAX_LATTICE_CELLS}")
+    bound = max(measure.lambda_ratio_bound(jmin - shift, s, params) for _, jmin, shift in families)
+    # one lattice: the rows of every family in family order
+    js = np.concatenate([np.arange(jmin, jmax + 1) for _, jmin, _ in families])
+    xs = js - np.repeat([shift for _, _, shift in families], sizes)
     ks = np.arange(-kmax, 1, dtype=float)  # the rows are even in k
-    sup = -math.inf
-    argmax = None
-    bound = -math.inf
-    for comp, jmin in families:
-        shift = mu if comp is Component.DW1 else 0.0
-        bound = max(bound, measure.lambda_ratio_bound(jmin - shift, s, params))
-        js = np.arange(jmin, jmax + 1)
-        ratios = measure.lambda_ratio_family(js[:, None] - shift, ks[None, :], s, params)
-        # the first maximum in row-major order: lowest j, then lowest k
-        i, k = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[i, k] > sup:
-            sup = float(ratios[i, k])
-            argmax = BasisIndex(int(js[i]), int(ks[k]), p, comp)
-    return ContinuityCertificate(mu, p, s, sup, argmax, bound, lattice)
+    ratios = measure.lambda_ratio_family(xs[:, None], ks[None, :], s, params)
+    # the first maximum in row-major order: first family, then lowest j, then lowest k
+    i, k = np.unravel_index(np.argmax(ratios), ratios.shape)
+    comp = families[np.searchsorted(np.cumsum(sizes), i, side="right")][0]
+    at = BasisIndex(int(js[i]), int(ks[k]), p, comp)
+    return ContinuityCertificate(mu, p, s, float(ratios[i, k]), at, bound, lattice)
 
 
 @dataclass(frozen=True)

@@ -122,22 +122,33 @@ def _log_abs_gamma(re, im) -> np.ndarray:
 
 
 def log_abs_gamma(z) -> np.ndarray:
-    """log|Γ(z)| for finite complex z with Re z > 0, elementwise.
+    """log|Γ(z)| for complex z with Re z > 0 and |z| >= 1e-150, elementwise.
 
     Shifts each z up to Re z >= 8 with |Γ(z)| = |Γ(z+n)| / |z (z+1) ... (z+n-1)|
     and sums the Stirling series there, on real and imaginary parts that
-    broadcast apart (_log_abs_gamma), so it is exactly even in Im z.
+    broadcast apart (_log_abs_gamma), so it is exactly even in Im z.  Raises
+    DomainError below |z| = 1e-150, where |z|^2 leaves the normal doubles,
+    and where the shift product overflows: |Im z| from ~1.8e19 for n = 8
+    factors, (1e154)^(1/n) for n factors, |z| from ~1.3e154 unshifted.
     """
     z = np.asarray(z, dtype=complex)
-    if not (_positive(z.real) and _finite(z.imag)):
-        raise DomainError(f"log_abs_gamma requires finite z with Re z > 0, got {z}")
-    return _log_abs_gamma(z.real, z.imag)
+    if not (_positive(z.real) and _finite(z.imag) and np.min(np.abs(z), initial=1.0) >= 1e-150):
+        raise DomainError(f"log_abs_gamma requires finite z with Re z > 0 and |z| >= 1e-150, got {z}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _log_abs_gamma(z.real, z.imag)
+    except FloatingPointError:
+        raise DomainError("log|Gamma(z)| overflows a double in the Stirling shift") from None
 
 
 def log_beta(x, y) -> np.ndarray:
     """log beta(x, y) from the closed form, broadcast over finite x > 0 and
-    finite y.  Raises DomainError where the Stirling terms overflow
-    (|y| beyond about 1e154)."""
+    finite y.  Raises DomainError where the Stirling terms overflow (|y|
+    beyond ~3e154 for x >= 15, from ~4e19 as x -> 0).  The absolute error
+    grows with the cancelling log-Gamma terms, like (x log x + |y|) 2^-52:
+    against mpmath ~1e-14 for x, |y| <= 10; 2e-12, 4e-10, 6e-8 at x = 1e3,
+    1e5, 1e7; 5e-13, 5e-11, 5e-9 at |y| = 1e3, 1e5, 1e7; and
+    log_beta(1e150, 0) returns 0.0, not ~-171.8."""
     x = np.asarray(x, dtype=float)
     _check_beta_args(x, y)
     try:
@@ -272,10 +283,10 @@ def beta_quadrature(x: float, y: float, tol: float = 1e-12) -> tuple[float, floa
 
 
 def beta_eval(x, y):
-    """beta(x, y) from the closed form π 2^(1-x) Γ(x) / |Γ((x+1+iy)/2)|^2, to
-    about 1e-13 relative, broadcast over array x and y.  Raises DomainError
-    unless x is finite and positive and y finite, and where the value
-    overflows a double."""
+    """beta(x, y) = π 2^(1-x) Γ(x) / |Γ((x+1+iy)/2)|^2 as exp(log_beta), over
+    array x and y; its relative error is log_beta's absolute error (~1e-14
+    for x, |y| <= 10, 2e-12 at x = 1e3).  Raises DomainError unless x is
+    finite and positive and y finite, and where the value overflows."""
     return _scalar_or_array(_exp(log_beta(x, y), "beta"))
 
 

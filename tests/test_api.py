@@ -1,7 +1,8 @@
 """The settable surface and the layering of the package: every defaulted
-parameter of a public function or method, every module's imports from the
-package and every caller of the adaptive quadrature, pinned, so that a new
-knob, dependency or integrator is added on purpose."""
+parameter of a public function or method, every module's public names
+(``__all__``), every module's imports from the package and every caller of
+the adaptive quadrature, pinned, so that a new knob, public path,
+dependency or integrator is added on purpose."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bergsob"
 
 KNOBS = {
     "bergman.kernel_eval(truncation)",
-    "bergman.project(truncation)",
     "cli.main(argv)",
     "config.load_config(path)",
     "errors.NonIntegrableTermError.__init__(reason)",
@@ -20,7 +20,6 @@ KNOBS = {
     "measure.truncation_growth_fit(m_hi)",
     "measure.truncation_growth_fit(m_lo)",
     "quadrature.integrate(max_level)",
-    "quadrature.integrate(min_level)",
     "quadrature.integrate(rtol)",
     "regularity.continuity_certificate(lattice)",
     "special.alpha_quadrature(tol)",
@@ -59,7 +58,57 @@ def _knobs() -> set[str]:
 
 def test_knobs_pinned():
     assert _knobs() == KNOBS
-    assert len(KNOBS) == 21
+    assert len(KNOBS) == 19
+
+
+# each module's public names; errors declares none
+EXPORTS = {
+    "__init__": {"DomainError", "NonIntegrableTermError", "DomainParams", "ModelPoint", "CoverPoint",
+                 "FrameAt", "MomentArgs", "MomentValue", "GrowthFit", "BasisIndex", "Component",
+                 "RadialTerm", "RadialTermFunction", "ThresholdReport", "ContinuityCertificate",
+                 "DivergenceWitness", "threshold", "mu_for_threshold", "continuity_certificate",
+                 "divergence_witness", "smooth_counterexample", "__version__"},
+    "bergman": {"Component", "FAMILIES", "BasisIndex", "RadialTerm", "RadialTermFunction",
+                "ProjectionResult", "KernelValue", "basis_norm_sq", "membership_min_j",
+                "basis_indices", "project", "kernel_eval", "gram_matrix"},
+    "cli": {"main", "build_parser"},
+    "config": {"Tolerances", "Grids", "Config", "default_config", "load_config", "CONFIG_ENV",
+               "SCHEMA_VERSION"},
+    "geometry": {"DomainParams", "ModelPoint", "CoverPoint", "FrameAt", "contains", "radial_bounds",
+                 "delta0", "rho_tilde", "levi_form_boundary", "log_branch", "forward_map",
+                 "inverse_map", "isometry_apply", "frame_at", "dw1_in_frame", "volume_density",
+                 "sample_interior", "sample_boundary_cover"},
+    "measure": {"MomentArgs", "MomentValue", "GrowthFit", "S_CLAUSE", "X_CLAUSE",
+                "integrability_margin", "is_integrable", "lambda_closed", "lambda_closed_array",
+                "lambda_quadrature", "lambda_ratio_bound", "lambda_ratio_family", "lambda_truncated",
+                "lambda_truncated_oracle", "truncation_growth_fit", "radial_moment"},
+    "quadrature": {"QuadratureError", "QuadResult", "nodes", "new_nodes", "integrate", "quad"},
+    "regularity": {"ThresholdReport", "ContinuityCertificate", "DivergenceWitness", "threshold",
+                   "mu_for_threshold", "sharpness_checks", "continuity_certificate",
+                   "divergence_witness", "smooth_counterexample", "witness_index"},
+    "special": {"alpha_eval", "alpha_quadrature", "alpha_tail", "beta_eval", "beta_quadrature",
+                "log_abs_gamma", "log_beta", "alpha_recursion_residual", "beta_recursion_residual",
+                "alpha_holder_margin", "beta_holder_margin"},
+    "suites": {"SuiteResult", "SUITES", "run_suites", "check_special", "check_moments",
+               "check_geometry", "check_gram", "check_sharpness", "check_threshold_jumps",
+               "check_counterexample_transport"},
+}
+
+
+def _exports(tree: ast.Module):
+    """The names listed in a module's ``__all__``, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            names = ast.literal_eval(node.value)
+            assert len(set(names)) == len(names)
+            return set(names)
+    return None
+
+
+def test_exports_pinned():
+    got = {path.stem: _exports(ast.parse(path.read_text(encoding="utf-8")))
+           for path in sorted(SRC.glob("*.py"))}
+    assert got == {**{stem: None for stem in ("__main__", "errors")}, **EXPORTS}
 
 
 # each module's imports from the package; bergman is algebra over measure's

@@ -235,11 +235,19 @@ class TestProjection:
         with pytest.raises(NonIntegrableTermError, match="bare pole"):
             project(f, P3)
 
-    def test_truncation_warning(self):
-        f = RadialTermFunction(0, (RadialTerm(ones, 5, 0, Component.FUNCTION),))
-        res = project(f, P3, truncation=(3, 3))
+    def test_outside_space_reported(self):
+        # a = -3 at mu = 3 selects (-3, 0), which is not in the Bergman space;
+        # the term itself is square-integrable, as its profile decays
+        prof = lambda r1, r2: np.exp(-np.asarray(r1, dtype=float) ** -3.0) * ones(r1, r2)
+        outside = RadialTerm(prof, -3, 0, Component.FUNCTION)
+        res = project(RadialTermFunction(0, (outside,)), P3)
         assert res.coefficients == {}
-        assert "outside the truncation" in res.tail_report
+        assert res.tail_report == "selected monomial (-3, 0) outside the Bergman space; empty result"
+        inside = RadialTerm(ones, 1, 2, Component.FUNCTION)
+        res = project(RadialTermFunction(0, (inside, outside)), P3)
+        assert list(res.coefficients) == [BasisIndex(1, 2, 0, Component.FUNCTION)]
+        assert res.tail_report == "selected monomial (-3, 0) outside the Bergman space"
+        assert project(RadialTermFunction(0, ()), P3).tail_report == "empty input"
 
     def test_ratios_reproduce_coefficients(self):
         f = RadialTermFunction(

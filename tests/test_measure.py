@@ -153,17 +153,17 @@ def _mp_ratio(x, y, s, mu):
 
 class TestRatio:
     def test_unweighted_ratio_is_one(self):
-        assert measure.lambda_ratio(1.0, 0.0, 0.0, DomainParams(2.0)) == 1.0
+        assert measure.lambda_ratio_family(1.0, 0.0, 0.0, DomainParams(2.0)) == 1.0
 
     def test_cauchy_schwarz_floor(self):
         p = DomainParams(2.0)
         for (x, y, s) in [(1.0, 0.0, 0.25), (-0.5, 2.0, 0.1), (3.0, -1.0, 0.45)]:
-            assert measure.lambda_ratio(x, y, s, p) >= 1.0 - 1e-12
+            assert measure.lambda_ratio_family(x, y, s, p) >= 1.0 - 1e-12
 
     def test_spec_point_under_bound(self):
         # bound expression (3*2*4)/(2.5*0.5*3) at mu=2, x=1, s=1/4
         p = DomainParams(2.0)
-        r = measure.lambda_ratio(1.0, 0.0, 0.25, p)
+        r = measure.lambda_ratio_family(1.0, 0.0, 0.25, p)
         bound = measure.lambda_ratio_bound(1.0, 0.25, p)
         assert bound == pytest.approx((3.0 * 2.0 * 4.0) / (2.5 * 0.5 * 3.0), rel=1e-14)
         assert 1.0 <= r <= bound
@@ -180,26 +180,41 @@ class TestRatio:
                 assert np.all(ratios >= 1.0 - 1e-9)
                 assert np.all(ratios <= bound + 1e-9)
 
-    def test_lattice_broadcast_matches_scalar(self):
-        p = DomainParams(3.0)
-        xs = np.array([-1.0, 0.5, 4.0])
-        ys = np.array([-7.0, 0.0, 2.5, 30.0])
-        grid = measure.lambda_ratio_family(xs[:, None], ys[None, :], 0.2, p)
-        assert grid.shape == (3, 4)
+    @pytest.mark.parametrize("mu,s", [(3.0, 0.2), (4.2857, 0.0), (7.9, 0.45)])
+    def test_lattice_broadcast_matches_0d_calls(self, mu, s):
+        # a broadcast grid, a 1-d row and a 0-d call give the same bits
+        p = DomainParams(mu)
+        xs = np.array([1.0 - mu, -1.0, 0.5, 4.0])
+        xs = xs[xs / mu + 1.0 - s > 0.0]
+        ys = np.array([-40.0, -7.0, 0.0, 2.5, 30.0])
+        grid = measure.lambda_ratio_family(xs[:, None], ys[None, :], s, p)
+        assert grid.shape == (len(xs), len(ys))
         for (i, j), v in np.ndenumerate(grid):
-            assert v == measure.lambda_ratio(float(xs[i]), float(ys[j]), 0.2, p)
+            point = measure.lambda_ratio_family(float(xs[i]), float(ys[j]), s, p)
+            assert np.ndim(point) == 0 and v == point
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(grid[i], measure.lambda_ratio_family(float(x), ys, s, p))
 
     def test_near_boundary_ratio_against_mpmath(self):
         # dw1 family, j = 1, k = -40: the weight gap 2x/mu + 2 - 2s is 3.2e-7,
         # and evaluating that expression as written loses 3e-10 of the ratio
         mu, s = 7.0170301876267, 0.14251026907987766
         x, y = 1.0 - mu, -40.0
-        got = measure.lambda_ratio(x, y, s, DomainParams(mu))
+        got = measure.lambda_ratio_family(x, y, s, DomainParams(mu))
         assert abs(got - _mp_ratio(x, y, s, mu)) / got <= 1e-12
 
     def test_divergent_weight_rejected(self):
-        with pytest.raises(DomainError):
-            measure.lambda_ratio(-1.9, 0.0, 0.4, DomainParams(2.0))
+        with pytest.raises(DomainError, match="diverges"):
+            measure.lambda_ratio_family(-1.9, 0.0, 0.4, DomainParams(2.0))
+        # one non-integrable row refuses the whole lattice
+        xs = np.array([[0.0], [-1.9], [3.0]])
+        with pytest.raises(DomainError, match="diverges for x = -1.9"):
+            measure.lambda_ratio_family(xs, np.arange(3.0), 0.4, DomainParams(2.0))
+
+    @pytest.mark.parametrize("s", [-0.1, 0.5, 0.7, math.nan])
+    def test_weight_outside_range_rejected(self, s):
+        with pytest.raises(DomainError, match="0 <= s < 1/2"):
+            measure.lambda_ratio_family(np.array([1.0, 2.0]), 0.0, s, DomainParams(2.0))
 
     @pytest.mark.parametrize("mu", [1.5, 3.0, 7.9])
     @pytest.mark.parametrize("s", [0.0, 0.2, 0.45])

@@ -255,6 +255,12 @@ class TestContinuityCertificate:
         (4.2857, 2, 0.07000023333411111, "1.156755431146196", "2.6279490570082413", (1, -40, "DW1")),
         (7.9, 1, 0.10126582278481011, "3.1244720892530946", "13.017057569296368", (1, -40, "DW1")),
         (7.9, 2, 0.1253164556962025, "60.23600677867359", "333.89639639639097", (1, -40, "DW1")),
+        # frozen from the per-family scan: at integer mu the theta2 row j = 1 - mu and
+        # the dw1 row j = 1 have the same x and tie bit for bit, and theta2 comes first
+        (3.0, 1, 0.3, "14.1187163995979", "196.42857142857133", (-2, -40, "THETA2")),
+        (5.0, 1, 0.18, "7.530097116535375", "55.330882352941146", (-4, -40, "THETA2")),
+        (3.0 + 2.0**-40, 1, 0.3, "14.11871639963522", "196.42857142916856", (1, -40, "DW1")),
+        (40.3, 0, 0.03, "7.486288190425644", "19.183815835368517", (-39, -40, "FUNCTION")),
     ])
     def test_default_lattice_bits_frozen(self, mu, p, s, sup, bound, at):
         cert = regularity.continuity_certificate(DomainParams(mu), p, s)
@@ -262,6 +268,22 @@ class TestContinuityCertificate:
         assert repr(cert.bound_used) == bound
         j, k, comp = at
         assert cert.sup_attained_at == bergman.BasisIndex(j, k, p, bergman.Component[comp])
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_one_ratio_pass_per_certificate(self, p, monkeypatch):
+        # every family of degree p is scored in one lambda_ratio_family call
+        calls = []
+        scored = measure.lambda_ratio_family
+
+        def counting(x, ys, s, params):
+            calls.append(np.broadcast_shapes(np.shape(x), np.shape(ys)))
+            return scored(x, ys, s, params)
+
+        monkeypatch.setattr(measure, "lambda_ratio_family", counting)
+        params = DomainParams(4.2857)
+        regularity.continuity_certificate(params, p, 0.5 * regularity.threshold(params, p).r, (9, 5))
+        rows = {0: 9 + 4, 1: (9 + 4) + 9, 2: 9}[p]  # theta2/function rows start at j = -3
+        assert calls == [(rows, 6)]
 
 
 class TestDivergenceWitness:

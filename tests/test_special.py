@@ -226,12 +226,34 @@ class TestLogAbsGamma:
         lam = measure.lambda_closed_array(0.5, y, 0.1, params)
         assert all(lam[idx] == measure.lambda_closed_array(0.5, float(v), 0.1, params) for idx, v in np.ndenumerate(y))
 
-    @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan), math.inf, complex(2.0, -math.inf), 0j, -2 + 0j,
-                                   np.array([1.0 + 1j, -0.5 + 2j])])
+    @pytest.mark.parametrize("z", [
+        1e-150 + 0j, complex(1e-300, 1e-150), 1e150 + 0j, 1e150 * (0.6 + 0.8j),  # |z| in [1e-150, 1e150]
+        1.3e154 + 0j, complex(8.0, 1.3e154),  # no shift: the squares reach ~1.7e308
+        complex(7.5, 1e154), complex(3.0, 6e30), complex(0.5, 1.8e19),  # 1, 5 and 8 shift factors
+    ])
+    def test_range_edges_inside_against_mpmath(self, z):
+        got = special.log_abs_gamma(z)
+        with mpmath.workdps(40):
+            oracle = float(mpmath.re(mpmath.loggamma(mpmath.mpc(z.real, z.imag))))
+        assert abs(got - oracle) <= 1e-15 * abs(oracle)
+
+    @pytest.mark.parametrize("z", [
+        math.nan, complex(1.0, math.nan), math.inf, complex(2.0, -math.inf), 0j, -2 + 0j,
+        np.array([1.0 + 1j, -0.5 + 2j]),
+        # past each range edge the kernel soon returns inf, nan or an inaccurate value:
+        0.99e-150 + 0j, complex(1e-300, 0.99e-150), 1e-160 + 0j, 1e-170 + 0j,  # |z|^2 subnormal or 0
+        1.4e154 + 0j, complex(8.0, 1.4e154), 1e155 + 0j, 3 + 1e155j,  # a square overflows
+        complex(7.5, 2e154), complex(3.0, 7e30), complex(0.5, 2e19),  # the shift product overflows
+        3 + 1e150j,  # |z| = 1e150, but five shift factors of ~1e300: the kernel gives -inf
+        np.array([1.0 + 1j, 1e-151 + 0j]),
+    ])
     def test_domain_errors(self, z):
-        # Re z > 0 and finite z, checked before the shift is sized
-        with pytest.raises(DomainError):
-            special.log_abs_gamma(z)
+        # Re z > 0, finite z and |z| >= 1e-150 checked before the shift is sized,
+        # and an overflowing shift refused without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                special.log_abs_gamma(z)
 
 
 class TestRecursions:
