@@ -9,8 +9,8 @@ verify      run the invariant suites; exit 0 only if all pass
 
 Exit codes: 0 success, 1 property failure, 2 usage error or a value the
 quadrature could not certify.  JSON output
-is deterministic for a fixed seed and configuration (keys sorted, floats
-via repr); wall-clock timings go to stderr only.
+is deterministic for a fixed seed (keys sorted, floats via repr);
+wall-clock timings go to stderr only.
 
 CSV columns of ``scan``: s, status, sup_ratio, bound, argmax_j, argmax_k.
 Rows with s at or above the threshold carry status DIVERGENT and empty
@@ -32,11 +32,12 @@ from typing import Optional
 import numpy as np
 
 from . import measure, quadrature, regularity, suites
-from .config import SCHEMA_VERSION, Config, apply_overrides, load_config
 from .errors import DomainError
 from .geometry import DomainParams
 
 __all__ = ["main", "build_parser"]
+
+SCHEMA_VERSION = 1  # version stamp of every machine-readable payload
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -51,26 +52,6 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _parse_kv(pairs: list[str], cast) -> dict:
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise DomainError(f"expected key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        try:
-            out[key.strip()] = cast(value)
-        except ValueError as exc:
-            raise DomainError(f"bad value for {key.strip()!r}: {exc}") from None
-    return out
-
-
-def _load_cfg(args) -> Config:
-    cfg = load_config(getattr(args, "config", None))
-    tol = _parse_kv(getattr(args, "tol", None), float)
-    grids = _parse_kv(getattr(args, "grid", None), json.loads)
-    return apply_overrides(cfg, tol, grids)
 
 
 def cmd_threshold(args) -> int:
@@ -213,11 +194,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_cfg(args)
     names = [args.suite] if args.suite else None
     started = time.perf_counter()
     results = []
-    for result in suites.run_suites(cfg, args.seed, names, self_test=args.self_test):
+    for result in suites.run_suites(args.seed, names, self_test=args.self_test):
         results.append(result)
         print(
             f"[verify] {result.name}: {'pass' if result.passed else 'FAIL'} "
@@ -291,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=20240901)
     p_ver.add_argument("--self-test", action="store_true",
                        help="inject a wrong recursion constant; must exit 1")
-    p_ver.add_argument("--config", default=None,
-                       help="JSON config file (default: $BERGSOB_CONFIG)")
-    p_ver.add_argument("--tol", action="append", metavar="KEY=VAL",
-                       help="tolerance override (repeatable)")
-    p_ver.add_argument("--grid", action="append", metavar="KEY=VAL",
-                       help="grid override, JSON value (repeatable)")
     p_ver.add_argument("--output", default=None)
     p_ver.set_defaults(func=cmd_verify)
     return parser

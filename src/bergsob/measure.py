@@ -38,7 +38,7 @@ with c the fiber half-width (``_half_width``).  A tanh-sinh piece in
 log r1 covers r1 down to 2^-4, where the fibers collapse as r1 -> 1, and
 the dyadic shells [2^-(k+1), 2^-k] below it, smooth in log r1, take a
 Gauss-Legendre rule.  ``truncation_growth_fit`` takes one top piece at
-2^-m_lo and the shells down to 2^-m_hi: the shells are the first
+2^-4 and the shells down to 2^-16: the shells are the first
 differences of the values, free of cancellation, and the growth mode
 comes from their differences (second differencing cancels both the
 convergent part and any additive logarithmic mode, so the power exponent
@@ -493,12 +493,16 @@ class GrowthFit:
     values: tuple[float, ...]
 
 
-def truncation_growth_fit(m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16) -> GrowthFit:
-    """Certify the divergence mode of a moment from truncated values on
-    eps = 2^-m, m = m_lo..m_hi.
+# the growth fit's truncation depths: eps = 2^-m, m = 4..16
+_FIT_MS = np.arange(4, 17)
 
-    The values are one top piece at 2^-m_lo plus the running sum of the
-    shells down to 2^-m_hi, all from one call of _truncated_pieces, so the
+
+def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
+    """Certify the divergence mode of a moment from truncated values on
+    eps = 2^-m, m = 4..16.
+
+    The values are one top piece at 2^-4 plus the running sum of the
+    shells down to 2^-16, all from one call of _truncated_pieces, so the
     first differences are the shells themselves.  Second differences with
     respect to m cancel constants and any logarithmic mode exactly, so a
     surviving geometric trend identifies the power eps^(mu e); its slope
@@ -507,7 +511,7 @@ def truncation_growth_fit(m: MomentArgs, *, m_lo: int = 4, m_hi: int = 16) -> Gr
     Raises DomainError when fewer than two second differences are
     positive, as for a convergent moment, whose shells shrink.
     """
-    ms = np.arange(m_lo, m_hi + 1)
+    ms = _FIT_MS
     eps = 2.0 ** (-ms.astype(float))
     for e in (eps[0], eps[-1]):
         _check_truncation(m, float(e))

@@ -1,11 +1,12 @@
 """Named invariant suites behind the ``verify`` command.
 
-Each suite replays a module's mathematical contracts on the configured
-grids with seeded sampling and reports structured pass/fail results.
-The suites are deterministic for a fixed seed and configuration.  Each
+Each suite replays a module's mathematical contracts on fixed grids,
+against fixed tolerances, with seeded sampling, and reports structured
+pass/fail results; the suites are deterministic for a fixed seed.  Each
 ``check_*`` function takes its grid, generator and tolerances as arguments
-and records into a SuiteResult; the acceptance gate calls the same
-functions with its pinned values, so each invariant is defined once.
+and records into a SuiteResult; the suites and the acceptance gate call
+the same functions with their own literal values, so each invariant is
+defined once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bergman, geometry, measure, regularity, special
-from .config import Config
 from .errors import DomainError
 from .geometry import DomainParams, ModelPoint
 
@@ -83,14 +83,12 @@ def check_special(res: SuiteResult, grid, beta_ys, holder_s, holder_hi: float, *
             res.check(r <= oracle_tol, f"alpha two-path disagreement {r:.2e} at ({x:.3g}, {y:.3g})")
 
 
-def suite_special(cfg: Config, rng, *, recursion_scale: float = 1.0) -> SuiteResult:
+def suite_special(rng, *, recursion_scale: float = 1.0) -> SuiteResult:
     """Recursion residuals, Hölder margins and the two-path oracle."""
     res = SuiteResult("special")
-    g, tol = cfg.grids, cfg.tolerances
-    check_special(res, _log_grid(g.special_lo, g.special_hi, g.special_points),
-                  (-2.0, 0.0, 1.5), g.holder_s, 10.0, recursion_tol=tol.recursion_residual,
-                  holder_slack=tol.holder_slack, oracle_tol=tol.oracle_agreement,
-                  recursion_scale=recursion_scale)
+    check_special(res, _log_grid(1e-2, 50.0, 6), (-2.0, 0.0, 1.5),
+                  (0.0, 0.1, 0.2, 0.3, 0.4, 0.49), 10.0, recursion_tol=1e-10,
+                  holder_slack=1e-9, oracle_tol=1e-10, recursion_scale=recursion_scale)
     return res
 
 
@@ -100,7 +98,11 @@ def check_geometry(
     """Biholomorphism round trips, defining-function transport, isometry
     push-forward, frame duality and the boundary-weight identity on n
     seeded interior points per mu, then the Levi form on n seeded boundary
-    points of the cover, which are returned."""
+    points of the cover, which are returned.
+
+    Each mu must be below 37.6: the cover points (deck shifts |k| <= 2,
+    rotations |t1| <= pi) reach |z2|^2 ~ e^(6 pi mu), which overflows a
+    double above it."""
     largest = lambda *arrays: float(np.max([np.max(np.abs(a)) for a in arrays]))  # NaN fails
     for mu in mus:
         params = DomainParams(mu)
@@ -132,13 +134,12 @@ def check_geometry(
     return boundary
 
 
-def suite_geometry(cfg: Config, rng) -> SuiteResult:
+def suite_geometry(rng) -> SuiteResult:
     """Biholomorphism round trips, defining-function transport, isometry
     push-forward, frame duality, boundary-weight identity, Levi form."""
     res = SuiteResult("geometry")
-    g, tol = cfg.grids, cfg.tolerances
-    check_geometry(res, g.mu_samples, g.geometry_samples, rng,
-                   residual_tol=tol.geometry_residual, levi_floor=tol.levi_floor)
+    check_geometry(res, (1.5, 2.0, 2.5, 3.0, 4.2857142857142856), 1000, rng,
+                   residual_tol=1e-12, levi_floor=1e-10)
     return res
 
 
@@ -148,7 +149,6 @@ def check_moments(
     """Closed form against the independent quadrature on ``count`` seeded
     integrable moments per mu: s ~ U(0, s_hi), y ~ U(-y_hi, y_hi) and x
     drawn so that the integrability margin x/mu + 1 - s is at least 0.1."""
-    s_hi, y_hi = s_hi + 0.0, y_hi + 0.0  # numpy's uniform refuses the upper bound -0.0
     for mu in mus:
         params = DomainParams(mu)
         for _ in range(count):
@@ -163,25 +163,22 @@ def check_moments(
                       f"mu={mu} ({x:.3g},{y:.3g},{s:.3g}): paths differ by {rel:.2e}")
 
 
-def suite_measure(cfg: Config, rng) -> SuiteResult:
+def suite_measure(rng) -> SuiteResult:
     """Closed form vs independent quadrature, ratio sandwich, truncation
     growth certification, and integrability agreement."""
     res = SuiteResult("measure")
-    tol = cfg.tolerances
-    g = cfg.grids
-    check_moments(res, g.moment_mu, 12, rng, s_hi=g.moment_s_hi, y_hi=g.moment_y_hi,
-                  rel_tol=tol.moment_cross)
+    check_moments(res, (1.5, 2.0, 3.0), 12, rng, s_hi=0.45, y_hi=4.0, rel_tol=1e-8)
     params = DomainParams(2.0)
     for s in (0.1, 0.2, 0.3, 0.4):
         for j in range(math.ceil(2.0 * (s - 1.0)) + 1, 5):
             ratios = measure.lambda_ratio_family(float(j), np.arange(-6.0, 7.0), s, params)
             bound = measure.lambda_ratio_bound(float(j), s, params)
             res.check(
-                bool(np.all(ratios >= 1.0 - tol.ratio_slack)),
+                bool(np.all(ratios >= 1.0 - 1e-9)),
                 f"ratio below 1 at j={j}, s={s}",
             )
             res.check(
-                bool(np.all(ratios <= bound + tol.ratio_slack)),
+                bool(np.all(ratios <= bound + 1e-9)),
                 f"ratio above bound at j={j}, s={s}",
             )
     cases = [
@@ -191,11 +188,11 @@ def suite_measure(cfg: Config, rng) -> SuiteResult:
     ]
     for m, expected in cases:
         res.check(not measure.is_integrable(m), f"{m} should be divergent")
-        fit = measure.truncation_growth_fit(m, m_lo=g.eps_fit_lo, m_hi=g.eps_fit_hi)
+        fit = measure.truncation_growth_fit(m)
         if expected == 0.0:
             ok = fit.kind == "log"
         else:
-            ok = fit.kind == "power" and abs(fit.exponent - expected) <= tol.growth_exponent
+            ok = fit.kind == "power" and abs(fit.exponent - expected) <= 0.05
         res.check(ok, f"growth fit {fit.kind}/{fit.exponent:+.4f} vs {expected:+.3f}")
     m = measure.MomentArgs(0.5, 1.0, 0.2, params)
     full = measure.lambda_closed(m).value
@@ -222,12 +219,11 @@ def check_gram(res: SuiteResult, count: int, *, offdiag_tol: float, diag_tol: fl
             res.check(diag <= diag_tol, f"p={p} s={s}: diag dev {diag:.2e}")
 
 
-def suite_bergman(cfg: Config, rng) -> SuiteResult:
+def suite_bergman(rng) -> SuiteResult:
     """Gram identities, reproducing property, selection rule, kernel
     symmetry and positivity."""
     res = SuiteResult("bergman")
-    tol = cfg.tolerances
-    check_gram(res, cfg.grids.gram_count, offdiag_tol=tol.gram_offdiag, diag_tol=tol.gram_diag)
+    check_gram(res, 25, offdiag_tol=1e-8, diag_tol=1e-6)
     params = DomainParams(3.0)
     ones = lambda r1, r2: np.ones(np.broadcast(np.asarray(r1), np.asarray(r2)).shape)
     for j in range(-2, 4):
@@ -309,20 +305,17 @@ def check_counterexample_transport(res: SuiteResult) -> None:
         res.check(ok, f"counterexample transport failed at p={p}")
 
 
-def suite_regularity(cfg: Config, rng) -> SuiteResult:
+def suite_regularity(rng) -> SuiteResult:
     """Sharpness sandwich, threshold inversion round trip, witness
     minimality, discontinuity in mu, counterexample transport."""
     res = SuiteResult("regularity")
-    tol = cfg.tolerances
-    g = cfg.grids
-    check_sharpness(res, g.sharpness_r, (g.lattice_jmax, g.lattice_kmax),
-                    ratio_slack=tol.ratio_slack, growth_tol=tol.growth_exponent)
+    check_sharpness(res, (0.2, 0.4), (40, 40), ratio_slack=1e-9, growth_tol=0.05)
     for r in np.arange(0.05, 0.46, 0.05):
         for p in (0, 1, 2):
             mu = regularity.mu_for_threshold(float(r), p)
             back = regularity.threshold(DomainParams(mu), p).r
             res.check(
-                abs(back - r) <= tol.threshold_roundtrip,
+                abs(back - r) <= 1e-12,
                 f"threshold inversion drift {abs(back - r):.2e} at r={r}, p={p}",
             )
     check_threshold_jumps(res, tol=1e-8)
@@ -339,7 +332,7 @@ SUITES = {
 }
 
 
-def run_suites(cfg: Config, seed: int, names=None, *, self_test: bool = False):
+def run_suites(seed: int, names=None, *, self_test: bool = False):
     """Run the selected suites, yielding each suite's result as soon as it
     has finished.  Each suite draws from its own generator, seeded by (seed,
     suite name), so a suite run alone replays its draws in a full run.
@@ -356,6 +349,6 @@ def run_suites(cfg: Config, seed: int, names=None, *, self_test: bool = False):
             raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
         rng = np.random.default_rng([seed, *name.encode()])
         if name == "special" and self_test:
-            yield suite_special(cfg, rng, recursion_scale=1.0 + 1e-3)
+            yield suite_special(rng, recursion_scale=1.0 + 1e-3)
         else:
-            yield SUITES[name](cfg, rng)
+            yield SUITES[name](rng)

@@ -1,10 +1,10 @@
 """Acceptance gate: the package's exit criteria, one test per criterion.
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
-them inline).  Tolerances are pinned here, not configurable.  Criteria
-1, 2 and 4-8 run the shared checks: the same check functions from
-``bergsob.suites`` that ``verify`` runs, with the pinned seeds, grids and
-tolerances below.
+them inline).  Tolerances are pinned here, as literals.  Criteria 1, 2
+and 4-8 run the shared checks: the same check functions from
+``bergsob.suites`` that ``verify`` runs with its own fixed values, here
+with the pinned seeds, grids and tolerances below.
 """
 
 import json
@@ -15,7 +15,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from bergsob import cli, geometry, measure, suites
-from bergsob.config import default_config
 from bergsob.geometry import DomainParams
 
 MU_GEOMETRY = (1.5, 2.0, 2.5, 3.0, 4.2857142857142856)
@@ -114,7 +113,7 @@ def test_geometry_check_detects_perturbed_map(monkeypatch):
     monkeypatch.setattr(geometry, "forward_map", perturbed)
     res = suites.SuiteResult("criterion 4")
     geometry_criterion(res)
-    suite = suites.suite_geometry(default_config(), np.random.default_rng(0))
+    suite = suites.suite_geometry(np.random.default_rng(0))
     for result in (res, suite):
         assert any("round trip" in failure for failure in result.failures)
 

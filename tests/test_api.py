@@ -12,13 +12,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bergsob"
 KNOBS = {
     "bergman.kernel_eval(truncation)",
     "cli.main(argv)",
-    "config.load_config(path)",
     "errors.NonIntegrableTermError.__init__(reason)",
     "geometry.inverse_map(k)",
     "measure.lambda_quadrature(tol)",
     "measure.lambda_truncated_oracle(rtol)",
-    "measure.truncation_growth_fit(m_hi)",
-    "measure.truncation_growth_fit(m_lo)",
     "quadrature.integrate(max_level)",
     "quadrature.integrate(rtol)",
     "regularity.continuity_certificate(lattice)",
@@ -58,7 +55,7 @@ def _knobs() -> set[str]:
 
 def test_knobs_pinned():
     assert _knobs() == KNOBS
-    assert len(KNOBS) == 19
+    assert len(KNOBS) == 16
 
 
 # each module's public names; errors declares none
@@ -72,8 +69,6 @@ EXPORTS = {
                 "ProjectionResult", "KernelValue", "basis_norm_sq", "membership_min_j",
                 "basis_indices", "project", "kernel_eval", "gram_matrix"},
     "cli": {"main", "build_parser"},
-    "config": {"Tolerances", "Grids", "Config", "default_config", "load_config", "CONFIG_ENV",
-               "SCHEMA_VERSION"},
     "geometry": {"DomainParams", "ModelPoint", "CoverPoint", "FrameAt", "contains", "radial_bounds",
                  "delta0", "rho_tilde", "levi_form_boundary", "log_branch", "forward_map",
                  "inverse_map", "isometry_apply", "frame_at", "dw1_in_frame", "volume_density",
@@ -117,15 +112,14 @@ IMPORTS = {
     "__init__": {"bergman", "errors", "geometry", "measure", "regularity"},
     "__main__": {"cli"},
     "bergman": {"errors", "geometry", "measure"},
-    "cli": {"config", "errors", "geometry", "measure", "quadrature", "regularity", "suites"},
-    "config": {"errors"},
+    "cli": {"errors", "geometry", "measure", "quadrature", "regularity", "suites"},
     "errors": set(),
     "geometry": {"errors"},
     "measure": {"errors", "geometry", "quadrature", "special"},
     "quadrature": set(),
     "regularity": {"bergman", "errors", "geometry", "measure"},
     "special": {"errors", "quadrature"},
-    "suites": {"bergman", "config", "errors", "geometry", "measure", "regularity", "special"},
+    "suites": {"bergman", "errors", "geometry", "measure", "regularity", "special"},
 }
 
 

@@ -352,13 +352,15 @@ class TestTruncation:
     @pytest.mark.parametrize("y", [0.0, 0.7, -2.5])
     @pytest.mark.parametrize("x,s,mu", [(-2.2, 0.2, 2.5), (-1.5, 0.45, 2.5), (-19.0, 0.412, 20.04)])
     def test_shells_match_oracle_differences(self, x, s, mu, y):
-        # the (r1, u2) shells against the independent (u1, u2) route, to 1e-12
+        # the (r1, u2) shells down to 2^-8 against the independent (u1, u2)
+        # route, to 1e-12
         m = MomentArgs(x, y, s, DomainParams(mu))
-        fit = measure.truncation_growth_fit(m, m_lo=4, m_hi=8)
-        oracle = [measure.lambda_truncated_oracle(m, e, rtol=1e-12) for e in fit.eps_grid]
-        shells = np.diff(fit.values)
+        fit = measure.truncation_growth_fit(m)
+        values = np.array(fit.values[:5])
+        oracle = [measure.lambda_truncated_oracle(m, e, rtol=1e-12) for e in fit.eps_grid[:5]]
+        shells = np.diff(values)
         assert np.all(np.abs(shells - np.diff(oracle)) <= 1e-12 * shells)
-        assert np.all(np.abs(np.array(fit.values) - oracle) <= 1e-12 * np.array(oracle))
+        assert np.all(np.abs(values - oracle) <= 1e-12 * np.array(oracle))
 
     def test_fit_values_are_truncated_moments(self):
         m = MomentArgs(-2.2, 0.3, 0.2, DomainParams(2.5))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergsob import bergman, measure, regularity
-from bergsob.config import Tolerances
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 
@@ -399,6 +398,6 @@ def test_threshold_inversion_property(r, p):
 def test_threshold_inversion_never_above_r(r, p):
     mu = regularity.mu_for_threshold(r, p)
     back = regularity.threshold(DomainParams(mu), p).r
-    assert abs(back - r) <= Tolerances().threshold_roundtrip
+    assert abs(back - r) <= 1e-12
     # above r only at the bottom of the p = 0 band floor(mu) = l, mu = l
     assert back <= r or (p == 0 and mu == math.floor(mu))
