@@ -1,6 +1,7 @@
 """Front-end behavior: commands, formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -17,11 +18,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import cli, quadrature, suites
+from bergsob import bergman, cli, geometry, measure, quadrature, regularity, special, suites
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+_CHECKS = {"special": 349, "geometry": 27, "measure": 84, "bergman": 44, "regularity": 48}
+# the 18 beta recursion checks of the special suite, at its (x, y) grid
+_RECURSION_FAILURES = [f"beta recursion residual 1.00e-03 at ({x}, {y})"
+                       for x in ("0.01", "0.0549", "0.302", "1.66", "9.1", "50")
+                       for y in ("-2.0", "0.0", "1.5")]
+
+
+def _verify_stdout(seed, names=tuple(_CHECKS), self_test=False):
+    """The exact stdout of ``verify``: every suite passes, except the
+    special suite's recursion checks under the self-test."""
+    entries = []
+    for name in names:
+        failures = _RECURSION_FAILURES if self_test and name == "special" else []
+        listed = ",".join("\n        " + json.dumps(f) for f in failures)
+        if failures:
+            listed += "\n      "
+        passed = "false" if failures else "true"
+        entries.append(
+            f'    {{\n      "checks": {_CHECKS[name]},\n      "failures": [{listed}],\n'
+            f'      "name": "{name}",\n      "passed": {passed}\n    }}'
+        )
+    all_passed, flag = ("false", "true") if self_test else ("true", "false")
+    return (
+        f'{{\n  "all_passed": {all_passed},\n  "command": "verify",\n'
+        f'  "schema_version": 1,\n  "seed": {seed},\n  "self_test": {flag},\n'
+        '  "suites": [\n' + ",\n".join(entries) + "\n  ]\n}\n"
+    )
 
 
 class TestThresholdCommand:
@@ -352,6 +382,71 @@ class TestVerifyCommand:
         assert captured.out == "" and "Traceback" not in captured.err
         messages = [ln for ln in captured.err.splitlines() if not ln.startswith("usage:")]
         assert messages == [f"bergsob: error: unrecognized arguments: {' '.join(flag)}"]
+
+    @pytest.mark.parametrize("seed", [*range(1, 9), None], ids=[*map(str, range(1, 9)), "default"])
+    def test_stdout_pinned(self, seed, capsys):
+        # verify has one fixed configuration: its report at seeds 1..8 and at
+        # the default seed is these bytes, and every suite passes
+        argv = ["verify"] if seed is None else ["verify", "--seed", str(seed)]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == _verify_stdout(20240901 if seed is None else seed)
+
+    @pytest.mark.parametrize("name", sorted(_CHECKS))
+    def test_suite_alone_stdout_pinned(self, name, capsys):
+        assert run_cli(["verify", "--suite", name, "--seed", "3"]) == 0
+        assert capsys.readouterr().out == _verify_stdout(3, [name])
+
+    def test_self_test_full_run_pinned(self, capsys):
+        # only the special suite's 18 recursion checks fail; the other
+        # suites run and pass
+        assert run_cli(["verify", "--self-test"]) == 1
+        assert capsys.readouterr().out == _verify_stdout(20240901, self_test=True)
+
+    @pytest.mark.parametrize("content", [
+        None,
+        "{not json",
+        json.dumps({"tolerances": {"recursion_residual": 0.0, "geometry_residual": 0.0,
+                                   "moment_cross": 0.0, "gram_offdiag": 0.0,
+                                   "threshold_roundtrip": 0.0}}),
+        json.dumps({"grids": {"special_points": 2, "geometry_samples": 2, "gram_count": 3}}),
+    ], ids=["missing", "malformed", "tightened", "shrunk"])
+    def test_config_env_is_not_read(self, content, tmp_path, monkeypatch, capsys):
+        # a file named by BERGSOB_CONFIG once changed the tolerances and grids
+        # of verify, or ended it in a usage error; it now changes nothing
+        cfg_file = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        monkeypatch.setenv("BERGSOB_CONFIG", str(cfg_file))
+        assert run_cli(["verify", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == _verify_stdout(3)
+
+    # (module, function, fault applied to its result, prefix of the failures):
+    # each fault is about 100x the tolerance of the check that must catch it
+    _FAULTS = {
+        "special": (special, "alpha_quadrature", lambda out: (out[0] * (1.0 + 1e-8), out[1]),
+                    "alpha two-path disagreement"),
+        "geometry": (geometry, "delta0", lambda out: out + 1e-10, "mu=1.5: delta0 vs rho"),
+        "measure": (measure, "lambda_quadrature",
+                    lambda out: dataclasses.replace(out, value=out.value * (1.0 + 1e-6)),
+                    "mu=1.5 "),
+        "bergman": (bergman, "gram_matrix", lambda out: out + 1e-6, "p=0 s=0.0: offdiag"),
+        "regularity": (regularity, "threshold",
+                       lambda out: dataclasses.replace(out, r=out.r - 1e-10),
+                       "threshold inversion drift"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_CHECKS))
+    def test_each_suite_fails_on_a_fault(self, name, monkeypatch):
+        # each suite's fixed tolerances catch a fault in the function it
+        # checks, and the failures replay from the seed and suite name alone
+        module, attr, fault, prefix = self._FAULTS[name]
+        original = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args, **kw: fault(original(*args, **kw)))
+        (alone,) = suites.run_suites(3, [name])
+        assert any(f.startswith(prefix) for f in alone.failures), alone.failures
+        (in_full,) = [r for r in suites.run_suites(3) if r.name == name]
+        assert (in_full.checks, in_full.failures) == (alone.checks, alone.failures)
+        assert alone.checks == _CHECKS[name]
 
 
 def _script(name):
