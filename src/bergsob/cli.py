@@ -228,8 +228,15 @@ def _lattice(text: str) -> tuple[int, int]:
     return j, k
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are one stderr line, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergsob",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -31,27 +31,24 @@ values grow like eps^(mu e) when e = 2x/mu + 2 - 2s < 0 and like
 mu |log eps| when e = 0.  It is integrated in (r1, u2) coordinates, where
 the cut is just r1 > eps:
 
-    lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu e - 1)
-                  ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2 dr1,
+    lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu e - 1) G_y(r1) dr1,
+    G_y(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2,  c = arccos r1^mu.
 
-with c the fiber half-width (``_half_width``).  A tanh-sinh piece in
-log r1 covers r1 down to 2^-4, where the fibers collapse as r1 -> 1, and
-the dyadic shells [2^-(k+1), 2^-k] below it, smooth in log r1, take a
-Gauss-Legendre rule.  ``truncation_growth_fit`` takes one top piece at
-2^-4 and the shells down to 2^-16: the shells are the first
-differences of the values, free of cancellation, and the growth mode
-comes from their differences (second differencing cancels both the
+The fiber integral G_y is a 2F1 series of positive terms (``_fiber``, by
+DLMF 14.12.1 and 14.3.1), exact up to s -> 1/2, so the moment is a 1-d rule
+in r1: a nested tanh-sinh piece in log r1 covers r1 down to 2^-4, where the
+fibers collapse as r1 -> 1, and the dyadic shells [2^-(k+1), 2^-k] below
+it, smooth in log r1, take a Gauss-Legendre rule.  ``truncation_growth_fit``
+takes one top piece at 2^-4 and the shells down to 2^-16: the shells are
+the first differences of the values, free of cancellation, and the growth
+mode comes from their differences (second differencing cancels both the
 convergent part and any additive logarithmic mode, so the power exponent
 survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
-independent (u1, u2) route, kept off the hot path.
-
-Every integral over the domain is one (r1, u2) product rule refined level
-by level (``_product_rule``): an outer rule in r1, given as groups of
-nodes, times one fiber rule in u2 (``_fold``) that absorbs the weight's
-endpoint power exactly, up to s -> 1/2.  ``radial_moment`` (the
-projection) runs it at s = 0 and ``mesh_moments`` (the Gram matrices) at
-s, each on tanh-sinh in r1; the truncated moments run it on the top piece
-and the shells at once, one total per group.
+independent (u1, u2) route, kept off the hot path.  The Gram matrices'
+table of lam (``mesh_moments``) is nested tanh-sinh in r1 on the same
+fibers; only the radial moments of the projection (``radial_moment``), of
+general profiles at s = 0, keep a 2-d rule (``_product_rule``, tanh-sinh
+in r1 times the fiber rule of ``_fold``).
 """
 
 from __future__ import annotations
@@ -338,16 +335,20 @@ def _finite_or_raise(value, m: MomentArgs):
     return value
 
 
-# lambda_truncated splits off its tanh-sinh piece at 2^-_TOP_LEVEL; every
-# piece of a truncated moment settles to _TRUNCATED_RTOL.
+# lambda_truncated splits off its tanh-sinh piece at 2^-_TOP_LEVEL, which
+# settles to _TRUNCATED_RTOL.
 _TOP_LEVEL = 4
 _TRUNCATED_RTOL = 1e-9
 
-# The fiber rule is tanh-sinh on (0, 1) less its nodes within _FIBER_EDGE of
-# an end, which carry less than that fraction of the bounded integrand's sup.
-# The product rule refines it with its outer rule over _LEVELS (the first one
-# checked against nothing); a Gram table settles to _MESH_RTOL.
+# The rules in r1 are nested tanh-sinh over _LEVELS (the first one checked
+# against nothing); a Gram table settles to _MESH_RTOL.  The fiber rule of
+# radial_moment is tanh-sinh on (0, 1) less its nodes within _FIBER_EDGE of an
+# end, which carry less than that fraction of the bounded integrand's sup.
+# The closed-form fibers stop their series where its tail is below _FIBER_TAIL
+# of the sum; past _FIBER_REACH, |y| c > 1448 and the fiber exceeds a double.
 _FIBER_EDGE = 1e-20
+_FIBER_TAIL = 2.0**-60
+_FIBER_REACH = 1024.0
 _LEVELS = (3, 9)
 _MESH_RTOL = 1e-10
 
@@ -383,44 +384,80 @@ def _nodes(level: int, fresh: bool, edge: float = 0.0):
     return p_lo, np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
 
 
-def _unit_outer(level: int, fresh: bool):
-    """The outer rule of radial_moment and mesh_moments: tanh-sinh in r1 on
-    (0, 1), one group."""
-    _, log_r1, log_w = _nodes(level, fresh)
-    return log_r1, log_w, (len(log_w),)
+def _fold(c: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """The fiber rule of radial_moment: the halves of u2 in (-c, c) fold onto
+    the distance d = c t from an end, |u2| = c - d, so
 
+        ∫_{-c}^{c} f du2 = c ∫_0^1 (f(c - d) + f(d - c)) dt
 
-def _fold(c: np.ndarray, log_t: np.ndarray, log_w: np.ndarray, s: float):
-    """The one fiber rule of the domain: the halves of u2 in (-c, c) fold
-    onto the distance d from an end, |u2| = c - d, where cos u2 - r1^mu =
-    d F with the bounded fold factor F = sinc(d/2 pi) sin(c - d/2), and
-    d = c t^(1/b), b = 1 - 2s, absorbs the endpoint power exactly:
-
-        ∫_{-c}^{c} f (cos u2 - r1^mu)^(-2s) du2 = (c^b/b) ∫_0^1 (f(c-d) + f(d-c)) F^(-2s) dt.
-
-    No mass is lost below the smallest t however close s is to 1/2 (a bare
-    d^(-2s) at b = 0.02 keeps ~1e-6 of its mass below d = 1e-300), and d may
-    underflow to 0 harmlessly.  Returns c - d and the weights w F^(-2s) of
-    the nodes t (only w at s = 0, where F has no weight) on the (fibers,
-    nodes) mesh.
+    on the tanh-sinh nodes t of (0, 1).  Returns c - d on the (fibers, nodes)
+    mesh; log t keeps it accurate as t -> 1.
     """
-    b = 1.0 - 2.0 * s
-    e = log_t / b  # log(d / c)
-    gap = np.multiply.outer(c, -np.expm1(e))
-    if b == 1.0:
-        return gap, np.broadcast_to(np.exp(log_w), gap.shape)
-    half = np.multiply.outer(0.5 * c, np.exp(e))  # h = d/2 <= c/2 <= pi/4
-    np.maximum(half, 1e-300, out=half)  # sin(h)/h is 1 below, and d may underflow to 0
-    sin_h = np.sin(half)
-    # sin(c - h) = sin c cos h - cos c sin h, with cos h from sin h by one sqrt in place
-    # of a second mesh sin; it loses at most a bit, as c - h >= c/2
-    fold = np.sqrt(1.0 - sin_h * sin_h) * np.sin(c)[:, None] - np.cos(c)[:, None] * sin_h
-    sin_h /= half
-    fold *= sin_h
-    fold = np.log(fold, out=fold)
-    fold *= -2.0 * s
-    fold += log_w
-    return gap, np.exp(fold, out=fold)
+    return np.multiply.outer(c, -np.expm1(log_t))
+
+
+def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
+    """G_y(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2, c = arccos r1^mu,
+    in closed form as a (len(ys), len(log_r1)) array: by DLMF 14.12.1 and
+    14.3.1, with v = 1 - r1^mu,
+
+        G_y = sqrt(2 pi) Gamma(1-2s)/Gamma(3/2-2s) v^(1/2-2s) 2F1(1/2+iy, 1/2-iy; 3/2-2s; v/2),
+
+    a series of positive terms, exact up to s -> 1/2; 0 where v underflows.
+    With V the largest v it is a polynomial in v/V <= 1, its coefficients
+    one cumulative product.  For k >= n the ratio of consecutive terms is
+    below q = (1 + y^2/((n+1/2)(n+1))) V/2, so it stops at the first n whose
+    tail bound, term n times q/(1 - q), is below _FIBER_TAIL of the sum at V,
+    hence at every v.  Infinite beyond a double, and once the peak term, near
+    index |y| sqrt(V), is past _FIBER_REACH.
+    """
+    ys = np.asarray(ys, dtype=float)
+    v = -np.expm1(mu * np.asarray(log_r1, dtype=float))
+    top = float(np.max(v, initial=0.0))
+    reach = float(np.max(np.abs(ys), initial=0.0)) * math.sqrt(top)
+    if not reach < _FIBER_REACH:
+        return np.full((len(ys), len(v)), math.inf)
+    # from n0 = sqrt(2) reach on q <= 3/4, so the tail test holds 150 terms later
+    n = np.arange(150 + math.ceil(math.sqrt(2.0) * reach), dtype=float)
+    y2 = (ys * ys)[:, None]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        k = n[:-1]
+        coef = np.ones((len(ys), len(n)))
+        np.cumprod(((k + 0.5) ** 2 + y2) * (0.5 * top) / ((k + 1.0) * (k + 1.5 - 2.0 * s)),
+                   axis=1, out=coef[:, 1:])
+        q = (1.0 + y2 / ((n + 0.5) * (n + 1.0))) * (0.5 * top)
+        done = (q < 1.0) & (coef * q / (1.0 - q) <= _FIBER_TAIL * np.cumsum(coef, axis=1))
+        stop = int(np.max(np.argmax(done, axis=1))) + 1 if done[:, -1].all() else len(n)
+        powers = np.ones((len(v), stop))
+        powers[:, 1:] = (v / top if top else v)[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        scale = math.sqrt(2.0 * math.pi) * math.exp(math.lgamma(1.0 - 2.0 * s)
+                                                    - math.lgamma(1.5 - 2.0 * s))
+        return np.where(v == 0.0, 0.0, scale * v ** (0.5 - 2.0 * s) * (coef[:, :stop] @ powers.T))
+
+
+def _nested_r1(rule, moments, mu: float, ys, s: float, fixed=()):
+    """(level, total, err, at_fixed) at each level of _LEVELS of the nested
+    tanh-sinh rule(level, fresh) -> (log r1, log w): total sums the node values
+    moments(log r1, log w, _fiber(log r1, mu, ys, s)), err is its change from
+    the level below (inf at the first), and level L adds its fresh nodes to
+    half the total of L - 1.  The first level is never accepted alone, so its
+    nodes, the next level's and ``fixed`` (the log r1 of a fixed rule, whose
+    fibers are at_fixed) take one _fiber call.
+    """
+    lo, hi = _LEVELS
+    (r_lo, w_lo), (r_new, w_new) = rule(lo, False), rule(lo + 1, True)
+    a, b = len(r_lo), len(r_lo) + len(r_new)
+    fibers = _fiber(np.concatenate((r_lo, r_new, fixed)), mu, ys, s)
+    total = moments(r_lo, w_lo, fibers[:, :a]).sum(-1)
+    yield lo, total, np.full_like(total, math.inf), fibers[:, b:]
+    part = moments(r_new, w_new, fibers[:, a:b]).sum(-1)
+    for level in range(lo + 1, hi + 1):
+        if level > lo + 1:
+            log_r1, log_w = rule(level, True)
+            part = moments(log_r1, log_w, _fiber(log_r1, mu, ys, s)).sum(-1)
+        prev, total = total, 0.5 * total + part
+        yield level, total, np.abs(total - prev), fibers[:, b:]
 
 
 def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
@@ -429,51 +466,50 @@ def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
 
     In (r1, u2) coordinates the cut |w1| > eps is just r1 > eps, and
 
-        lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu X - 1)
-                      ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2 dr1,
+        lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu X - 1) G_y(r1) dr1,
 
-    X = 2x/mu + 2 - 2s, is one _product_rule whose groups are the pieces.
-    The top piece, where the fibers collapse as r1 -> 1, is tanh-sinh in
-    log r1 (its nodes -(log cuts[0]) t reach log r1 to full relative accuracy
-    as r1 -> 1).  The shells below it are smooth in log r1 and take a fixed
-    Gauss-Legendre rule on panels of log r1 (see _PANEL_RATE).  Every piece
-    settles to _TRUNCATED_RTOL together (else QuadratureError).
+    X = 2x/mu + 2 - 2s, with the fiber integral G_y in closed form (_fiber).
+    The top piece, where the fibers collapse as r1 -> 1, is nested
+    tanh-sinh in log r1 (its nodes -(log cuts[0]) t reach log r1 to full
+    relative accuracy as r1 -> 1), settled to _TRUNCATED_RTOL (else
+    QuadratureError).  The shells below it are smooth in log r1 and take a
+    fixed Gauss-Legendre rule on panels of log r1 (see _PANEL_RATE), with
+    their fibers in the first call of the top piece's.
     """
     mu = m.params.mu
     X, _ = _exponents(m.x, m.s, mu)
     rate = mu * X  # of r1^(mu X) in log r1
     log_cuts = np.log(np.asarray(cuts, dtype=float))
     span = -float(log_cuts[0])
-    # log I changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
+    # log G changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
     p_top = math.exp(mu * log_cuts[0])
     rate_c = mu * p_top * (abs(m.y) + 1.0) / math.sqrt(1.0 - p_top * p_top)
     width = float(np.max(-np.diff(log_cuts), initial=0.0))
     panels = min(_MAX_PANELS, max(1, math.ceil((abs(rate) + rate_c) * width / _PANEL_RATE)))
-    # (shells, panels, nodes) grid of log r1, each shell one group
+    # (shells, panels, nodes) grid of log r1
     frac = (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels
     lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
     shell_r1 = hi + (lo - hi) * frac
-    shell_w = (np.log(0.5 * (hi - lo) / panels * _GL_W) + shell_r1).ravel()
-    shell_r1 = shell_r1.ravel()
-    shells = (len(cuts) - 1) * (panels * _GL_NODES,)
+    shell_w = np.log(0.5 * (hi - lo) / panels * _GL_W) + shell_r1
 
-    def outer(level: int, fresh: bool):
+    def top(level: int, fresh: bool):
         t, _, log_w = _nodes(level, fresh)
-        top_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
-        top_w = log_w + math.log(span) + top_r1
-        if fresh:  # the shells' rule is fixed
-            return top_r1, top_w, (len(t),) + len(shells) * (0,)
-        return (np.concatenate((top_r1, shell_r1)), np.concatenate((top_w, shell_w)),
-                (len(t),) + shells)
+        log_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
+        return log_r1, log_w + math.log(span) + log_r1
 
-    def integrands(log_r1, gap):
-        # e^(y u2) over both halves |u2| = gap
-        yield 2.0 * np.cosh(m.y * gap) if m.y else np.broadcast_to(2.0, gap.shape)
+    def moments(log_r1, log_w, fibers):
+        # r1^(mu X - 1) w as one exp, as it can overflow at a strong divergence;
+        # a fiber that underflowed to 0 adds 0 even there
+        return np.where(fibers == 0.0, 0.0, np.exp((rate - 1.0) * log_r1 + log_w) * fibers)
 
-    for level, total, err in _product_rule(mu, m.s, np.array([rate - 1.0]), integrands, outer):
-        pieces = _finite_or_raise(total[:, 0, 0], m)
-        if np.all(err[:, 0, 0] <= np.maximum(1e-300, _TRUNCATED_RTOL * pieces)):
-            return pieces
+    scale = 8.0 * math.pi**2 * mu * mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level, total, err, at in _nested_r1(top, moments, mu, [m.y], m.s, shell_r1.ravel()):
+            if level == _LEVELS[0]:  # the shells' rule is fixed
+                shells = moments(shell_r1, shell_w, at.reshape(shell_r1.shape)).sum(axis=(1, 2))
+            pieces = _finite_or_raise(scale * np.append(total, shells), m)
+            if scale * err[0] <= max(1e-300, _TRUNCATED_RTOL * pieces[0]):
+                return pieces
     raise quadrature.QuadratureError(f"truncated moment did not converge for {m} by level {level}")
 
 
@@ -549,8 +585,9 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
         8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1)
             ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g_i(r1, e^(u2/2)) du2 dr1
 
-    (u2 = log r2^2) on the product rule at s = 0 (_product_rule, tanh-sinh
-    in r1), one integrand per tolerance in ``rtol``, all on one mesh.
+    (u2 = log r2^2) on the product rule (_product_rule, tanh-sinh in r1
+    times the fiber rule of _fold), one integrand per tolerance in
+    ``rtol``, all on one mesh.
 
     ``profile(r1, r2)`` returns the sequence of the g_i, vectorized over
     numpy arrays.  The result is a list of QuadResult, each taken at the
@@ -572,8 +609,8 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
         return (up + down for up, down in zip(*halves))
 
     results: list = [None] * len(rtols)
-    for level, total, err in _product_rule(params.mu, 0.0, powers, integrands, _unit_outer):
-        total, err = total[0, 0], err[0, 0]
+    for level, total, err in _product_rule(params.mu, powers, integrands):
+        total, err = total[0], err[0]
         settled = err <= np.maximum(1e-300, rtols * np.abs(total))
         for i in np.flatnonzero(settled | ~np.isfinite(total)):
             if results[i] is None:
@@ -590,26 +627,26 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
     """lam(x_a, y_lo + i/2, s), i < count, as a (len(x), count) array over
     the integrable x_a of the 1-d x: the Gram matrices' lam, at the first
     level where every entry agrees with the level below to _MESH_RTOL (else
-    QuadratureError).  e^(+-y_lo |u2|) serve every y, stepped by e^(+-|u2| / 2).
+    QuadratureError): 8 pi^2 mu^2 ∫_0^1 r1^a G_y(r1) dr1, a = 2x + 2mu - 1 - 2s mu,
+    with the fibers G_y in closed form (_fiber), on nested tanh-sinh in r1.
     """
-    def integrands(log_r1, gap):
-        # e^(y u2) over both halves |u2| = gap, y = y_lo + i/2
-        up, down = np.exp(y_lo * gap), np.exp(-y_lo * gap)
-        step, back = np.exp(0.5 * gap), np.exp(-0.5 * gap)
-        for i in range(count):  # each integrand is summed before the next step
-            if i:
-                up *= step
-                down *= back
-            yield up + down
+    mu = params.mu
+    powers = 2.0 * np.asarray(x, dtype=float) + 2.0 * mu - 1.0 - 2.0 * s * mu
+    ys = y_lo + 0.5 * np.arange(count)
 
-    powers = 2.0 * np.asarray(x, dtype=float) + 2.0 * params.mu - 1.0 - 2.0 * s * params.mu
-    for level, table, err in _product_rule(params.mu, s, powers, integrands, _unit_outer):
-        table, err = table[0], err[0]
-        if not np.all(np.isfinite(table)):
-            break
-        if np.all(err <= np.maximum(1e-300, _MESH_RTOL * np.abs(table))):
-            return table
-    raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {params.mu} "
+    def moments(log_r1, log_w, fibers):
+        return np.exp(np.multiply.outer(powers, log_r1) + log_w)[:, None, :] * fibers
+
+    scale = 8.0 * math.pi**2 * mu * mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level, table, err, _ in _nested_r1(lambda level, fresh: _nodes(level, fresh)[1:],
+                                               moments, mu, ys, s):
+            table, err = scale * table, scale * err
+            if not np.all(np.isfinite(table)):
+                break
+            if np.all(err <= np.maximum(1e-300, _MESH_RTOL * np.abs(table))):
+                return table
+    raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {mu} "
                                      f"did not settle to a finite table by level {level}")
 
 
@@ -623,59 +660,41 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
 _BLOCK_CELLS = 8192
 
 
-def _product_rule(mu: float, s: float, powers: np.ndarray, integrands, outer):
+def _product_rule(mu: float, powers: np.ndarray, integrands):
     """(level, total, err) at each level of _LEVELS: total is
 
-        8 pi^2 mu^2 ∫ r1^a ∫_{-c}^{c} f(r1, u2) (cos u2 - r1^mu)^(-2s) du2 dr1
+        8 pi^2 mu^2 ∫_0^1 r1^a ∫_{-c}^{c} f(r1, u2) du2 dr1
 
-    over each group of r1 nodes, as a (groups, powers a, integrands f)
-    array, c from _half_width, on the outer rule times the fiber rule of
-    _fold, and err is its change from the level below.
-
-    outer(level, fresh) gives (log r1, log w, sizes): log r1 accurate as
-    r1 -> 1, log weights with the dr1 Jacobian folded in, and the sizes of
-    the contiguous groups; with fresh set, only the nodes that the rule of
-    level - 1 lacks.  A group is either nested tanh-sinh or fixed (it has no
-    fresh nodes).  integrands(log r1, |u2|) yields each f summed over both
-    halves u2 = +-|u2|, on a block of rows (|u2| is (rows, nodes)), each
-    summed before the next is asked for.  Level L adds
-    only its new cells, all outer nodes times the new fiber nodes and new
-    outer nodes times the fiber nodes of L - 1, to the carried total: a
-    quarter of it for a nested group, half for a fixed one, whose outer
-    weights stay while the fiber weights halve.
+    as a (powers a, integrands f) array, c from _half_width, on tanh-sinh in
+    r1 times the fiber rule of _fold, and err is its change from the level
+    below.  integrands(log r1, |u2|) yields each f summed over both halves
+    u2 = +-|u2|, on a block of rows (|u2| is (rows, nodes)), each summed
+    before the next is asked for.  Level L adds only its new cells, all r1
+    nodes times the new fiber nodes and new r1 nodes times the fiber nodes
+    of L - 1, to a quarter of the total of L - 1.
     """
-    b = 1.0 - 2.0 * s
-
-    def cells(rule, level: int, fresh: bool) -> np.ndarray:
-        log_r1, log_w, sizes = rule
-        _, log_t, log_v = _nodes(level, fresh, _FIBER_EDGE)
+    def cells(r1_rule, fiber_rule) -> np.ndarray:
+        _, log_r1, log_w = _nodes(*r1_rule)
+        _, log_t, log_v = _nodes(*fiber_rule, _FIBER_EDGE)
+        v = np.exp(log_v)
         blocks = max(1, math.ceil(len(log_r1) * len(log_t) / _BLOCK_CELLS))
         step = math.ceil(len(log_r1) / blocks)
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             c = _half_width(mu * log_r1)
             sums = []
             for rows in (slice(i, i + step) for i in range(0, len(c), step)):
-                gap, weights = _fold(c[rows], log_t, log_v, s)
-                sums.append([np.einsum("ij,ij->i", f, weights)
-                             for f in integrands(log_r1[rows], gap)])
-            fibers = (c**b / b) * np.concatenate(sums, axis=1)
+                sums.append([f @ v for f in integrands(log_r1[rows], _fold(c[rows], log_t))])
+            fibers = c * np.concatenate(sums, axis=1)
             # r1^a w as one exp, as r1^a times a fiber can overflow at a -> -1;
             # a fiber that underflowed to 0 adds 0 even where r1^a w overflows
             weighted = np.exp(np.multiply.outer(powers, log_r1) + log_w)[:, None, :]
             vals = np.where(fibers == 0.0, 0.0, weighted * fibers)
-        sizes = np.asarray(sizes)
-        out = np.zeros((len(sizes),) + vals.shape[:-1])
-        full = sizes > 0  # one sum per group, 0 for an empty one
-        starts = (np.cumsum(sizes) - sizes)[full]
-        out[full] = np.add.reduceat(vals, starts, axis=-1).transpose(2, 0, 1)
-        return out * (8.0 * math.pi**2 * mu * mu)
+        return vals.sum(axis=-1) * (8.0 * math.pi**2 * mu * mu)
 
     lo, hi = _LEVELS
-    total = cells(outer(lo, False), lo, False)
+    total = cells((lo, False), (lo, False))
     yield lo, total, np.full_like(total, math.inf)
     for level in range(lo + 1, hi + 1):
-        fresh = outer(level, True)
-        part = cells(outer(level, False), level, True) + 0.5 * cells(fresh, level - 1, False)
-        carry = np.where(np.asarray(fresh[2]) > 0, 0.25, 0.5)[:, None, None]
-        prev, total = total, carry * total + part
+        part = cells((level, False), (level, True)) + 0.5 * cells((level, True), (level - 1, False))
+        prev, total = total, 0.25 * total + part
         yield level, total, np.abs(total - prev)

@@ -368,16 +368,9 @@ class TestTruncation:
         for e, v in zip(fit.eps_grid[::3], fit.values[::3]):
             assert measure.lambda_truncated(m, e) == pytest.approx(v, rel=1e-14)
 
-    def test_non_finite_integrand_raises(self, monkeypatch):
-        product_rule = measure._product_rule
-
-        def poisoned(mu, s, powers, integrands, outer):
-            def infinite(log_r1, gap):
-                return (f * math.inf for f in integrands(log_r1, gap))
-
-            return product_rule(mu, s, powers, infinite, outer)
-
-        monkeypatch.setattr(measure, "_product_rule", poisoned)
+    def test_non_finite_fiber_raises(self, monkeypatch):
+        fiber = measure._fiber
+        monkeypatch.setattr(measure, "_fiber", lambda *args: fiber(*args) * math.inf)
         m = MomentArgs(-2.2, 0.0, 0.2, DomainParams(2.5))
         with pytest.raises(measure.quadrature.QuadratureError):
             measure.lambda_truncated(m, 2.0**-8)
@@ -473,6 +466,82 @@ class TestMeshMoments:
         got = measure.mesh_moments(x, -2.0, 9, s, params)
         want = measure.lambda_closed_array(x[:, None], np.arange(-2.0, 2.5, 0.5), s, params)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+
+
+def _mp_fiber(log_p, y, s):
+    """2 ∫_0^c cosh(y u) (cos u - p)^(-2s) du, p = e^(log p), c = arccos p, at
+    30 digits: split at c/2, the singular half taken in the distance d = c - u
+    from the end, d = tau^(1/b), b = 1 - 2s, where the integrand is bounded."""
+    with mpmath.workdps(30):
+        p, y, s = mpmath.exp(mpmath.mpf(log_p)), mpmath.mpf(y), mpmath.mpf(s)
+        c, b = mpmath.acos(p), 1 - 2 * s
+        gap = lambda d: 2 * mpmath.sin(d / 2) * mpmath.sin(c - d / 2)  # cos(c - d) - p
+        near = lambda tau: (2 * mpmath.cosh(y * (c - tau ** (1 / b)))
+                            * (gap(tau ** (1 / b)) / tau ** (1 / b)) ** (-2 * s) / b)
+        far = mpmath.quad(lambda u: 2 * mpmath.cosh(y * u) * gap(c - u) ** (-2 * s), [0, c / 2])
+        return float(far + mpmath.quad(near, [0, (c / 2) ** b]))
+
+
+class TestFiber:
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.45, 0.4999])
+    @pytest.mark.parametrize("p", [1e-300, 1e-8, 0.5, 0.999, 1.0 - 1e-12])
+    def test_closed_form_against_quadrature(self, s, p):
+        # the Mehler-Dirichlet series against a 30-digit quadrature that shares
+        # no formula with it, at mu = 1, so that log r1 = log p
+        ys = np.array([0.0, 0.5, -2.5, 7.0, 50.0])
+        got = measure._fiber(np.array([math.log(p)]), 1.0, ys, s)
+        assert got.shape == (len(ys), 1)
+        want = np.array([_mp_fiber(math.log(p), y, s) for y in ys])
+        assert np.all(np.abs(got[:, 0] / want - 1.0) <= 1e-13)
+
+    def test_collapsed_fiber_adds_nothing(self):
+        # v = 1 - r1^mu underflows to 0 (a top-piece node -span t of a cut near
+        # 1): the fiber is 0, also where v^(1/2 - 2s) would be infinite
+        log_r1 = -0.01 * np.array([5e-324, 1e-300, 0.5])
+        got = measure._fiber(log_r1, 2.0, np.array([0.0, 3.0]), 0.45)
+        assert np.all(got[:, 0] == 0.0) and np.all(np.isfinite(got[:, 1:]) & (got[:, 1:] > 0.0))
+
+    # lambda_truncated(m, 2^-10) and the growth fit's exponent, first and last
+    # values of the (r1, u2) product rule this closed form replaced
+    _FROZEN = {
+        50.0: (1.8003259573040058e+38, -0.39722189362175114, 2.3314236446420917e+36,
+               5.153455791027009e+39),
+        300.0: (2.1006306324042294e+208, -0.38922688900759234, 4.53826472525509e+205,
+                6.191362314222408e+209),
+        440.0: (5.3036300236906105e+303, -0.3871609266455609, 5.2383464504134605e+300,
+                1.5782821517909188e+305),
+    }
+
+    @pytest.mark.parametrize("y", sorted(_FROZEN))
+    def test_large_y_matches_product_rule(self, y):
+        m = MomentArgs(-2.0, y, 0.2, DomainParams(2.0))
+        fit = measure.truncation_growth_fit(m)
+        got = (measure.lambda_truncated(m, 2.0**-10), fit.exponent, fit.values[0], fit.values[-1])
+        assert fit.kind == "power"
+        assert np.all(np.abs(np.array(got) / self._FROZEN[y] - 1.0) <= 1e-12)
+
+    def test_no_fold_and_one_fiber_call_per_fit(self, monkeypatch):
+        # the truncated moments and the Gram tables never reach the 2-d fiber
+        # rule, and a growth fit settled at level 4 is one _fiber call
+        def unreachable(*args):
+            raise AssertionError("_fold reached")
+
+        calls = []
+        fiber = measure._fiber
+
+        def counting(log_r1, mu, ys, s):
+            calls.append(len(log_r1))
+            return fiber(log_r1, mu, ys, s)
+
+        monkeypatch.setattr(measure, "_fold", unreachable)
+        monkeypatch.setattr(measure, "_fiber", counting)
+        m = MomentArgs(-2.2, 0.3, 0.2, DomainParams(2.5))
+        measure.truncation_growth_fit(m)
+        assert len(calls) == 1
+        measure.lambda_truncated(m, 2.0**-10)
+        params = DomainParams(3.0)
+        bergman.gram_matrix(bergman.basis_indices(1, 0.2, params, 9), 0.2, params)
+        assert len(calls) == 3
 
 
 @settings(max_examples=120, deadline=None)
