@@ -9,11 +9,13 @@ lam(j - mu, k, s)) and the theta2-family w1^j w2^k theta2 with
 j > (s-1) mu; the (2,0)-forms take the dw1-family wedged with theta2.
 
 Because rotations in each variable are isometries, a term
-g(|w1|, |w2|) w1^a w2^b pairs nonzero with exactly one basis element, so
+g(|w1|) w1^a w2^b pairs nonzero with exactly one basis element, so
 projections of finite sums of such terms are exact finite sums: the
 coefficient against each (unnormalized) basis element is a ratio of one
-radial quadrature to one moment.  Both numerator and denominator are
-retained on the result for error propagation.
+radial moment (measure.radial_moment, a 1-d rule in |w1| over the
+closed-form fiber integral in |w2|) to one closed-form moment.  Both
+numerator and denominator are retained on the result for error
+propagation.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ def basis_indices(p: int, s: float, params: DomainParams, count: int) -> list[Ba
 
 @dataclass(frozen=True)
 class RadialTerm:
-    """One input term g(|w1|, |w2|) * w1^a * w2^b against a frame component.
+    """One input term g(|w1|) * w1^a * w2^b against a frame component.
 
-    The profile must be real-valued and vectorized over numpy arrays.
+    The profile g is a function of r1 = |w1| alone, real-valued and
+    vectorized over numpy arrays.
     """
 
     profile: Callable
@@ -200,8 +203,8 @@ def _term_integrands(term: RadialTerm, params: DomainParams, pairing: bool):
     # carries one factor 2 mu.
     shift = 2.0 - 2.0 * mu if dw1 else 0.0
 
-    def integrands(r1, r2):
-        g = np.asarray(term.profile(r1, r2), dtype=float)
+    def integrands(r1):
+        g = np.asarray(term.profile(r1), dtype=float)
         square = g**2 / (4.0 * mu * mu) if dw1 else g**2
         if not pairing:
             return (square,)
@@ -263,8 +266,8 @@ def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
 
 
 def _const_profile(value: float) -> Callable:
-    def profile(r1, r2, _v=value):
-        return np.full(np.broadcast(np.asarray(r1), np.asarray(r2)).shape, _v)
+    def profile(r1, _v=value):
+        return np.full(np.shape(r1), _v)
 
     return profile
 

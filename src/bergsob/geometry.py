@@ -43,7 +43,6 @@ __all__ = [
     "delta0",
     "rho_tilde",
     "levi_form_boundary",
-    "log_branch",
     "forward_map",
     "inverse_map",
     "isometry_apply",
@@ -186,7 +185,7 @@ def levi_form_boundary(z: CoverPoint):
     return 2.0 * (-x) * (r + 1.0) / np.abs(z.z2) ** 2
 
 
-def log_branch(t, zeta):
+def _log_branch(t, zeta):
     """The unique logarithm L of zeta with 0 <= Im L - log t^2 < 2 pi."""
     if np.any(zeta == 0):
         raise DomainError("log branch undefined at 0")
@@ -208,7 +207,7 @@ def forward_map(params: DomainParams, z: CoverPoint) -> ModelPoint:
     w2 = z2 exp((pi + i log^{|z2|}(z1))/2).
     """
     _require(rho_tilde(z) < 0.0, z, "is not inside the cover domain")
-    L = log_branch(np.abs(z.z2), z.z1)
+    L = _log_branch(np.abs(z.z2), z.z1)
     w1 = np.exp((L - math.log(2.0)) / params.mu)
     w2 = z.z2 * np.exp(0.5 * (math.pi + 1j * L))
     return ModelPoint(w1, w2)

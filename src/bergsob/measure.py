@@ -45,10 +45,10 @@ mode comes from their differences (second differencing cancels both the
 convergent part and any additive logarithmic mode, so the power exponent
 survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
 independent (u1, u2) route, kept off the hot path.  The Gram matrices'
-table of lam (``mesh_moments``) is nested tanh-sinh in r1 on the same
-fibers; only the radial moments of the projection (``radial_moment``), of
-general profiles at s = 0, keep a 2-d rule (``_product_rule``, tanh-sinh
-in r1 times the fiber rule of ``_fold``).
+table of lam (``mesh_moments``) and the radial moments of the projection
+(``radial_moment``, profiles of |w1| alone at s = 0) are nested tanh-sinh
+in r1 on the same fibers, so every integral over the domain is one loop in
+r1 (``_nested_r1``) over the closed-form fibers.
 """
 
 from __future__ import annotations
@@ -341,12 +341,9 @@ _TOP_LEVEL = 4
 _TRUNCATED_RTOL = 1e-9
 
 # The rules in r1 are nested tanh-sinh over _LEVELS (the first one checked
-# against nothing); a Gram table settles to _MESH_RTOL.  The fiber rule of
-# radial_moment is tanh-sinh on (0, 1) less its nodes within _FIBER_EDGE of an
-# end, which carry less than that fraction of the bounded integrand's sup.
-# The closed-form fibers stop their series where its tail is below _FIBER_TAIL
-# of the sum; past _FIBER_REACH, |y| c > 1448 and the fiber exceeds a double.
-_FIBER_EDGE = 1e-20
+# against nothing); a Gram table settles to _MESH_RTOL.  The closed-form
+# fibers stop their series where its tail is below _FIBER_TAIL of the sum;
+# past _FIBER_REACH, |y| c > 1448 and the fiber exceeds a double.
 _FIBER_TAIL = 2.0**-60
 _FIBER_REACH = 1024.0
 _LEVELS = (3, 9)
@@ -374,26 +371,16 @@ def _half_width(log_p):
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int, fresh: bool, edge: float = 0.0):
-    """(t, log t, log w) of the tanh-sinh nodes t of (0, 1) at ``level`` that
-    lie farther than ``edge`` from both ends, only those new at ``level`` when
-    ``fresh``; log t keeps full accuracy as t -> 1."""
+def _nodes(level: int, fresh: bool):
+    """(t, log t, log w) of the tanh-sinh nodes t of (0, 1) at ``level``, only
+    those new at ``level`` when ``fresh``; log t keeps full accuracy as t -> 1."""
     p_lo, p_hi, w = (quadrature.new_nodes if fresh else quadrature.nodes)(level)
-    keep = np.minimum(p_lo, p_hi) > edge
-    p_lo, p_hi, w = p_lo[keep], p_hi[keep], w[keep]
     return p_lo, np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
 
 
-def _fold(c: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-    """The fiber rule of radial_moment: the halves of u2 in (-c, c) fold onto
-    the distance d = c t from an end, |u2| = c - d, so
-
-        ∫_{-c}^{c} f du2 = c ∫_0^1 (f(c - d) + f(d - c)) dt
-
-    on the tanh-sinh nodes t of (0, 1).  Returns c - d on the (fibers, nodes)
-    mesh; log t keeps it accurate as t -> 1.
-    """
-    return np.multiply.outer(c, -np.expm1(log_t))
+def _unit_r1(level: int, fresh: bool):
+    """(log r1, log w) of the tanh-sinh rule in r1 on (0, 1), for _nested_r1."""
+    return _nodes(level, fresh)[1:]
 
 
 def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
@@ -485,7 +472,9 @@ def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
     p_top = math.exp(mu * log_cuts[0])
     rate_c = mu * p_top * (abs(m.y) + 1.0) / math.sqrt(1.0 - p_top * p_top)
     width = float(np.max(-np.diff(log_cuts), initial=0.0))
-    panels = min(_MAX_PANELS, max(1, math.ceil((abs(rate) + rate_c) * width / _PANEL_RATE)))
+    # a single cut has no shells; either rate may overflow a double
+    load = (abs(rate) + rate_c) * width / _PANEL_RATE if width else 0.0
+    panels = max(1, math.ceil(min(load, _MAX_PANELS)))
     # (shells, panels, nodes) grid of log r1
     frac = (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels
     lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
@@ -580,45 +569,44 @@ def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
 
 def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *,
                   rtol: Sequence[float]) -> list:
-    """∫_D g_i(|w1|, |w2|) |w1|^p1 |w2|^p2 dV_D for radial profiles g_i, as
+    """∫_D g_i(|w1|) |w1|^p1 |w2|^p2 dV_D for radial profiles g_i of |w1|, as
 
-        8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1)
-            ∫_{-c(r1)}^{c(r1)} e^(p2 u2 / 2) g_i(r1, e^(u2/2)) du2 dr1
+        8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1) g_i(r1) G_(p2/2)(r1) dr1,
 
-    (u2 = log r2^2) on the product rule (_product_rule, tanh-sinh in r1
-    times the fiber rule of _fold), one integrand per tolerance in
-    ``rtol``, all on one mesh.
+    the fiber integral G_y of |w2|^p2 = e^(y u2) at s = 0 in closed form
+    (_fiber), on nested tanh-sinh in r1 (_nested_r1), one integrand per
+    tolerance in ``rtol``, all on the same nodes.
 
-    ``profile(r1, r2)`` returns the sequence of the g_i, vectorized over
-    numpy arrays.  The result is a list of QuadResult, each taken at the
-    first level where its own tolerance was met (or its values stopped
-    being finite), and the refinement stops once every integrand is
-    settled.  The mesh is evaluated a block of rows at a time (see
-    _BLOCK_CELLS), so the profile may be called several times per level.
+    ``profile(r1)`` returns the sequence of the g_i, vectorized over numpy
+    arrays.  The result is a list of QuadResult, each taken at the first
+    level where its own tolerance was met (or its values stopped being
+    finite), and the refinement stops once every integrand is settled.
     """
+    mu = params.mu
     rtols = np.asarray(rtol, dtype=float)
-    powers = np.array([p1 + 2.0 * params.mu - 1.0])
+    power = p1 + 2.0 * mu - 1.0
 
-    def integrands(log_r1, gap):
-        r1 = np.exp(log_r1)[:, None]
-        halves = []
-        for half_u2 in (0.5 * gap, -0.5 * gap):  # u2 / 2 on both halves
-            factor = np.exp(p2 * half_u2)
-            halves.append([np.asarray(g, dtype=float) * factor
-                           for g in profile(r1, np.exp(half_u2))])
-        return (up + down for up, down in zip(*halves))
+    def moments(log_r1, log_w, fibers):
+        r1 = np.exp(log_r1)
+        gs = [np.broadcast_to(g, r1.shape) for g in profile(r1)]
+        profiled = np.array(gs, dtype=float) * fibers
+        # r1^power w as one exp, as it can overflow at power -> -1; a
+        # profiled fiber that underflowed to 0 adds 0 even there
+        return np.where(profiled == 0.0, 0.0, np.exp(power * log_r1 + log_w) * profiled)
 
     results: list = [None] * len(rtols)
-    for level, total, err in _product_rule(params.mu, powers, integrands):
-        total, err = total[0], err[0]
-        settled = err <= np.maximum(1e-300, rtols * np.abs(total))
-        for i in np.flatnonzero(settled | ~np.isfinite(total)):
-            if results[i] is None:
-                ok = math.isfinite(total[i])
-                results[i] = quadrature.QuadResult(float(total[i]) if ok else math.inf,
-                                                   float(err[i]) if ok else math.inf, level, ok)
-        if None not in results:
-            break
+    scale = 8.0 * math.pi**2 * mu * mu
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        for level, total, err, _ in _nested_r1(_unit_r1, moments, mu, [0.5 * p2], 0.0):
+            total, err = scale * total, scale * err
+            settled = err <= np.maximum(1e-300, rtols * np.abs(total))
+            for i in np.flatnonzero(settled | ~np.isfinite(total)):
+                if results[i] is None:
+                    ok = math.isfinite(total[i])
+                    results[i] = quadrature.QuadResult(float(total[i]) if ok else math.inf,
+                                                       float(err[i]) if ok else math.inf, level, ok)
+            if None not in results:
+                break
     return [r or quadrature.QuadResult(float(v), float(e), level, False)
             for r, v, e in zip(results, total, err)]
 
@@ -639,8 +627,7 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
 
     scale = 8.0 * math.pi**2 * mu * mu
     with np.errstate(over="ignore", invalid="ignore"):
-        for level, table, err, _ in _nested_r1(lambda level, fresh: _nodes(level, fresh)[1:],
-                                               moments, mu, ys, s):
+        for level, table, err, _ in _nested_r1(_unit_r1, moments, mu, ys, s):
             table, err = scale * table, scale * err
             if not np.all(np.isfinite(table)):
                 break
@@ -648,53 +635,3 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
                 return table
     raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {mu} "
                                      f"did not settle to a finite table by level {level}")
-
-
-# Mesh temporaries are built a block of rows at a time, the rows split evenly
-# into blocks of at most this many cells (64 KiB of doubles, half glibc's
-# default mmap threshold), so that they are reused from the heap.  Whole-mesh
-# temporaries are freshly mapped on every call, and their page faults cost
-# more than the arithmetic: on a 2-vCPU Linux VM the project() of a smooth
-# counterexample at mu = 3 took a median ~7.9 ms and ~1200 minor page faults
-# whole-mesh, ~5.4 ms and ~100 faults in blocks.
-_BLOCK_CELLS = 8192
-
-
-def _product_rule(mu: float, powers: np.ndarray, integrands):
-    """(level, total, err) at each level of _LEVELS: total is
-
-        8 pi^2 mu^2 ∫_0^1 r1^a ∫_{-c}^{c} f(r1, u2) du2 dr1
-
-    as a (powers a, integrands f) array, c from _half_width, on tanh-sinh in
-    r1 times the fiber rule of _fold, and err is its change from the level
-    below.  integrands(log r1, |u2|) yields each f summed over both halves
-    u2 = +-|u2|, on a block of rows (|u2| is (rows, nodes)), each summed
-    before the next is asked for.  Level L adds only its new cells, all r1
-    nodes times the new fiber nodes and new r1 nodes times the fiber nodes
-    of L - 1, to a quarter of the total of L - 1.
-    """
-    def cells(r1_rule, fiber_rule) -> np.ndarray:
-        _, log_r1, log_w = _nodes(*r1_rule)
-        _, log_t, log_v = _nodes(*fiber_rule, _FIBER_EDGE)
-        v = np.exp(log_v)
-        blocks = max(1, math.ceil(len(log_r1) * len(log_t) / _BLOCK_CELLS))
-        step = math.ceil(len(log_r1) / blocks)
-        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            c = _half_width(mu * log_r1)
-            sums = []
-            for rows in (slice(i, i + step) for i in range(0, len(c), step)):
-                sums.append([f @ v for f in integrands(log_r1[rows], _fold(c[rows], log_t))])
-            fibers = c * np.concatenate(sums, axis=1)
-            # r1^a w as one exp, as r1^a times a fiber can overflow at a -> -1;
-            # a fiber that underflowed to 0 adds 0 even where r1^a w overflows
-            weighted = np.exp(np.multiply.outer(powers, log_r1) + log_w)[:, None, :]
-            vals = np.where(fibers == 0.0, 0.0, weighted * fibers)
-        return vals.sum(axis=-1) * (8.0 * math.pi**2 * mu * mu)
-
-    lo, hi = _LEVELS
-    total = cells((lo, False), (lo, False))
-    yield lo, total, np.full_like(total, math.inf)
-    for level in range(lo + 1, hi + 1):
-        part = cells((level, False), (level, True)) + 0.5 * cells((level, True), (level - 1, False))
-        prev, total = total, 0.25 * total + part
-        yield level, total, np.abs(total - prev)

@@ -266,10 +266,10 @@ def smooth_counterexample(params: DomainParams, p: int) -> RadialTermFunction:
     _check_p(p)
     mu = params.mu
 
-    def profile(r1, r2):
+    def profile(r1):
         r1 = np.asarray(r1, dtype=float)
         with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-(r1**-mu)) + 0.0 * np.asarray(r2, dtype=float)
+            return np.exp(-(r1**-mu))
 
     idx = witness_index(params, p)
     a = idx.j - 1 if idx.component is Component.DW1 else idx.j

@@ -70,7 +70,7 @@ EXPORTS = {
                 "basis_indices", "project", "kernel_eval", "gram_matrix"},
     "cli": {"main", "build_parser"},
     "geometry": {"DomainParams", "ModelPoint", "CoverPoint", "FrameAt", "contains", "radial_bounds",
-                 "delta0", "rho_tilde", "levi_form_boundary", "log_branch", "forward_map",
+                 "delta0", "rho_tilde", "levi_form_boundary", "forward_map",
                  "inverse_map", "isometry_apply", "frame_at", "dw1_in_frame", "volume_density",
                  "sample_interior", "sample_boundary_cover"},
     "measure": {"MomentArgs", "MomentValue", "GrowthFit", "S_CLAUSE", "X_CLAUSE",
@@ -144,8 +144,8 @@ def test_module_imports_pinned():
     assert got == IMPORTS
 
 
-# the callers of the adaptive 1-d rule are the oracles; every integral over
-# the domain runs on measure's product rule
+# the callers of the adaptive 1-d rule are the oracles; every other integral
+# over the domain runs on measure's one loop in r1 (NESTED_R1_CALLERS)
 ADAPTIVE_CALLERS = {
     "measure.lambda_truncated_oracle",
     "special._alpha_lower_half",
@@ -155,22 +155,43 @@ ADAPTIVE_CALLERS = {
 }
 
 
-def _adaptive_callers() -> set[str]:
+# the integrals over the domain on measure's one loop in r1 over the
+# closed-form fibers: truncated moments, Gram tables and radial moments
+NESTED_R1_CALLERS = {
+    "measure._truncated_pieces",
+    "measure.mesh_moments",
+    "measure.radial_moment",
+}
+
+
+def _callers(is_target) -> set[str]:
     """module.function for each module-level function whose body, nested
-    functions included, calls quadrature.integrate or quadrature.quad."""
+    functions included, makes a call whose callee node satisfies is_target."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, ast.FunctionDef):
                 continue
             for call in ast.walk(node):
-                func = getattr(call, "func", None)
-                if (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
-                        and func.attr in {"integrate", "quad"}
-                        and isinstance(func.value, ast.Name) and func.value.id == "quadrature"):
+                if isinstance(call, ast.Call) and is_target(call.func):
                     found.add(f"{path.stem}.{node.name}")
     return found
 
 
+def _is_adaptive(func) -> bool:
+    """quadrature.integrate or quadrature.quad."""
+    return (isinstance(func, ast.Attribute) and func.attr in {"integrate", "quad"}
+            and isinstance(func.value, ast.Name) and func.value.id == "quadrature")
+
+
 def test_adaptive_quadrature_callers_pinned():
-    assert _adaptive_callers() == ADAPTIVE_CALLERS
+    assert _callers(_is_adaptive) == ADAPTIVE_CALLERS
+
+
+def _is_nested_r1(func) -> bool:
+    """_nested_r1, by bare name or as an attribute such as measure._nested_r1."""
+    return getattr(func, "id", None) == "_nested_r1" or getattr(func, "attr", None) == "_nested_r1"
+
+
+def test_nested_r1_callers_pinned():
+    assert _callers(_is_nested_r1) == NESTED_R1_CALLERS

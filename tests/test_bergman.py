@@ -23,8 +23,8 @@ from bergsob.geometry import DomainParams, ModelPoint
 from bergsob.measure import MomentArgs
 
 
-def ones(r1, r2):
-    return np.ones(np.broadcast(np.asarray(r1), np.asarray(r2)).shape)
+def ones(r1):
+    return np.ones(np.shape(r1))
 
 
 def kernel_loop(w, u, params, truncation):
@@ -44,19 +44,21 @@ def kernel_loop(w, u, params, truncation):
 
 
 def gram_loop(indices, s, params, level):
-    """Reference: the Gram matrix entry by entry on every node of the
-    level-``level`` product rule, with one fiber sum per distinct kA + kB and
-    one radial quadrature per distinct (e1, e2); returns the matrix and the
-    radial moments by (e1, e2).
+    """Reference: the Gram matrix entry by entry on every node of a 2-d
+    tanh-sinh rule at ``level`` in both r1 and u2, with one fiber sum per
+    distinct kA + kB and one radial quadrature per distinct (e1, e2); returns
+    the matrix and the radial moments by (e1, e2).  It shares no formula
+    with measure._fiber, the closed form that gram_matrix sums in r1.
 
     The fiber rule is the folded one: both halves u2 = +-(c - d) on the
     nodes d = c t^(1/b), b = 1 - 2s, of the tanh-sinh rule on (0, 1) less
-    its nodes within measure._FIBER_EDGE of an end, with the bounded weight
+    its nodes within 1e-20 of an end, with the bounded weight
     (sinc(d/2 pi) sin(c - d/2))^(-2s) times c^b / b."""
+    edge = 1e-20  # the dropped end nodes carry less than this fraction of the sup
     mu, b_exp = params.mu, 1.0 - 2.0 * s
     p_lo, p_hi, wq = quadrature.nodes(level)
     t, t_hi, v = quadrature.nodes(level)
-    keep = np.minimum(t, t_hi) > measure._FIBER_EDGE
+    keep = np.minimum(t, t_hi) > edge
     t, v = t[keep], v[keep]
     with np.errstate(divide="ignore", under="ignore"):  # r1 = 0 to a double; d underflows
         c = measure._half_width(mu * np.log1p(-p_hi))
@@ -191,7 +193,7 @@ class TestProjection:
         # conj(w1) = r1^2 w1^(-1) projects onto w1^(-1) with ratio
         # lam(0,0,0)/lam(-1,0,0)
         f = RadialTermFunction(
-            0, (RadialTerm(lambda r1, r2: np.asarray(r1) ** 2 * ones(r1, r2), -1, 0,
+            0, (RadialTerm(lambda r1: np.asarray(r1) ** 2, -1, 0,
                            Component.FUNCTION),)
         )
         res = project(f, P3)
@@ -209,7 +211,7 @@ class TestProjection:
             0,
             (
                 RadialTerm(
-                    lambda r1, r2: np.exp(-np.asarray(r1)) * ones(r1, r2),
+                    lambda r1: np.exp(-np.asarray(r1)),
                     2,
                     -1,
                     Component.FUNCTION,
@@ -223,7 +225,7 @@ class TestProjection:
     def test_orthocomplement_term_contributes_nothing(self):
         # a <= -mu: the selected monomial is not square-integrable, but the
         # profile decays fast enough for the input itself to be in L2
-        prof = lambda r1, r2: np.exp(-np.asarray(r1, dtype=float) ** -3.0) * ones(r1, r2)
+        prof = lambda r1: np.exp(-np.asarray(r1, dtype=float) ** -3.0)
         f = RadialTermFunction(0, (RadialTerm(prof, -4, 0, Component.FUNCTION),))
         res = project(f, P3)
         assert res.coefficients == {}
@@ -238,7 +240,7 @@ class TestProjection:
     def test_outside_space_reported(self):
         # a = -3 at mu = 3 selects (-3, 0), which is not in the Bergman space;
         # the term itself is square-integrable, as its profile decays
-        prof = lambda r1, r2: np.exp(-np.asarray(r1, dtype=float) ** -3.0) * ones(r1, r2)
+        prof = lambda r1: np.exp(-np.asarray(r1, dtype=float) ** -3.0)
         outside = RadialTerm(prof, -3, 0, Component.FUNCTION)
         res = project(RadialTermFunction(0, (outside,)), P3)
         assert res.coefficients == {}
@@ -272,7 +274,7 @@ class TestProjection:
         # the dw1 basis element itself: profile 2 mu, a = j - 1
         j, k = 2, -1
         f = RadialTermFunction(
-            1, (RadialTerm(lambda r1, r2: 6.0 * ones(r1, r2), j - 1, k, Component.DW1),)
+            1, (RadialTerm(lambda r1: 6.0 * ones(r1), j - 1, k, Component.DW1),)
         )
         res = project(f, P3)
         idx = BasisIndex(j, k, 1, Component.DW1)
@@ -283,17 +285,17 @@ class TestProjection:
         # project integrates a term's squared norm and its pairing on one
         # mesh; each equals its own radial_moment call
         p = 0 if component is Component.FUNCTION else 1
-        prof = lambda r1, r2: np.exp(-np.asarray(r1)) * np.asarray(r2) ** 1.5
+        prof = lambda r1: np.exp(-np.asarray(r1)) * np.asarray(r1) ** 1.5
         term = RadialTerm(prof, 1, -1, component)
         res = project(RadialTermFunction(p, (term,)), P3)
         scale = 2.0 * P3.mu if component is Component.DW1 else 1.0
         p1 = 2.0 + (2.0 - 2.0 * P3.mu if component is Component.DW1 else 0.0)
-        pairing = lambda r1, r2: prof(r1, r2) / scale
-        square = lambda r1, r2: prof(r1, r2) ** 2 / (scale * scale)
+        pairing = lambda r1: prof(r1) / scale
+        square = lambda r1: prof(r1) ** 2 / (scale * scale)
         joint = measure.radial_moment(
-            lambda r1, r2: (square(r1, r2), pairing(r1, r2)), p1, -2.0, P3, rtol=(1e-9, 1e-10)
+            lambda r1: (square(r1), pairing(r1)), p1, -2.0, P3, rtol=(1e-9, 1e-10)
         )
-        alone = [measure.radial_moment(lambda r1, r2: (g(r1, r2),), p1, -2.0, P3, rtol=[rtol])
+        alone = [measure.radial_moment(lambda r1: (g(r1),), p1, -2.0, P3, rtol=[rtol])
                  for g, rtol in [(square, 1e-9), (pairing, 1e-10)]]
         for got, [single] in zip(joint, alone):
             assert (got.level, got.converged) == (single.level, True)
@@ -305,9 +307,9 @@ class TestProjection:
         f = RadialTermFunction(
             0,
             (
-                RadialTerm(lambda r1, r2: np.asarray(r1) ** 2 * ones(r1, r2), -1, 0,
+                RadialTerm(lambda r1: np.asarray(r1) ** 2, -1, 0,
                            Component.FUNCTION),
-                RadialTerm(lambda r1, r2: np.exp(-np.asarray(r1)) * ones(r1, r2), 1, 2,
+                RadialTerm(lambda r1: np.exp(-np.asarray(r1)), 1, 2,
                            Component.FUNCTION),
             ),
         )

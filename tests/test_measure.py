@@ -382,6 +382,19 @@ class TestTruncation:
         with pytest.raises(DomainError, match="no power growth"):
             measure.truncation_growth_fit(m)
 
+    @pytest.mark.parametrize("x,y,eps", [(-2.6, 1.7e308, 1.0 - 2.0**-50), (1.7e308, 0.0, 0.5),
+                                         (1.7e308, 0.0, 2.0**-10)])
+    def test_overflowing_rate_is_total(self, x, y, eps):
+        # an exponential rate past a double: a single cut near 1 has no shells
+        # to split into panels, the fibers of a huge y overflow and raise, and
+        # a huge x leaves a moment that underflows to 0
+        m = MomentArgs(x, y, 0.2, DomainParams(2.0))
+        if y:
+            with pytest.raises(measure.quadrature.QuadratureError, match="overflows a double"):
+                measure.lambda_truncated(m, eps)
+        else:
+            assert measure.lambda_truncated(m, eps) == 0.0
+
     def test_eps_range_checked(self):
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
         with pytest.raises(DomainError):
@@ -389,24 +402,23 @@ class TestTruncation:
 
 
 def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=3, max_level=9):
-    """Reference: radial_moment with every level's product rule evaluated
-    at all of its nodes.  The fiber rule is the folded one at s = 0: both
-    halves u2 = +-(c - d) on d = c t, t the tanh-sinh nodes of (0, 1) less
-    those within measure._FIBER_EDGE of an end, with the weight c."""
+    """Reference: radial_moment on a 2-d tanh-sinh rule at each level in both
+    r1 and u2, evaluated at all of its nodes, with no closed-form fiber.  The
+    fiber rule is the folded one at s = 0: both halves u2 = +-(c - d) on
+    d = c t, t the tanh-sinh nodes of (0, 1) less those within 1e-20 of an
+    end, with the weight c."""
+    edge = 1e-20  # the dropped end nodes carry less than this fraction of the sup
     mu = params.mu
     prev = None
     for level in range(min_level, max_level + 1):
         r1, p_hi, w = quadrature.nodes(level)
         t, t_hi, v = quadrature.nodes(level)
-        keep = np.minimum(t, t_hi) > measure._FIBER_EDGE
+        keep = np.minimum(t, t_hi) > edge
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             c = measure._half_width(mu * np.log1p(-p_hi))
             gap = np.outer(c, t_hi[keep])  # |u2| = c - d = c (1 - t)
-            inner = 0.0
-            for u2 in (gap, -gap):
-                g = np.asarray(profile(r1[:, None], np.exp(0.5 * u2)), dtype=float)
-                inner = inner + (g * np.exp((0.5 * p2) * u2)) @ v[keep]
-            inner *= c
+            inner = c * ((np.exp((0.5 * p2) * gap) + np.exp((-0.5 * p2) * gap)) @ v[keep])
+            inner = np.asarray(profile(r1), dtype=float) * inner
             vals = np.where(inner == 0.0, 0.0, r1 ** (p1 + 2.0 * mu - 1.0) * w * inner)
         total = 8.0 * math.pi**2 * mu * mu * float(vals.sum())
         if prev is not None and abs(total - prev) <= max(1e-300, rtol * abs(total)):
@@ -415,40 +427,80 @@ def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=3, max_l
     return total, max_level, False
 
 
-def _r2_profile(r1, r2):
-    return np.exp(-np.asarray(r1)) * np.asarray(r2) ** 1.5 + np.cos(np.log(r2))
+def _mp_radial(profile, p1, p2, mu, points=()):
+    """Reference: 8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1) g(r1) F(r1) dr1 at 30
+    digits, with the elementary s = 0 fiber F = 2 sinh(y c)/y (2c at y = 0),
+    y = p2/2, c = arccos r1^mu; it shares no formula with measure._fiber.
+    ``profile(r1, lib)`` evaluates g with the functions of lib (mpmath here)."""
+    with mpmath.workdps(30):
+        mu, y = mpmath.mpf(mu), mpmath.mpf(p2) / 2
+
+        def integrand(r1):
+            c = mpmath.acos(r1**mu)
+            fiber = 2 * mpmath.sinh(y * c) / y if y else 2 * c
+            return r1 ** (p1 + 2 * mu - 1) * profile(r1, mpmath) * fiber
+
+        return float(8 * mpmath.pi**2 * mu**2 * mpmath.quad(integrand, [0, *points, 1]))
+
+
+def _smooth(r1, lib=np):
+    return lib.exp(-r1) * r1**1.5 + lib.cos(lib.log(r1))
+
+
+def _peak(r1, lib=np):
+    # a peak at r1 = 1/2 that a loose tolerance settles a level before a tight one
+    return _smooth(r1, lib) / (0.01 + (r1 - 0.5) ** 2)
 
 
 def _dw1_counterexample(mu):
     # the degree-1 smooth counterexample's squared norm, as project integrates it
     term = regularity.smooth_counterexample(DomainParams(mu), 1).terms[0]
-    square = lambda r1, r2: term.profile(r1, r2) ** 2 / (4.0 * mu * mu)
+
+    def square(r1, lib=np):
+        if lib is np:
+            return term.profile(r1) ** 2 / (4.0 * mu * mu)
+        return lib.exp(-2 * r1**-mu) / (4 * mu * mu)
+
     return square, 2.0 * term.a + 2.0 - 2.0 * mu, 0.0, mu
 
 
-RADIAL_CASES = [(_r2_profile, 2.0, -2.0, mu) for mu in (2.5, 3.0, 4.2)] + [_dw1_counterexample(3.0)]
+RADIAL_CASES = [(_smooth, 2.0, -2.0, mu) for mu in (2.5, 3.0, 4.2)] + [_dw1_counterexample(3.0)]
 
 
 class TestRadialMoment:
     @pytest.mark.parametrize("profile,p1,p2,mu", RADIAL_CASES, ids=["2.5", "3", "4.2", "dw1"])
     def test_nested_matches_full_evaluation(self, profile, p1, p2, mu):
-        [res] = measure.radial_moment(lambda r1, r2: (profile(r1, r2),), p1, p2, DomainParams(mu),
+        [res] = measure.radial_moment(lambda r1: (profile(r1),), p1, p2, DomainParams(mu),
                                        rtol=[1e-10])
         value, level, converged = radial_every_node(profile, p1, p2, DomainParams(mu))
         assert (res.level, res.converged) == (level, converged)
         assert res.value == pytest.approx(value, rel=1e-14)
 
+    @pytest.mark.parametrize("profile,p1,p2,mu,points", [
+        (_smooth, 2.0, -2.0, 3.0, ()),
+        (_smooth, 2.0, 3.0, 2.5, ()),
+        (_smooth, -1.5, 7.0, 4.2, ()),
+        (_peak, 2.0, -2.0, 3.0, (0.5,)),
+        (*_dw1_counterexample(3.0), ()),
+        (*_dw1_counterexample(7.3), ()),
+    ], ids=["y=-1", "y=1.5", "y=3.5", "peak", "dw1", "dw1-7.3"])
+    def test_against_mpmath(self, profile, p1, p2, mu, points):
+        # the worst relative difference seen on these cases was about 4e-16
+        [res] = measure.radial_moment(lambda r1: (profile(r1),), p1, p2, DomainParams(mu),
+                                       rtol=[1e-13])
+        assert res.converged
+        assert res.value == pytest.approx(_mp_radial(profile, p1, p2, mu, points), rel=1e-13)
+
     def test_each_integrand_keeps_its_tolerance(self):
-        # a peak at r1 = 1/2 that the loose tolerance settles a level earlier
+        # the peak settles a level earlier to the loose tolerance
         params = DomainParams(3.0)
-        peak = lambda r1, r2: _r2_profile(r1, r2) / (0.01 + (np.asarray(r1) - 0.5) ** 2)
-        square = lambda r1, r2: peak(r1, r2) ** 2
+        square = lambda r1: _peak(r1) ** 2
         loose, tight = measure.radial_moment(
-            lambda r1, r2: (peak(r1, r2), square(r1, r2)), 2.0, -2.0, params, rtol=[1e-4, 1e-12]
+            lambda r1: (_peak(r1), square(r1)), 2.0, -2.0, params, rtol=[1e-4, 1e-12]
         )
         assert loose.level < tight.level
-        for got, profile, rtol in [(loose, peak, 1e-4), (tight, square, 1e-12)]:
-            [alone] = measure.radial_moment(lambda r1, r2: (profile(r1, r2),), 2.0, -2.0, params,
+        for got, profile, rtol in [(loose, _peak, 1e-4), (tight, square, 1e-12)]:
+            [alone] = measure.radial_moment(lambda r1: (profile(r1),), 2.0, -2.0, params,
                                             rtol=[rtol])
             assert (got.level, got.converged) == (alone.level, True)
             assert got.value == pytest.approx(alone.value, rel=1e-14)
@@ -521,11 +573,9 @@ class TestFiber:
         assert np.all(np.abs(np.array(got) / self._FROZEN[y] - 1.0) <= 1e-12)
 
     def test_no_fold_and_one_fiber_call_per_fit(self, monkeypatch):
-        # the truncated moments and the Gram tables never reach the 2-d fiber
-        # rule, and a growth fit settled at level 4 is one _fiber call
-        def unreachable(*args):
-            raise AssertionError("_fold reached")
-
+        # every integral over the domain sums closed-form fibers in r1: a growth
+        # fit settled at level 4 is one _fiber call, and a radial_moment settled
+        # at level L is L - 3 (levels 3 and 4 share the first call)
         calls = []
         fiber = measure._fiber
 
@@ -533,7 +583,6 @@ class TestFiber:
             calls.append(len(log_r1))
             return fiber(log_r1, mu, ys, s)
 
-        monkeypatch.setattr(measure, "_fold", unreachable)
         monkeypatch.setattr(measure, "_fiber", counting)
         m = MomentArgs(-2.2, 0.3, 0.2, DomainParams(2.5))
         measure.truncation_growth_fit(m)
@@ -542,6 +591,10 @@ class TestFiber:
         params = DomainParams(3.0)
         bergman.gram_matrix(bergman.basis_indices(1, 0.2, params, 9), 0.2, params)
         assert len(calls) == 3
+        term = regularity.smooth_counterexample(params, 0).terms[0]
+        [res] = measure.radial_moment(lambda r1: (term.profile(r1),), 2.0 * term.a, 0.0, params,
+                                      rtol=[1e-10])
+        assert res.level == 5 and len(calls) == 5
 
 
 @settings(max_examples=120, deadline=None)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,7 +339,7 @@ class TestSmoothCounterexample:
         f = regularity.smooth_counterexample(params, 0)
         prof = f.terms[0].profile
         r = np.array([1e-3, 1e-2, 0.1])
-        vals = prof(r, np.ones_like(r)) * r ** f.terms[0].a
+        vals = prof(r) * r ** f.terms[0].a
         assert np.all(np.isfinite(vals))
         assert vals[0] == 0.0  # exponential beats any monomial pole
 
@@ -351,22 +352,20 @@ class TestSmoothCounterexample:
         assert v1 == v2
 
     def test_projection_coefficient_value(self):
-        # mu = 3, p = 0: coefficient is the exp-profile moment over lam(-2,0,0)
+        # mu = 3, p = 0: the coefficient is the exp-profile moment over lam(-2,0,0);
+        # the numerator against a 30-digit integral with the elementary fiber
+        # 2 arccos(r1^mu) of |w2|^0, which shares no formula with measure._fiber
         params = DomainParams(3.0)
         res = bergman.project(regularity.smooth_counterexample(params, 0), params)
         witness = regularity.witness_index(params, 0)
         num, den = res.ratios[witness]
-
-        def prof(r1, r2):
-            with np.errstate(over="ignore", under="ignore"):
-                return np.exp(-np.asarray(r1, dtype=float) ** -3.0) * np.ones(
-                    np.broadcast(np.asarray(r1), np.asarray(r2)).shape
-                )
-
-        [oracle] = measure.radial_moment(lambda r1, r2: (prof(r1, r2),), 2 * (-2.0), 0.0, params,
-                                          rtol=[1e-10])
+        mu, p1 = 3, 2 * witness.j  # |w1|^(2a) with a = j = -2
+        with mpmath.workdps(30):
+            integrand = lambda r1: (r1 ** (p1 + 2 * mu - 1) * mpmath.exp(-r1**-mu)
+                                    * 2 * mpmath.acos(r1**mu))
+            oracle = float(8 * mpmath.pi**2 * mu**2 * mpmath.quad(integrand, [0, 1]))
         lam = measure.lambda_closed(measure.MomentArgs(-2.0, 0.0, 0.0, params))
-        assert num == pytest.approx(oracle.value, rel=1e-10)
+        assert num == pytest.approx(oracle, rel=1e-10)
         assert den == pytest.approx(lam.value, rel=1e-14)
 
 
