@@ -265,29 +265,6 @@ def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
     return ProjectionResult(f.p, coefficients, ratios, report)
 
 
-def _const_profile(value: float) -> Callable:
-    def profile(r1, _v=value):
-        return np.full(np.shape(r1), _v)
-
-    return profile
-
-
-def expand_to_terms(result: ProjectionResult, params: DomainParams) -> RadialTermFunction:
-    """Re-express a (real-coefficient) projection as a RadialTermFunction,
-    suitable for idempotence checks.  A coefficient c against the dw1
-    element 2 mu w1^(j-1) w2^k dw1 becomes the dw1-term with constant
-    profile 2 mu c at (a, b) = (j - 1, k)."""
-    terms = []
-    for idx, coeff in result.coefficients.items():
-        if abs(coeff.imag) > 1e-12 * max(1.0, abs(coeff)):
-            raise DomainError("only real-coefficient expansions are re-expressible")
-        dw1 = idx.component is Component.DW1
-        profile = _const_profile((2.0 * params.mu if dw1 else 1.0) * coeff.real)
-        terms.append(RadialTerm(profile, idx.j - 1 if dw1 else idx.j, idx.k, idx.component,
-                                label=f"reexpanded ({idx.j}, {idx.k})"))
-    return RadialTermFunction(result.p, tuple(terms))
-
-
 @dataclass(frozen=True)
 class KernelValue:
     value: complex

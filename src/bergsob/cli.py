@@ -5,6 +5,7 @@ Subcommands
 threshold   sharp exponent for (mu, p), or the mu realizing a target r
 lambda      one moment: closed form, independent quadrature, verdict
 scan        continuity certificates over an s grid (CSV or JSON rows)
+sharpness   the sharpness table: verify's sharpness check at each target r
 verify      run the invariant suites; exit 0 only if all pass
 
 Exit codes: 0 success, 1 property failure, 2 usage error or a value the
@@ -16,6 +17,10 @@ CSV columns of ``scan``: s, status, sup_ratio, bound, argmax_j, argmax_k.
 Rows with s at or above the threshold carry status DIVERGENT and empty
 numeric fields; a negative or non-finite s, or a start:stop:step grid of
 10000 or more steps, is a usage error.
+
+JSON ``entries`` of ``sharpness``, one per (r, p): r, p, the mu realizing
+threshold r, the certificate at s = r - min(0.02, r/2) and the witness at
+r; exit 1 when either fails regularity.sharpness_checks.
 """
 
 from __future__ import annotations
@@ -55,12 +60,7 @@ def _json(payload: dict) -> str:
 
 
 def cmd_threshold(args) -> int:
-    if args.invert is not None:
-        mu = regularity.mu_for_threshold(args.invert, args.p)
-    elif args.mu is None:
-        raise DomainError("one of --mu or --invert is required")
-    else:
-        mu = args.mu
+    mu = args.mu if args.invert is None else regularity.mu_for_threshold(args.invert, args.p)
     report = regularity.threshold(DomainParams(mu), args.p)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -81,8 +81,6 @@ def cmd_lambda(args) -> int:
     params = DomainParams(args.mu)
     if not all(map(math.isfinite, (args.x, args.y, args.s))):
         raise DomainError(f"x, y and s must be finite, got ({args.x}, {args.y}, {args.s})")
-    if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
-        raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
     m = measure.MomentArgs(args.x, args.y, args.s, params)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -95,8 +93,7 @@ def cmd_lambda(args) -> int:
     }
     closed = measure.lambda_closed(m)
     if measure.is_integrable(m):
-        tol = {} if args.tol is None else {"tol": args.tol}
-        quad = measure.lambda_quadrature(m, **tol)
+        quad = measure.lambda_quadrature(m)
         payload.update(
             {
                 "closed": closed.value,
@@ -220,6 +217,35 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def cmd_sharpness(args) -> int:
+    res = suites.SuiteResult("sharpness")
+    pairs = suites.check_sharpness(res, args.r, (40, 40), ratio_slack=1e-9, growth_tol=0.05)
+    entries = [
+        {
+            "r": wit.s, "p": wit.p, "mu": wit.mu,
+            "certificate": {
+                "s": cert.s,
+                "sup_ratio": cert.sup_ratio,
+                "bound": cert.bound_used,
+                "argmax": [cert.sup_attained_at.j, cert.sup_attained_at.k],
+                "within_bound": within,
+            },
+            "witness": {
+                "index": [wit.index.j, wit.index.k],
+                "component": wit.index.component.value,
+                "analytic_exponent": wit.analytic_exponent,
+                "growth_kind": wit.growth.kind,
+                "growth_exponent": wit.growth.exponent,
+                "fit_residual": wit.growth.residual,
+            },
+        }
+        for cert, wit, within in pairs
+    ]
+    payload = {"schema_version": SCHEMA_VERSION, "command": "sharpness", "entries": entries}
+    _emit(_json(payload), args.output)
+    return 0 if res.passed else 1
+
+
 def _lattice(text: str) -> tuple[int, int]:
     try:
         j, k = (int(p) for p in text.split(","))
@@ -244,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_thr = sub.add_parser("threshold", help="sharp Sobolev exponent for (mu, p)")
-    p_thr.add_argument("--mu", type=float, default=None)
     p_thr.add_argument("--p", type=int, choices=(0, 1, 2), required=True)
-    p_thr.add_argument("--invert", type=float, default=None, metavar="R",
-                       help="find mu whose threshold is R")
+    which = p_thr.add_mutually_exclusive_group(required=True)
+    which.add_argument("--mu", type=float)
+    which.add_argument("--invert", type=float, metavar="R", help="find mu whose threshold is R")
     p_thr.add_argument("--output", default=None)
     p_thr.set_defaults(func=cmd_threshold)
 
@@ -256,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lam.add_argument("--x", type=float, required=True)
     p_lam.add_argument("--y", type=float, required=True)
     p_lam.add_argument("--s", type=float, required=True)
-    p_lam.add_argument("--tol", type=float, default=None)
     p_lam.add_argument("--truncate-fit", action="store_true",
                        help="fit the truncation growth of a divergent moment")
     p_lam.add_argument("--output", default=None)
@@ -271,6 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--output", default=None)
     p_scan.set_defaults(func=cmd_scan)
+
+    p_sharp = sub.add_parser("sharpness", help="certificate and witness at each target threshold")
+    p_sharp.add_argument("--r", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4])
+    p_sharp.add_argument("--output", default=None)
+    p_sharp.set_defaults(func=cmd_sharpness)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")
     p_ver.add_argument("--suite", default=None, choices=sorted(suites.SUITES),

@@ -8,9 +8,6 @@ class DomainError(ValueError):
 class NonIntegrableTermError(ValueError):
     """A projection input term is not square-integrable against the domain volume."""
 
-    def __init__(self, label: str, reason: str = ""):
+    def __init__(self, label: str, reason: str):
         self.label = label
-        msg = f"term {label!r} is not integrable"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        super().__init__(f"term {label!r} is not integrable: {reason}")

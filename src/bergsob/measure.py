@@ -216,16 +216,16 @@ def lambda_closed_array(x, y, s: float, params: DomainParams):
     return val
 
 
-def lambda_quadrature(m: MomentArgs, tol: float = 1e-10) -> MomentValue:
+def lambda_quadrature(m: MomentArgs) -> MomentValue:
     """Independent evaluation 8 pi^2 mu alpha(X, 1 - 2s) beta(Y, y) from
     the quadrature oracles of ``special``, each to relative accuracy
-    0.1 tol; the error estimate adds their own relative estimates.  Raises
+    1e-11; the error estimate adds their own relative estimates.  Raises
     QuadratureError when either oracle does not converge."""
     if not is_integrable(m):
         raise DomainError(f"moment diverges ({_violated(m)}); see is_integrable")
     X, Y = _exponents(m.x, m.s, m.params.mu)
-    alpha, alpha_err = special.alpha_quadrature(X, 1.0 - 2.0 * m.s, 0.1 * tol)
-    beta, beta_err = special.beta_quadrature(Y, m.y, 0.1 * tol)
+    alpha, alpha_err = special.alpha_quadrature(X, 1.0 - 2.0 * m.s, 1e-11)
+    beta, beta_err = special.beta_quadrature(Y, m.y, 1e-11)
     val = 8.0 * math.pi**2 * m.params.mu * alpha * beta
     return MomentValue.finite(val, (alpha_err / alpha + beta_err / beta) * val)
 

@@ -252,24 +252,24 @@ def suite_bergman(rng) -> SuiteResult:
 
 def check_sharpness(
     res: SuiteResult, rs, lattice: tuple[int, int], *, ratio_slack: float, growth_tol: float
-) -> list[regularity.ContinuityCertificate]:
+) -> list[tuple[regularity.ContinuityCertificate, regularity.DivergenceWitness, bool]]:
     """For each target threshold r and degree p, at the mu realizing r: a
-    continuity certificate just below r (at s = r - 0.02) whose sup stays
-    under its bound, and a divergence witness at r whose growth fit matches
-    the analytic exponent.  Returns the certificates."""
-    certs = []
+    continuity certificate at s = r - min(0.02, r/2) whose sup stays under
+    its bound, and a divergence witness at r whose growth fit matches the
+    analytic exponent.  Returns (certificate, witness, within bound) per pair."""
+    pairs = []
     for r in rs:
         for p in (0, 1, 2):
             params = DomainParams(regularity.mu_for_threshold(r, p))
-            cert = regularity.continuity_certificate(params, p, r - 0.02, lattice)
-            certs.append(cert)
+            cert = regularity.continuity_certificate(params, p, r - min(0.02, r / 2), lattice)
             wit = regularity.divergence_witness(params, p, r)
             within, fits = regularity.sharpness_checks(cert, wit, ratio_slack=ratio_slack,
                                                        growth_tol=growth_tol)
             res.check(within, f"r={r} p={p}: sup {cert.sup_ratio:.4g} above bound "
                               f"{cert.bound_used:.4g}")
             res.check(fits, f"r={r} p={p}: witness growth fit mismatch")
-    return certs
+            pairs.append((cert, wit, within))
+    return pairs
 
 
 def check_threshold_jumps(res: SuiteResult, *, tol: float) -> None:

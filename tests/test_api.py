@@ -1,20 +1,21 @@
 """The settable surface and the layering of the package: every defaulted
-parameter of a public function or method, every module's public names
-(``__all__``), every module's imports from the package and every caller of
-the adaptive quadrature, pinned, so that a new knob, public path,
-dependency or integrator is added on purpose."""
+parameter of a public function or method, every command-line option,
+every module's public names (``__all__``), every module's imports from the
+package and every caller of the adaptive quadrature, pinned, so that a new
+knob, flag, public path, dependency or integrator is added on purpose."""
 
+import argparse
 import ast
 from pathlib import Path
+
+from bergsob import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergsob"
 
 KNOBS = {
     "bergman.kernel_eval(truncation)",
     "cli.main(argv)",
-    "errors.NonIntegrableTermError.__init__(reason)",
     "geometry.inverse_map(k)",
-    "measure.lambda_quadrature(tol)",
     "measure.lambda_truncated_oracle(rtol)",
     "quadrature.integrate(max_level)",
     "quadrature.integrate(rtol)",
@@ -55,7 +56,25 @@ def _knobs() -> set[str]:
 
 def test_knobs_pinned():
     assert _knobs() == KNOBS
-    assert len(KNOBS) == 16
+    assert len(KNOBS) == 14
+
+
+# each subcommand's option strings, besides --help
+OPTIONS = {
+    "threshold": {"--mu", "--invert", "--p", "--output"},
+    "lambda": {"--mu", "--x", "--y", "--s", "--truncate-fit", "--output"},
+    "scan": {"--mu", "--p", "--s-grid", "--lattice", "--format", "--output"},
+    "sharpness": {"--r", "--output"},
+    "verify": {"--suite", "--seed", "--self-test", "--output"},
+}
+
+
+def test_cli_options_pinned():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, sub in commands.choices.items()}
+    assert got == OPTIONS
 
 
 # each module's public names; errors declares none

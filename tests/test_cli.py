@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import importlib.util
 import io
 import json
 import math
@@ -12,7 +11,6 @@ import sys
 import time
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,8 +73,15 @@ class TestThresholdCommand:
     def test_bad_mu_exits_2(self):
         assert run_cli(["threshold", "--mu", "1", "--p", "0"]) == 2
 
-    def test_missing_mu_exits_2(self):
-        assert run_cli(["threshold", "--p", "0"]) == 2
+    @pytest.mark.parametrize("flags", [[], ["--mu", "3", "--invert", "0.3"]],
+                             ids=["neither", "both"])
+    def test_mu_xor_invert(self, flags, capsys):
+        # both flags once ran --invert and ignored --mu: exactly one is a usage rule
+        with pytest.raises(SystemExit) as err:
+            run_cli(["threshold", "--p", "0", *flags])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("mu", ["inf", "nan"])
     def test_non_finite_mu_exits_2(self, mu, capsys):
@@ -159,13 +164,12 @@ class TestLambdaCommand:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "x,y,s,extra",
-        [("nan", "0", "0.1", []), ("0", "inf", "0.1", []), ("0", "0", "-inf", []),
-         ("0", "0", "0.1", ["--tol", "0"])],
-        ids=["x-nan", "y-inf", "s-minus-inf", "tol-zero"],
+        "x,y,s",
+        [("nan", "0", "0.1"), ("0", "inf", "0.1"), ("0", "0", "-inf")],
+        ids=["x-nan", "y-inf", "s-minus-inf"],
     )
-    def test_unusable_argument_exits_2(self, x, y, s, extra, capsys):
-        argv = ["lambda", "--mu", "3", f"--x={x}", f"--y={y}", f"--s={s}", *extra]
+    def test_unusable_argument_exits_2(self, x, y, s, capsys):
+        argv = ["lambda", "--mu", "3", f"--x={x}", f"--y={y}", f"--s={s}"]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -447,31 +451,48 @@ class TestVerifyCommand:
         assert alone.checks == _CHECKS[name]
 
 
-def _script(name):
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+class TestSharpnessCommand:
+    def test_table(self, capsys):
+        assert run_cli(["sharpness", "--r", "0.2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["command"] == "sharpness"
+        entries = payload["entries"]
+        assert [(e["r"], e["p"]) for e in entries] == [(0.2, 0), (0.2, 1), (0.2, 2)]
+        assert all(e["certificate"]["within_bound"] for e in entries)
+        assert all(e["certificate"]["s"] == 0.2 - 0.02 for e in entries)
+
+    def test_small_r_is_certified(self, capsys):
+        # the certificate sits at s = r - min(0.02, r/2); at a fixed gap of
+        # 0.02 it would sit at s < 0 for every r < 0.02
+        assert run_cli(["sharpness", "--r", "0.01"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [e["certificate"]["s"] for e in entries] == [0.005] * 3
+        assert all(e["certificate"]["within_bound"] for e in entries)
+        assert all(e["witness"]["growth_kind"] == "log" for e in entries)
+
+    @pytest.mark.parametrize("argv", [["--r", "0.7"], ["--output", "missing-dir/out.json"]],
+                             ids=["unreachable-r", "unwritable-output"])
+    def test_refused_input_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        # no threshold reaches 0.7; the output file once raised a traceback
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["sharpness", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
-def test_certify_sharpness_script(capsys):
-    script = _script("certify_sharpness")
-    assert script.main(["--r", "0.2"]) == 0
-    entries = json.loads(capsys.readouterr().out)["entries"]
-    assert [(e["r"], e["p"]) for e in entries] == [(0.2, 0), (0.2, 1), (0.2, 2)]
-    assert all(e["certificate"]["within_bound"] for e in entries)
-
-
-@pytest.mark.parametrize("name,argv", [
-    ("certify_sharpness", ["--r", "0.7"]),  # no threshold reaches 0.7
-    ("certify_sharpness", ["--r", "0.3", "--gap", "0.5"]),  # certificate at s < 0
-])
-def test_scripts_refuse_bad_input(capsys, name, argv):
-    # exit 2 and one error line, as the bergsob command does; exit 1 stays a failed check
-    assert _script(name).main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+@pytest.mark.parametrize("argv", [["lambda", "--mu", "3", "--x", "0", "--y", "0", "--s", "0.1",
+                                   "--tol", "0"],
+                                  ["sharpness", "--r", "0.3", "--gap", "0.5"]],
+                         ids=["lambda-tol", "sharpness-gap"])
+def test_removed_options_are_usage_errors(argv, capsys):
+    # options with one value in use are constants: a usage error, one line
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bergsob: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 def test_module_entry_point():
@@ -495,16 +516,17 @@ _NUMBERS = st.one_of(
 # of their choices or types, flags without their values
 _JUNK = st.lists(st.one_of(_NUMBERS, st.sampled_from(
     ["threshold", "lambda", "scan", "verify", "nope", "--mu", "--p=3", "--seed=1.5",
-     "--suite=nope", "--lattice=1", "--format=xml", "--tol", "--s-grid", "-x", "--config"])),
+     "--suite=nope", "--lattice=1", "--format=xml", "--tol", "--s-grid", "-x", "--config",
+     "sharpness", "--r", "--gap"])),
     max_size=5)
 
 
-# derandomized, so that the gate replays the same examples on every run; 120
-# of them reach verify with each kind of seed (negative, 0, above 2^64), and
-# argv that does not parse
-@settings(max_examples=120, deadline=None, derandomize=True)
+# derandomized, so that the gate replays the same examples on every run; 360
+# of them reach verify with each kind of seed (negative, 0, above 2^64),
+# sharpness with an r that is certified, and argv that does not parse
+@settings(max_examples=360, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["threshold", "lambda", "scan", "verify", "unparsed"]),
+    command=st.sampled_from(["threshold", "lambda", "scan", "sharpness", "verify", "unparsed"]),
     mu=_NUMBERS,
     x=_NUMBERS,
     y=_NUMBERS,
@@ -529,6 +551,8 @@ def test_fuzz_exit_codes(command, mu, x, y, s, p, truncate, lattice, grid, seed,
         argv += ["--truncate-fit"] if truncate else []
     elif command == "scan":
         argv = ["scan", f"--mu={mu}", f"--p={p}", f"--s-grid={grid}", "--lattice=%d,%d" % lattice]
+    elif command == "sharpness":
+        argv = ["sharpness", f"--r={s}"]
     elif command == "verify":
         argv = ["verify", f"--seed={seed}", f"--suite={suite}"]
     else:

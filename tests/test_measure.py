@@ -90,7 +90,7 @@ class TestClosedForm:
 class TestQuadratureCross:
     def test_base_moment(self):
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
-        q = measure.lambda_quadrature(m, tol=1e-10)
+        q = measure.lambda_quadrature(m)
         assert q.value == pytest.approx(TWO_PI_CUBED * 2.0, rel=1e-8)
 
     def test_generic_point(self):
