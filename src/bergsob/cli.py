@@ -192,15 +192,17 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else None
-    started = time.perf_counter()
+    started = resumed = time.perf_counter()
     results = []
     for result in suites.run_suites(args.seed, names, self_test=args.self_test):
+        done = time.perf_counter()
         results.append(result)
         print(
             f"[verify] {result.name}: {'pass' if result.passed else 'FAIL'} "
-            f"({result.checks} checks, {time.perf_counter() - started:.1f}s elapsed)",
+            f"({result.checks} checks in {done - resumed:.2f}s, {done - started:.1f}s elapsed)",
             file=sys.stderr,
         )
+        resumed = time.perf_counter()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

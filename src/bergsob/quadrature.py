@@ -13,6 +13,13 @@ weight (bit for bit, except that a subnormal weight may differ by one
 subnormal step).  ``integrate`` therefore evaluates the integrand only
 at the odd-k nodes of each refinement and reuses the previous level's
 sum, so a run to level L costs one evaluation per node of level L.
+
+``integrate`` takes a stack of integrands as readily as one: with array
+endpoints it runs one level loop over all rows, each row settles at its
+own first level that meets the tolerance, and only the rows still open
+are evaluated at the next level.  Each row is summed on its own, so its
+value, error estimate and level are those of the one-row call, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
 _T_CUTOFF = 6.2
 _MIN_LEVEL = 5  # integrate() refines from here up to max_level
 _MAX_LEVEL = 11
+_RTOL = 1e-12  # integrate()'s default relative tolerance
 
 
 class QuadratureError(RuntimeError):
@@ -98,21 +106,37 @@ def new_nodes(level: int):
     return _frozen(arr[odd] for arr in rule)
 
 
-def _prepare(a: float, b: float):
-    if not (math.isfinite(a) and math.isfinite(b)) or not b > a:
-        raise ValueError(f"invalid interval ({a}, {b})")
-    return b - a
+def _prepare(a, b):
+    """The widths b - a, broadcast; ValueError names the first bad interval."""
+    span = np.subtract(b, a, dtype=float)
+    if not ((span > 0.0) & (span < math.inf)).all():  # also false for a non-finite end
+        lo, hi = _flat(a, b)
+        i = int(np.argmax(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))))
+        raise ValueError(f"invalid interval ({lo[i]}, {hi[i]})")
+    return span
+
+
+def _flat(*arrays):
+    arrays = (np.asarray(v, dtype=float) for v in arrays)
+    return [arr.ravel() for arr in np.broadcast_arrays(*arrays)]
+
+
+def _open(value, err, rtol: float) -> np.ndarray:
+    """Where the last two levels differ by more than max(1e-300, rtol*|I|);
+    false at an infinite or nan I, which closes its row unconverged."""
+    return err > np.maximum(rtol * np.abs(value), 1e-300)
 
 
 def integrate(
     f: Callable,
-    a: float,
-    b: float,
+    a,
+    b,
     *,
-    rtol: float = 1e-12,
+    rtol: float = _RTOL,
     max_level: int = _MAX_LEVEL,
 ) -> QuadResult:
-    """Adaptively integrate ``f`` over (a, b).
+    """Adaptively integrate ``f`` over (a, b), or a stack of integrands,
+    one per element of a and b broadcast together.
 
     ``f(x, da, db)`` must accept numpy arrays; ``da = x - a`` and
     ``db = b - x`` are supplied separately for endpoint-singular factors.
@@ -123,36 +147,62 @@ def integrate(
     half the previous level's sum.  The returned result carries
     ``converged=False`` instead of raising, so callers can use
     non-convergence as a divergence signal.
+
+    A stack settles row by row: a row stops at its first level that meets
+    ``rtol``, or as (inf, inf) at a non-finite sum, and only open rows are
+    evaluated again.  ``f`` receives the flat indices of those rows as an
+    (open, 1) column in place of x (x = a[rows] + da), and da, db of shape
+    (open, nodes).  The result holds value and error arrays of the
+    broadcast shape, the last level evaluated, and ``converged`` when all
+    rows converged.  A scalar (a, b) is the one-row case, with 1-d arrays.
     """
     span = _prepare(a, b)
-    prev = math.nan
-    total = math.nan
-    err = math.inf
+    stacked = span.ndim > 0
+    widths = span.reshape(-1)
+    value, err = np.empty(widths.size), np.empty(widths.size)
+    value.fill(math.nan)
+    err.fill(math.inf)
+    rows = np.arange(widths.size)  # the open rows
     level = _MIN_LEVEL
-    for level in range(_MIN_LEVEL, max_level + 1):
-        p_lo, p_hi, w = nodes(level) if level == _MIN_LEVEL else new_nodes(level)
-        da = span * p_lo
-        db = span * p_hi
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = np.asarray(f(a + da, da, db), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            return QuadResult(math.inf, math.inf, level, False)
-        part = span * float(w @ vals)
-        total = part if level == _MIN_LEVEL else 0.5 * prev + part
-        if level > _MIN_LEVEL:
-            err = abs(total - prev)
-            if err <= max(1e-300, rtol * abs(total)):
-                return QuadResult(total, err, level, True)
-        prev = total
-    return QuadResult(total, err, level, False)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for level in range(_MIN_LEVEL, max_level + 1):
+            p_lo, p_hi, w = nodes(level) if level == _MIN_LEVEL else new_nodes(level)
+            width = widths[rows]
+            if stacked:
+                da, db = width[:, None] * p_lo, width[:, None] * p_hi
+                vals = f(rows[:, None], da, db)
+            else:
+                da, db = width * p_lo, width * p_hi
+                vals = f(a + da, da, db)
+            # each row's own sum (einsum, not a BLAS product, whose row sums
+            # change with the stack around them), the same in a stack of any size
+            total = np.einsum("...j,j->...", np.asarray(vals, dtype=float), w) * width
+            diff = math.inf
+            if level > _MIN_LEVEL:
+                prev = value[rows]
+                total += 0.5 * prev
+                err[rows] = diff = np.abs(total - prev)
+            value[rows] = total
+            rows = rows[_open(total, diff, rtol)]
+            if not rows.size:
+                break
+    converged = np.isfinite(value)
+    value[~converged] = err[~converged] = math.inf
+    converged[rows] = False
+    if not stacked:
+        return QuadResult(float(value[0]), float(err[0]), level, bool(converged[0]))
+    return QuadResult(value.reshape(span.shape), err.reshape(span.shape), level,
+                      bool(converged.all()))
 
 
-def quad(f: Callable, a: float, b: float, **kw) -> QuadResult:
-    """Like :func:`integrate` but raises QuadratureError unless it converged."""
+def quad(f: Callable, a, b, **kw) -> QuadResult:
+    """Like :func:`integrate` but raises QuadratureError unless every row
+    converged, naming the first row that did not."""
     res = integrate(f, a, b, **kw)
     if not res.converged:
-        raise QuadratureError(
-            f"no convergence on ({a}, {b}): value={res.value!r}, err={res.err_estimate!r}"
-        )
+        lo, hi = _flat(a, b)
+        value, err = np.ravel(res.value), np.ravel(res.err_estimate)
+        i = int(np.argmax(~np.isfinite(value) | _open(value, err, kw.get("rtol", _RTOL))))
+        raise QuadratureError(f"no convergence on ({lo[i]}, {hi[i]}): "
+                              f"value={float(value[i])!r}, err={float(err[i])!r}")
     return res
-

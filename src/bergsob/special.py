@@ -14,8 +14,13 @@ reduction; ``alpha_eval`` and ``beta_eval`` evaluate them.  Direct
 endpoint-clustered quadratures are kept only as independent oracles,
 ``alpha_quadrature`` and ``beta_quadrature``, which the recursion
 residuals also use (for beta, beta(x+2, y) = x (x+1) / ((x+1)^2 + y^2)
-beta(x, y)).  The module also gives margins for the Hölder-type
-normalized bounds
+beta(x, y)).  The oracles, residuals and margins broadcast over array
+arguments, and a scalar call is the 0-d case: each oracle integrates all
+its elements as one stack of ``quadrature.integrate`` rows per branch
+(a direct rule, or two substituted halves for weak exponents), and every
+row settles on its own, so an element's value and error estimate are
+those of its scalar call.  The module also gives margins for the
+Hölder-type normalized bounds
 
     alpha(x-2s, y-2s) alpha(x+2s, y+2s) / alpha(x, y)^2
         <= x y / ((x-2s)(y-2s)),                    0 <= s < 1/2, x, y > 2s
@@ -99,6 +104,25 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _broadcast(*args) -> list[np.ndarray]:
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    if len({a.shape for a in arrays}) == 1:  # the common case, without numpy's machinery
+        return arrays
+    return np.broadcast_arrays(*arrays)
+
+
+def _first(ok):
+    """The flat index of the first element where ok is False, or None."""
+    bad = ~np.ravel(ok)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _pow(base, exponent) -> np.ndarray:
+    """libm's pow elementwise, as a Python float's ** is: numpy's ** squares
+    at exponent 2 and may take a SIMD pow, either of which can round apart."""
+    return np.float_power(base, exponent)
+
+
 def _log_abs_gamma(re, im) -> np.ndarray:
     """log_abs_gamma on real arrays that broadcast, for finite re > 0 (so
     n <= 8) and finite im.  The factors (re + k)^2 + im^2, k < 8, lie on an
@@ -159,27 +183,50 @@ def log_beta(x, y) -> np.ndarray:
         raise DomainError("log beta overflows a double") from None
 
 
-def _total(*parts: quadrature.QuadResult) -> tuple[float, float]:
-    """The value and error estimate of a sum of converged quadratures."""
-    return sum(p.value for p in parts), sum(p.err_estimate for p in parts)
+def _by_branch(x, y, weak, direct, half, mirror):
+    """(value, error estimate) of an oracle, elementwise over x and y
+    broadcast together.  Where weak(x, y) is False, direct(x, y) integrates
+    the elements in one stack; elsewhere the value is the sum of two halves,
+    half at (x, y) and at mirror(x, y), both in one stack.  A scalar call
+    returns floats."""
+    x, y = _broadcast(x, y)
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    weak = weak(x, y)
+    if not weak.any():  # one branch, nothing to scatter (as for most scalar calls)
+        value, err = direct(x, y)
+    else:
+        value, err = np.empty(x.size), np.empty(x.size)
+        if not weak.all():
+            value[~weak], err[~weak] = direct(x[~weak], y[~weak])
+        k = np.count_nonzero(weak)
+        x2, y2 = mirror(x[weak], y[weak])
+        v, e = half(np.concatenate([x[weak], x2]), np.concatenate([y[weak], y2]))
+        value[weak], err[weak] = v[:k] + v[k:], e[:k] + e[k:]
+    return _scalar_or_array(value.reshape(shape)), _scalar_or_array(err.reshape(shape))
 
 
-def _alpha_lower_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
-    """∫_0^{1/2} t^(x-1) (1-t)^(y-1) dt via t = e^u.
+def _alpha_lower_half(x: np.ndarray, y: np.ndarray, tol: float):
+    """∫_0^{1/2} t^(x-1) (1-t)^(y-1) dt via t = e^u, one row per element.
 
     The substitution trades the weak endpoint singularity t^(x-1) for the
     smooth exponential e^(ux), which tanh-sinh resolves to full precision
     even for x near 0 (a bare power with exponent below ~0.05 decays too
     slowly inside the representable node range).
     """
-    u_lo = -(45.0 + 0.7 * (x + max(y, 0.0))) / x
-    if not math.isfinite(u_lo):  # x subnormal
-        raise DomainError(f"the alpha oracle needs 1/x finite, got x = {x}")
+    with np.errstate(over="ignore", divide="ignore"):
+        u_lo = -(45.0 + 0.7 * (x + np.maximum(y, 0.0))) / x
+    if (i := _first(np.isfinite(u_lo))) is not None:  # x subnormal
+        raise DomainError(f"the alpha oracle needs 1/x finite, got x = {x[i]}")
 
-    def f(u, da, db):
-        return np.exp(u * x) * (1.0 - np.exp(u)) ** (y - 1.0)
+    y_1 = y - 1.0
 
-    return quadrature.quad(f, u_lo, -math.log(2.0), rtol=tol)
+    def f(rows, da, db):
+        u = u_lo[rows] + da
+        return np.exp(u * x[rows]) * (1.0 - np.exp(u)) ** y_1[rows]
+
+    res = quadrature.quad(f, u_lo, -math.log(2.0), rtol=tol)
+    return res.value, res.err_estimate
 
 
 # The fixed tanh-sinh level of alpha_tail's two rules.
@@ -218,19 +265,25 @@ def alpha_tail(x: float, y: float, lo, span) -> np.ndarray:
     return upper + lower
 
 
-def alpha_quadrature(x: float, y: float, tol: float = 1e-12) -> tuple[float, float]:
+def alpha_quadrature(x, y, tol: float = 1e-12):
     """alpha(x, y) and its error estimate by quadrature to relative accuracy
-    ``tol``, the oracle of the Gamma path; weak singular exponents (below
-    1/2) are handled by splitting at 1/2 and log-substituting each half.
-    Raises QuadratureError when a piece does not converge."""
+    ``tol``, the oracle of the Gamma path, elementwise over x and y; weak
+    singular exponents (below 1/2) are handled by splitting at 1/2 and
+    log-substituting each half.  Raises QuadratureError when a piece does
+    not converge."""
     _check_alpha_args(x, y)
-    if min(x, y) < 0.5:
-        return _total(_alpha_lower_half(x, y, tol), _alpha_lower_half(y, x, tol))
 
-    def f(t, da, db):
-        return da ** (x - 1.0) * db ** (y - 1.0)
+    def direct(x, y):
+        x_1, y_1 = x - 1.0, y - 1.0
 
-    return _total(quadrature.quad(f, 0.0, 1.0, rtol=tol))
+        def f(rows, da, db):
+            return da ** x_1[rows] * db ** y_1[rows]
+
+        res = quadrature.quad(f, np.zeros(x.shape), 1.0, rtol=tol)
+        return res.value, res.err_estimate
+
+    return _by_branch(x, y, lambda x, y: np.minimum(x, y) < 0.5, direct,
+                      lambda x, y: _alpha_lower_half(x, y, tol), lambda x, y: (y, x))
 
 
 def alpha_eval(x, y):
@@ -242,8 +295,9 @@ def alpha_eval(x, y):
     return _scalar_or_array(_exp(_lgamma(x) + _lgamma(y) - _lgamma(x + y), "alpha"))
 
 
-def _beta_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
-    """∫_0^{π/2} (cos t)^(x-1) e^(yt) dt for weak exponents x.
+def _beta_half(x: np.ndarray, y: np.ndarray, tol: float):
+    """∫_0^{π/2} (cos t)^(x-1) e^(yt) dt for weak exponents x, one row per
+    element.
 
     The distance d = π/2 - t to the singular end is substituted as
     d = (π/2) u^(1/x), which absorbs the endpoint power exactly, as
@@ -256,30 +310,39 @@ def _beta_half(x: float, y: float, tol: float) -> quadrature.QuadResult:
     as u -> 1.
     """
 
-    def f(u, da, db):
-        e = np.where(da < 0.5, np.log(da), np.log1p(-db)) / x  # log(d / (π/2))
+    x_1, half_pi_y = x - 1.0, _HALF_PI * y
+
+    def f(rows, da, db):
+        e = np.where(da < 0.5, np.log(da), np.log1p(-db)) / x[rows]  # log(d / (π/2))
         sinc = np.sinc(0.5 * np.exp(e))  # sin(d)/d, smooth in [2/π, 1], exact 1 at 0
-        return np.exp((x - 1.0) * np.log(sinc) - _HALF_PI * y * np.expm1(e))
+        return np.exp(x_1[rows] * np.log(sinc) - half_pi_y[rows] * np.expm1(e))
 
-    res = quadrature.quad(f, 0.0, 1.0, rtol=tol)
-    scale = _HALF_PI**x / x
-    return quadrature.QuadResult(scale * res.value, scale * res.err_estimate, res.level, True)
+    res = quadrature.quad(f, np.zeros(x.shape), 1.0, rtol=tol)
+    scale = _pow(_HALF_PI, x) / x
+    return scale * res.value, scale * res.err_estimate
 
 
-def beta_quadrature(x: float, y: float, tol: float = 1e-12) -> tuple[float, float]:
+def beta_quadrature(x, y, tol: float = 1e-12):
     """beta(x, y) and its error estimate by direct endpoint-clustered
-    quadrature to relative accuracy ``tol``, the oracle of the closed form.
-    Raises QuadratureError when a piece does not converge."""
+    quadrature to relative accuracy ``tol``, the oracle of the closed form,
+    elementwise over x and y; weak exponents x < 1/2 take two substituted
+    halves.  Raises QuadratureError when a piece does not converge."""
     _check_beta_args(x, y)
-    if x < 0.5:
-        return _total(_beta_half(x, y, tol), _beta_half(x, -y, tol))
 
-    # cos t = sin(min(t + π/2, π/2 - t)) exactly; the min form keeps full
-    # relative accuracy at both ends.
-    def f(t, da, db):
-        return np.sin(np.minimum(da, db)) ** (x - 1.0) * np.exp(y * t)
+    def direct(x, y):
+        # cos t = sin(min(t + π/2, π/2 - t)) exactly; the min form keeps full
+        # relative accuracy at both ends.
+        x_1 = x - 1.0
 
-    return _total(quadrature.quad(f, -_HALF_PI, _HALF_PI, rtol=tol))
+        def f(rows, da, db):
+            t = -_HALF_PI + da
+            return np.sin(np.minimum(da, db)) ** x_1[rows] * np.exp(y[rows] * t)
+
+        res = quadrature.quad(f, np.full(x.shape, -_HALF_PI), _HALF_PI, rtol=tol)
+        return res.value, res.err_estimate
+
+    return _by_branch(x, y, lambda x, y: x < 0.5, direct,
+                      lambda x, y: _beta_half(x, y, tol), lambda x, y: (x, -y))
 
 
 def beta_eval(x, y):
@@ -290,68 +353,80 @@ def beta_eval(x, y):
     return _scalar_or_array(_exp(log_beta(x, y), "beta"))
 
 
-def _oracle(quad, x: float, y: float) -> float:
-    """The oracle's value at (x, y), which a residual divides by; refused
-    where it is 0, as the integrand underflows everywhere for large x."""
-    value = quad(x, y)[0]
-    if not value > 0.0:
-        raise DomainError(f"{quad.__name__}({x}, {y}) is {value}; no relative residual there")
+def _divisor(value: np.ndarray, name: str, x, y) -> np.ndarray:
+    """An oracle's values at (x, y), which a residual divides by; refused
+    where one is 0, as the integrand underflows everywhere for large x."""
+    if (i := _first(value > 0.0)) is not None:
+        raise DomainError(f"{name}({x.flat[i]}, {y.flat[i]}) is {value.flat[i]}; "
+                          "no relative residual there")
     return value
 
 
-def alpha_recursion_residual(x: float, y: float) -> float:
-    """Worst relative residual of the three alpha identities at (x, y).
+def alpha_recursion_residual(x, y):
+    """Worst relative residual of the three alpha identities, elementwise
+    over x and y.
 
     Both sides of each identity are evaluated by independent quadratures
     (not the Gamma path), so a nonzero residual reflects genuine numerics
-    rather than a shared formula.
+    rather than a shared formula.  The four oracle values per element are
+    one alpha_quadrature call.
     """
-    q = lambda a, b: _oracle(alpha_quadrature, a, b)
-    base = q(x, y)
-    r_sym = abs(base - q(y, x)) / base
-    up_y = q(x, y + 1.0)
-    r_y = abs(up_y - base * y / (x + y)) / up_y
-    up_x = q(x + 1.0, y)
-    r_x = abs(up_x - base * x / (x + y)) / up_x
-    return max(r_sym, r_y, r_x)
+    x, y = _broadcast(x, y)
+    args = np.stack([x, y, x, x + 1.0], axis=-1), np.stack([y, x, y + 1.0, y], axis=-1)
+    values = _divisor(alpha_quadrature(*args)[0], "alpha_quadrature", *args)
+    base, sym, up_y, up_x = np.moveaxis(values, -1, 0)
+    r_sym = np.abs(base - sym) / base
+    r_y = np.abs(up_y - base * y / (x + y)) / up_y
+    r_x = np.abs(up_x - base * x / (x + y)) / up_x
+    return _scalar_or_array(np.maximum(np.maximum(r_sym, r_y), r_x))
 
 
-def beta_recursion_residual(x: float, y: float, *, scale: float = 1.0) -> float:
-    """Relative residual of beta(x+2, y) = x(x+1)/((x+1)^2+y^2) beta(x, y).
+def beta_recursion_residual(x, y, *, scale: float = 1.0):
+    """Relative residual of beta(x+2, y) = x(x+1)/((x+1)^2+y^2) beta(x, y),
+    elementwise over x and y.
 
-    Both sides use direct quadrature (singular-endpoint for x < 1/2), so
-    the residual does not share the closed form's Gamma identities.
-    ``scale`` multiplies the right-hand side; any value other than 1 is a
-    wrong recursion constant, which verify's self-test plants.
+    Both sides use direct quadrature (singular-endpoint for x < 1/2), in
+    one beta_quadrature call, so the residual does not share the closed
+    form's Gamma identities.  ``scale`` multiplies the right-hand side; any
+    value other than 1 is a wrong recursion constant, which verify's
+    self-test plants.
     """
-    rhs = scale * beta_quadrature(x, y)[0] * x * (x + 1.0) / ((x + 1.0) ** 2 + y * y)
-    lhs = _oracle(beta_quadrature, x + 2.0, y)
-    return abs(lhs - rhs) / lhs
+    x, y = _broadcast(x, y)
+    values = beta_quadrature(np.stack([x, x + 2.0], axis=-1), np.stack([y, y], axis=-1))[0]
+    rhs = scale * values[..., 0] * x * (x + 1.0) / (_pow(x + 1.0, 2.0) + y * y)
+    lhs = _divisor(values[..., 1], "beta_quadrature", x + 2.0, y)
+    return _scalar_or_array(np.abs(lhs - rhs) / lhs)
 
 
-def alpha_holder_margin(x: float, y: float, s: float) -> float:
-    """Bound minus ratio for the normalized alpha inequality; >= 0 up to slack."""
-    if not (0.0 <= s < 0.5):
-        raise DomainError(f"need 0 <= s < 1/2, got s = {s}")
-    if not (x > 2 * s and y > 2 * s):
-        raise DomainError(f"need x, y > 2s, got ({x}, {y}) with s = {s}")
-    shift = np.array([-2 * s, 2 * s, 0.0])
-    a = alpha_eval(x + shift, y + shift)
-    lhs = a[0] * a[1] / a[2] ** 2
+def alpha_holder_margin(x, y, s):
+    """Bound minus ratio for the normalized alpha inequality, elementwise
+    over x, y and s; >= 0 up to slack.  Each element's value is that of the
+    scalar call, bit for bit."""
+    x, y, s = _broadcast(x, y, s)
+    if (i := _first((0.0 <= s) & (s < 0.5))) is not None:
+        raise DomainError(f"need 0 <= s < 1/2, got s = {s.flat[i]}")
+    if (i := _first((x > 2 * s) & (y > 2 * s))) is not None:
+        raise DomainError(f"need x, y > 2s, got ({x.flat[i]}, {y.flat[i]}) with s = {s.flat[i]}")
+    shift = np.stack([-2 * s, 2 * s, np.zeros_like(s)], axis=-1)
+    a = alpha_eval(x[..., None] + shift, y[..., None] + shift)
+    lhs = a[..., 0] * a[..., 1] / _pow(a[..., 2], 2.0)
     rhs = (x * y) / ((x - 2 * s) * (y - 2 * s))
-    return rhs - lhs
+    return _scalar_or_array(rhs - lhs)
 
 
-def beta_holder_margin(x: float, y: float, s: float) -> float:
-    """Bound minus ratio for the normalized beta inequality; >= 0 up to slack.
+def beta_holder_margin(x, y, s):
+    """Bound minus ratio for the normalized beta inequality, elementwise
+    over x, y and s; >= 0 up to slack.  Each element's value is that of the
+    scalar call, bit for bit.
 
     Any real y is accepted (see module docstring for y <= 0).
     """
-    if not (0.0 <= s < 0.5):
-        raise DomainError(f"need 0 <= s < 1/2, got s = {s}")
-    if not x > 4 * s:
-        raise DomainError(f"need x > 4s, got x = {x} with s = {s}")
-    b = beta_eval(x + np.array([-4 * s, 4 * s, 0.0]), y)
-    lhs = b[0] * b[1] / b[2] ** 2
+    x, y, s = _broadcast(x, y, s)
+    if (i := _first((0.0 <= s) & (s < 0.5))) is not None:
+        raise DomainError(f"need 0 <= s < 1/2, got s = {s.flat[i]}")
+    if (i := _first(x > 4 * s)) is not None:
+        raise DomainError(f"need x > 4s, got x = {x.flat[i]} with s = {s.flat[i]}")
+    b = beta_eval(x[..., None] + np.stack([-4 * s, 4 * s, np.zeros_like(s)], axis=-1), y[..., None])
+    lhs = b[..., 0] * b[..., 1] / _pow(b[..., 2], 2.0)
     rhs = (1.0 + 4 * s) * x / (x - 4 * s)
-    return rhs - lhs
+    return _scalar_or_array(rhs - lhs)

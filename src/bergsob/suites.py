@@ -56,31 +56,38 @@ def check_special(res: SuiteResult, grid, beta_ys, holder_s, holder_hi: float, *
     grid x beta_ys, the two Hölder margins at each s in holder_s over
     x, y up to holder_hi, and the alpha two-path oracle on a fixed grid.
 
+    Each family is scored in one array call over its whole grid, and its
+    checks are recorded in grid order, s by s for the margins.
     ``recursion_scale`` multiplies the beta recursion constant; any value
     other than 1 must make the check fail (verify's self-test)."""
-    for x in grid:
-        for y in grid:
-            r = special.alpha_recursion_residual(float(x), float(y))
-            res.check(r <= recursion_tol, f"alpha recursion residual {r:.2e} at ({x:.3g}, {y:.3g})")
-    for x in grid:
-        for y in beta_ys:
-            r = special.beta_recursion_residual(float(x), y, scale=recursion_scale)
+    xs, ys = np.meshgrid(grid, grid, indexing="ij")
+    for x, y, r in zip(xs.flat, ys.flat, special.alpha_recursion_residual(xs, ys).flat):
+        res.check(r <= recursion_tol, f"alpha recursion residual {r:.2e} at ({x:.3g}, {y:.3g})")
+    residuals = special.beta_recursion_residual(np.asarray(grid)[:, None], np.asarray(beta_ys),
+                                                scale=recursion_scale)
+    for x, row in zip(grid, residuals):
+        for y, r in zip(beta_ys, row):
             res.check(r <= recursion_tol, f"beta recursion residual {r:.2e} at ({x:.3g}, {y})")
-    for s in holder_s:
-        for x in np.linspace(2.0 * s + 0.05, holder_hi, 5):
-            for y in np.linspace(2.0 * s + 0.05, holder_hi, 5):
-                m = special.alpha_holder_margin(float(x), float(y), float(s))
+    # (s, x, y) grids: x and y from 2s + 0.05 (alpha) or x from 4s + 0.05 (beta)
+    s_axis = np.asarray(holder_s, dtype=float)[:, None, None]
+    alpha_xs = np.array([np.linspace(2.0 * s + 0.05, holder_hi, 5) for s in holder_s])
+    beta_xs = np.array([np.linspace(4.0 * s + 0.05, holder_hi, 5) for s in holder_s])
+    margin_ys = (-3.0, 0.0, 0.5, 4.0)
+    alpha_m = special.alpha_holder_margin(alpha_xs[:, :, None], alpha_xs[:, None, :], s_axis)
+    beta_m = special.beta_holder_margin(beta_xs[:, :, None], np.asarray(margin_ys), s_axis)
+    for s, a_xs, a_rows, b_xs, b_rows in zip(holder_s, alpha_xs, alpha_m, beta_xs, beta_m):
+        for x, row in zip(a_xs, a_rows):
+            for y, m in zip(a_xs, row):
                 res.check(m >= -holder_slack, f"alpha margin {m:.2e} at ({x:.3g}, {y:.3g}, s={s})")
-        for x in np.linspace(4.0 * s + 0.05, holder_hi, 5):
-            for y in (-3.0, 0.0, 0.5, 4.0):
-                m = special.beta_holder_margin(float(x), float(y), float(s))
+        for x, row in zip(b_xs, b_rows):
+            for y, m in zip(margin_ys, row):
                 res.check(m >= -holder_slack, f"beta margin {m:.2e} at ({x:.3g}, {y}, s={s})")
-    for x in _log_grid(0.05, 40.0, 5):
-        for y in _log_grid(0.05, 40.0, 5):
-            a = special.alpha_eval(float(x), float(y))
-            b, _ = special.alpha_quadrature(float(x), float(y))
-            r = abs(a - b) / a
-            res.check(r <= oracle_tol, f"alpha two-path disagreement {r:.2e} at ({x:.3g}, {y:.3g})")
+    oracle_grid = _log_grid(0.05, 40.0, 5)
+    xs, ys = np.meshgrid(oracle_grid, oracle_grid, indexing="ij")
+    a = special.alpha_eval(xs, ys)
+    b, _ = special.alpha_quadrature(xs, ys)
+    for x, y, r in zip(xs.flat, ys.flat, (np.abs(a - b) / a).flat):
+        res.check(r <= oracle_tol, f"alpha two-path disagreement {r:.2e} at ({x:.3g}, {y:.3g})")
 
 
 def suite_special(rng, *, recursion_scale: float = 1.0) -> SuiteResult:

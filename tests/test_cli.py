@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bergsob import bergman, cli, geometry, measure, quadrature, regularity, special, suites
 
@@ -321,6 +321,28 @@ class TestVerifyCommand:
         assert len(elapsed) == 3
         assert all(a < b for a, b in zip(elapsed, elapsed[1:]))
 
+    def test_progress_lines_report_suite_time(self, monkeypatch, capsys):
+        # each line carries its own suite's wall time, which covers the
+        # suite's work, besides the cumulative elapsed time
+        sleeps = {"one": 0.3, "two": 0.1, "three": 0.2}
+
+        def sleeping_suite(name):
+            def run(rng):
+                time.sleep(sleeps[name])
+                return suites.SuiteResult(name)
+
+            return run
+
+        monkeypatch.setattr(suites, "SUITES", {name: sleeping_suite(name) for name in sleeps})
+        assert run_cli(["verify", "--seed", "1"]) == 0
+        err = capsys.readouterr().err
+        own = {m.group(1): float(m.group(2))
+               for m in re.finditer(r"\[verify\] (\w+): pass \(0 checks in ([0-9.]+)s, ", err)}
+        assert own.keys() == sleeps.keys()
+        assert all(own[name] >= sleeps[name] for name in sleeps), own
+        total = float(re.findall(r"([0-9.]+)s elapsed", err)[-1])
+        assert sum(own.values()) <= total + 0.05 * len(own)
+
     @pytest.mark.parametrize("args", [["--seed", "-1", "--suite", "geometry"]], ids=["seed"])
     def test_unusable_settings_exit_2(self, args, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -521,9 +543,19 @@ _JUNK = st.lists(st.one_of(_NUMBERS, st.sampled_from(
     max_size=5)
 
 
-# derandomized, so that the gate replays the same examples on every run; 360
-# of them reach verify with each kind of seed (negative, 0, above 2^64),
-# sharpness with an r that is certified, and argv that does not parse
+# derandomized, so that the gate replays the same examples on every run.
+# The explicit examples below are what reaches verify with each kind of seed
+# (negative, 0, above 2^64), sharpness with an r that is certified, and argv
+# that does not parse; the drawn examples shuffle with any edit to the test.
+_EXAMPLE = dict(mu="3.0", x="0.0", y="0.0", s="0.2", p="0", truncate=False, lattice=(4, 4),
+                grid="0.1", seed=0, suite="special", junk=[])
+
+
+@example(**{**_EXAMPLE, "command": "verify", "seed": -1})
+@example(**{**_EXAMPLE, "command": "verify", "seed": 0})
+@example(**{**_EXAMPLE, "command": "verify", "seed": 2**64 + 1, "suite": "geometry"})
+@example(**{**_EXAMPLE, "command": "sharpness", "s": "0.2"})
+@example(**{**_EXAMPLE, "command": "unparsed", "junk": ["verify", "--seed=1.5"]})
 @settings(max_examples=360, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from(["threshold", "lambda", "scan", "sharpness", "verify", "unparsed"]),

@@ -122,3 +122,75 @@ def test_monomials_random_intervals(a, width, k):
     res = quadrature.integrate(lambda t, da, db: t**k, a, b)
     expected = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
     assert res.value == pytest.approx(expected, rel=1e-11, abs=1e-13)
+
+
+# a stack of peaks 1/(c + (t - 0.3)^2) on (0, 1): the sharper the peak, the
+# later its row settles (c = 1e-4 needs level 10)
+PEAKS = np.array([1.0, 1e-4, 0.05, 1e-2, 0.5])
+
+
+def _peaks(rows, da, db):
+    return 1.0 / (PEAKS[rows] + (da - 0.3) ** 2)
+
+
+def _peak(c):
+    return lambda t, da, db: 1.0 / (c + (t - 0.3) ** 2)
+
+
+def test_stack_never_reevaluates_a_settled_row():
+    received = []
+
+    def recording(rows, da, db):
+        assert rows.shape == (len(rows), 1) and da.shape == db.shape == (len(rows), da.shape[1])
+        received.append(set(rows.ravel().tolist()))
+        return _peaks(rows, da, db)
+
+    res = quadrature.integrate(recording, np.zeros(len(PEAKS)), 1.0)
+    assert res.converged and res.level == len(received) + 4
+    assert received[0] == set(range(len(PEAKS)))
+    # the open rows only shrink: a row that settled is never asked for again
+    assert all(later <= earlier for earlier, later in zip(received, received[1:]))
+    counts = [len(r) for r in received]
+    assert counts[0] > counts[-1] == 1
+
+
+def test_stack_rows_match_one_row_calls():
+    # each row settles at its own level, with the value and error estimate
+    # of the scalar call of its integrand, bit for bit
+    received = []
+    res = quadrature.integrate(lambda rows, da, db: received.append(rows.ravel()) or
+                               _peaks(rows, da, db), np.zeros(len(PEAKS)), 1.0)
+    for i, c in enumerate(PEAKS):
+        one = quadrature.integrate(_peak(c), 0.0, 1.0)
+        levels = [level for level, rows in enumerate(received, start=5) if i in rows]
+        assert (res.value[i], res.err_estimate[i]) == (one.value, one.err_estimate)
+        assert levels[-1] == one.level and len(levels) == one.level - 4
+
+
+def test_stack_shape_follows_the_endpoints():
+    res = quadrature.integrate(lambda rows, da, db: da ** 0.0 * (rows + 1.0), np.zeros((2, 3)),
+                               np.array([1.0, 2.0, 3.0]))
+    assert res.value.shape == res.err_estimate.shape == (2, 3)
+    np.testing.assert_allclose(res.value, np.arange(1.0, 7.0).reshape(2, 3)
+                               * np.array([1.0, 2.0, 3.0]), rtol=1e-14)
+
+
+def test_unconverged_row_raises_the_scalar_error():
+    # at max_level 6 only the sharp peak c = 1e-4 stays open
+    with pytest.raises(quadrature.QuadratureError) as scalar:
+        quadrature.quad(_peak(1e-4), 0.0, 1.0, max_level=6)
+    with pytest.raises(quadrature.QuadratureError) as stacked:
+        quadrature.quad(_peaks, np.zeros(len(PEAKS)), 1.0, max_level=6)
+    assert str(stacked.value) == str(scalar.value)
+    res = quadrature.integrate(_peaks, np.zeros(len(PEAKS)), 1.0, max_level=6)
+    assert not res.converged and res.level == 6
+
+
+def test_non_finite_row_closes_alone():
+    # a row whose integrand is not finite stops at once as (inf, inf); the
+    # other rows go on to converge
+    exponent = np.array([-0.5, -1.2, 0.0])
+    res = quadrature.integrate(lambda rows, da, db: da ** exponent[rows], np.zeros(3), 1.0)
+    assert not res.converged
+    assert (res.value[1], res.err_estimate[1]) == (math.inf, math.inf)
+    np.testing.assert_allclose(res.value[[0, 2]], [2.0, 1.0], rtol=1e-12)

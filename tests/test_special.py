@@ -6,6 +6,7 @@ pi Gamma(x) / (2^(x-1) |Gamma((x+1+iy)/2)|^2), both at 25-digit working
 precision.
 """
 
+import collections
 import math
 import warnings
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import measure, regularity, special
+from bergsob import measure, quadrature, regularity, special
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 
@@ -292,6 +293,76 @@ class TestRecursions:
         assert worst_b <= 1e-10
 
 
+def _levels(monkeypatch, call):
+    """call()'s result, and for each quadrature.integrate call it made the
+    number of levels at which each row was evaluated."""
+    counts = []
+    integrate = quadrature.integrate
+
+    def counting(f, a, b, **kw):
+        seen = collections.Counter()
+
+        def g(rows, da, db):
+            seen.update(np.ravel(rows).tolist())
+            return f(rows, da, db)
+
+        res = integrate(g, a, b, **kw)
+        counts.append([seen[row] for row in range(np.size(res.value))])
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "integrate", counting)
+        return call(), counts
+
+
+GRID = np.exp(np.linspace(math.log(1e-2), math.log(50.0), 6))
+
+
+class TestOracleArrays:
+    # (oracle, the elements that take two halves, x and y): the arguments of
+    # the special suite's recursion residuals and two-path check
+    _X, _Y = np.meshgrid(GRID, GRID, indexing="ij")
+    CASES = {
+        "alpha": (special.alpha_quadrature, lambda x, y: np.minimum(x, y) < 0.5,
+                  np.concatenate([_X.ravel(), _Y.ravel(), _X.ravel() + 1.0, [0.05, 40.0]]),
+                  np.concatenate([_Y.ravel(), _X.ravel(), _Y.ravel(), [40.0, 0.05]])),
+        "beta": (special.beta_quadrature, lambda x, y: x < 0.5,
+                 np.repeat(np.concatenate([GRID, GRID + 2.0]), 4),
+                 np.tile([-3.0, -2.0, 0.0, 1.5], 12)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_match_per_element_calls(self, name, monkeypatch):
+        # within each element's error estimate, and each element settles at
+        # the level of its own call: the direct rule's row, or both halves
+        oracle, weak, x, y = self.CASES[name]
+        (value, err), (direct, halves) = _levels(monkeypatch, lambda: oracle(x, y))
+        weak = weak(x, y)
+        k = int(weak.sum())
+        rows = iter(direct)
+        halves = iter(zip(halves[:k], halves[k:]))
+        for i in range(x.size):
+            (v, e), (levels,) = _levels(monkeypatch, lambda: oracle(float(x[i]), float(y[i])))
+            assert abs(value[i] - v) <= e, (x[i], y[i])
+            assert err[i] >= 0.0 and levels == (list(next(halves)) if weak[i] else [next(rows)])
+
+    @pytest.mark.parametrize("x", [0.7, 0.3], ids=["direct", "halves"])
+    def test_non_converging_element_raises_the_scalar_error(self, x):
+        # e^(1000 t) overflows: the element's scalar call and the array call
+        # that holds it raise the same error
+        with pytest.raises(quadrature.QuadratureError) as scalar:
+            special.beta_quadrature(x, 1000.0)
+        with pytest.raises(quadrature.QuadratureError) as array:
+            special.beta_quadrature(np.array([2.0, x, 0.3]), np.array([1.0, 1000.0, 1.0]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_scalar_call_returns_floats(self):
+        for oracle in (special.alpha_quadrature, special.beta_quadrature):
+            assert all(type(v) is float for v in oracle(0.3, 1.7))
+        assert type(special.alpha_recursion_residual(0.3, 1.7)) is float
+        assert special.beta_recursion_residual(GRID, 0.0).shape == GRID.shape
+
+
 class TestHolderMargins:
     def test_sharp_at_zero(self):
         assert special.alpha_holder_margin(2.0, 3.0, 0.0) == 0.0
@@ -326,6 +397,32 @@ class TestHolderMargins:
             ratio = b(x - 4 * s, y) * b(x + 4 * s, y) / b(x, y) ** 2
             margin = (1.0 + 4 * s) * x / (x - 4 * s) - ratio
             assert abs(special.beta_holder_margin(x, y, s) - margin) <= 4 * np.spacing(ratio)
+
+    def test_array_calls_equal_scalar_calls(self):
+        # one array call per margin, bit for bit the elementwise scalar calls,
+        # on verify's grid and on the draws of test_match_three_calls
+        s = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.49])
+        ax = np.array([np.linspace(2.0 * si + 0.05, 10.0, 5) for si in s])
+        bx = np.array([np.linspace(4.0 * si + 0.05, 10.0, 5) for si in s])
+        s = s[:, None, None]
+        draws = np.random.default_rng(11).uniform((0.0, 0.01, 0.01, -10.0), (0.5, 10.0, 10.0, 10.0),
+                                                  (300, 4)).T
+        cases = [
+            (special.alpha_holder_margin, *np.broadcast_arrays(ax[:, :, None], ax[:, None, :], s)),
+            (special.beta_holder_margin,
+             *np.broadcast_arrays(bx[:, :, None], np.array([-3.0, 0.0, 0.5, 4.0]), s)),
+            (special.alpha_holder_margin, 4.0 * draws[0] + draws[1], 2.0 * draws[0] + draws[2], draws[0]),
+            (special.beta_holder_margin, 4.0 * draws[0] + draws[1], draws[3], draws[0]),
+        ]
+        for margin, x, y, s_ in cases:
+            got = margin(x, y, s_)
+            assert got.shape == x.shape
+            scalar = [margin(float(a), float(b), float(c)) for a, b, c in zip(x.flat, y.flat, s_.flat)]
+            np.testing.assert_array_equal(got.ravel(), scalar)
+
+    def test_array_range_error_names_the_first_failure(self):
+        with pytest.raises(DomainError, match=r"got \(0\.3, 2\.0\) with s = 0\.2"):
+            special.alpha_holder_margin(np.array([1.0, 0.3, 0.2]), 2.0, 0.2)
 
     def test_range_errors(self):
         with pytest.raises(DomainError):
