@@ -112,7 +112,8 @@ def cmd_lambda(args) -> int:
             payload["growth_fit"] = {
                 "kind": fit.kind,
                 "exponent": fit.exponent,
-                "residual": fit.residual,
+                "coefficient": fit.coefficient,
+                "closed_form_coefficient": fit.closed_form,
             }
     _emit(_json(payload), args.output)
     return 0
@@ -238,7 +239,8 @@ def cmd_sharpness(args) -> int:
                 "analytic_exponent": wit.analytic_exponent,
                 "growth_kind": wit.growth.kind,
                 "growth_exponent": wit.growth.exponent,
-                "fit_residual": wit.growth.residual,
+                "growth_coefficient": wit.growth.coefficient,
+                "closed_form_coefficient": wit.growth.closed_form,
             },
         }
         for cert, wit, within in pairs

@@ -26,36 +26,35 @@ no Gamma identity with the closed form and stays accurate at thin
 integrability margins.
 
 ``lambda_truncated`` restricts the moment to |w1| > eps, which is always
-finite for s < 1/2; its growth as eps -> 0 certifies divergence: the
-values grow like eps^(mu e) when e = 2x/mu + 2 - 2s < 0 and like
-mu |log eps| when e = 0.  It is integrated in (r1, u2) coordinates, where
-the cut is just r1 > eps:
+finite for s < 1/2; its growth as eps -> 0 certifies divergence.  It is
+integrated in (r1, u2) coordinates, where the cut is just r1 > eps:
 
-    lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu e - 1) G_y(r1) dr1,
+    lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu e - 1) G_y(r1) dr1,  e = 2x/mu + 2 - 2s,
     G_y(r1) = ∫_{-c}^{c} e^(y u2) (cos u2 - r1^mu)^(-2s) du2,  c = arccos r1^mu.
 
 The fiber integral G_y is a 2F1 series of positive terms (``_fiber``, by
 DLMF 14.12.1 and 14.3.1), exact up to s -> 1/2, so the moment is a 1-d rule
 in r1: a nested tanh-sinh piece in log r1 covers r1 down to 2^-4, where the
 fibers collapse as r1 -> 1, and the dyadic shells [2^-(k+1), 2^-k] below
-it, smooth in log r1, take a Gauss-Legendre rule.  ``truncation_growth_fit``
-takes one top piece at 2^-4 and the shells down to 2^-16: the shells are
-the first differences of the values, free of cancellation, and the growth
-mode comes from their differences (second differencing cancels both the
-convergent part and any additive logarithmic mode, so the power exponent
-survives mixed-mode divergence).  ``lambda_truncated_oracle`` is the
-independent (u1, u2) route, kept off the hot path.  The Gram matrices'
-table of lam (``mesh_moments``) and the radial moments of the projection
-(``radial_moment``, profiles of |w1| alone at s = 0) are nested tanh-sinh
-in r1 on the same fibers, so every integral over the domain is one loop in
-r1 (``_nested_r1``) over the closed-form fibers.
+it, smooth in log r1, take one Gauss-Legendre rule (``_shell_rule``).  As
+r1 -> 0 the fiber tends to G_y(0) = beta(1 - 2s, y) (Gradshteyn-Ryzhik
+3.631), with a next term of order (1 + |y|) r1^mu, so the shells approach
+the closed form 8 pi^2 mu^2 beta(1 - 2s, y) ∫ r1^(mu e - 1) dr1: the values
+grow like eps^(mu e) when e < 0 and like log(1/eps) when e = 0.
+``truncation_growth_fit`` takes only the shells k = 4..15, reads mu e from
+the two deepest and compares the deepest with that closed form.
+``lambda_truncated_oracle`` is the independent (u1, u2) route, kept off the
+hot path.  The Gram matrices' table of lam (``mesh_moments``) and the radial
+moments of the projection (``radial_moment``, profiles of |w1| alone at
+s = 0) are nested tanh-sinh in r1 on the same fibers, so every integral over
+the domain is one loop in r1 (``_nested_r1``) over the closed-form fibers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -447,27 +446,13 @@ def _nested_r1(rule, moments, mu: float, ys, s: float, fixed=()):
         yield level, total, np.abs(total - prev), fibers[:, b:]
 
 
-def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
-    """The moment over r1 in (cuts[0], 1), then over each (cuts[i+1], cuts[i]);
-    cuts decrease in (0, 1), each at least half the one before.
-
-    In (r1, u2) coordinates the cut |w1| > eps is just r1 > eps, and
-
-        lam_eps = 8 pi^2 mu^2 ∫_eps^1 r1^(mu X - 1) G_y(r1) dr1,
-
-    X = 2x/mu + 2 - 2s, with the fiber integral G_y in closed form (_fiber).
-    The top piece, where the fibers collapse as r1 -> 1, is nested
-    tanh-sinh in log r1 (its nodes -(log cuts[0]) t reach log r1 to full
-    relative accuracy as r1 -> 1), settled to _TRUNCATED_RTOL (else
-    QuadratureError).  The shells below it are smooth in log r1 and take a
-    fixed Gauss-Legendre rule on panels of log r1 (see _PANEL_RATE), with
-    their fibers in the first call of the top piece's.
-    """
+def _shell_rule(m: MomentArgs, log_cuts: np.ndarray):
+    """(rate mu X of r1^(mu X) in log r1, log r1, log w): the Gauss-Legendre
+    rule on panels of log r1 (_PANEL_RATE) of each shell (cuts[i+1], cuts[i]),
+    as (shells, panels, nodes) arrays; cuts[i+1] >= cuts[i] / 2."""
     mu = m.params.mu
     X, _ = _exponents(m.x, m.s, mu)
-    rate = mu * X  # of r1^(mu X) in log r1
-    log_cuts = np.log(np.asarray(cuts, dtype=float))
-    span = -float(log_cuts[0])
+    rate = mu * X
     # log G changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
     p_top = math.exp(mu * log_cuts[0])
     rate_c = mu * p_top * (abs(m.y) + 1.0) / math.sqrt(1.0 - p_top * p_top)
@@ -475,22 +460,35 @@ def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
     # a single cut has no shells; either rate may overflow a double
     load = (abs(rate) + rate_c) * width / _PANEL_RATE if width else 0.0
     panels = max(1, math.ceil(min(load, _MAX_PANELS)))
-    # (shells, panels, nodes) grid of log r1
     frac = (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels
     lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
-    shell_r1 = hi + (lo - hi) * frac
-    shell_w = np.log(0.5 * (hi - lo) / panels * _GL_W) + shell_r1
+    log_r1 = hi + (lo - hi) * frac
+    return rate, log_r1, np.log(0.5 * (hi - lo) / panels * _GL_W) + log_r1
+
+
+def _truncated_terms(rate: float, log_r1, log_w, fibers):
+    """The truncated moments' r1^(rate - 1) w G_y(r1) at the nodes, the power as one exp,
+    which can overflow at a strong divergence; a fiber that underflowed to 0 adds 0."""
+    return np.where(fibers == 0.0, 0.0, np.exp((rate - 1.0) * log_r1 + log_w) * fibers)
+
+
+def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
+    """The moment over r1 in (cuts[0], 1), nested tanh-sinh in log r1 (its
+    nodes -(log cuts[0]) t keep full relative accuracy as r1 -> 1, where the
+    fibers collapse) settled to _TRUNCATED_RTOL (else QuadratureError), then
+    over each shell of _shell_rule, whose fibers join the top piece's first
+    call; cuts decrease in (0, 1)."""
+    mu = m.params.mu
+    log_cuts = np.log(np.asarray(cuts, dtype=float))
+    rate, shell_r1, shell_w = _shell_rule(m, log_cuts)
+    span = -float(log_cuts[0])
 
     def top(level: int, fresh: bool):
         t, _, log_w = _nodes(level, fresh)
         log_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
         return log_r1, log_w + math.log(span) + log_r1
 
-    def moments(log_r1, log_w, fibers):
-        # r1^(mu X - 1) w as one exp, as it can overflow at a strong divergence;
-        # a fiber that underflowed to 0 adds 0 even there
-        return np.where(fibers == 0.0, 0.0, np.exp((rate - 1.0) * log_r1 + log_w) * fibers)
-
+    moments = partial(_truncated_terms, rate)
     scale = 8.0 * math.pi**2 * mu * mu
     with np.errstate(over="ignore", invalid="ignore"):
         for level, total, err, at in _nested_r1(top, moments, mu, [m.y], m.s, shell_r1.ravel()):
@@ -504,67 +502,71 @@ def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Fitted divergence mode of eps -> lambda_truncated(eps).
+    """Divergence mode of eps -> lambda_truncated(eps) from its dyadic shells
+    (2^-(k+1), 2^-k), k = 4..15: the values' first differences on eps_grid.
 
     kind "power": values ~ eps^(mu * exponent); kind "log": values grow
-    linearly in |log eps| (exponent 0).  residual is the RMS misfit of
-    the defining linear regression in its own scale.
+    linearly in |log eps| (|exponent| <= 1e-9).  exponent is measured, from
+    the two deepest shells.  coefficient is the deepest shell over
+    ∫ r1^(mu e - 1) dr1 on it at the analytic exponent e, closed_form its
+    limit 8 pi^2 mu^2 beta(1 - 2s, y), and gap_bound the error model's bound
+    on their relative gap: 2^(1 - mu) times the gap one shell up, plus
+    _GAP_FLOOR of rounding, as the next term of the fiber is O(r1^mu).
     """
 
     kind: str  # "power" | "log"
     exponent: float
-    residual: float
+    coefficient: float
+    closed_form: float
+    gap_bound: float
     eps_grid: tuple[float, ...]
-    values: tuple[float, ...]
+    shells: tuple[float, ...]
+
+    def matches(self, exponent: float, growth_tol: float) -> bool:
+        """The log mode for an analytic exponent within 1e-9 of 0, else the
+        power mode within growth_tol of it, with a coefficient within both
+        _COEFFICIENT_RTOL and gap_bound of the closed form."""
+        mode = self.kind == "log" if abs(exponent) <= _LOG_MODE else (
+            self.kind == "power" and abs(self.exponent - exponent) <= growth_tol)
+        return mode and abs(self.coefficient / self.closed_form - 1.0) <= min(
+            _COEFFICIENT_RTOL, self.gap_bound)
 
 
-# the growth fit's truncation depths: eps = 2^-m, m = 4..16
+# the growth fit's cuts eps = 2^-m, m = 4..16; a measured exponent within
+# _LOG_MODE of 0 is the log mode.  Over 609 seeded witnesses (mu from 2.06
+# to 1e7) a coefficient's gap reached 6.8e-13 (at mu 2.21), 3.4e-14 at
+# mu >= 8, where it is rounding: _GAP_FLOOR and _COEFFICIENT_RTOL are ~30x
+# and ~150x those (tests/test_measure.py, TestWitnessSweep)
 _FIT_MS = np.arange(4, 17)
+_LOG_MODE = 1e-9
+_GAP_FLOOR = 1e-12
+_COEFFICIENT_RTOL = 1e-10
 
 
 def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
-    """Certify the divergence mode of a moment from truncated values on
-    eps = 2^-m, m = 4..16.
-
-    The values are one top piece at 2^-4 plus the running sum of the
-    shells down to 2^-16, all from one call of _truncated_pieces, so the
-    first differences are the shells themselves.  Second differences with
-    respect to m cancel constants and any logarithmic mode exactly, so a
-    surviving geometric trend identifies the power eps^(mu e); its slope
-    against log eps recovers mu e.  When the second differences are
-    negligible against the first differences, the growth is logarithmic.
-    Raises DomainError when fewer than two second differences are
-    positive, as for a convergent moment, whose shells shrink.
-    """
-    ms = _FIT_MS
-    eps = 2.0 ** (-ms.astype(float))
-    for e in (eps[0], eps[-1]):
-        _check_truncation(m, float(e))
-    pieces = _truncated_pieces(m, eps)
-    d1 = pieces[1:]  # the shells: first differences, free of cancellation
-    vals = np.cumsum(pieces)
-    d2 = np.diff(d1)
-    scale1 = float(np.median(np.abs(d1)))
-    scale2 = float(np.median(np.abs(d2)))
-    if scale1 <= 0.0:
-        raise DomainError("truncated moments are constant; nothing diverges")
-    if scale2 <= 0.05 * scale1:
-        # logarithmic: values = a + b m to numerical precision
-        slope, intercept = np.polyfit(ms.astype(float), vals, 1)
-        fitted = intercept + slope * ms
-        residual = float(np.sqrt(np.mean((vals - fitted) ** 2)) / np.mean(np.abs(vals)))
-        return GrowthFit("log", 0.0, residual, tuple(eps), tuple(vals))
-    pos = d2 > 0
-    if np.count_nonzero(pos) < 2:  # a line needs two points
-        raise DomainError(f"truncated moments of {m} show no power growth to fit")
-    log_eps = np.log(eps[:-2][pos])
-    log_d2 = np.log(d2[pos])
-    slope, intercept = np.polyfit(log_eps, log_d2, 1)
-    fitted = intercept + slope * log_eps
-    residual = float(np.sqrt(np.mean((log_d2 - fitted) ** 2)))
-    return GrowthFit(
-        "power", slope / m.params.mu, residual, tuple(eps), tuple(vals)
-    )
+    """The GrowthFit of a moment, from its shells in one _shell_rule pass and one
+    _fiber call.  Raises DomainError when the deepest shells are not positive or
+    shrink, as for a convergent moment, and QuadratureError when one is not finite."""
+    eps = 2.0 ** (-_FIT_MS.astype(float))
+    _check_truncation(m, float(eps[-1]))
+    mu = m.params.mu
+    scale = 8.0 * math.pi**2 * mu * mu
+    rate, log_r1, log_w = _shell_rule(m, np.log(eps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fibers = _fiber(log_r1.ravel(), mu, [m.y], m.s).reshape(log_r1.shape)
+        terms = _truncated_terms(rate, log_r1, log_w, fibers)
+        shells = _finite_or_raise(scale * terms.sum(axis=(1, 2)), m)
+        above, deepest = shells[-2:]
+        exponent = math.log2(above / deepest) / mu if deepest > 0.0 and above > 0.0 else math.inf
+        if not exponent <= _LOG_MODE:
+            raise DomainError(f"truncated moments of {m} show no power growth to fit")
+        # ∫_a^(2a) r1^(rate - 1) dr1 = a^rate (2^rate - 1)/rate, log 2 at rate 0
+        per_shell = math.expm1(rate * math.log(2.0)) / rate if rate else math.log(2.0)
+        coefficients = shells[-2:] / (eps[-2:] ** rate * per_shell)
+    closed_form = scale * special.beta_eval(1.0 - 2.0 * m.s, m.y)
+    gap_bound = 2.0 ** (1.0 - mu) * abs(coefficients[0] / closed_form - 1.0) + _GAP_FLOOR
+    return GrowthFit("log" if exponent >= -_LOG_MODE else "power", exponent, float(coefficients[1]),
+                     closed_form, float(gap_bound), tuple(eps), tuple(shells))
 
 
 def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *,

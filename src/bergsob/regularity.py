@@ -15,9 +15,10 @@ moment ratio lam(x,y,s) lam(x,y,-s)/lam(x,y,0)^2 over the basis lattice
 and checking it stays under the closed-form bound; at or above threshold
 (when that is < 1/2), divergence is witnessed by a single borderline
 basis element whose unweighted moment is finite while its weighted one
-diverges, certified numerically by the truncation growth fit.  The
-witness monomial is reached by projecting a counterexample input that is
-smooth up to the boundary: exp(-1/|w1|^mu) times the witness monomial
+diverges, certified by the truncation growth fit (its measured exponent,
+and its deepest shell against the closed-form leading term).  The witness
+monomial is reached by projecting a counterexample input that is smooth
+up to the boundary: exp(-1/|w1|^mu) times the witness monomial
 (times dw1 / dw1 wedge theta2 for p = 1, 2).
 
 Inverting the threshold: given a target r in (0, 1/2), mu = 1/r realizes
@@ -220,7 +221,7 @@ def divergence_witness(params: DomainParams, p: int, s: float) -> DivergenceWitn
     violates the integrability predicate; the truncation growth fit
     certifies the divergence numerically, with analytic growth exponent
     2x/mu + 2 - 2s, twice the integrability margin, which is exactly 0 (a
-    logarithmic mode) at s = threshold.
+    logarithmic mode) at s = threshold, and closed-form coefficient.
     """
     _check_p(p)
     thr = threshold(params, p)
@@ -247,14 +248,11 @@ def sharpness_checks(
     """The acceptance rule of a sharpness pair, as (certificate, witness).
 
     The certificate passes when its sup is at most its bound plus
-    ratio_slack.  The witness passes when its growth fit is the log mode
-    for an analytic exponent within 1e-9 of 0, and otherwise when the
-    fitted exponent is within growth_tol of the analytic one.
+    ratio_slack.  The witness passes when its growth fit matches the
+    analytic exponent within growth_tol and the closed-form coefficient
+    (GrowthFit.matches).
     """
-    if abs(wit.analytic_exponent) <= 1e-9:
-        fits = wit.growth.kind == "log"
-    else:
-        fits = abs(wit.growth.exponent - wit.analytic_exponent) <= growth_tol
+    fits = wit.growth.matches(wit.analytic_exponent, growth_tol)
     return cert.sup_ratio <= cert.bound_used + ratio_slack, fits
 
 

@@ -6,9 +6,10 @@ knob, flag, public path, dependency or integrator is added on purpose."""
 
 import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
-from bergsob import cli
+from bergsob import cli, measure
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergsob"
 
@@ -123,6 +124,16 @@ def test_exports_pinned():
     got = {path.stem: _exports(ast.parse(path.read_text(encoding="utf-8")))
            for path in sorted(SRC.glob("*.py"))}
     assert got == {**{stem: None for stem in ("__main__", "errors")}, **EXPORTS}
+
+
+# the fields of the public growth fit, whose values `lambda --truncate-fit` and
+# `sharpness` print: the measured mode and the coefficient against its closed form
+GROWTH_FIT_FIELDS = ("kind", "exponent", "coefficient", "closed_form", "gap_bound", "eps_grid",
+                     "shells")
+
+
+def test_growth_fit_fields_pinned():
+    assert tuple(f.name for f in dataclasses.fields(measure.GrowthFit)) == GROWTH_FIT_FIELDS
 
 
 # each module's imports from the package; bergman is algebra over measure's

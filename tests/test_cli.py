@@ -129,8 +129,10 @@ class TestLambdaCommand:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         fit = payload["growth_fit"]
+        assert set(fit) == {"kind", "exponent", "coefficient", "closed_form_coefficient"}
         assert fit["kind"] == "power"
         assert fit["exponent"] == pytest.approx(-0.6, abs=0.05)
+        assert fit["coefficient"] == pytest.approx(fit["closed_form_coefficient"], rel=1e-8)
 
     def test_bad_mu_exits_2(self):
         assert run_cli(["lambda", "--mu", "0.5", "--x", "0", "--y", "0", "--s", "0"]) == 2
@@ -482,6 +484,13 @@ class TestSharpnessCommand:
         assert [(e["r"], e["p"]) for e in entries] == [(0.2, 0), (0.2, 1), (0.2, 2)]
         assert all(e["certificate"]["within_bound"] for e in entries)
         assert all(e["certificate"]["s"] == 0.2 - 0.02 for e in entries)
+        for e in entries:
+            witness = e["witness"]
+            assert set(witness) == {"index", "component", "analytic_exponent", "growth_kind",
+                                    "growth_exponent", "growth_coefficient",
+                                    "closed_form_coefficient"}
+            assert witness["growth_coefficient"] == pytest.approx(
+                witness["closed_form_coefficient"], rel=1e-10)
 
     def test_small_r_is_certified(self, capsys):
         # the certificate sits at s = r - min(0.02, r/2); at a fixed gap of

@@ -303,11 +303,15 @@ class TestTruncation:
         assert vals[-1] == pytest.approx(full, rel=1e-8)
 
     def test_log_mode(self):
-        # 2x/mu + 2 - 2s = 0: truncations grow linearly in |log eps|
+        # 2x/mu + 2 - 2s = 0: truncations grow linearly in |log eps|, with the
+        # slope 8 pi^2 mu^2 beta(1 - 2s, 0) log 2 per halving
         m = MomentArgs(-2.0, 0.0, 0.2, DomainParams(2.5))
         fit = measure.truncation_growth_fit(m)
         assert fit.kind == "log"
-        assert fit.residual <= 1e-3
+        assert abs(fit.exponent) <= 1e-9
+        assert fit.closed_form == 8.0 * math.pi**2 * 2.5**2 * special.beta_eval(0.6, 0.0)
+        assert abs(fit.coefficient / fit.closed_form - 1.0) <= 1e-10
+        assert fit.matches(0.0, 0.05)
 
     def test_power_mode(self):
         m = MomentArgs(-2.2, 0.0, 0.2, DomainParams(2.5))
@@ -328,15 +332,15 @@ class TestTruncation:
             m = MomentArgs(x, 0.0, s, p)
             assert not measure.is_integrable(m)
             fit = measure.truncation_growth_fit(m)
-            # certified growth means the values kept increasing
-            assert fit.values[-1] > fit.values[0]
+            # certified growth means the values kept increasing: every shell adds
+            assert all(shell > 0.0 for shell in fit.shells)
 
     def test_strong_divergence_fits_without_overflow(self):
         # exponent -0.72 at mu ~ 20: the truncated values reach ~1e72 and
         # their log-space inner terms once overflowed to inf for eps <= 2^-13
         m = MomentArgs(-19.0, 0.0, 0.412, DomainParams(20.042194092827003))
         fit = measure.truncation_growth_fit(m)
-        assert all(map(math.isfinite, fit.values))
+        assert all(map(math.isfinite, fit.shells))
         assert fit.kind == "power"
         assert fit.exponent == pytest.approx(-0.72, abs=0.05)
 
@@ -356,16 +360,18 @@ class TestTruncation:
         # route, to 1e-12
         m = MomentArgs(x, y, s, DomainParams(mu))
         fit = measure.truncation_growth_fit(m)
-        values = np.array(fit.values[:5])
+        values = np.array([measure.lambda_truncated(m, e) for e in fit.eps_grid[:5]])
         oracle = [measure.lambda_truncated_oracle(m, e, rtol=1e-12) for e in fit.eps_grid[:5]]
-        shells = np.diff(values)
+        shells = np.array(fit.shells[:4])
         assert np.all(np.abs(shells - np.diff(oracle)) <= 1e-12 * shells)
         assert np.all(np.abs(values - oracle) <= 1e-12 * np.array(oracle))
 
     def test_fit_values_are_truncated_moments(self):
+        # the fit's shells are the first differences of the truncated moments
         m = MomentArgs(-2.2, 0.3, 0.2, DomainParams(2.5))
         fit = measure.truncation_growth_fit(m)
-        for e, v in zip(fit.eps_grid[::3], fit.values[::3]):
+        values = measure.lambda_truncated(m, fit.eps_grid[0]) + np.cumsum((0.0, *fit.shells))
+        for e, v in zip(fit.eps_grid[::3], values[::3]):
             assert measure.lambda_truncated(m, e) == pytest.approx(v, rel=1e-14)
 
     def test_non_finite_fiber_raises(self, monkeypatch):
@@ -374,6 +380,17 @@ class TestTruncation:
         m = MomentArgs(-2.2, 0.0, 0.2, DomainParams(2.5))
         with pytest.raises(measure.quadrature.QuadratureError):
             measure.lambda_truncated(m, 2.0**-8)
+
+    @pytest.mark.parametrize("factor,error", [(0.0, DomainError), (-1.0, DomainError),
+                                              (math.nan, measure.quadrature.QuadratureError),
+                                              (math.inf, measure.quadrature.QuadratureError)])
+    def test_fit_of_bad_shells_raises(self, monkeypatch, factor, error):
+        # shells that are 0 or negative show no growth, and non-finite ones no
+        # value: neither yields an exponent, least of all nan
+        fiber = measure._fiber
+        monkeypatch.setattr(measure, "_fiber", lambda *args: fiber(*args) * factor)
+        with pytest.raises(error):
+            measure.truncation_growth_fit(MomentArgs(-2.2, 0.0, 0.2, DomainParams(2.5)))
 
     @pytest.mark.parametrize("x,s", [(-2.5, -3.0), (1.0, 0.2)])
     def test_fit_of_convergent_moment_raises(self, x, s):
@@ -399,6 +416,76 @@ class TestTruncation:
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
         with pytest.raises(DomainError):
             measure.lambda_truncated(m, 1.5)
+
+
+def _mp_fiber_at_0(s, y):
+    """G_y(0) = ∫_{-pi/2}^{pi/2} cos(u)^(-2s) e^(y u) du at 30 digits, folded to
+    ∫_0^(pi/2) sin(t)^(-2s) 2 cosh(y (pi/2 - t)) dt with u = t - pi/2 on each
+    half, then t = w^(1/(1 - 2s)), which leaves a smooth integrand."""
+    with mpmath.workdps(30):
+        s, y = mpmath.mpf(s), mpmath.mpf(y)
+        a = 1 - 2 * s
+
+        def f(w):
+            t = w ** (1 / a)
+            ratio = t / mpmath.sin(t) if t else mpmath.mpf(1)
+            return ratio ** (2 * s) * 2 * mpmath.cosh(y * (mpmath.pi / 2 - t)) / a
+
+        return mpmath.quad(f, [0, (mpmath.pi / 2) ** a])
+
+
+@pytest.mark.parametrize("s", [0.0, 0.2, 0.49])
+@pytest.mark.parametrize("y", [0.0, -3.0, 40.0])
+def test_fiber_limit_is_beta(s, y):
+    # the closed-form leading term of the shells: G_y(0) = beta(1 - 2s, y)
+    # (Gradshteyn-Ryzhik 3.631), by a quadrature that shares no Gamma identity
+    want = _mp_fiber_at_0(s, y)
+    assert abs(special.beta_eval(1.0 - 2.0 * s, y) / want - 1.0) <= 3e-14
+
+
+def _witness_draws(seed, count):
+    """(r, p, s): count seeded witnesses, half in the log mode (s = None, the
+    threshold) at r log-uniform in [1e-7, 0.49], half in the power mode at
+    r ~ U(0.05, 0.45) and s ~ U(r, min(0.49, r + 0.45)), after the log mode
+    at r in {1e-3, 1e-5, 1e-7}."""
+    rng = np.random.default_rng(seed)
+    draws = [(r, p, None) for r in (1e-3, 1e-5, 1e-7) for p in (0, 1, 2)]
+    for i in range(count):
+        p = i % 3
+        if i % 2:
+            draws.append((float(np.exp(rng.uniform(math.log(1e-7), math.log(0.49)))), p, None))
+        else:
+            r = float(rng.uniform(0.05, 0.45))
+            draws.append((r, p, float(rng.uniform(r, min(0.49, r + 0.45)))))
+    return draws
+
+
+class TestWitnessSweep:
+    def test_exponent_and_coefficient(self):
+        # the sweep behind measure's _COEFFICIENT_RTOL and _GAP_FLOOR: the
+        # measured exponent within 1e-9 of the analytic one, and the deepest
+        # shell's coefficient within the tolerance and the error model's bound
+        for r, p, s in _witness_draws(20261020, 600):
+            params = DomainParams(regularity.mu_for_threshold(r, p))
+            s = regularity.threshold(params, p).r if s is None else s
+            wit = regularity.divergence_witness(params, p, s)
+            fit = wit.growth
+            assert abs(fit.exponent - wit.analytic_exponent) <= 1e-9, (r, p, s)
+            assert fit.kind == ("log" if abs(wit.analytic_exponent) <= 1e-9 else "power")
+            gap = abs(fit.coefficient / fit.closed_form - 1.0)
+            assert gap <= min(measure._COEFFICIENT_RTOL, fit.gap_bound), (r, p, s)
+            assert fit.matches(wit.analytic_exponent, 0.05)
+
+    @pytest.mark.parametrize("x,y,s,mu", [(-2.0, 440.0, 0.2, 2.0), (-2.0, 50.0, 0.2, 2.0),
+                                          (-1.2, 0.0, 0.0, 1.2), (-1.01, 10.0, 0.0, 1.01)])
+    def test_gap_shrinks_by_two_to_the_mu(self, x, y, s, mu):
+        # where the next term of the fiber, O((1 + |y|) r1^mu), is far above
+        # rounding, the gap to the closed form shrinks by 2^mu per shell: the
+        # deepest gap is half the error model's bound, less its rounding floor
+        fit = measure.truncation_growth_fit(MomentArgs(x, y, s, DomainParams(mu)))
+        gap = abs(fit.coefficient / fit.closed_form - 1.0)
+        assert gap >= 1e3 * measure._GAP_FLOOR
+        assert gap / (0.5 * (fit.gap_bound - measure._GAP_FLOOR)) == pytest.approx(1.0, abs=0.01)
 
 
 def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=3, max_level=9):
@@ -553,8 +640,10 @@ class TestFiber:
         got = measure._fiber(log_r1, 2.0, np.array([0.0, 3.0]), 0.45)
         assert np.all(got[:, 0] == 0.0) and np.all(np.isfinite(got[:, 1:]) & (got[:, 1:] > 0.0))
 
-    # lambda_truncated(m, 2^-10) and the growth fit's exponent, first and last
-    # values of the (r1, u2) product rule this closed form replaced
+    # lambda_truncated(m, 2^-10), the exponent of the regression of log second
+    # differences on log eps that fitted growth modes before the closed-form
+    # leading term, and lambda_truncated(m, 2^-4) and (m, 2^-16), all by the
+    # (r1, u2) product rule that the closed-form fibers replaced
     _FROZEN = {
         50.0: (1.8003259573040058e+38, -0.39722189362175114, 2.3314236446420917e+36,
                5.153455791027009e+39),
@@ -568,14 +657,22 @@ class TestFiber:
     def test_large_y_matches_product_rule(self, y):
         m = MomentArgs(-2.0, y, 0.2, DomainParams(2.0))
         fit = measure.truncation_growth_fit(m)
-        got = (measure.lambda_truncated(m, 2.0**-10), fit.exponent, fit.values[0], fit.values[-1])
+        eps = np.array(fit.eps_grid)
+        d2 = np.diff(fit.shells)
+        slope, _ = np.polyfit(np.log(eps[:-2][d2 > 0]), np.log(d2[d2 > 0]), 1)
+        got = (measure.lambda_truncated(m, 2.0**-10), slope / 2.0,
+               measure.lambda_truncated(m, eps[0]), measure.lambda_truncated(m, eps[-1]))
         assert fit.kind == "power"
         assert np.all(np.abs(np.array(got) / self._FROZEN[y] - 1.0) <= 1e-12)
+        # the next term of the fiber, O(|y| r1^mu), is what separates the deepest
+        # shell from its closed form, and it shrinks by 2^mu per shell
+        assert abs(fit.coefficient / fit.closed_form - 1.0) <= fit.gap_bound
 
     def test_no_fold_and_one_fiber_call_per_fit(self, monkeypatch):
         # every integral over the domain sums closed-form fibers in r1: a growth
-        # fit settled at level 4 is one _fiber call, and a radial_moment settled
-        # at level L is L - 3 (levels 3 and 4 share the first call)
+        # fit (its shells alone) is one _fiber call, a truncated moment settled at
+        # level 4 one more, and a radial_moment settled at level L is L - 3
+        # (levels 3 and 4 share the first call)
         calls = []
         fiber = measure._fiber
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import bergman, measure, regularity
+from bergsob import bergman, measure, regularity, suites
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 
@@ -164,6 +164,11 @@ class TestSharpnessChecks:
             off = dataclasses.replace(wit, analytic_exponent=wit.analytic_exponent + 0.1)
             assert not regularity.sharpness_checks(cert, off, ratio_slack=1e-9,
                                                    growth_tol=0.05)[1]
+            # a coefficient off the closed form by more than the error model allows
+            growth = dataclasses.replace(wit.growth, coefficient=wit.growth.closed_form * (1 + 1e-10))
+            off = dataclasses.replace(wit, growth=growth)
+            assert not regularity.sharpness_checks(cert, off, ratio_slack=1e-9,
+                                                   growth_tol=0.05)[1]
         over = dataclasses.replace(cert, sup_ratio=cert.bound_used + 2e-9)
         assert regularity.sharpness_checks(over, wit, ratio_slack=1e-9, growth_tol=0.05) == (
             False, True)
@@ -176,6 +181,15 @@ class TestDiscontinuity:
             hi = regularity.threshold(DomainParams(m + 1e-9), 0).r
             predicted = min(0.5, 2.0 / m) - min(0.5, 1.0 / m)
             assert abs((lo - hi) - predicted) <= 1e-8
+
+    def test_jumps_at_log_spaced_integers(self):
+        # the shared check across integer mu up to 1e7, where m -+ 1e-9 still
+        # round to either side of m
+        mus = np.unique(np.round(np.logspace(math.log10(2.0), 7.0, 60))).astype(int)
+        assert mus[0] == 2 and mus[-1] == 10**7
+        res = suites.SuiteResult("jumps")
+        suites.check_threshold_jumps(res, mus.tolist(), tol=1e-8)
+        assert res.passed and res.checks == 2 * len(mus), res.failures
 
     def test_top_degree_threshold_continuous(self):
         for m in (2, 3, 4):
@@ -378,10 +392,7 @@ class TestSharpnessSandwich:
         cert = regularity.continuity_certificate(params, p, r - 0.02, (20, 20))
         assert cert.sup_ratio <= cert.bound_used + 1e-9
         wit = regularity.divergence_witness(params, p, r)
-        if abs(wit.analytic_exponent) <= 1e-9:
-            assert wit.growth.kind == "log"
-        else:
-            assert abs(wit.growth.exponent - wit.analytic_exponent) <= 0.05
+        assert wit.growth.matches(wit.analytic_exponent, 0.05)
 
 
 @settings(max_examples=80, deadline=None)
