@@ -38,11 +38,11 @@ in r1: a nested tanh-sinh piece in log r1 covers r1 down to 2^-4, where the
 fibers collapse as r1 -> 1, and the dyadic shells [2^-(k+1), 2^-k] below
 it, smooth in log r1, take one Gauss-Legendre rule (``_shell_rule``).  As
 r1 -> 0 the fiber tends to G_y(0) = beta(1 - 2s, y) (Gradshteyn-Ryzhik
-3.631), with a next term of order (1 + |y|) r1^mu, so the shells approach
-the closed form 8 pi^2 mu^2 beta(1 - 2s, y) ∫ r1^(mu e - 1) dr1: the values
-grow like eps^(mu e) when e < 0 and like log(1/eps) when e = 0.
-``truncation_growth_fit`` takes only the shells k = 4..15, reads mu e from
-the two deepest and compares the deepest with that closed form.
+3.631), a series in r1^mu from there, so the shells approach the closed
+form 8 pi^2 mu^2 beta(1 - 2s, y) ∫ r1^(mu e - 1) dr1: the values grow like
+eps^(mu e) when e < 0 and like log(1/eps) when e = 0.  ``truncation_growth_fit``
+takes the shells k = 4..15 alone: mu e from their log ratios by a Richardson
+table at the rates 2^(j mu), and the deepest shell against the closed form.
 ``lambda_truncated_oracle`` is the independent (u1, u2) route, kept off the
 hot path.  The Gram matrices' table of lam (``mesh_moments``) and the radial
 moments of the projection (``radial_moment``, profiles of |w1| alone at
@@ -506,12 +506,13 @@ class GrowthFit:
     (2^-(k+1), 2^-k), k = 4..15: the values' first differences on eps_grid.
 
     kind "power": values ~ eps^(mu * exponent); kind "log": values grow
-    linearly in |log eps| (|exponent| <= 1e-9).  exponent is measured, from
-    the two deepest shells.  coefficient is the deepest shell over
+    linearly in |log eps| (|exponent| <= 1e-9).  exponent is measured: the
+    shells' log2 ratios over mu in a Richardson table at the rates 2^(j mu)
+    of their terms r1^(j mu).  coefficient is the deepest shell over
     ∫ r1^(mu e - 1) dr1 on it at the analytic exponent e, closed_form its
     limit 8 pi^2 mu^2 beta(1 - 2s, y), and gap_bound the error model's bound
     on their relative gap: 2^(1 - mu) times the gap one shell up, plus
-    _GAP_FLOOR of rounding, as the next term of the fiber is O(r1^mu).
+    _GAP_FLOOR of rounding.
     """
 
     kind: str  # "power" | "log"
@@ -523,29 +524,26 @@ class GrowthFit:
     shells: tuple[float, ...]
 
     def matches(self, exponent: float, growth_tol: float) -> bool:
-        """The log mode for an analytic exponent within 1e-9 of 0, else the
-        power mode within growth_tol of it, with a coefficient within both
-        _COEFFICIENT_RTOL and gap_bound of the closed form."""
+        """The log mode for an analytic exponent within 1e-9 of 0, else the power
+        mode within growth_tol of it, with a coefficient within gap_bound of the
+        closed form, which an offset above _GAP_FLOOR / (1 - 2^(1 - mu)) fails."""
         mode = self.kind == "log" if abs(exponent) <= _LOG_MODE else (
             self.kind == "power" and abs(self.exponent - exponent) <= growth_tol)
-        return mode and abs(self.coefficient / self.closed_form - 1.0) <= min(
-            _COEFFICIENT_RTOL, self.gap_bound)
+        return mode and abs(self.coefficient / self.closed_form - 1.0) <= self.gap_bound
 
 
 # the growth fit's cuts eps = 2^-m, m = 4..16; a measured exponent within
-# _LOG_MODE of 0 is the log mode.  Over 609 seeded witnesses (mu from 2.06
-# to 1e7) a coefficient's gap reached 6.8e-13 (at mu 2.21), 3.4e-14 at
-# mu >= 8, where it is rounding: _GAP_FLOOR and _COEFFICIENT_RTOL are ~30x
-# and ~150x those (tests/test_measure.py, TestWitnessSweep)
+# _LOG_MODE of 0 is the log mode.  Over 609 seeded witnesses (mu from 2.06 to
+# 1e7) a coefficient's gap reached 6.8e-13 (at mu 2.21), 3.4e-14 at mu >= 8,
+# where it is rounding: _GAP_FLOOR is ~30x that (tests/test_measure.py)
 _FIT_MS = np.arange(4, 17)
 _LOG_MODE = 1e-9
 _GAP_FLOOR = 1e-12
-_COEFFICIENT_RTOL = 1e-10
 
 
 def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
     """The GrowthFit of a moment, from its shells in one _shell_rule pass and one
-    _fiber call.  Raises DomainError when the deepest shells are not positive or
+    _fiber call.  Raises DomainError when a shell is not positive or they
     shrink, as for a convergent moment, and QuadratureError when one is not finite."""
     eps = 2.0 ** (-_FIT_MS.astype(float))
     _check_truncation(m, float(eps[-1]))
@@ -556,8 +554,11 @@ def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
         fibers = _fiber(log_r1.ravel(), mu, [m.y], m.s).reshape(log_r1.shape)
         terms = _truncated_terms(rate, log_r1, log_w, fibers)
         shells = _finite_or_raise(scale * terms.sum(axis=(1, 2)), m)
-        above, deepest = shells[-2:]
-        exponent = math.log2(above / deepest) / mu if deepest > 0.0 and above > 0.0 else math.inf
+        ratios = (-np.diff(np.log2(shells)) / mu).tolist() if np.all(shells > 0.0) else [math.inf]
+        for j in range(1, len(ratios)):  # the Richardson table, one term r1^(j mu) per column
+            w = 2.0 ** (-j * mu)
+            ratios = [(deep - w * up) / (1.0 - w) for up, deep in zip(ratios, ratios[1:])]
+        exponent = ratios[0]
         if not exponent <= _LOG_MODE:
             raise DomainError(f"truncated moments of {m} show no power growth to fit")
         # ∫_a^(2a) r1^(rate - 1) dr1 = a^rate (2^rate - 1)/rate, log 2 at rate 0

@@ -142,7 +142,7 @@ def test_criterion_7_counterexample_transport():
 
 def test_criterion_8_threshold_discontinuity():
     with criterion(8, "threshold jumps in mu at degree 0 only"):
-        certify(suites.check_threshold_jumps, (2, 3, 4), tol=1e-8)
+        certify(suites.check_threshold_jumps, tol=1e-8)
 
 
 def test_criterion_9_verify_determinism(tmp_path):

@@ -462,9 +462,9 @@ def _witness_draws(seed, count):
 
 class TestWitnessSweep:
     def test_exponent_and_coefficient(self):
-        # the sweep behind measure's _COEFFICIENT_RTOL and _GAP_FLOOR: the
-        # measured exponent within 1e-9 of the analytic one, and the deepest
-        # shell's coefficient within the tolerance and the error model's bound
+        # the sweep behind measure's _GAP_FLOOR: the measured exponent within
+        # 1e-9 of the analytic one, and the deepest shell's coefficient within
+        # the error model's bound
         for r, p, s in _witness_draws(20261020, 600):
             params = DomainParams(regularity.mu_for_threshold(r, p))
             s = regularity.threshold(params, p).r if s is None else s
@@ -473,7 +473,7 @@ class TestWitnessSweep:
             assert abs(fit.exponent - wit.analytic_exponent) <= 1e-9, (r, p, s)
             assert fit.kind == ("log" if abs(wit.analytic_exponent) <= 1e-9 else "power")
             gap = abs(fit.coefficient / fit.closed_form - 1.0)
-            assert gap <= min(measure._COEFFICIENT_RTOL, fit.gap_bound), (r, p, s)
+            assert gap <= fit.gap_bound, (r, p, s)
             assert fit.matches(wit.analytic_exponent, 0.05)
 
     @pytest.mark.parametrize("x,y,s,mu", [(-2.0, 440.0, 0.2, 2.0), (-2.0, 50.0, 0.2, 2.0),
@@ -486,6 +486,21 @@ class TestWitnessSweep:
         gap = abs(fit.coefficient / fit.closed_form - 1.0)
         assert gap >= 1e3 * measure._GAP_FLOOR
         assert gap / (0.5 * (fit.gap_bound - measure._GAP_FLOOR)) == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("y,mu", [(0.0, 1.2), (3.0, 1.01), (40.0, 1.001), (440.0, 1.2),
+                                      (-440.0, 1.01)])
+    @pytest.mark.parametrize("s", [0.0, 0.3])
+    def test_log_mode_at_mu_near_one(self, y, mu, s):
+        # e = 0: the two deepest shells' log ratio is off 0 by the fiber's next
+        # term, up to 1e-2 here; the Richardson table takes the exponent to
+        # rounding, so the log mode is read at every mu > 1
+        fit = measure.truncation_growth_fit(MomentArgs(mu * (s - 1.0), y, s, DomainParams(mu)))
+        assert fit.kind == "log" and abs(fit.exponent) <= 1e-12
+        assert fit.matches(0.0, 0.05)
+        # a power mode just past the log mode's band is still read as power
+        fit = measure.truncation_growth_fit(MomentArgs(mu * (s - 1.0 - 5e-9), y, s,
+                                                       DomainParams(mu)))
+        assert fit.kind == "power" and fit.matches(-1e-8, 0.05)
 
 
 def radial_every_node(profile, p1, p2, params, *, rtol=1e-10, min_level=3, max_level=9):
@@ -667,6 +682,10 @@ class TestFiber:
         # the next term of the fiber, O(|y| r1^mu), is what separates the deepest
         # shell from its closed form, and it shrinks by 2^mu per shell
         assert abs(fit.coefficient / fit.closed_form - 1.0) <= fit.gap_bound
+        # the deepest log ratio is log2 of the two deepest coefficients' ratio
+        # over mu, under 2 gap_above / (mu log 2) <= 2^mu gap_bound / (mu log 2)
+        # off the analytic exponent, and the Richardson table only shrinks that
+        assert abs(fit.exponent + 0.4) <= 2.0**2 * fit.gap_bound / (2.0 * math.log(2.0))
 
     def test_no_fold_and_one_fiber_call_per_fit(self, monkeypatch):
         # every integral over the domain sums closed-form fibers in r1: a growth

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import bergman, measure, regularity, suites
+from bergsob import bergman, measure, regularity
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 
@@ -176,20 +176,15 @@ class TestSharpnessChecks:
 
 class TestDiscontinuity:
     def test_function_threshold_jumps(self):
-        for m in (2, 3, 4):
+        # log-spaced integers up to 1e7, where m -+ 1e-9 still round to
+        # either side of m
+        mus = np.unique(np.round(np.logspace(math.log10(2.0), 7.0, 60))).astype(int)
+        assert mus[0] == 2 and mus[-1] == 10**7 and {3, 4} <= set(mus.tolist())
+        for m in mus.tolist():
             lo = regularity.threshold(DomainParams(m - 1e-9), 0).r
             hi = regularity.threshold(DomainParams(m + 1e-9), 0).r
             predicted = min(0.5, 2.0 / m) - min(0.5, 1.0 / m)
             assert abs((lo - hi) - predicted) <= 1e-8
-
-    def test_jumps_at_log_spaced_integers(self):
-        # the shared check across integer mu up to 1e7, where m -+ 1e-9 still
-        # round to either side of m
-        mus = np.unique(np.round(np.logspace(math.log10(2.0), 7.0, 60))).astype(int)
-        assert mus[0] == 2 and mus[-1] == 10**7
-        res = suites.SuiteResult("jumps")
-        suites.check_threshold_jumps(res, mus.tolist(), tol=1e-8)
-        assert res.passed and res.checks == 2 * len(mus), res.failures
 
     def test_top_degree_threshold_continuous(self):
         for m in (2, 3, 4):
