@@ -34,20 +34,23 @@ integrated in (r1, u2) coordinates, where the cut is just r1 > eps:
 
 The fiber integral G_y is a 2F1 series of positive terms (``_fiber``, by
 DLMF 14.12.1 and 14.3.1), exact up to s -> 1/2, so the moment is a 1-d rule
-in r1: a nested tanh-sinh piece in log r1 covers r1 down to 2^-4, where the
-fibers collapse as r1 -> 1, and the dyadic shells [2^-(k+1), 2^-k] below
-it, smooth in log r1, take one Gauss-Legendre rule (``_shell_rule``).  As
+in r1: a nested tanh-sinh piece in log r1 (``_top_piece``) covers r1 down
+to 2^-4, where the fibers collapse as r1 -> 1, and the dyadic shells
+[2^-(k+1), 2^-k] below it, smooth in log r1, take one Gauss-Legendre rule
+(``_shell_rule``) in one fiber call (``_shells``).  As
 r1 -> 0 the fiber tends to G_y(0) = beta(1 - 2s, y) (Gradshteyn-Ryzhik
 3.631), a series in r1^mu from there, so the shells approach the closed
 form 8 pi^2 mu^2 beta(1 - 2s, y) ∫ r1^(mu e - 1) dr1: the values grow like
 eps^(mu e) when e < 0 and like log(1/eps) when e = 0.  ``truncation_growth_fit``
 takes the shells k = 4..15 alone: mu e from their log ratios by a Richardson
-table at the rates 2^(j mu), and the deepest shell against the closed form.
+table at the rates 2^(j mu), and the deepest shell against the closed form;
+``lambda_truncated`` is the top piece plus the same shells down to eps.
 ``lambda_truncated_oracle`` is the independent (u1, u2) route, kept off the
 hot path.  The Gram matrices' table of lam (``mesh_moments``) and the radial
 moments of the projection (``radial_moment``, profiles of |w1| alone at
 s = 0) are nested tanh-sinh in r1 on the same fibers, so every integral over
-the domain is one loop in r1 (``_nested_r1``) over the closed-form fibers.
+the domain is one loop in r1 (``_nested_r1``) over the closed-form fibers,
+which returns each element settled at its own level, as ``quadrature.integrate``.
 """
 
 from __future__ import annotations
@@ -275,17 +278,18 @@ def lambda_truncated(m: MomentArgs, eps: float) -> float:
 
     Finite for every eps in (0, 1) as long as s < 1/2; nondecreasing as
     eps decreases, converging to the full moment in the integrable case.
-    It is the (r1, u2) integral of _truncated_pieces over (eps, 1): one
-    tanh-sinh piece down to max(eps, 2^-4) and dyadic shells below it.
-    Raises QuadratureError when the result is not finite or does not
+    It is the (r1, u2) integral over (eps, 1): the tanh-sinh _top_piece down
+    to max(eps, 2^-4) plus the dyadic _shells below it, those of the growth
+    fit.  Raises QuadratureError when the result is not finite or does not
     converge to _TRUNCATED_RTOL.
     """
     _check_truncation(m, eps)
-    cuts = [eps]
-    if eps < 2.0**-_TOP_LEVEL:
+    top = max(eps, 2.0**-_TOP_LEVEL)
+    pieces = [_top_piece(m, top)]
+    if eps < top:
         k = np.arange(_TOP_LEVEL, math.ceil(-math.log2(eps)))
-        cuts = np.append(2.0 ** -k.astype(float), eps)
-    return _finite_or_raise(math.fsum(_truncated_pieces(m, cuts)), m)
+        pieces.extend(_shells(m, np.log(np.append(2.0 ** -k.astype(float), eps)))[1])
+    return _finite_or_raise(math.fsum(pieces), m)
 
 
 def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
@@ -312,10 +316,7 @@ def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) ->
         inner = special.alpha_tail(X, 1.0 - 2.0 * s, emu / cos_u2, gap / cos_u2)
         return cos_u2 ** (Y - 1.0) * np.exp(m.y * u2) * inner
 
-    res = quadrature.integrate(outer, -C, C, rtol=rtol, max_level=9)
-    settled = res.converged or res.err_estimate <= 1e-6 * abs(res.value)
-    if not (math.isfinite(res.value) and settled):
-        raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
+    res = quadrature.quad(outer, -C, C, rtol=rtol, max_level=9)
     return _finite_or_raise(8.0 * math.pi**2 * mu * res.value, m)
 
 
@@ -422,43 +423,53 @@ def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
         return np.where(v == 0.0, 0.0, scale * v ** (0.5 - 2.0 * s) * (coef[:, :stop] @ powers.T))
 
 
-def _nested_r1(rule, moments, mu: float, ys, s: float, fixed=()):
-    """(level, total, err, at_fixed) at each level of _LEVELS of the nested
-    tanh-sinh rule(level, fresh) -> (log r1, log w): total sums the node values
-    moments(log r1, log w, _fiber(log r1, mu, ys, s)), err is its change from
-    the level below (inf at the first), and level L adds its fresh nodes to
-    half the total of L - 1.  The first level is never accepted alone, so its
-    nodes, the next level's and ``fixed`` (the log r1 of a fixed rule, whose
-    fibers are at_fixed) take one _fiber call.
+def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadResult:
+    """8 pi^2 mu^2 times the sums of the node values moments(log r1, log w,
+    _fiber(log r1, mu, ys, s)) on the nested tanh-sinh rule(level, fresh) ->
+    (log r1, log w) over _LEVELS, each level adding its fresh nodes to half the
+    sum of the last, as a QuadResult of arrays.  By the rule of quadrature.integrate
+    each element stops at its first level that moves it by at most max(1e-300,
+    rtol |total|), rtol broadcast, or as (inf, inf), unconverged, at a total that
+    is not finite; the first level, checked against nothing, and the next share
+    one _fiber call.
     """
     lo, hi = _LEVELS
     (r_lo, w_lo), (r_new, w_new) = rule(lo, False), rule(lo + 1, True)
-    a, b = len(r_lo), len(r_lo) + len(r_new)
-    fibers = _fiber(np.concatenate((r_lo, r_new, fixed)), mu, ys, s)
-    total = moments(r_lo, w_lo, fibers[:, :a]).sum(-1)
-    yield lo, total, np.full_like(total, math.inf), fibers[:, b:]
-    part = moments(r_new, w_new, fibers[:, a:b]).sum(-1)
-    for level in range(lo + 1, hi + 1):
-        if level > lo + 1:
-            log_r1, log_w = rule(level, True)
-            part = moments(log_r1, log_w, _fiber(log_r1, mu, ys, s)).sum(-1)
-        prev, total = total, 0.5 * total + part
-        yield level, total, np.abs(total - prev), fibers[:, b:]
+    scale = 8.0 * math.pi**2 * mu * mu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fibers = _fiber(np.concatenate((r_lo, r_new)), mu, ys, s)
+        total = moments(r_lo, w_lo, fibers[:, :len(r_lo)]).sum(-1)
+        value, err = scale * total, np.full(total.shape, math.inf)
+        level, open_ = np.full(total.shape, lo), np.ones(total.shape, dtype=bool)
+        for next_level in range(lo + 1, hi + 2):
+            open_ &= err > np.maximum(1e-300, rtol * np.abs(value))
+            if next_level > hi or not open_.any():
+                break
+            if next_level == lo + 1:
+                part = moments(r_new, w_new, fibers[:, len(r_lo):]).sum(-1)
+            else:
+                log_r1, log_w = rule(next_level, True)
+                part = moments(log_r1, log_w, _fiber(log_r1, mu, ys, s)).sum(-1)
+            prev, total = total, 0.5 * total + part
+            value[open_], err[open_] = scale * total[open_], scale * np.abs(total - prev)[open_]
+            level[open_] = next_level
+    finite = np.isfinite(value)
+    value[~finite] = err[~finite] = math.inf
+    return quadrature.QuadResult(value, err, level, finite & ~open_)
 
 
 def _shell_rule(m: MomentArgs, log_cuts: np.ndarray):
     """(rate mu X of r1^(mu X) in log r1, log r1, log w): the Gauss-Legendre
     rule on panels of log r1 (_PANEL_RATE) of each shell (cuts[i+1], cuts[i]),
-    as (shells, panels, nodes) arrays; cuts[i+1] >= cuts[i] / 2."""
+    as (shells, panels, nodes) arrays; at least two cuts, cuts[i+1] >= cuts[i] / 2."""
     mu = m.params.mu
     X, _ = _exponents(m.x, m.s, mu)
     rate = mu * X
     # log G changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
     p_top = math.exp(mu * log_cuts[0])
     rate_c = mu * p_top * (abs(m.y) + 1.0) / math.sqrt(1.0 - p_top * p_top)
-    width = float(np.max(-np.diff(log_cuts), initial=0.0))
-    # a single cut has no shells; either rate may overflow a double
-    load = (abs(rate) + rate_c) * width / _PANEL_RATE if width else 0.0
+    # either rate may overflow a double
+    load = (abs(rate) + rate_c) * float(np.max(-np.diff(log_cuts))) / _PANEL_RATE
     panels = max(1, math.ceil(min(load, _MAX_PANELS)))
     frac = (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels
     lo, hi = log_cuts[1:, None, None], log_cuts[:-1, None, None]
@@ -472,32 +483,37 @@ def _truncated_terms(rate: float, log_r1, log_w, fibers):
     return np.where(fibers == 0.0, 0.0, np.exp((rate - 1.0) * log_r1 + log_w) * fibers)
 
 
-def _truncated_pieces(m: MomentArgs, cuts) -> np.ndarray:
-    """The moment over r1 in (cuts[0], 1), nested tanh-sinh in log r1 (its
-    nodes -(log cuts[0]) t keep full relative accuracy as r1 -> 1, where the
-    fibers collapse) settled to _TRUNCATED_RTOL (else QuadratureError), then
-    over each shell of _shell_rule, whose fibers join the top piece's first
-    call; cuts decrease in (0, 1)."""
+def _top_piece(m: MomentArgs, cut: float) -> float:
+    """The moment over r1 in (cut, 1), nested tanh-sinh in log r1 (its nodes
+    -(log cut) t keep full relative accuracy as r1 -> 1, where the fibers
+    collapse) settled to _TRUNCATED_RTOL; QuadratureError when it is not finite
+    or does not settle."""
     mu = m.params.mu
-    log_cuts = np.log(np.asarray(cuts, dtype=float))
-    rate, shell_r1, shell_w = _shell_rule(m, log_cuts)
-    span = -float(log_cuts[0])
+    span = -float(np.log(cut))
 
     def top(level: int, fresh: bool):
         t, _, log_w = _nodes(level, fresh)
         log_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
         return log_r1, log_w + math.log(span) + log_r1
 
-    moments = partial(_truncated_terms, rate)
-    scale = 8.0 * math.pi**2 * mu * mu
+    X, _ = _exponents(m.x, m.s, mu)
+    res = _nested_r1(top, partial(_truncated_terms, mu * X), mu, [m.y], m.s, _TRUNCATED_RTOL)
+    _finite_or_raise(res.value, m)
+    if not res.converged.all():
+        raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
+    return float(res.value[0])
+
+
+def _shells(m: MomentArgs, log_cuts: np.ndarray):
+    """(rate, shells): the rate mu X of _shell_rule and the moment over each
+    shell (cuts[i+1], cuts[i]) on its rule, from one _fiber call; QuadratureError
+    when a shell is not finite."""
+    mu = m.params.mu
+    rate, log_r1, log_w = _shell_rule(m, log_cuts)
     with np.errstate(over="ignore", invalid="ignore"):
-        for level, total, err, at in _nested_r1(top, moments, mu, [m.y], m.s, shell_r1.ravel()):
-            if level == _LEVELS[0]:  # the shells' rule is fixed
-                shells = moments(shell_r1, shell_w, at.reshape(shell_r1.shape)).sum(axis=(1, 2))
-            pieces = _finite_or_raise(scale * np.append(total, shells), m)
-            if scale * err[0] <= max(1e-300, _TRUNCATED_RTOL * pieces[0]):
-                return pieces
-    raise quadrature.QuadratureError(f"truncated moment did not converge for {m} by level {level}")
+        fibers = _fiber(log_r1.ravel(), mu, [m.y], m.s).reshape(log_r1.shape)
+        terms = _truncated_terms(rate, log_r1, log_w, fibers)
+        return rate, _finite_or_raise(8.0 * math.pi**2 * mu * mu * terms.sum(axis=(1, 2)), m)
 
 
 @dataclass(frozen=True)
@@ -532,28 +548,25 @@ class GrowthFit:
         return mode and abs(self.coefficient / self.closed_form - 1.0) <= self.gap_bound
 
 
-# the growth fit's cuts eps = 2^-m, m = 4..16; a measured exponent within
-# _LOG_MODE of 0 is the log mode.  Over 609 seeded witnesses (mu from 2.06 to
-# 1e7) a coefficient's gap reached 6.8e-13 (at mu 2.21), 3.4e-14 at mu >= 8,
-# where it is rounding: _GAP_FLOOR is ~30x that (tests/test_measure.py)
-_FIT_MS = np.arange(4, 17)
+# the growth fit's cuts eps = 2^-m, m = 4..16, from lambda_truncated's top
+# cut; a measured exponent within _LOG_MODE of 0 is the log mode.  Over 609
+# seeded witnesses (mu from 2.06 to 1e7) a coefficient's gap reached 6.8e-13
+# (at mu 2.21), 3.4e-14 at mu >= 8, where it is rounding: _GAP_FLOOR is ~30x
+# that (tests/test_measure.py)
+_FIT_MS = np.arange(_TOP_LEVEL, 17)
 _LOG_MODE = 1e-9
 _GAP_FLOOR = 1e-12
 
 
 def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
-    """The GrowthFit of a moment, from its shells in one _shell_rule pass and one
-    _fiber call.  Raises DomainError when a shell is not positive or they
-    shrink, as for a convergent moment, and QuadratureError when one is not finite."""
+    """The GrowthFit of a moment, from its _shells alone (one _fiber call).
+    Raises DomainError when a shell is not positive or they shrink, as for a
+    convergent moment, and QuadratureError when one is not finite."""
     eps = 2.0 ** (-_FIT_MS.astype(float))
     _check_truncation(m, float(eps[-1]))
     mu = m.params.mu
-    scale = 8.0 * math.pi**2 * mu * mu
-    rate, log_r1, log_w = _shell_rule(m, np.log(eps))
+    rate, shells = _shells(m, np.log(eps))
     with np.errstate(over="ignore", invalid="ignore"):
-        fibers = _fiber(log_r1.ravel(), mu, [m.y], m.s).reshape(log_r1.shape)
-        terms = _truncated_terms(rate, log_r1, log_w, fibers)
-        shells = _finite_or_raise(scale * terms.sum(axis=(1, 2)), m)
         ratios = (-np.diff(np.log2(shells)) / mu).tolist() if np.all(shells > 0.0) else [math.inf]
         for j in range(1, len(ratios)):  # the Richardson table, one term r1^(j mu) per column
             w = 2.0 ** (-j * mu)
@@ -564,7 +577,7 @@ def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
         # ∫_a^(2a) r1^(rate - 1) dr1 = a^rate (2^rate - 1)/rate, log 2 at rate 0
         per_shell = math.expm1(rate * math.log(2.0)) / rate if rate else math.log(2.0)
         coefficients = shells[-2:] / (eps[-2:] ** rate * per_shell)
-    closed_form = scale * special.beta_eval(1.0 - 2.0 * m.s, m.y)
+    closed_form = 8.0 * math.pi**2 * mu * mu * special.beta_eval(1.0 - 2.0 * m.s, m.y)
     gap_bound = 2.0 ** (1.0 - mu) * abs(coefficients[0] / closed_form - 1.0) + _GAP_FLOOR
     return GrowthFit("log" if exponent >= -_LOG_MODE else "power", exponent, float(coefficients[1]),
                      closed_form, float(gap_bound), tuple(eps), tuple(shells))
@@ -582,11 +595,10 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
 
     ``profile(r1)`` returns the sequence of the g_i, vectorized over numpy
     arrays.  The result is a list of QuadResult, each taken at the first
-    level where its own tolerance was met (or its values stopped being
-    finite), and the refinement stops once every integrand is settled.
+    level where its own tolerance was met, or as (inf, inf), unconverged, at
+    the first where its value was not finite (_nested_r1).
     """
     mu = params.mu
-    rtols = np.asarray(rtol, dtype=float)
     power = p1 + 2.0 * mu - 1.0
 
     def moments(log_r1, log_w, fibers):
@@ -597,27 +609,15 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
         # profiled fiber that underflowed to 0 adds 0 even there
         return np.where(profiled == 0.0, 0.0, np.exp(power * log_r1 + log_w) * profiled)
 
-    results: list = [None] * len(rtols)
-    scale = 8.0 * math.pi**2 * mu * mu
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        for level, total, err, _ in _nested_r1(_unit_r1, moments, mu, [0.5 * p2], 0.0):
-            total, err = scale * total, scale * err
-            settled = err <= np.maximum(1e-300, rtols * np.abs(total))
-            for i in np.flatnonzero(settled | ~np.isfinite(total)):
-                if results[i] is None:
-                    ok = math.isfinite(total[i])
-                    results[i] = quadrature.QuadResult(float(total[i]) if ok else math.inf,
-                                                       float(err[i]) if ok else math.inf, level, ok)
-            if None not in results:
-                break
-    return [r or quadrature.QuadResult(float(v), float(e), level, False)
-            for r, v, e in zip(results, total, err)]
+    res = _nested_r1(_unit_r1, moments, mu, [0.5 * p2], 0.0, np.asarray(rtol, dtype=float))
+    return [quadrature.QuadResult(float(v), float(e), int(level), bool(ok))
+            for v, e, level, ok in zip(res.value, res.err_estimate, res.level, res.converged)]
 
 
 def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
     """lam(x_a, y_lo + i/2, s), i < count, as a (len(x), count) array over
-    the integrable x_a of the 1-d x: the Gram matrices' lam, at the first
-    level where every entry agrees with the level below to _MESH_RTOL (else
+    the integrable x_a of the 1-d x: the Gram matrices' lam, each entry at its
+    first level that agrees with the level below to _MESH_RTOL (else
     QuadratureError): 8 pi^2 mu^2 ∫_0^1 r1^a G_y(r1) dr1, a = 2x + 2mu - 1 - 2s mu,
     with the fibers G_y in closed form (_fiber), on nested tanh-sinh in r1.
     """
@@ -628,13 +628,8 @@ def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
     def moments(log_r1, log_w, fibers):
         return np.exp(np.multiply.outer(powers, log_r1) + log_w)[:, None, :] * fibers
 
-    scale = 8.0 * math.pi**2 * mu * mu
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level, table, err, _ in _nested_r1(_unit_r1, moments, mu, ys, s):
-            table, err = scale * table, scale * err
-            if not np.all(np.isfinite(table)):
-                break
-            if np.all(err <= np.maximum(1e-300, _MESH_RTOL * np.abs(table))):
-                return table
-    raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {mu} "
-                                     f"did not settle to a finite table by level {level}")
+    res = _nested_r1(_unit_r1, moments, mu, ys, s, _MESH_RTOL)
+    if not res.converged.all():
+        raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {mu} did "
+                                         f"not settle to a finite table by level {res.level.max()}")
+    return res.value

@@ -188,10 +188,15 @@ ADAPTIVE_CALLERS = {
 # the integrals over the domain on measure's one loop in r1 over the
 # closed-form fibers: truncated moments, Gram tables and radial moments
 NESTED_R1_CALLERS = {
-    "measure._truncated_pieces",
+    "measure._top_piece",
     "measure.mesh_moments",
     "measure.radial_moment",
 }
+
+
+# the closed-form fibers are evaluated on the loop in r1 and on the dyadic
+# shells, which a growth fit and a truncated moment share
+FIBER_CALLERS = {"measure._nested_r1", "measure._shells"}
 
 
 def _callers(is_target) -> set[str]:
@@ -218,10 +223,15 @@ def test_adaptive_quadrature_callers_pinned():
     assert _callers(_is_adaptive) == ADAPTIVE_CALLERS
 
 
-def _is_nested_r1(func) -> bool:
-    """_nested_r1, by bare name or as an attribute such as measure._nested_r1."""
-    return getattr(func, "id", None) == "_nested_r1" or getattr(func, "attr", None) == "_nested_r1"
+def _named(name: str):
+    """A callee test for the function ``name``, by bare name or as an
+    attribute such as measure._nested_r1."""
+    return lambda func: name in (getattr(func, "id", None), getattr(func, "attr", None))
 
 
 def test_nested_r1_callers_pinned():
-    assert _callers(_is_nested_r1) == NESTED_R1_CALLERS
+    assert _callers(_named("_nested_r1")) == NESTED_R1_CALLERS
+
+
+def test_fiber_callers_pinned():
+    assert _callers(_named("_fiber")) == FIBER_CALLERS

@@ -88,7 +88,8 @@ def gram_loop(indices, s, params, level):
 
 def settled_level(indices, s, params):
     """The first level from 5 at which every radial moment of gram_loop
-    agrees with the level below to 1e-10 relative, as gram_matrix refines."""
+    agrees with the level below to 1e-10 relative: the level by which every
+    entry of gram_matrix's table has settled, each at its own level."""
     prev = gram_loop(indices, s, params, 4)[1]
     for level in range(5, 10):
         radial = gram_loop(indices, s, params, level)[1]

@@ -417,6 +417,13 @@ class TestTruncation:
         with pytest.raises(DomainError):
             measure.lambda_truncated(m, 1.5)
 
+    def test_oracle_refuses_unconverged(self):
+        # at mu = 30, s = 0.499 the u2 rule stops at level 9 still moving by
+        # 6e-12 relative, above the 1e-12 asked for: no value is returned
+        m = MomentArgs(-30.0, 0.0, 0.499, DomainParams(30.0))
+        with pytest.raises(measure.quadrature.QuadratureError, match="no convergence"):
+            measure.lambda_truncated_oracle(m, 2.0**-8, rtol=1e-12)
+
 
 def _mp_fiber_at_0(s, y):
     """G_y(0) = ∫_{-pi/2}^{pi/2} cos(u)^(-2s) e^(y u) du at 30 digits, folded to
@@ -607,6 +614,21 @@ class TestRadialMoment:
             assert (got.level, got.converged) == (alone.level, True)
             assert got.value == pytest.approx(alone.value, rel=1e-14)
 
+    def test_overflowing_integrand_closes_alone(self):
+        # an integrand whose total is not finite closes as (inf, inf),
+        # unconverged, at the first level, and the finite one beside it
+        # settles as it does alone
+        params = DomainParams(3.0)
+        finite, overflowing = measure.radial_moment(
+            lambda r1: (_peak(r1), np.full_like(r1, math.inf)), 2.0, -2.0, params,
+            rtol=[1e-12, 1e-12])
+        [alone] = measure.radial_moment(lambda r1: (_peak(r1),), 2.0, -2.0, params, rtol=[1e-12])
+        assert (finite.level, finite.converged) == (alone.level, alone.converged)
+        assert finite.value == pytest.approx(alone.value, rel=1e-14)
+        assert (overflowing.value, overflowing.err_estimate, overflowing.converged) == (
+            math.inf, math.inf, False)
+        assert overflowing.level == measure._LEVELS[0]
+
 
 class TestMeshMoments:
     @pytest.mark.parametrize("mu", [1.5, 2.5, 3.0, 4.2857142857142856, 7.3])
@@ -689,9 +711,10 @@ class TestFiber:
 
     def test_no_fold_and_one_fiber_call_per_fit(self, monkeypatch):
         # every integral over the domain sums closed-form fibers in r1: a growth
-        # fit (its shells alone) is one _fiber call, a truncated moment settled at
-        # level 4 one more, and a radial_moment settled at level L is L - 3
-        # (levels 3 and 4 share the first call)
+        # fit (its shells alone) is one _fiber call, a truncated moment below
+        # 2^-4 two (its top piece settled at level 4, then the fit's shells), a
+        # Gram table settled at level 4 one, and a radial_moment settled at level
+        # L is L - 3 (levels 3 and 4 share the first call)
         calls = []
         fiber = measure._fiber
 
@@ -706,11 +729,11 @@ class TestFiber:
         measure.lambda_truncated(m, 2.0**-10)
         params = DomainParams(3.0)
         bergman.gram_matrix(bergman.basis_indices(1, 0.2, params, 9), 0.2, params)
-        assert len(calls) == 3
+        assert len(calls) == 4
         term = regularity.smooth_counterexample(params, 0).terms[0]
         [res] = measure.radial_moment(lambda r1: (term.profile(r1),), 2.0 * term.a, 0.0, params,
                                       rtol=[1e-10])
-        assert res.level == 5 and len(calls) == 5
+        assert res.level == 5 and len(calls) == 6
 
 
 @settings(max_examples=120, deadline=None)
