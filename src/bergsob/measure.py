@@ -23,7 +23,10 @@ boundary (``_exponents``).  ``lambda_quadrature`` evaluates the same product
 from the quadrature oracles of ``special`` (tanh-sinh with log
 substitutions at weak endpoint singularities), so the cross-check shares
 no Gamma identity with the closed form and stays accurate at thin
-integrability margins.
+integrability margins.  Both paths broadcast x, y and s, so a set of
+moments with a weight each is one ``lambda_closed_array`` call and one
+``lambda_quadrature`` call (one stack per oracle), each element the bits
+of its scalar call.
 
 ``lambda_truncated`` restricts the moment to |w1| > eps, which is always
 finite for s < 1/2; its growth as eps -> 0 certifies divergence.  It is
@@ -146,15 +149,20 @@ def _two_sum(a, b):
 def _product_error(a: float, b: float, ab: float) -> float:
     """a b - ab for the rounded product ab = fl(a b): exact, as the error of
     a double product is a double (barring underflow); computed on the exact
-    integer ratios of the three doubles, and rounded once."""
-    (na, da), (nb, db), (nab, dab) = (float(v).as_integer_ratio() for v in (a, b, ab))
+    integer ratios of the three doubles, and rounded once.  NaN where ab
+    overflows."""
+    try:
+        (na, da), (nb, db), (nab, dab) = (float(v).as_integer_ratio() for v in (a, b, ab))
+    except OverflowError:
+        return math.nan
     return (na * nb * dab - nab * da * db) / (da * db * dab)
 
 
-def _exponents(x, s: float, mu: float, sign=1.0):
+def _exponents(x, s, mu: float, sign=1.0):
     """The alpha and beta exponents 2x/mu + 2 - 2w and 2x/mu + 3 - 4w at
-    the weight w = sign s, elementwise over x and sign in {1, -1, 0}, which
-    broadcast (a leading axis of signs stacks several weights).
+    the weight w = sign s, elementwise over x, s (a float or an array) and
+    sign in {1, -1, 0}, which broadcast (a leading axis of signs stacks
+    several weights).  Each element has the bits of its scalar call.
 
     The first vanishes on the integrability boundary, where 2x/mu + 2
     cancels against 2w.  It is formed as 2(x + mu - mu w)/mu, with mu w
@@ -164,12 +172,13 @@ def _exponents(x, s: float, mu: float, sign=1.0):
     boundary.  Near the boundary both TwoSums are exact (Sterbenz's lemma),
     so the sum is rounded only once.
     """
-    mu_s = mu * s
-    try:
-        mu_s_lo = _product_error(mu, s, mu_s)
-    except OverflowError:  # mu s overflows; refused below
-        mu_s_lo = math.nan
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu_s = mu * s
+        if isinstance(s, np.ndarray):  # the exact error element by element
+            mu_s_lo = np.fromiter(map(partial(_product_error, mu), s.ravel().tolist(),
+                                      mu_s.ravel().tolist()), float, count=s.size).reshape(s.shape)
+        else:
+            mu_s_lo = _product_error(mu, s, mu_s)
         head, err_mu = _two_sum(x, mu)
         head, err_s = _two_sum(head, -sign * mu_s)
         gap = head + ((err_mu + err_s) - sign * mu_s_lo)
@@ -195,10 +204,12 @@ def _check_finite(x, y, s: float) -> None:
             raise DomainError(f"moment argument {name} must be finite")
 
 
-def lambda_closed_array(x, y, s: float, params: DomainParams):
-    """The closed-form moment lam(x, y, s) elementwise over x and y, which
-    broadcast against each other (e.g. x[:, None] and y[None, :] for a
-    (j, k) lattice), at one weight s; a float for scalar x and y.
+def lambda_closed_array(x, y, s, params: DomainParams):
+    """The closed-form moment lam(x, y, s) elementwise over x, y and s (a
+    float or an array), which broadcast against each other (e.g. x[:, None]
+    and y[None, :] for a (j, k) lattice at one weight, or one draw per
+    element); a float for scalar arguments, each element the bits of its
+    scalar call.
 
     Every element must be integrable.  Raises DomainError when an argument
     is not finite, a moment diverges or a value overflows a double; each
@@ -207,7 +218,7 @@ def lambda_closed_array(x, y, s: float, params: DomainParams):
     mu = params.mu
     _check_finite(x, y, s)
     margin = integrability_margin(MomentArgs(np.asarray(x), y, s, params))
-    if not (s < 0.5 and np.all(margin > 0.0)):
+    if not np.all((margin > 0.0) & (s < 0.5)):
         raise DomainError(f"lam(x, y, {s}) diverges at x = {np.min(x)} for mu = {mu}")
     X, Y = _exponents(x, s, mu)
     alpha = special.alpha_eval(X, 1.0 - 2.0 * s)
@@ -221,10 +232,20 @@ def lambda_closed_array(x, y, s: float, params: DomainParams):
 def lambda_quadrature(m: MomentArgs) -> MomentValue:
     """Independent evaluation 8 pi^2 mu alpha(X, 1 - 2s) beta(Y, y) from
     the quadrature oracles of ``special``, each to relative accuracy
-    1e-11; the error estimate adds their own relative estimates.  Raises
-    QuadratureError when either oracle does not converge."""
-    if not is_integrable(m):
-        raise DomainError(f"moment diverges ({_violated(m)}); see is_integrable")
+    1e-11; the error estimate adds their own relative estimates.
+
+    m.x, m.y and m.s (floats or arrays) broadcast: for arrays, value and
+    err_estimate are arrays from one stack per oracle, each element settled
+    on its own, bit for bit its scalar call.  Raises DomainError naming the
+    first divergent element, and QuadratureError when either oracle does
+    not converge."""
+    ok = (integrability_margin(m) > 0.0) & (m.s < 0.5)
+    if not np.all(ok):
+        *args, ok = np.broadcast_arrays(m.x, m.y, m.s, ok)
+        i = int(np.argmin(ok))
+        first = MomentArgs(*(v.flat[i] for v in args), m.params)
+        where = f" at (x, y, s) = ({first.x}, {first.y}, {first.s})" if ok.ndim else ""
+        raise DomainError(f"moment diverges ({_violated(first)}){where}; see is_integrable")
     X, Y = _exponents(m.x, m.s, m.params.mu)
     alpha, alpha_err = special.alpha_quadrature(X, 1.0 - 2.0 * m.s, 1e-11)
     beta, beta_err = special.beta_quadrature(Y, m.y, 1e-11)
@@ -232,14 +253,17 @@ def lambda_quadrature(m: MomentArgs) -> MomentValue:
     return MomentValue.finite(val, (alpha_err / alpha + beta_err / beta) * val)
 
 
-def lambda_ratio_bound(x: float, s: float, params: DomainParams) -> float:
+def lambda_ratio_bound(x, s: float, params: DomainParams):
     """Closed-form bound for lambda_ratio_family, independent of y:
 
     (X (1+4s) Y) / ((X-2s)(1-2s)(Y-4s)),  X = 2x/mu + 2, Y = 2x/mu + 3,
 
-    with the denominators from _exponents, exact up to the boundary.
+    with the denominators from _exponents, exact up to the boundary;
+    elementwise over x, each element the bits of its scalar call, and a
+    float for scalar x.
     """
-    if not (0.0 <= s < 0.5 and integrability_margin(MomentArgs(x, 0.0, s, params)) > 0.0):
+    inside = integrability_margin(MomentArgs(x, 0.0, s, params)) > 0.0
+    if not (0.0 <= s < 0.5 and (inside is True or np.all(inside))):  # a float x skips numpy
         raise DomainError(f"bound needs 0 <= s < 1/2 and {X_CLAUSE}")
     Xs, Ys = _exponents(x, s, params.mu)
     X, Y = Xs + 2.0 * s, Ys + 4.0 * s
@@ -289,7 +313,11 @@ def lambda_truncated(m: MomentArgs, eps: float) -> float:
     if eps < top:
         k = np.arange(_TOP_LEVEL, math.ceil(-math.log2(eps)))
         pieces.extend(_shells(m, np.log(np.append(2.0 ** -k.astype(float), eps)))[1])
-    return _finite_or_raise(math.fsum(pieces), m)
+    try:
+        total = math.fsum(pieces)
+    except OverflowError:  # finite pieces whose sum exceeds a double
+        total = math.inf
+    return _finite_or_raise(total, m)
 
 
 def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:

@@ -9,6 +9,7 @@ r-coordinate integral (agreement ~5e-11).
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergsob import bergman, measure, quadrature, regularity, special
+from bergsob import bergman, measure, quadrature, regularity, special, suites
 from bergsob.errors import DomainError
 from bergsob.geometry import DomainParams
 from bergsob.measure import MomentArgs
@@ -85,6 +86,24 @@ class TestClosedForm:
     def test_array_rejects_divergent_element(self):
         with pytest.raises(DomainError):
             measure.lambda_closed_array(np.array([0.0, -3.0]), 0.0, 0.0, DomainParams(2.0))
+        with pytest.raises(DomainError):  # through s alone
+            measure.lambda_closed_array(0.0, 0.0, np.array([0.2, 0.5]), DomainParams(2.0))
+
+    @pytest.mark.parametrize("mu", [1.5, 2.5, 7.9])
+    def test_array_weights_match_scalar_bitwise(self, mu):
+        # one weight per element, as verify's draws: each the bits of its scalar call
+        params = DomainParams(mu)
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.0, 0.49, 40)
+        x, y = mu * (s - 1.0 + rng.uniform(1e-3, 2.0, 40)), rng.uniform(-6.0, 6.0, 40)
+        vals = measure.lambda_closed_array(x, y, s, params)
+        for xi, yi, si, v in zip(x, y, s, vals):
+            assert v == measure.lambda_closed(MomentArgs(float(xi), float(yi), float(si), params)).value
+        # and the weights broadcast against a lattice of x and y
+        grid = measure.lambda_closed_array(x[:4, None, None], np.array([-3.0, 0.5])[:, None],
+                                           s[:3], params)
+        for (a, b, c), v in np.ndenumerate(grid):
+            assert v == measure.lambda_closed_array(float(x[a]), (-3.0, 0.5)[b], float(s[c]), params)
 
 
 class TestQuadratureCross:
@@ -114,6 +133,34 @@ class TestQuadratureCross:
     def test_divergent_rejected(self):
         with pytest.raises(DomainError):
             measure.lambda_quadrature(MomentArgs(0.0, 0.0, 0.6, DomainParams(2.0)))
+
+    def test_stack_names_first_divergent_element(self):
+        m = MomentArgs(np.array([0.0, -3.0, 0.0]), 1.0, np.array([0.2, 0.1, 0.6]), DomainParams(2.0))
+        with pytest.raises(DomainError, match=r"\(x/mu \+ 1 - s > 0\) at \(x, y, s\) = \(-3.0, 1.0, 0.1\)"):
+            measure.lambda_quadrature(m)
+        m = MomentArgs(0.0, np.array([1.0, 2.0]), 0.5, DomainParams(2.0))  # y alone an array
+        with pytest.raises(DomainError, match=r"\(s < 1/2\) at \(x, y, s\) = \(0.0, 1.0, 0.5\)"):
+            measure.lambda_quadrature(m)
+
+    @pytest.mark.parametrize("mu", [1.5, 3.0])
+    def test_stack_matches_scalar_bitwise(self, mu):
+        # a stack mixing the weak branches (alpha's min(X, 1 - 2s) < 1/2, beta's
+        # Y < 1/2, which implies X < 1/2) with the direct ones: each element's
+        # value and error estimate are those of its scalar call, bit for bit
+        params = DomainParams(mu)
+        margins = np.array([1e-6, 0.1, 0.2, 0.6, 1.5, 0.02, 0.4, 2.0])
+        s = np.array([0.45, 0.1, 0.45, 0.3, 0.0, 0.2, 0.49, 0.35])
+        y = np.array([-3.0, 0.0, 2.5, 10.0, -1.0, 4.0, 0.5, -6.0])
+        x = mu * (margins - 1.0 + s)
+        X, Y = measure._exponents(x, s, mu)
+        weak_alpha = np.minimum(X, 1.0 - 2.0 * s) < 0.5
+        assert np.any(Y < 0.5) and np.any(weak_alpha & (Y >= 0.5)) and np.any(~weak_alpha)
+        q = measure.lambda_quadrature(MomentArgs(x, y, s, params))
+        assert q.value.shape == q.err_estimate.shape == x.shape
+        for i in range(len(x)):
+            one = measure.lambda_quadrature(MomentArgs(float(x[i]), float(y[i]), float(s[i]), params))
+            assert isinstance(one.value, float)
+            assert (one.value, one.err_estimate) == (q.value[i], q.err_estimate[i])
 
     def test_sweep(self):
         rng = np.random.default_rng(7)
@@ -195,6 +242,17 @@ class TestRatio:
         for i, x in enumerate(xs):
             np.testing.assert_array_equal(grid[i], measure.lambda_ratio_family(float(x), ys, s, p))
 
+    @pytest.mark.parametrize("mu,s", [(2.0, 0.1), (7.0170301876267, 0.14251026907987766)])
+    def test_bound_broadcast_matches_scalar(self, mu, s):
+        p = DomainParams(mu)
+        xs = np.array([1.0 - mu, math.floor((s - 1.0) * mu) + 1.0, -0.5, 0.0, 3.0, 40.0])
+        bounds = measure.lambda_ratio_bound(xs, s, p)
+        for x, b in zip(xs, bounds):
+            scalar = measure.lambda_ratio_bound(float(x), s, p)
+            assert type(scalar) is float and b == scalar
+        with pytest.raises(DomainError, match="bound needs"):
+            measure.lambda_ratio_bound(np.array([0.0, -mu]), s, p)
+
     def test_near_boundary_ratio_against_mpmath(self):
         # dw1 family, j = 1, k = -40: the weight gap 2x/mu + 2 - 2s is 3.2e-7,
         # and evaluating that expression as written loses 3e-10 of the ratio
@@ -235,18 +293,27 @@ def _exact_gap(x, s, mu):
     return Fraction(x) + Fraction(mu) - Fraction(mu) * Fraction(s)
 
 
+_BOUNDARY_CASES = [
+    (1.5, 0.0), (3.0, 0.2), (7.9, 0.45), (28.73028667752445, 0.49979559268718426), (5e5, 0.3),
+]
+
+
+def _near_boundary(mu, s):
+    """The first nine doubles x past the boundary x + mu - mu s = 0, and those
+    with 200 seeded x further in."""
+    near = [mu * (s - 1.0)]
+    while _exact_gap(near[0], s, mu) <= 0:  # the first double past the boundary
+        near[0] = math.nextafter(near[0], math.inf)
+    for _ in range(8):
+        near.append(math.nextafter(near[-1], math.inf))
+    rng = np.random.default_rng(3)
+    return near, np.concatenate([near, near[0] + mu * np.exp(rng.uniform(-30.0, 3.0, 200))])
+
+
 class TestExponents:
-    @pytest.mark.parametrize("mu,s", [
-        (1.5, 0.0), (3.0, 0.2), (7.9, 0.45), (28.73028667752445, 0.49979559268718426), (5e5, 0.3),
-    ])
+    @pytest.mark.parametrize("mu,s", _BOUNDARY_CASES)
     def test_exact_up_to_the_boundary(self, mu, s):
-        near = [mu * (s - 1.0)]
-        while _exact_gap(near[0], s, mu) <= 0:  # the first double past the boundary
-            near[0] = math.nextafter(near[0], math.inf)
-        for _ in range(8):
-            near.append(math.nextafter(near[-1], math.inf))
-        rng = np.random.default_rng(3)
-        xs = np.concatenate([near, near[0] + mu * np.exp(rng.uniform(-30.0, 3.0, 200))])
+        near, xs = _near_boundary(mu, s)
         for sign in (1.0, -1.0, 0.0):
             got, _ = measure._exponents(xs, s, mu, sign)
             for i, (x, g) in enumerate(zip(xs, got)):
@@ -257,6 +324,20 @@ class TestExponents:
                 if i < len(near) and sign == 1.0:
                     exact = 2 * gap / Fraction(mu)
                     assert abs(Fraction(float(g)) - exact) <= Fraction(float(np.spacing(float(exact))))
+
+    @pytest.mark.parametrize("mu,s", _BOUNDARY_CASES)
+    def test_array_weight_matches_scalar(self, mu, s):
+        # one weight per element, near the boundary of its own weight and
+        # away from it: each element has the bits of its scalar call
+        _, xs = _near_boundary(mu, s)
+        ss = np.where(np.arange(len(xs)) % 3 == 0, s, s * np.linspace(0.0, 1.0, len(xs)))
+        X, Y = measure._exponents(xs, ss, mu)
+        for x, w, a, b in zip(xs, ss, X, Y):
+            assert (a, b) == measure._exponents(float(x), float(w), mu)
+        # a weight axis broadcast against x, as one weight per column
+        X, Y = measure._exponents(xs[:, None], np.array([s, -s, 0.0]), mu)
+        for sign, col in zip((1.0, -1.0, 0.0), X.T):
+            np.testing.assert_array_equal(col, measure._exponents(xs, sign * s, mu)[0])
 
     def test_stacked_weights_match_single(self):
         xs = np.array([-2.9, -0.5, 1.0, 40.0])[:, None]
@@ -275,6 +356,9 @@ class TestExponents:
             for x in (1.7e308, np.array([1.0, 1.7e308])):
                 with pytest.raises(DomainError):
                     measure._exponents(x, -0.4, 1.7e308)
+            # an array weight of which one element's mu s overflows
+            with pytest.raises(DomainError):
+                measure._exponents(1.0, np.array([0.2, 2.0]), 1.7e308)
 
 
 class TestAlphaTail:
@@ -411,6 +495,12 @@ class TestTruncation:
                 measure.lambda_truncated(m, eps)
         else:
             assert measure.lambda_truncated(m, eps) == 0.0
+
+    def test_overflowing_sum_of_finite_pieces_raises(self):
+        # each piece is finite, their sum is not: math.fsum raised OverflowError
+        m = MomentArgs(-1.6, 450.0, 0.2, DomainParams(2.0))
+        with pytest.raises(measure.quadrature.QuadratureError, match="overflows a double"):
+            measure.lambda_truncated(m, 2.0**-12)
 
     def test_eps_range_checked(self):
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
@@ -750,3 +840,41 @@ def test_closed_form_totalizes(mu, x, y, s):
         assert v.is_finite and v.value > 0.0
     else:
         assert v.kind == "divergent" and v.violated_condition
+
+
+class TestMeasureSuite:
+    def test_one_oracle_stack_per_mu_and_one_ratio_call_per_s(self, monkeypatch):
+        # the measure suite scores each mu's draws in one stack per oracle and
+        # each s's ratio rows in one call: 3 mus, 4 weights
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return function(*args, **kw)
+            return wrapper
+
+        for module, name in ((special, "alpha_quadrature"), (special, "beta_quadrature"),
+                             (measure, "lambda_ratio_family")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert suites.suite_measure(np.random.default_rng(1)).passed
+        assert calls == {"alpha_quadrature": 3, "beta_quadrature": 3, "lambda_ratio_family": 4}
+
+    def test_failures_replay_the_scalar_paths(self):
+        # at rel_tol = -1 every check fails, and the failures are those of a
+        # scalar lambda_closed / lambda_quadrature loop over the same draws, in order
+        mus, count = (1.5, 2.0, 3.0), 12
+        res = suites.SuiteResult("measure")
+        suites.check_moments(res, mus, count, np.random.default_rng(11), s_hi=0.45, y_hi=4.0,
+                             rel_tol=-1.0)
+        rng, expected = np.random.default_rng(11), []
+        for mu in mus:
+            for _ in range(count):
+                s = float(rng.uniform(0.0, 0.45))
+                y = float(rng.uniform(-4.0, 4.0))
+                x = float(rng.uniform(mu * (s - 0.9), 3.0))
+                m = MomentArgs(x, y, s, DomainParams(mu))
+                c, q = measure.lambda_closed(m), measure.lambda_quadrature(m)
+                rel = abs(c.value - q.value) / c.value
+                expected.append(f"mu={mu} ({x:.3g},{y:.3g},{s:.3g}): paths differ by {rel:.2e}")
+        assert res.checks == len(mus) * count and res.failures == expected
