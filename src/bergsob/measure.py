@@ -131,12 +131,27 @@ def integrability_margin(m: MomentArgs):
     return (m.x + mu) / mu - m.s
 
 
-def is_integrable(m: MomentArgs) -> bool:
-    return m.s < 0.5 and integrability_margin(m) > 0.0
+def is_integrable(m: MomentArgs):
+    """Both clauses, elementwise over array arguments; a bool for floats."""
+    return (m.s < 0.5) & (integrability_margin(m) > 0.0)
 
 
 def _violated(m: MomentArgs) -> str:
     return S_CLAUSE if m.s >= 0.5 else X_CLAUSE
+
+
+def _refuse_divergent(m: MomentArgs) -> None:
+    """Raise DomainError unless every element of m is integrable, naming
+    the violated clause of the first divergent element (and, for arrays,
+    the element itself)."""
+    ok = is_integrable(m)
+    if np.all(ok):
+        return
+    *args, ok = np.broadcast_arrays(m.x, m.y, m.s, ok)
+    i = int(np.argmin(ok))
+    first = MomentArgs(*(v.flat[i] for v in args), m.params)
+    where = f" at (x, y, s) = ({first.x}, {first.y}, {first.s})" if ok.ndim else ""
+    raise DomainError(f"moment diverges ({_violated(first)}){where}; see is_integrable")
 
 
 def _two_sum(a, b):
@@ -212,14 +227,13 @@ def lambda_closed_array(x, y, s, params: DomainParams):
     scalar call.
 
     Every element must be integrable.  Raises DomainError when an argument
-    is not finite, a moment diverges or a value overflows a double; each
-    check runs once per call.
+    is not finite, a moment diverges (naming the first divergent element,
+    as lambda_quadrature does) or a value overflows a double; each check
+    runs once per call.
     """
     mu = params.mu
     _check_finite(x, y, s)
-    margin = integrability_margin(MomentArgs(np.asarray(x), y, s, params))
-    if not np.all((margin > 0.0) & (s < 0.5)):
-        raise DomainError(f"lam(x, y, {s}) diverges at x = {np.min(x)} for mu = {mu}")
+    _refuse_divergent(MomentArgs(x, y, s, params))
     X, Y = _exponents(x, s, mu)
     alpha = special.alpha_eval(X, 1.0 - 2.0 * s)
     with np.errstate(over="ignore"):
@@ -239,13 +253,7 @@ def lambda_quadrature(m: MomentArgs) -> MomentValue:
     on its own, bit for bit its scalar call.  Raises DomainError naming the
     first divergent element, and QuadratureError when either oracle does
     not converge."""
-    ok = (integrability_margin(m) > 0.0) & (m.s < 0.5)
-    if not np.all(ok):
-        *args, ok = np.broadcast_arrays(m.x, m.y, m.s, ok)
-        i = int(np.argmin(ok))
-        first = MomentArgs(*(v.flat[i] for v in args), m.params)
-        where = f" at (x, y, s) = ({first.x}, {first.y}, {first.s})" if ok.ndim else ""
-        raise DomainError(f"moment diverges ({_violated(first)}){where}; see is_integrable")
+    _refuse_divergent(m)
     X, Y = _exponents(m.x, m.s, m.params.mu)
     alpha, alpha_err = special.alpha_quadrature(X, 1.0 - 2.0 * m.s, 1e-11)
     beta, beta_err = special.beta_quadrature(Y, m.y, 1e-11)
@@ -262,8 +270,7 @@ def lambda_ratio_bound(x, s: float, params: DomainParams):
     elementwise over x, each element the bits of its scalar call, and a
     float for scalar x.
     """
-    inside = integrability_margin(MomentArgs(x, 0.0, s, params)) > 0.0
-    if not (0.0 <= s < 0.5 and (inside is True or np.all(inside))):  # a float x skips numpy
+    if not (0.0 <= s < 0.5 and np.all(integrability_margin(MomentArgs(x, 0.0, s, params)) > 0.0)):
         raise DomainError(f"bound needs 0 <= s < 1/2 and {X_CLAUSE}")
     Xs, Ys = _exponents(x, s, params.mu)
     X, Y = Xs + 2.0 * s, Ys + 4.0 * s

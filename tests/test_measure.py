@@ -54,6 +54,14 @@ class TestIntegrability:
         assert measure.integrability_margin(m) == 0.0
         assert not measure.is_integrable(m)
 
+    def test_elementwise(self):
+        # both clauses per element for arrays, a Python bool for floats
+        p = DomainParams(2.0)
+        m = MomentArgs(np.array([0.0, -3.0, 0.0, -1.5]), 0.0, np.array([0.2, 0.1, 0.5, 0.25]), p)
+        np.testing.assert_array_equal(measure.is_integrable(m), [True, False, False, False])
+        assert measure.is_integrable(MomentArgs(0.0, 0.0, 0.2, p)) is True
+        assert measure.is_integrable(MomentArgs(0.0, 0.0, 0.5, p)) is False
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
@@ -84,10 +92,15 @@ class TestClosedForm:
             assert v == pytest.approx(scalar.value, rel=1e-14)
 
     def test_array_rejects_divergent_element(self):
-        with pytest.raises(DomainError):
+        # the first divergent element and its own clause, as lambda_quadrature names them
+        with pytest.raises(DomainError, match=r"\(x/mu \+ 1 - s > 0\) at \(x, y, s\) = \(-3.0, 0.0, 0.0\)"):
             measure.lambda_closed_array(np.array([0.0, -3.0]), 0.0, 0.0, DomainParams(2.0))
-        with pytest.raises(DomainError):  # through s alone
+        with pytest.raises(DomainError, match=r"\(s < 1/2\) at \(x, y, s\) = \(0.0, 0.0, 0.5\)"):
             measure.lambda_closed_array(0.0, 0.0, np.array([0.2, 0.5]), DomainParams(2.0))
+        with pytest.raises(DomainError, match=r"\(s < 1/2\) at \(x, y, s\) = \(5.0, 0.0, 0.5\)"):
+            measure.lambda_closed_array(np.array([5.0, 0.0]), 0.0, 0.5, DomainParams(2.0))
+        with pytest.raises(DomainError, match=r"^moment diverges \(x/mu \+ 1 - s > 0\); see"):
+            measure.lambda_closed_array(-3.0, 0.0, 0.0, DomainParams(2.0))
 
     @pytest.mark.parametrize("mu", [1.5, 2.5, 7.9])
     def test_array_weights_match_scalar_bitwise(self, mu):
