@@ -15,7 +15,13 @@ coefficient against each (unnormalized) basis element is a ratio of one
 radial moment (measure.radial_moment, a 1-d rule in |w1| over the
 closed-form fiber integral in |w2|) to one closed-form moment.  Both
 numerator and denominator are retained on the result for error
-propagation.
+propagation.  One radial_moment pass integrates every term of an input,
+each term's integrands settled at their own level.
+
+A Gram table (gram_matrix) may mix form degrees: elements of different
+degrees lie in orthogonal spaces, so the entries between different
+(p, component) pairs are exact zeros, and the degrees share one
+measure.mesh_moments table of moments.
 """
 
 from __future__ import annotations
@@ -225,27 +231,37 @@ def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
     the unnormalized basis element (w1^j w2^k, w1^j w2^k theta2, or
     2 mu w1^(j-1) w2^k dw1, wedged with theta2 when p = 2) is the ratio
     of the term's radial pairing integral to the element's squared norm.
-    The pairing and the term's own squared norm come from one
-    radial_moment call, the norm to 1e-9 and the pairing to 1e-10
-    relative.  Terms whose selected monomial is not
+    One radial_moment call integrates every term in one pass: each term's
+    squared norm to 1e-9 and its pairing to 1e-10 relative, each settled
+    at its own level.  Terms whose selected monomial is not
     square-integrable contribute nothing (they lie in the orthogonal
     complement) and are named in the report; terms that are themselves
-    not square-integrable raise NonIntegrableTermError.
+    not square-integrable raise NonIntegrableTermError, naming the first
+    such term.
     """
+    targets = [_target_index(term, f.p) for term in f.terms]
+    in_space = [idx.admissible(0.0, params) for idx in targets]
+    p1s, p2s, rtols, profiles = [], [], [], []
+    for term, inside in zip(f.terms, in_space):
+        p1, p2, integrands = _term_integrands(term, params, inside)
+        rtol = (1e-9, 1e-10) if inside else (1e-9,)
+        p1s += [p1] * len(rtol)
+        p2s += [p2] * len(rtol)
+        rtols += rtol
+        profiles.append(integrands)
+    results = iter(measure.radial_moment(
+        lambda r1: [g for integrands in profiles for g in integrands(r1)], p1s, p2s, params,
+        rtol=rtols) if f.terms else ())
     numerators: dict[BasisIndex, float] = {}
     warnings: list[str] = []
-    for term in f.terms:
-        idx = _target_index(term, f.p)
-        in_space = idx.admissible(0.0, params)
-        p1, p2, integrands = _term_integrands(term, params, in_space)
-        rtols = [1e-9, 1e-10] if in_space else [1e-9]
-        sq, *pair = measure.radial_moment(integrands, p1, p2, params, rtol=rtols)
+    for term, idx, inside in zip(f.terms, targets, in_space):
+        sq = next(results)
         if not sq.converged or not math.isfinite(sq.value):
             raise NonIntegrableTermError(term.describe(), "L2 norm quadrature diverges")
-        if not in_space:
+        if not inside:
             warnings.append(f"selected monomial {(idx.j, idx.k)} outside the Bergman space")
             continue
-        num = pair[0]
+        num = next(results)
         if not num.converged or not math.isfinite(num.value):
             raise NonIntegrableTermError(term.describe(), "pairing quadrature diverges")
         numerators[idx] = numerators.get(idx, 0.0) + num.value
@@ -313,9 +329,11 @@ def kernel_eval(
 @lru_cache(maxsize=None)
 def _angular_factor(m: int) -> float:
     """(1/2 pi) ∫_0^{2 pi} cos(m phi) d phi by the composite trapezoid rule on
-    256 nodes; the imaginary part vanishes by symmetry.  Exact to roundoff
-    for |m| < 256."""
-    phi = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    N = 256 ceil((|m| + 1)/256) nodes; the imaginary part vanishes by
+    symmetry.  The rule is exact to roundoff for |m| < N, so every m is
+    computed rather than assumed (a fixed N would alias m = N to 1)."""
+    nodes = 256 * math.ceil((abs(m) + 1) / 256)
+    phi = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
     return float(np.mean(np.cos(abs(m) * phi)))
 
 
@@ -325,15 +343,20 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
     Each entry is (angular factor in phi1) x (angular factor in phi2) x
     (radial moment) / sqrt of the two closed-form norms, so the
     orthogonality content (vanishing angular integrals, radial moments
-    matching the closed form) is computed rather than assumed.  Mixed
-    theta2/dw1 entries vanish pointwise by frame orthogonality and are
-    returned as exact zeros.  Contract: the result is the identity matrix
-    to the module tolerances.
+    matching the closed form) is computed rather than assumed.  The
+    indices may mix form degrees.  Entries between different (p, component)
+    pairs are returned as exact zeros: elements of different degrees lie in
+    orthogonal spaces, and mixed theta2/dw1 entries vanish pointwise by
+    frame orthogonality.  Each degree's diagonal block is its own table,
+    bit for bit where the degrees span the same k (as the elements of
+    basis_indices do: the fibers of a wider k range sum more terms).
+    Contract: the result is the identity matrix to the module tolerances.
 
     The radial moment of a pair is lam(e1 / 2, e2 / 2, s), with
     e1 = jA + jB (shifted by -2 mu for dw1 pairs) and the integer
     e2 = kA + kB; one measure.mesh_moments call tabulates it for every
-    distinct e1 and every e2 to 1e-10 relative, or raises QuadratureError.
+    distinct e1 and every e2 to 1e-10 relative, each entry settled at its
+    own level, or raises QuadratureError.
     """
     if not 0.0 <= s < 0.5:
         raise DomainError(f"need 0 <= s < 1/2, got {s}")
@@ -345,8 +368,9 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
         return np.zeros((0, 0), dtype=complex)
     j = np.array([idx.j for idx in indices])
     k = np.array([idx.k for idx in indices])
+    p = np.array([idx.p for idx in indices])
     comp = np.array([idx.component.value for idx in indices])
-    same = comp[:, None] == comp
+    same = (p[:, None] == p) & (comp[:, None] == comp)
     e1 = (j[:, None] + j) + np.where(comp == Component.DW1.value, -2.0 * params.mu, 0.0)[:, None]
     e1_vals, e1_at = np.unique(e1[same], return_inverse=True)
     e2_lo, e2_hi = 2 * int(k.min()), 2 * int(k.max())
@@ -355,7 +379,7 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
     ang_table = np.array([_angular_factor(m) for m in range(np.ptp(j) + np.ptp(k) + 1)])
     ang = ang_table[np.abs(j[:, None] - j)] * ang_table[np.abs(k[:, None] - k)]
     norms = _norms_sq(indices, s, params)
-    out = np.zeros((n, n), dtype=complex)  # theta1-theta2 frame orthogonality, pointwise
+    out = np.zeros((n, n), dtype=complex)  # degree and frame orthogonality, pointwise
     out[same] = ang[same] * radial[e1_at, (k[:, None] + k)[same] - e2_lo]
     out[same] /= np.sqrt(np.outer(norms, norms))[same]
     return out

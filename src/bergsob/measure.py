@@ -430,15 +430,19 @@ def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
     one cumulative product.  For k >= n the ratio of consecutive terms is
     below q = (1 + y^2/((n+1/2)(n+1))) V/2, so it stops at the first n whose
     tail bound, term n times q/(1 - q), is below _FIBER_TAIL of the sum at V,
-    hence at every v.  Infinite beyond a double, and once the peak term, near
-    index |y| sqrt(V), is past _FIBER_REACH.
+    hence at every v.  Infinite beyond a double, and in each row whose peak
+    term, near index |y| sqrt(V), is past _FIBER_REACH; the other rows are
+    summed as if alone.
     """
     ys = np.asarray(ys, dtype=float)
     v = -np.expm1(mu * np.asarray(log_r1, dtype=float))
     top = float(np.max(v, initial=0.0))
     reach = float(np.max(np.abs(ys), initial=0.0)) * math.sqrt(top)
-    if not reach < _FIBER_REACH:
-        return np.full((len(ys), len(v)), math.inf)
+    far = None
+    if not reach < _FIBER_REACH:  # rows past the reach: summed at y = 0, then set to inf
+        far = ~(np.abs(ys) * math.sqrt(top) < _FIBER_REACH)
+        ys = np.where(far, 0.0, ys)
+        reach = float(np.max(np.abs(ys))) * math.sqrt(top)
     # from n0 = sqrt(2) reach on q <= 3/4, so the tail test holds 150 terms later
     n = np.arange(150 + math.ceil(math.sqrt(2.0) * reach), dtype=float)
     y2 = (ys * ys)[:, None]
@@ -455,7 +459,10 @@ def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
         np.cumprod(powers, axis=1, out=powers)
         scale = math.sqrt(2.0 * math.pi) * math.exp(math.lgamma(1.0 - 2.0 * s)
                                                     - math.lgamma(1.5 - 2.0 * s))
-        return np.where(v == 0.0, 0.0, scale * v ** (0.5 - 2.0 * s) * (coef[:, :stop] @ powers.T))
+        fiber = np.where(v == 0.0, 0.0, scale * v ** (0.5 - 2.0 * s) * (coef[:, :stop] @ powers.T))
+    if far is not None:
+        fiber[far] = math.inf
+    return fiber
 
 
 def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadResult:
@@ -618,15 +625,17 @@ def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
                      closed_form, float(gap_bound), tuple(eps), tuple(shells))
 
 
-def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams, *,
+def radial_moment(profile: Callable, p1, p2, params: DomainParams, *,
                   rtol: Sequence[float]) -> list:
-    """∫_D g_i(|w1|) |w1|^p1 |w2|^p2 dV_D for radial profiles g_i of |w1|, as
+    """∫_D g_i(|w1|) |w1|^p1_i |w2|^p2_i dV_D for radial profiles g_i of |w1|, as
 
-        8 pi^2 mu^2 ∫_0^1 r1^(p1 + 2mu - 1) g_i(r1) G_(p2/2)(r1) dr1,
+        8 pi^2 mu^2 ∫_0^1 r1^(p1_i + 2mu - 1) g_i(r1) G_(p2_i/2)(r1) dr1,
 
     the fiber integral G_y of |w2|^p2 = e^(y u2) at s = 0 in closed form
     (_fiber), on nested tanh-sinh in r1 (_nested_r1), one integrand per
-    tolerance in ``rtol``, all on the same nodes.
+    tolerance in ``rtol``, all on the same nodes.  The exponents p1 and p2
+    are per integrand: floats or sequences that broadcast against ``rtol``.
+    Each level takes one _fiber call over the distinct p2/2.
 
     ``profile(r1)`` returns the sequence of the g_i, vectorized over numpy
     arrays.  The result is a list of QuadResult, each taken at the first
@@ -634,17 +643,19 @@ def radial_moment(profile: Callable, p1: float, p2: float, params: DomainParams,
     the first where its value was not finite (_nested_r1).
     """
     mu = params.mu
-    power = p1 + 2.0 * mu - 1.0
+    p1, p2, rtol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p1, p2, rtol)))
+    power = (p1 + 2.0 * mu - 1.0)[:, None]
+    ys, y_at = np.unique(0.5 * p2, return_inverse=True)
 
     def moments(log_r1, log_w, fibers):
         r1 = np.exp(log_r1)
         gs = [np.broadcast_to(g, r1.shape) for g in profile(r1)]
-        profiled = np.array(gs, dtype=float) * fibers
+        profiled = np.array(gs, dtype=float) * fibers[y_at]
         # r1^power w as one exp, as it can overflow at power -> -1; a
         # profiled fiber that underflowed to 0 adds 0 even there
         return np.where(profiled == 0.0, 0.0, np.exp(power * log_r1 + log_w) * profiled)
 
-    res = _nested_r1(_unit_r1, moments, mu, [0.5 * p2], 0.0, np.asarray(rtol, dtype=float))
+    res = _nested_r1(_unit_r1, moments, mu, ys, 0.0, rtol)
     return [quadrature.QuadResult(float(v), float(e), int(level), bool(ok))
             for v, e, level, ok in zip(res.value, res.err_estimate, res.level, res.converged)]
 

@@ -217,12 +217,20 @@ def suite_measure(rng) -> SuiteResult:
 
 def check_gram(res: SuiteResult, count: int, *, offdiag_tol: float, diag_tol: float) -> None:
     """The Gram matrix of the leading ``count`` normalized basis elements at
-    mu = 3 is the identity, for every degree p and s in {0, 0.2, 0.4, 0.49}."""
+    mu = 3 is the identity, for every degree p and s in {0, 0.2, 0.4, 0.49}.
+
+    Each s takes one gram_matrix call over the elements of all three degrees
+    (one table of moments), whose diagonal blocks are the degrees' tables;
+    the checks are recorded degree by degree, s by s."""
     params = DomainParams(3.0)
+    weights = (0.0, 0.2, 0.4, 0.49)
+    joint = {s: bergman.gram_matrix([i for p in (0, 1, 2)
+                                     for i in bergman.basis_indices(p, s, params, count)],
+                                    s, params) for s in weights}
     for p in (0, 1, 2):
-        for s in (0.0, 0.2, 0.4, 0.49):
-            idx = bergman.basis_indices(p, s, params, count)
-            G = bergman.gram_matrix(idx, s, params)
+        rows = slice(p * count, (p + 1) * count)  # basis_indices returns count elements
+        for s in weights:
+            G = joint[s][rows, rows]
             off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
             diag = float(np.max(np.abs(np.diag(G) - 1.0)))
             res.check(off <= offdiag_tol, f"p={p} s={s}: offdiag {off:.2e}")
@@ -236,18 +244,18 @@ def suite_bergman(rng) -> SuiteResult:
     check_gram(res, 25, offdiag_tol=1e-8, diag_tol=1e-6)
     params = DomainParams(3.0)
     ones = lambda r1: np.ones(np.shape(r1))
-    for j in range(-2, 4):
-        for k in (-2, 0, 3):
-            f = bergman.RadialTermFunction(
-                0, (bergman.RadialTerm(ones, j, k, bergman.Component.FUNCTION),)
-            )
-            out = bergman.project(f, params)
-            target = bergman.BasisIndex(j, k, 0, bergman.Component.FUNCTION)
-            c = out.coefficients.get(target, 0.0)
-            res.check(
-                len(out.coefficients) == 1 and abs(c - 1.0) <= 1e-10,
-                f"reproducing failure at ({j}, {k}): {c}",
-            )
+    # the 18 monomials as one function: each term selects its own element,
+    # so one projection reproduces all of them, in one radial pass
+    monomials = [(j, k) for j in range(-2, 4) for k in (-2, 0, 3)]
+    out = bergman.project(bergman.RadialTermFunction(0, tuple(
+        bergman.RadialTerm(ones, j, k, bergman.Component.FUNCTION) for j, k in monomials)), params)
+    for j, k in monomials:
+        target = bergman.BasisIndex(j, k, 0, bergman.Component.FUNCTION)
+        c = out.coefficients.get(target, 0.0)
+        res.check(
+            len(out.coefficients) == len(monomials) and abs(c - 1.0) <= 1e-10,
+            f"reproducing failure at ({j}, {k}): {c}",
+        )
     w = ModelPoint(0.5 + 0.1j, 1.02)
     u = ModelPoint(0.3 - 0.2j, 0.95 + 0.1j)
     K_wu = bergman.kernel_eval(w, u, params, (8, 8))

@@ -1,11 +1,12 @@
 """Basis norms, projection calculus, kernel, Gram identities."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bergsob import bergman, geometry, measure, quadrature, regularity
+from bergsob import bergman, geometry, measure, quadrature, regularity, suites
 from bergsob.bergman import (
     BasisIndex,
     Component,
@@ -303,6 +304,62 @@ class TestProjection:
         (num, _), = res.ratios.values()
         assert num == pytest.approx(joint[1].value, rel=1e-14)
 
+    def test_one_radial_pass_per_projection(self, monkeypatch):
+        # every term of a function, its exponents its own, is integrated in
+        # one pass in r1; each coefficient, and the level of each integral,
+        # is that of the term's own projection
+        decay = lambda r1: np.exp(-np.asarray(r1, dtype=float) ** -3.0)
+        bump = lambda r1: np.exp(-np.asarray(r1)) * np.asarray(r1) ** 1.5
+        terms = (RadialTerm(ones, 2, 1, Component.THETA2),
+                 RadialTerm(bump, 1, -2, Component.DW1),
+                 RadialTerm(decay, -3, 0, Component.THETA2),  # selects outside the space
+                 RadialTerm(bump, 0, 3, Component.THETA2),
+                 RadialTerm(lambda r1: 6.0 * ones(r1), 2, 0, Component.DW1))
+        passes, moments = [], []
+        nested, radial = measure._nested_r1, measure.radial_moment
+
+        def counting(*args):
+            passes.append(1)
+            return nested(*args)
+
+        def recording(*args, **kw):
+            moments.append(radial(*args, **kw))
+            return moments[-1]
+
+        monkeypatch.setattr(measure, "_nested_r1", counting)
+        monkeypatch.setattr(measure, "radial_moment", recording)
+        joint = project(RadialTermFunction(1, terms), P3)
+        assert len(passes) == 1 and len(joint.coefficients) == 4
+        assert joint.tail_report == "selected monomial (-3, 0) outside the Bergman space"
+        [batched] = moments
+        for term in terms:
+            moments.clear()
+            alone = project(RadialTermFunction(1, (term,)), P3)
+            [single] = moments
+            assert [(r.level, r.converged) for r in single] == [
+                (r.level, r.converged) for r in batched[:len(single)]]
+            for got, want in zip(batched, single):
+                assert got.value == pytest.approx(want.value, rel=1e-14)
+            del batched[:len(single)]
+            for idx, c in alone.coefficients.items():
+                assert joint.coefficients[idx] == pytest.approx(c, rel=1e-14)
+        assert batched == []
+
+    def test_first_non_integrable_term_named(self):
+        # with every term integrated in one pass, the error still names the
+        # first failing term in term order; a fiber past a double (|b| > 1024)
+        # fails its own term alone
+        good = RadialTerm(ones, 1, 0, Component.FUNCTION)
+        first = RadialTerm(ones, -4, 0, Component.FUNCTION, label="first pole")
+        second = RadialTerm(ones, -5, 1, Component.FUNCTION, label="second pole")
+        wide = RadialTerm(ones, 1, 1100, Component.FUNCTION, label="wide fiber")
+        for terms, name in [((good, first, second), "first pole"),
+                            ((good, second, first), "second pole"),
+                            ((good, wide, first), "wide fiber"),
+                            ((wide,), "wide fiber")]:
+            with pytest.raises(NonIntegrableTermError, match=name):
+                project(RadialTermFunction(0, terms), P3)
+
     def test_idempotence(self):
         f = RadialTermFunction(
             0,
@@ -427,6 +484,31 @@ class TestGram:
         G = gram_matrix(idx, 0.1, P3)
         assert G[0, 1] == 0.0 and G[0, 2] == 0.0
 
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.49])
+    def test_joint_degrees_are_their_own_tables(self, s):
+        # verify's Gram check makes one table per weight for p = 0, 1, 2:
+        # each diagonal block is that degree's own table, bit for bit, and
+        # every entry between two degrees is an exact zero
+        per_degree = [basis_indices(p, s, P3, 25) for p in (0, 1, 2)]
+        joint = gram_matrix([idx for block in per_degree for idx in block], s, P3)
+        assert joint.shape == (75, 75)
+        for a, block in enumerate(per_degree):
+            rows = slice(25 * a, 25 * (a + 1))
+            assert np.array_equal(joint[rows, rows], gram_matrix(block, s, P3))
+            others = np.delete(joint[rows], np.s_[25 * a:25 * (a + 1)], axis=1)
+            assert others.shape == (25, 50) and not others.any()
+
+    def test_angular_rule_past_256(self):
+        # a trapezoid rule of N nodes aliases cos(m phi) to 1 at m = N; 1300
+        # elements span 259 in j, past a 256-node rule
+        for m in (255, 256, 257, 512, 1000):
+            assert abs(bergman._angular_factor(m)) <= 1e-14
+        idx = basis_indices(0, 0.0, P3, 1300)
+        assert max(i.j for i in idx) - min(i.j for i in idx) >= 256
+        G = gram_matrix(idx, 0.0, P3)
+        assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-8
+        assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-6
+
     def test_inadmissible_index_rejected(self):
         with pytest.raises(DomainError):
             gram_matrix([BasisIndex(1, 0, 1, Component.DW1)], 0.4, P3)
@@ -439,3 +521,37 @@ class TestGram:
         level = settled_level(idx, 0.2, P3)
         assert np.max(np.abs(G - gram_loop(idx, 0.2, P3, level)[0])) <= 1e-14
         assert np.max(np.abs(G - gram_loop(idx, 0.2, P3, level + 1)[0])) <= 1e-10
+
+
+class TestBergmanSuite:
+    def test_one_table_per_weight_and_one_radial_pass(self, monkeypatch):
+        # 4 weights, one Gram table each for the three degrees, and the 18
+        # reproducing monomials as one projection: 5 passes in r1
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return function(*args, **kw)
+            return wrapper
+
+        for name in ("mesh_moments", "radial_moment", "_nested_r1"):
+            monkeypatch.setattr(measure, name, counting(name, getattr(measure, name)))
+        res = suites.suite_bergman(np.random.default_rng(1))
+        assert res.passed and res.checks == 44
+        assert calls == {"mesh_moments": 4, "radial_moment": 1, "_nested_r1": 5}
+
+    def test_gram_failures_replay_degree_by_degree(self):
+        # at negative tolerances every check fails, in the order and with the
+        # messages of one gram_matrix call per (p, s), degree by degree
+        res = suites.SuiteResult("bergman")
+        suites.check_gram(res, 9, offdiag_tol=-1.0, diag_tol=-1.0)
+        expected = []
+        for p in (0, 1, 2):
+            for s in (0.0, 0.2, 0.4, 0.49):
+                G = gram_matrix(basis_indices(p, s, P3, 9), s, P3)
+                off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
+                diag = float(np.max(np.abs(np.diag(G) - 1.0)))
+                expected += [f"p={p} s={s}: offdiag {off:.2e}",
+                             f"p={p} s={s}: diag dev {diag:.2e}"]
+        assert res.checks == 24 and res.failures == expected

@@ -474,6 +474,24 @@ class TestVerifyCommand:
         assert (in_full.checks, in_full.failures) == (alone.checks, alone.failures)
         assert alone.checks == _CHECKS[name]
 
+    def test_bergman_suite_fails_on_a_radial_moment_fault(self, monkeypatch):
+        # the 18 reproducing monomials are one projection, one radial_moment
+        # call: a 1e-8 relative fault in its values (100x the 1e-10 of the
+        # check) fails each of them, alone and in a full run alike
+        original = measure.radial_moment
+
+        def faulty(*args, **kw):
+            return [dataclasses.replace(r, value=r.value * (1.0 + 1e-8))
+                    for r in original(*args, **kw)]
+
+        monkeypatch.setattr(measure, "radial_moment", faulty)
+        (alone,) = suites.run_suites(3, ["bergman"])
+        reproducing = [f for f in alone.failures if f.startswith("reproducing failure at ")]
+        assert len(reproducing) == 18 and len(alone.failures) == 18, alone.failures
+        (in_full,) = [r for r in suites.run_suites(3) if r.name == "bergman"]
+        assert (in_full.checks, in_full.failures) == (alone.checks, alone.failures)
+        assert alone.checks == _CHECKS["bergman"]
+
 
 class TestSharpnessCommand:
     def test_table(self, capsys):

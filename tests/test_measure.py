@@ -717,6 +717,40 @@ class TestRadialMoment:
             assert (got.level, got.converged) == (alone.level, True)
             assert got.value == pytest.approx(alone.value, rel=1e-14)
 
+    def test_per_integrand_exponents(self, monkeypatch):
+        # exponents per integrand, broadcast against rtol: each result is
+        # that of its own call, and each level is one _fiber call over the
+        # distinct p2/2
+        params = DomainParams(3.0)
+        cases = [(_smooth, 2.0, -2.0, 1e-10), (_peak, 2.0, 3.0, 1e-4), (_smooth, -1.5, 3.0, 1e-12),
+                 (_smooth, 2.0, -2.0, 1e-12)]
+        alone = [measure.radial_moment(lambda r1, g=g: (g(r1),), p1, p2, params, rtol=[rtol])[0]
+                 for g, p1, p2, rtol in cases]
+        ys, fiber = [], measure._fiber
+
+        def recording(log_r1, mu, y, s):
+            ys.append(list(y))
+            return fiber(log_r1, mu, y, s)
+
+        monkeypatch.setattr(measure, "_fiber", recording)
+        joint = measure.radial_moment(lambda r1: [g(r1) for g, *_ in cases],
+                                      [c[1] for c in cases], [c[2] for c in cases], params,
+                                      rtol=[c[3] for c in cases])
+        assert ys and all(y == [-1.0, 1.5] for y in ys)
+        assert len(ys) == max(r.level for r in joint) - 3
+        for got, want in zip(joint, alone):
+            assert (got.level, got.converged) == (want.level, True)
+            assert got.value == pytest.approx(want.value, rel=1e-14)
+
+    def test_fiber_past_a_double_is_infinite_alone(self):
+        # a row whose series peaks past _FIBER_REACH is infinite; the other
+        # rows are the bits of their own call
+        log_r1 = measure._unit_r1(5, False)[0]
+        mixed = measure._fiber(log_r1, 3.0, [0.5, 1100.0, -2.0], 0.0)
+        assert np.isinf(mixed[1]).all()
+        assert np.array_equal(mixed[[0, 2]], measure._fiber(log_r1, 3.0, [0.5, -2.0], 0.0))
+        assert np.isinf(measure._fiber(log_r1, 3.0, [1100.0], 0.0)).all()
+
     def test_overflowing_integrand_closes_alone(self):
         # an integrand whose total is not finite closes as (inf, inf),
         # unconverged, at the first level, and the finite one beside it
