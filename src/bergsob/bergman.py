@@ -298,7 +298,7 @@ def kernel_eval(
     w: ModelPoint,
     u: ModelPoint,
     params: DomainParams,
-    truncation: tuple[int, int] = (20, 20),
+    truncation: tuple[int, int],
 ) -> KernelValue:
     """Truncated Bergman kernel of the function space at s = 0:
 

@@ -173,7 +173,7 @@ def _product_error(a: float, b: float, ab: float) -> float:
     return (na * nb * dab - nab * da * db) / (da * db * dab)
 
 
-def _exponents(x, s, mu: float, sign=1.0):
+def _exponents(x, s, mu: float, sign=1.0, *, finite=True):
     """The alpha and beta exponents 2x/mu + 2 - 2w and 2x/mu + 3 - 4w at
     the weight w = sign s, elementwise over x, s (a float or an array) and
     sign in {1, -1, 0}, which broadcast (a leading axis of signs stacks
@@ -186,6 +186,11 @@ def _exponents(x, s, mu: float, sign=1.0):
     working precision, so it keeps full relative accuracy up to the
     boundary.  Near the boundary both TwoSums are exact (Sterbenz's lemma),
     so the sum is rounded only once.
+
+    Raises DomainError where x + mu - mu w overflows a double and, if
+    ``finite``, where an exponent does: the closed form and the oracles of
+    the moment need finite exponents, while a truncated moment takes an
+    infinite rate as an integrand that vanishes.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         mu_s = mu * s
@@ -197,10 +202,14 @@ def _exponents(x, s, mu: float, sign=1.0):
         head, err_mu = _two_sum(x, mu)
         head, err_s = _two_sum(head, -sign * mu_s)
         gap = head + ((err_mu + err_s) - sign * mu_s_lo)
+        alpha_x = 2.0 * gap / mu
+        beta_x = alpha_x + (1.0 - 2.0 * s * sign)
     if not np.isfinite(gap).all():
         raise DomainError(f"x + mu - mu s overflows a double at mu = {mu}, s = {s}")
-    alpha_x = 2.0 * gap / mu
-    return alpha_x, alpha_x + (1.0 - 2.0 * s * sign)
+    if finite and not (np.isfinite(alpha_x).all() and np.isfinite(beta_x).all()):
+        raise DomainError(f"the moment's exponents 2x/mu + 2 - 2s and 2x/mu + 3 - 4s overflow "
+                          f"a double at mu = {mu}, s = {s}")
+    return alpha_x, beta_x
 
 
 def lambda_closed(m: MomentArgs) -> MomentValue:
@@ -327,7 +336,7 @@ def lambda_truncated(m: MomentArgs, eps: float) -> float:
     return _finite_or_raise(total, m)
 
 
-def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) -> float:
+def lambda_truncated_oracle(m: MomentArgs, eps: float) -> float:
     """lambda_truncated by the independent (u1, u2) route, the oracle of
     the (r1, u2) shells; off every hot path.
 
@@ -340,19 +349,20 @@ def lambda_truncated_oracle(m: MomentArgs, eps: float, *, rtol: float = 1e-9) ->
     """
     _check_truncation(m, eps)
     mu, s = m.params.mu, m.s
-    X, Y = _exponents(m.x, s, mu)
+    X, Y = _exponents(m.x, s, mu, finite=False)
     log_emu = mu * math.log(eps)
     emu = math.exp(log_emu)
     C = _half_width(log_emu)
 
-    def outer(u2, da, db):
+    def outer(rows, da, db):
+        u2 = -C + da
         gap = 2.0 * np.sin(0.5 * da) * np.sin(0.5 * db)
         cos_u2 = emu + gap
         inner = special.alpha_tail(X, 1.0 - 2.0 * s, emu / cos_u2, gap / cos_u2)
         return cos_u2 ** (Y - 1.0) * np.exp(m.y * u2) * inner
 
-    res = quadrature.quad(outer, -C, C, rtol=rtol, max_level=9)
-    return _finite_or_raise(8.0 * math.pi**2 * mu * res.value, m)
+    res = quadrature.integrate(outer, -C, C, rtol=_ORACLE_RTOL, max_level=9)
+    return float(_finite_or_raise(8.0 * math.pi**2 * mu * res.value, m))
 
 
 def _check_truncation(m: MomentArgs, eps: float) -> None:
@@ -371,9 +381,10 @@ def _finite_or_raise(value, m: MomentArgs):
 
 
 # lambda_truncated splits off its tanh-sinh piece at 2^-_TOP_LEVEL, which
-# settles to _TRUNCATED_RTOL.
+# settles to _TRUNCATED_RTOL; its oracle's u2 integral settles to _ORACLE_RTOL.
 _TOP_LEVEL = 4
 _TRUNCATED_RTOL = 1e-9
+_ORACLE_RTOL = 1e-12
 
 # The rules in r1 are nested tanh-sinh over _LEVELS (the first one checked
 # against nothing); a Gram table settles to _MESH_RTOL.  The closed-form
@@ -469,11 +480,11 @@ def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadR
     """8 pi^2 mu^2 times the sums of the node values moments(log r1, log w,
     _fiber(log r1, mu, ys, s)) on the nested tanh-sinh rule(level, fresh) ->
     (log r1, log w) over _LEVELS, each level adding its fresh nodes to half the
-    sum of the last, as a QuadResult of arrays.  By the rule of quadrature.integrate
-    each element stops at its first level that moves it by at most max(1e-300,
-    rtol |total|), rtol broadcast, or as (inf, inf), unconverged, at a total that
-    is not finite; the first level, checked against nothing, and the next share
-    one _fiber call.
+    sum of the last, as a QuadResult of arrays.  By quadrature.unsettled, the
+    settle test of quadrature.integrate, each element stops at its first level
+    that moves it by at most max(1e-300, rtol |total|), rtol broadcast, or as
+    (inf, inf), unconverged, at a total that is not finite; the first level,
+    checked against nothing, and the next share one _fiber call.
     """
     lo, hi = _LEVELS
     (r_lo, w_lo), (r_new, w_new) = rule(lo, False), rule(lo + 1, True)
@@ -484,7 +495,7 @@ def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadR
         value, err = scale * total, np.full(total.shape, math.inf)
         level, open_ = np.full(total.shape, lo), np.ones(total.shape, dtype=bool)
         for next_level in range(lo + 1, hi + 2):
-            open_ &= err > np.maximum(1e-300, rtol * np.abs(value))
+            open_ &= quadrature.unsettled(value, err, rtol)
             if next_level > hi or not open_.any():
                 break
             if next_level == lo + 1:
@@ -505,7 +516,7 @@ def _shell_rule(m: MomentArgs, log_cuts: np.ndarray):
     rule on panels of log r1 (_PANEL_RATE) of each shell (cuts[i+1], cuts[i]),
     as (shells, panels, nodes) arrays; at least two cuts, cuts[i+1] >= cuts[i] / 2."""
     mu = m.params.mu
-    X, _ = _exponents(m.x, m.s, mu)
+    X, _ = _exponents(m.x, m.s, mu, finite=False)
     rate = mu * X
     # log G changes with log r1 at about mu r1^mu (|y| + 1) / sin c, largest at the top
     p_top = math.exp(mu * log_cuts[0])
@@ -538,7 +549,7 @@ def _top_piece(m: MomentArgs, cut: float) -> float:
         log_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
         return log_r1, log_w + math.log(span) + log_r1
 
-    X, _ = _exponents(m.x, m.s, mu)
+    X, _ = _exponents(m.x, m.s, mu, finite=False)
     res = _nested_r1(top, partial(_truncated_terms, mu * X), mu, [m.y], m.s, _TRUNCATED_RTOL)
     _finite_or_raise(res.value, m)
     if not res.converged.all():

@@ -2,10 +2,10 @@
 
 Nodes cluster doubly-exponentially at the endpoints, so integrands with
 integrable algebraic endpoint singularities (t^(a-1), (1-t)^(b-1), ...)
-converge at nearly the rate of analytic integrands.  Integrands receive,
-besides the node position, its distance to each endpoint computed in a
-cancellation-free form, so singular factors keep full relative accuracy
-arbitrarily close to the corners.
+converge at nearly the rate of analytic integrands.  Integrands receive
+each node's distance to each endpoint, computed in a cancellation-free
+form, so singular factors keep full relative accuracy arbitrarily close
+to the corners.
 
 The rules nest (Takahasi and Mori 1974): the nodes of level L at even
 k, where t = k 2^-L, are exactly the nodes of level L - 1, with half the
@@ -14,12 +14,14 @@ subnormal step).  ``integrate`` therefore evaluates the integrand only
 at the odd-k nodes of each refinement and reuses the previous level's
 sum, so a run to level L costs one evaluation per node of level L.
 
-``integrate`` takes a stack of integrands as readily as one: with array
-endpoints it runs one level loop over all rows, each row settles at its
-own first level that meets the tolerance, and only the rows still open
-are evaluated at the next level.  Each row is summed on its own, so its
-value, error estimate and level are those of the one-row call, bit for
-bit.
+``integrate`` integrates a stack of integrands, one row per element of
+its endpoints (scalar endpoints are a one-row stack), in one level loop:
+each row settles at its own first level that meets the tolerance, and
+only the rows still open are evaluated at the next level.  Each row is
+summed on its own, so its value, error estimate and level are those of
+its one-row call, bit for bit.  A row that does not settle raises
+``QuadratureError``; ``unsettled`` is the one settle test, which the
+nested rules of ``measure`` share.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "nodes",
     "new_nodes",
     "integrate",
-    "quad",
+    "unsettled",
 ]
 
 # |t| past this point the transformed weights / endpoint offsets underflow;
@@ -107,11 +109,14 @@ def new_nodes(level: int):
 
 
 def _prepare(a, b):
-    """The widths b - a, broadcast; ValueError names the first bad interval."""
-    span = np.subtract(b, a, dtype=float)
-    if not ((span > 0.0) & (span < math.inf)).all():  # also false for a non-finite end
+    """The widths b - a, broadcast; ValueError names the first row whose
+    width is not finite and positive (as for a non-finite end)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.subtract(b, a, dtype=float)
+    bad = ~((span > 0.0) & (span < math.inf))
+    if bad.any():
         lo, hi = _flat(a, b)
-        i = int(np.argmax(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))))
+        i = int(bad.ravel().argmax())
         raise ValueError(f"invalid interval ({lo[i]}, {hi[i]})")
     return span
 
@@ -121,9 +126,10 @@ def _flat(*arrays):
     return [arr.ravel() for arr in np.broadcast_arrays(*arrays)]
 
 
-def _open(value, err, rtol: float) -> np.ndarray:
-    """Where the last two levels differ by more than max(1e-300, rtol*|I|);
-    false at an infinite or nan I, which closes its row unconverged."""
+def unsettled(value, err, rtol) -> np.ndarray:
+    """Where the last two levels differ by more than max(1e-300, rtol*|I|),
+    rtol broadcast; false at an infinite or nan I, which closes its row
+    unconverged."""
     return err > np.maximum(rtol * np.abs(value), 1e-300)
 
 
@@ -135,29 +141,24 @@ def integrate(
     rtol: float = _RTOL,
     max_level: int = _MAX_LEVEL,
 ) -> QuadResult:
-    """Adaptively integrate ``f`` over (a, b), or a stack of integrands,
-    one per element of a and b broadcast together.
+    """Adaptively integrate a stack of integrands, one row per element of
+    a and b broadcast together, row i over (a[i], b[i]).
 
-    ``f(x, da, db)`` must accept numpy arrays; ``da = x - a`` and
-    ``db = b - x`` are supplied separately for endpoint-singular factors.
-    From level _MIN_LEVEL on, the level is refined (h halved) until two
-    successive evaluations agree to ``max(1e-300, rtol*|I|)``; the
-    difference is reported as the error estimate.  Each refinement
-    evaluates ``f`` only at the new (odd-k) nodes and adds their sum to
-    half the previous level's sum.  The returned result carries
-    ``converged=False`` instead of raising, so callers can use
-    non-convergence as a divergence signal.
+    ``f(rows, da, db)`` receives the flat indices of the open rows as an
+    (open, 1) column and the distances da = x - a[rows] and db = b[rows] - x
+    of shape (open, nodes), which endpoint-singular factors use directly.
+    From level _MIN_LEVEL on, a row's level is refined (h halved) until two
+    successive evaluations agree to ``max(1e-300, rtol*|I|)`` (``unsettled``);
+    the difference is reported as its error estimate.  Each refinement
+    evaluates ``f`` only at the new (odd-k) nodes of the open rows and adds
+    their sum to half the previous level's sum.
 
-    A stack settles row by row: a row stops at its first level that meets
-    ``rtol``, or as (inf, inf) at a non-finite sum, and only open rows are
-    evaluated again.  ``f`` receives the flat indices of those rows as an
-    (open, 1) column in place of x (x = a[rows] + da), and da, db of shape
-    (open, nodes).  The result holds value and error arrays of the
-    broadcast shape, the last level evaluated, and ``converged`` when all
-    rows converged.  A scalar (a, b) is the one-row case, with 1-d arrays.
+    Returns value and error arrays of the broadcast shape (0-d for scalar
+    endpoints) and the last level evaluated.  Raises QuadratureError,
+    naming the first row that did not settle by ``max_level`` or whose sum
+    is not finite.
     """
     span = _prepare(a, b)
-    stacked = span.ndim > 0
     widths = span.reshape(-1)
     value, err = np.empty(widths.size), np.empty(widths.size)
     value.fill(math.nan)
@@ -168,12 +169,8 @@ def integrate(
         for level in range(_MIN_LEVEL, max_level + 1):
             p_lo, p_hi, w = nodes(level) if level == _MIN_LEVEL else new_nodes(level)
             width = widths[rows]
-            if stacked:
-                da, db = width[:, None] * p_lo, width[:, None] * p_hi
-                vals = f(rows[:, None], da, db)
-            else:
-                da, db = width * p_lo, width * p_hi
-                vals = f(a + da, da, db)
+            da, db = width[:, None] * p_lo, width[:, None] * p_hi
+            vals = f(rows[:, None], da, db)
             # each row's own sum (einsum, not a BLAS product, whose row sums
             # change with the stack around them), the same in a stack of any size
             total = np.einsum("...j,j->...", np.asarray(vals, dtype=float), w) * width
@@ -183,26 +180,15 @@ def integrate(
                 total += 0.5 * prev
                 err[rows] = diff = np.abs(total - prev)
             value[rows] = total
-            rows = rows[_open(total, diff, rtol)]
+            rows = rows[unsettled(total, diff, rtol)]
             if not rows.size:
                 break
-    converged = np.isfinite(value)
-    value[~converged] = err[~converged] = math.inf
-    converged[rows] = False
-    if not stacked:
-        return QuadResult(float(value[0]), float(err[0]), level, bool(converged[0]))
-    return QuadResult(value.reshape(span.shape), err.reshape(span.shape), level,
-                      bool(converged.all()))
-
-
-def quad(f: Callable, a, b, **kw) -> QuadResult:
-    """Like :func:`integrate` but raises QuadratureError unless every row
-    converged, naming the first row that did not."""
-    res = integrate(f, a, b, **kw)
-    if not res.converged:
+    failed = ~np.isfinite(value)
+    value[failed] = err[failed] = math.inf
+    failed[rows] = True
+    if failed.any():
+        i = int(failed.argmax())
         lo, hi = _flat(a, b)
-        value, err = np.ravel(res.value), np.ravel(res.err_estimate)
-        i = int(np.argmax(~np.isfinite(value) | _open(value, err, kw.get("rtol", _RTOL))))
         raise QuadratureError(f"no convergence on ({lo[i]}, {hi[i]}): "
                               f"value={float(value[i])!r}, err={float(err[i])!r}")
-    return res
+    return QuadResult(value.reshape(span.shape), err.reshape(span.shape), level, True)

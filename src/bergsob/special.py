@@ -193,12 +193,10 @@ def _by_branch(x, y, weak, direct, half, mirror):
     shape = x.shape
     x, y = x.ravel(), y.ravel()
     weak = weak(x, y)
-    if not weak.any():  # one branch, nothing to scatter (as for most scalar calls)
-        value, err = direct(x, y)
-    else:
-        value, err = np.empty(x.size), np.empty(x.size)
-        if not weak.all():
-            value[~weak], err[~weak] = direct(x[~weak], y[~weak])
+    value, err = np.empty(x.size), np.empty(x.size)
+    if not weak.all():
+        value[~weak], err[~weak] = direct(x[~weak], y[~weak])
+    if weak.any():
         k = np.count_nonzero(weak)
         x2, y2 = mirror(x[weak], y[weak])
         v, e = half(np.concatenate([x[weak], x2]), np.concatenate([y[weak], y2]))
@@ -225,7 +223,7 @@ def _alpha_lower_half(x: np.ndarray, y: np.ndarray, tol: float):
         u = u_lo[rows] + da
         return np.exp(u * x[rows]) * (1.0 - np.exp(u)) ** y_1[rows]
 
-    res = quadrature.quad(f, u_lo, -math.log(2.0), rtol=tol)
+    res = quadrature.integrate(f, u_lo, -math.log(2.0), rtol=tol)
     return res.value, res.err_estimate
 
 
@@ -279,7 +277,7 @@ def alpha_quadrature(x, y, tol: float = 1e-12):
         def f(rows, da, db):
             return da ** x_1[rows] * db ** y_1[rows]
 
-        res = quadrature.quad(f, np.zeros(x.shape), 1.0, rtol=tol)
+        res = quadrature.integrate(f, np.zeros(x.shape), 1.0, rtol=tol)
         return res.value, res.err_estimate
 
     return _by_branch(x, y, lambda x, y: np.minimum(x, y) < 0.5, direct,
@@ -317,7 +315,7 @@ def _beta_half(x: np.ndarray, y: np.ndarray, tol: float):
         sinc = np.sinc(0.5 * np.exp(e))  # sin(d)/d, smooth in [2/π, 1], exact 1 at 0
         return np.exp(x_1[rows] * np.log(sinc) - half_pi_y[rows] * np.expm1(e))
 
-    res = quadrature.quad(f, np.zeros(x.shape), 1.0, rtol=tol)
+    res = quadrature.integrate(f, np.zeros(x.shape), 1.0, rtol=tol)
     scale = _pow(_HALF_PI, x) / x
     return scale * res.value, scale * res.err_estimate
 
@@ -338,7 +336,7 @@ def beta_quadrature(x, y, tol: float = 1e-12):
             t = -_HALF_PI + da
             return np.sin(np.minimum(da, db)) ** x_1[rows] * np.exp(y[rows] * t)
 
-        res = quadrature.quad(f, np.full(x.shape, -_HALF_PI), _HALF_PI, rtol=tol)
+        res = quadrature.integrate(f, np.full(x.shape, -_HALF_PI), _HALF_PI, rtol=tol)
         return res.value, res.err_estimate
 
     return _by_branch(x, y, lambda x, y: x < 0.5, direct,

@@ -14,10 +14,8 @@ from bergsob import cli, measure
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergsob"
 
 KNOBS = {
-    "bergman.kernel_eval(truncation)",
     "cli.main(argv)",
     "geometry.inverse_map(k)",
-    "measure.lambda_truncated_oracle(rtol)",
     "quadrature.integrate(max_level)",
     "quadrature.integrate(rtol)",
     "regularity.continuity_certificate(lattice)",
@@ -57,7 +55,7 @@ def _knobs() -> set[str]:
 
 def test_knobs_pinned():
     assert _knobs() == KNOBS
-    assert len(KNOBS) == 14
+    assert len(KNOBS) == 12
 
 
 # each subcommand's option strings, besides --help
@@ -97,7 +95,7 @@ EXPORTS = {
                 "integrability_margin", "is_integrable", "lambda_closed", "lambda_closed_array",
                 "lambda_quadrature", "lambda_ratio_bound", "lambda_ratio_family", "lambda_truncated",
                 "lambda_truncated_oracle", "truncation_growth_fit", "radial_moment"},
-    "quadrature": {"QuadratureError", "QuadResult", "nodes", "new_nodes", "integrate", "quad"},
+    "quadrature": {"QuadratureError", "QuadResult", "nodes", "new_nodes", "integrate", "unsettled"},
     "regularity": {"ThresholdReport", "ContinuityCertificate", "DivergenceWitness", "threshold",
                    "mu_for_threshold", "sharpness_checks", "continuity_certificate",
                    "divergence_witness", "smooth_counterexample", "witness_index"},
@@ -214,8 +212,8 @@ def _callers(is_target) -> set[str]:
 
 
 def _is_adaptive(func) -> bool:
-    """quadrature.integrate or quadrature.quad."""
-    return (isinstance(func, ast.Attribute) and func.attr in {"integrate", "quad"}
+    """quadrature.integrate."""
+    return (isinstance(func, ast.Attribute) and func.attr == "integrate"
             and isinstance(func.value, ast.Name) and func.value.id == "quadrature")
 
 

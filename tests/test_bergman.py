@@ -433,7 +433,7 @@ class TestKernel:
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            kernel_eval(self.W, ModelPoint(0.5, math.e), P3)
+            kernel_eval(self.W, ModelPoint(0.5, math.e), P3, (8, 8))
 
 
 class TestGram:

@@ -104,7 +104,50 @@ class TestThresholdCommand:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+# the exact stdout of `lambda` for a moment on the oracles' direct branch
+# and one whose alpha exponent (1e-3) takes the weak branch's two halves
+_LAMBDA_STDOUT = {
+    ("--x", "0.3", "--y", "1.5", "--s", "0.2"): (
+        '{\n'
+        '  "closed": 448.44656279963283,\n'
+        '  "command": "lambda",\n'
+        '  "integrable": true,\n'
+        '  "mu": 2.0,\n'
+        '  "quadrature": 448.44656279962953,\n'
+        '  "quadrature_err_estimate": 9.242022334146226e-14,\n'
+        '  "rel_difference": 7.351864341080784e-15,\n'
+        '  "s": 0.2,\n'
+        '  "schema_version": 1,\n'
+        '  "verdict": "finite",\n'
+        '  "x": 0.3,\n'
+        '  "y": 1.5\n'
+        '}\n'
+    ),
+    ("--x=-1.999", "--y", "0", "--s", "0"): (
+        '{\n'
+        '  "closed": 495756.87914455915,\n'
+        '  "command": "lambda",\n'
+        '  "integrable": true,\n'
+        '  "mu": 2.0,\n'
+        '  "quadrature": 495756.8791445632,\n'
+        '  "quadrature_err_estimate": 2.2582940796599551e-10,\n'
+        '  "rel_difference": 8.218819416027938e-15,\n'
+        '  "s": 0.0,\n'
+        '  "schema_version": 1,\n'
+        '  "verdict": "finite",\n'
+        '  "x": -1.999,\n'
+        '  "y": 0.0\n'
+        '}\n'
+    ),
+}
+
+
 class TestLambdaCommand:
+    @pytest.mark.parametrize("args", list(_LAMBDA_STDOUT), ids=["direct", "weak"])
+    def test_stdout_pinned(self, args, capsys):
+        assert run_cli(["lambda", "--mu", "2", *args]) == 0
+        assert capsys.readouterr().out == _LAMBDA_STDOUT[args]
+
     def test_finite_moment(self, capsys):
         assert run_cli(
             ["lambda", "--mu", "2", "--x", "0", "--y", "0", "--s", "0"]
@@ -157,8 +200,9 @@ class TestLambdaCommand:
         assert payload["rel_difference"] <= 1e-10
 
     def test_uncertified_quadrature_exits_2(self, monkeypatch, capsys):
-        unconverged = lambda f, a, b, **kw: quadrature.QuadResult(1.0, 1.0, 11, False)
-        monkeypatch.setattr(quadrature, "integrate", unconverged)
+        # a settle test that never passes: the oracles' rows stay open to the last level
+        never = lambda value, err, rtol: np.ones(np.shape(value), dtype=bool)
+        monkeypatch.setattr(quadrature, "unsettled", never)
         assert run_cli(["lambda", "--mu", "2", "--x", "0", "--y", "0", "--s", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -175,6 +219,14 @@ class TestLambdaCommand:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_overflowing_exponent_exits_2(self, capsys):
+        # x + mu is finite, the exponent 2(x + mu)/mu is not: refused by name
+        assert run_cli(["lambda", "--mu", "2", "--x", "1e308", "--y", "0", "--s", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the moment's exponents ")
         assert len(captured.err.splitlines()) == 1
 
     def test_overflowing_moment_exits_2(self, capsys):
