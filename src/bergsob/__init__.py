@@ -7,7 +7,7 @@ projection at form degrees 0, 1, 2.
 
 from .errors import DomainError, NonIntegrableTermError
 from .geometry import CoverPoint, DomainParams, FrameAt, ModelPoint
-from .measure import GrowthFit, MomentArgs, MomentValue
+from .measure import GrowthFit, MomentArgs
 from .bergman import BasisIndex, Component, RadialTerm, RadialTermFunction
 from .regularity import (
     ContinuityCertificate,
@@ -30,7 +30,6 @@ __all__ = [
     "CoverPoint",
     "FrameAt",
     "MomentArgs",
-    "MomentValue",
     "GrowthFit",
     "BasisIndex",
     "Component",

@@ -36,7 +36,9 @@ import numpy as np
 
 from . import measure
 from .errors import DomainError, NonIntegrableTermError
-from .geometry import DomainParams, ModelPoint, contains
+# contains is not used here: perfbench/selftest.py checks that its tracer
+# rebinds this from-import site
+from .geometry import DomainParams, contains  # noqa: F401
 
 __all__ = [
     "Component",
@@ -45,12 +47,10 @@ __all__ = [
     "RadialTerm",
     "RadialTermFunction",
     "ProjectionResult",
-    "KernelValue",
     "basis_norm_sq",
     "membership_min_j",
     "basis_indices",
     "project",
-    "kernel_eval",
     "gram_matrix",
 ]
 
@@ -89,21 +89,28 @@ class BasisIndex:
         return float(self.j)
 
     def admissible(self, s: float, params: DomainParams) -> bool:
-        """Membership in the weight-s Bergman space, j > s mu (dw1) resp.
-        j > (s-1) mu: the integrability of the squared norm, decided by
-        measure.integrability_margin as the thresholds are."""
+        """Membership in the weight-s Bergman space, s < 1/2 and j > s mu
+        (dw1) resp. j > (s-1) mu: the integrability of the squared norm,
+        decided by measure.is_integrable as the moments are."""
         return _admissible(self.moment_x(params), s, params)
 
 
 def _admissible(x: float, s: float, params: DomainParams) -> bool:
-    return bool(measure.integrability_margin(measure.MomentArgs(x, 0.0, s, params)) > 0.0)
+    return bool(measure.is_integrable(measure.MomentArgs(x, 0.0, s, params)))
+
+
+def _check_weight(s: float) -> None:
+    if not 0.0 <= s < 0.5:
+        raise DomainError(f"need 0 <= s < 1/2, got {s}")
 
 
 def membership_min_j(component: Component, s: float, params: DomainParams) -> int:
-    """Smallest integer j admissible for the component at weight s.  The
+    """Smallest integer j admissible for the component at weight s in
+    [0, 1/2), else DomainError (no j is admissible at s >= 1/2).  The
     rounded bound s mu (dw1) resp. (s-1) mu can land on the other side of
     an integer than the margin does, so floor(bound) + 1 is stepped until
     BasisIndex.admissible agrees."""
+    _check_weight(s)
     dw1 = component is Component.DW1
     shift = params.mu if dw1 else 0.0
     j = math.floor((s if dw1 else s - 1.0) * params.mu) + 1
@@ -114,34 +121,25 @@ def membership_min_j(component: Component, s: float, params: DomainParams) -> in
     return j
 
 
-def basis_norm_sq(idx: BasisIndex, s: float, params: DomainParams) -> measure.MomentValue:
-    """Squared norm of the basis monomial at weight s: lam(j, k, s) for
-    function/theta2 elements, lam(j - mu, k, s) for dw1 elements.
-    Divergent exactly when the membership predicate fails (the moment
-    integrability condition coincides with membership)."""
-    if not 0.0 <= s < 0.5:
-        raise DomainError(f"need 0 <= s < 1/2, got {s}")
-    if not idx.admissible(s, params):
-        return measure.MomentValue.divergent(measure.X_CLAUSE)
-    return measure.lambda_closed(
-        measure.MomentArgs(idx.moment_x(params), float(idx.k), s, params)
-    )
-
-
-def _norms_sq(indices: list[BasisIndex], s: float, params: DomainParams) -> np.ndarray:
-    """basis_norm_sq of admissible indices in one array call; raises
-    DomainError for an index whose norm diverges."""
+def basis_norm_sq(indices: list[BasisIndex], s: float, params: DomainParams) -> np.ndarray:
+    """Squared norms of the basis monomials at weight s in one array call:
+    lam(j, k, s) for function/theta2 elements, lam(j - mu, k, s) for dw1
+    elements.  A norm diverges exactly when BasisIndex.admissible fails;
+    measure.lambda_closed then raises DomainError naming its moment."""
     x = np.array([idx.moment_x(params) for idx in indices])
-    return measure.lambda_closed_array(x, np.array([float(idx.k) for idx in indices]), s, params)
+    k = np.array([float(idx.k) for idx in indices])
+    return measure.lambda_closed(measure.MomentArgs(x, k, s, params))
 
 
 def basis_indices(p: int, s: float, params: DomainParams, count: int) -> list[BasisIndex]:
-    """The leading ``count`` basis elements at weight s, enumerated per
-    family of FAMILIES[p] by increasing j then k in [-2, 2].  The families
-    share count in order, the earlier ones taking the remainder: for p = 1
-    the theta2 family contributes the extra element when count is odd."""
+    """The leading ``count`` basis elements at weight s in [0, 1/2),
+    enumerated per family of FAMILIES[p] by increasing j then k in [-2, 2].
+    The families share count in order, the earlier ones taking the
+    remainder: for p = 1 the theta2 family contributes the extra element
+    when count is odd."""
     if p not in FAMILIES:
         raise DomainError(f"form degree must be 0, 1 or 2, got {p}")
+    _check_weight(s)
     families = FAMILIES[p]
     out: list[BasisIndex] = []
     for i, comp in enumerate(families):
@@ -267,7 +265,7 @@ def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
         numerators[idx] = numerators.get(idx, 0.0) + num.value
     coefficients: dict[BasisIndex, complex] = {}
     ratios: dict[BasisIndex, tuple[float, float]] = {}
-    dens = _norms_sq(list(numerators), 0.0, params)
+    dens = basis_norm_sq(list(numerators), 0.0, params)
     for (idx, num), den in zip(numerators.items(), dens.tolist()):
         coefficients[idx] = complex(num / den)
         ratios[idx] = (num, den)
@@ -279,51 +277,6 @@ def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
         "selection rule is exact for radial-term inputs; no truncation tail"
     )
     return ProjectionResult(f.p, coefficients, ratios, report)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    value: complex
-    tail_estimate: float
-
-
-def _monomials(point: ModelPoint, j: np.ndarray, k: np.ndarray):
-    """Real and imaginary parts of w1^j w2^k on the (j, k) lattice."""
-    a = np.array([point.w1 ** int(v) for v in j], dtype=complex)[:, None]
-    b = np.array([point.w2 ** int(v) for v in k], dtype=complex)[None, :]
-    return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
-
-
-def kernel_eval(
-    w: ModelPoint,
-    u: ModelPoint,
-    params: DomainParams,
-    truncation: tuple[int, int],
-) -> KernelValue:
-    """Truncated Bergman kernel of the function space at s = 0:
-
-        K(w, u) = sum over admissible (j, k), |j| <= Jmax, |k| <= Kmax of
-                  w1^j w2^k conj(u1^j u2^k) / lam(j, k, 0),
-
-    in one pass over the (j, k) lattice.  The products are formed in real
-    arithmetic, as separate multiplies and adds: swapping w and u then
-    negates each imaginary term exactly, so Hermitian symmetry is exact in
-    floating point and the diagonal is exactly real (a fused multiply-add,
-    as in numpy's complex multiply, would break both).  The tail estimate
-    is the summed magnitude of the outermost included shell."""
-    if not (contains(params, w) and contains(params, u)):
-        raise DomainError("kernel points must lie inside the model domain")
-    jmax, kmax = truncation
-    jmin = max(-jmax, membership_min_j(Component.FUNCTION, 0.0, params))
-    j = np.arange(jmin, jmax + 1)
-    k = np.arange(-kmax, kmax + 1)
-    lam = measure.lambda_closed_array(j[:, None].astype(float), k.astype(float), 0.0, params)
-    wr, wi = _monomials(w, j, k)
-    ur, ui = _monomials(u, j, k)
-    re = (wr * ur + wi * ui) / lam
-    im = (wi * ur - wr * ui) / lam
-    shell = (j[:, None] == jmax) | (np.abs(k) == kmax)
-    return KernelValue(complex(re.sum(), im.sum()), float(np.hypot(re, im)[shell].sum()))
 
 
 @lru_cache(maxsize=None)
@@ -358,8 +311,7 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
     distinct e1 and every e2 to 1e-10 relative, each entry settled at its
     own level, or raises QuadratureError.
     """
-    if not 0.0 <= s < 0.5:
-        raise DomainError(f"need 0 <= s < 1/2, got {s}")
+    _check_weight(s)
     for idx in indices:
         if not idx.admissible(s, params):
             raise DomainError(f"index {idx} is not admissible at weight s = {s}")
@@ -378,7 +330,7 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
 
     ang_table = np.array([_angular_factor(m) for m in range(np.ptp(j) + np.ptp(k) + 1)])
     ang = ang_table[np.abs(j[:, None] - j)] * ang_table[np.abs(k[:, None] - k)]
-    norms = _norms_sq(indices, s, params)
+    norms = basis_norm_sq(indices, s, params)
     out = np.zeros((n, n), dtype=complex)  # degree and frame orthogonality, pointwise
     out[same] = ang[same] * radial[e1_at, (k[:, None] + k)[same] - e2_lo]
     out[same] /= np.sqrt(np.outer(norms, norms))[same]

@@ -91,21 +91,21 @@ def cmd_lambda(args) -> int:
         "s": args.s,
         "integrable": measure.is_integrable(m),
     }
-    closed = measure.lambda_closed(m)
     if measure.is_integrable(m):
-        quad = measure.lambda_quadrature(m)
+        closed = measure.lambda_closed(m)
+        quad, quad_err = measure.lambda_quadrature(m)
         payload.update(
             {
-                "closed": closed.value,
-                "quadrature": quad.value,
-                "quadrature_err_estimate": quad.err_estimate,
-                "rel_difference": abs(closed.value - quad.value) / closed.value,
+                "closed": closed,
+                "quadrature": quad,
+                "quadrature_err_estimate": quad_err,
+                "rel_difference": abs(closed - quad) / closed,
                 "verdict": "finite",
             }
         )
     else:
         payload.update(
-            {"verdict": "divergent", "violated_condition": closed.violated_condition}
+            {"verdict": "divergent", "violated_condition": f"{measure.violated_clause(m)} violated"}
         )
         if args.truncate_fit:
             fit = measure.truncation_growth_fit(m)

@@ -14,19 +14,19 @@ product of the two special-function integrals:
                              * beta(2x/mu + 3 - 4s, y).
 
 ``lambda_closed`` evaluates that product from Gamma closed forms, and
-``lambda_ratio_family``, the one ratio function, a ratio of three of them
-elementwise over any broadcast (x, y) grid (a scalar point or a whole
-basis lattice) in log space, with the three weights stacked on one axis so
-that alpha and log beta are one array call each.  The exponents come from an
-error-free TwoSum cascade that stays exact up to the integrability
-boundary (``_exponents``).  ``lambda_quadrature`` evaluates the same product
-from the quadrature oracles of ``special`` (tanh-sinh with log
-substitutions at weak endpoint singularities), so the cross-check shares
-no Gamma identity with the closed form and stays accurate at thin
-integrability margins.  Both paths broadcast x, y and s, so a set of
-moments with a weight each is one ``lambda_closed_array`` call and one
-``lambda_quadrature`` call (one stack per oracle), each element the bits
-of its scalar call.
+``lambda_ratio_family``, the one ratio function, a ratio of three of them in
+log space, with the three weights stacked on one axis so that alpha and log
+beta are one array call each.  The exponents come from an error-free TwoSum
+cascade that stays exact up to the integrability boundary (``_exponents``).
+``lambda_quadrature`` evaluates the same product from the quadrature oracles
+of ``special`` (tanh-sinh with log substitutions at weak endpoint
+singularities), so the cross-check shares no Gamma identity with the closed
+form and stays accurate at thin integrability margins.  The two moment
+paths are each one array call over any broadcast x, y and s (a scalar point,
+a whole basis lattice or one weight per draw), the ratio over any broadcast
+x and y at one s, each element the bits of its scalar call.  Both moment
+paths refuse a divergent element: the verdict is ``is_integrable``, and
+``violated_clause`` names the clause.
 
 ``lambda_truncated`` restricts the moment to |w1| > eps, which is always
 finite for s < 1/2; its growth as eps -> 0 certifies divergence.  It is
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,14 +71,13 @@ from .geometry import DomainParams
 
 __all__ = [
     "MomentArgs",
-    "MomentValue",
     "GrowthFit",
     "S_CLAUSE",
     "X_CLAUSE",
     "integrability_margin",
     "is_integrable",
+    "violated_clause",
     "lambda_closed",
-    "lambda_closed_array",
     "lambda_quadrature",
     "lambda_ratio_bound",
     "lambda_ratio_family",
@@ -100,29 +99,6 @@ class MomentArgs:
     params: DomainParams
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    """Outcome of a moment evaluation: a positive value with an error
-    estimate, or a certified divergence naming the violated clause."""
-
-    kind: str  # "finite" | "divergent"
-    value: Optional[float] = None
-    err_estimate: Optional[float] = None
-    violated_condition: Optional[str] = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @classmethod
-    def finite(cls, value: float, err_estimate: float) -> "MomentValue":
-        return cls("finite", value=value, err_estimate=err_estimate)
-
-    @classmethod
-    def divergent(cls, condition: str) -> "MomentValue":
-        return cls("divergent", violated_condition=f"{condition} violated")
-
-
 def integrability_margin(m: MomentArgs):
     """x/mu + 1 - s, elementwise over array x, as (x + mu)/mu - s: x + mu
     is exact for the witnesses x = 1 - floor(mu) and 1 - mu (mu < 2^53),
@@ -136,7 +112,8 @@ def is_integrable(m: MomentArgs):
     return (m.s < 0.5) & (integrability_margin(m) > 0.0)
 
 
-def _violated(m: MomentArgs) -> str:
+def violated_clause(m: MomentArgs) -> str:
+    """The clause that a divergent scalar moment fails, s < 1/2 first."""
     return S_CLAUSE if m.s >= 0.5 else X_CLAUSE
 
 
@@ -151,7 +128,7 @@ def _refuse_divergent(m: MomentArgs) -> None:
     i = int(np.argmin(ok))
     first = MomentArgs(*(v.flat[i] for v in args), m.params)
     where = f" at (x, y, s) = ({first.x}, {first.y}, {first.s})" if ok.ndim else ""
-    raise DomainError(f"moment diverges ({_violated(first)}){where}; see is_integrable")
+    raise DomainError(f"moment diverges ({violated_clause(first)}){where}; see is_integrable")
 
 
 def _two_sum(a, b):
@@ -212,37 +189,27 @@ def _exponents(x, s, mu: float, sign=1.0, *, finite=True):
     return alpha_x, beta_x
 
 
-def lambda_closed(m: MomentArgs) -> MomentValue:
-    """Closed-form moment 8 pi^2 mu alpha(...) beta(...); divergent args
-    are totalized, naming the violated clause."""
-    _check_finite(m.x, m.y, m.s)
-    if not is_integrable(m):
-        return MomentValue.divergent(_violated(m))
-    val = lambda_closed_array(m.x, m.y, m.s, m.params)
-    return MomentValue.finite(val, 1e-11 * val)
-
-
 def _check_finite(x, y, s: float) -> None:
     for name, value in (("x", x), ("y", y), ("s", s)):
         if not np.all(np.isfinite(value)):
             raise DomainError(f"moment argument {name} must be finite")
 
 
-def lambda_closed_array(x, y, s, params: DomainParams):
-    """The closed-form moment lam(x, y, s) elementwise over x, y and s (a
-    float or an array), which broadcast against each other (e.g. x[:, None]
-    and y[None, :] for a (j, k) lattice at one weight, or one draw per
-    element); a float for scalar arguments, each element the bits of its
-    scalar call.
+def lambda_closed(m: MomentArgs):
+    """The closed-form moment 8 pi^2 mu alpha(...) beta(...) elementwise
+    over m.x, m.y and m.s (floats or arrays), which broadcast against each
+    other (e.g. x[:, None] and y[None, :] for a (j, k) lattice at one
+    weight, or one draw per element); a float for scalar arguments, each
+    element the bits of its scalar call.
 
     Every element must be integrable.  Raises DomainError when an argument
     is not finite, a moment diverges (naming the first divergent element,
     as lambda_quadrature does) or a value overflows a double; each check
     runs once per call.
     """
-    mu = params.mu
+    x, y, s, mu = m.x, m.y, m.s, m.params.mu
     _check_finite(x, y, s)
-    _refuse_divergent(MomentArgs(x, y, s, params))
+    _refuse_divergent(m)
     X, Y = _exponents(x, s, mu)
     alpha = special.alpha_eval(X, 1.0 - 2.0 * s)
     with np.errstate(over="ignore"):
@@ -252,10 +219,11 @@ def lambda_closed_array(x, y, s, params: DomainParams):
     return val
 
 
-def lambda_quadrature(m: MomentArgs) -> MomentValue:
+def lambda_quadrature(m: MomentArgs):
     """Independent evaluation 8 pi^2 mu alpha(X, 1 - 2s) beta(Y, y) from
     the quadrature oracles of ``special``, each to relative accuracy
-    1e-11; the error estimate adds their own relative estimates.
+    1e-11, as (value, err_estimate); the error estimate adds their own
+    relative estimates.
 
     m.x, m.y and m.s (floats or arrays) broadcast: for arrays, value and
     err_estimate are arrays from one stack per oracle, each element settled
@@ -267,7 +235,7 @@ def lambda_quadrature(m: MomentArgs) -> MomentValue:
     alpha, alpha_err = special.alpha_quadrature(X, 1.0 - 2.0 * m.s, 1e-11)
     beta, beta_err = special.beta_quadrature(Y, m.y, 1e-11)
     val = 8.0 * math.pi**2 * m.params.mu * alpha * beta
-    return MomentValue.finite(val, (alpha_err / alpha + beta_err / beta) * val)
+    return val, (alpha_err / alpha + beta_err / beta) * val
 
 
 def lambda_ratio_bound(x, s: float, params: DomainParams):

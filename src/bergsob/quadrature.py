@@ -56,10 +56,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    err_estimate: float
-    level: int
-    converged: bool
+    """Values, error estimates, levels and settle flags of a stack of
+    integrals: arrays from ``integrate`` (0-d for scalar endpoints, one
+    level and converged for the whole stack) and from measure's nested
+    rules (one level and flag per element); measure.radial_moment splits
+    its stack into one result of Python scalars per integrand."""
+
+    value: np.ndarray | float
+    err_estimate: np.ndarray | float
+    level: np.ndarray | int
+    converged: np.ndarray | bool
 
 
 def _rule(level: int):

@@ -44,7 +44,7 @@ from . import measure
 from .bergman import FAMILIES, BasisIndex, Component, RadialTerm, RadialTermFunction, basis_norm_sq
 from .errors import DomainError
 from .geometry import DomainParams
-from .measure import GrowthFit, MomentArgs, MomentValue
+from .measure import GrowthFit, MomentArgs
 
 __all__ = [
     "ThresholdReport",
@@ -208,8 +208,7 @@ class DivergenceWitness:
     p: int
     s: float
     index: BasisIndex
-    lambda0: MomentValue
-    lambda_s: MomentValue
+    lambda0: float  # the finite unweighted squared norm; at s it diverges
     growth: GrowthFit
     analytic_exponent: float
 
@@ -232,14 +231,13 @@ def divergence_witness(params: DomainParams, p: int, s: float) -> DivergenceWitn
         )
     idx = witness_index(params, p)
     x = idx.moment_x(params)
-    lam0 = basis_norm_sq(idx, 0.0, params)
-    lam_s = basis_norm_sq(idx, s, params)
-    if not lam0.is_finite or lam_s.is_finite:
+    if not idx.admissible(0.0, params) or idx.admissible(s, params):
         raise AssertionError("witness must be finite at s = 0 and divergent at s")
+    lam0 = float(basis_norm_sq([idx], 0.0, params)[0])
     m = MomentArgs(x, 0.0, s, params)
     growth = measure.truncation_growth_fit(m)
     exponent = 2.0 * measure.integrability_margin(m)
-    return DivergenceWitness(params.mu, p, s, idx, lam0, lam_s, growth, exponent)
+    return DivergenceWitness(params.mu, p, s, idx, lam0, growth, exponent)
 
 
 def sharpness_checks(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bergman, geometry, measure, regularity, special
 from .errors import DomainError
-from .geometry import DomainParams, ModelPoint
+from .geometry import DomainParams
 
 __all__ = ["SuiteResult", "SUITES", "run_suites", "check_special", "check_moments",
            "check_geometry", "check_gram", "check_sharpness", "check_threshold_jumps",
@@ -168,9 +168,9 @@ def check_moments(
             x = float(rng.uniform(mu * (s - 0.9), 3.0))
             draws.append((x, y, s))
         xs, ys, ss = (np.array(column) for column in zip(*draws))
-        closed = measure.lambda_closed_array(xs, ys, ss, params)
-        quad = measure.lambda_quadrature(measure.MomentArgs(xs, ys, ss, params))
-        for (x, y, s), rel in zip(draws, np.abs(closed - quad.value) / closed):
+        m = measure.MomentArgs(xs, ys, ss, params)
+        closed, (quad, _) = measure.lambda_closed(m), measure.lambda_quadrature(m)
+        for (x, y, s), rel in zip(draws, np.abs(closed - quad) / closed):
             res.check(rel <= rel_tol,
                       f"mu={mu} ({x:.3g},{y:.3g},{s:.3g}): paths differ by {rel:.2e}")
 
@@ -205,7 +205,7 @@ def suite_measure(rng) -> SuiteResult:
         res.check(fit.matches(expected, 0.05),
                   f"growth fit {fit.kind}/{fit.exponent:+.4f} vs {expected:+.3f}")
     m = measure.MomentArgs(0.5, 1.0, 0.2, params)
-    full = measure.lambda_closed(m).value
+    full = measure.lambda_closed(m)
     seq = [measure.lambda_truncated(m, 2.0 ** (-k)) for k in (2, 5, 8, 11)]
     res.check(
         all(a <= b + 1e-9 * full for a, b in zip(seq, seq[1:])),
@@ -238,8 +238,8 @@ def check_gram(res: SuiteResult, count: int, *, offdiag_tol: float, diag_tol: fl
 
 
 def suite_bergman(rng) -> SuiteResult:
-    """Gram identities, reproducing property, selection rule, kernel
-    symmetry and positivity."""
+    """Gram identities of the leading basis elements at every degree, and
+    the reproducing property and selection rule of the projection."""
     res = SuiteResult("bergman")
     check_gram(res, 25, offdiag_tol=1e-8, diag_tol=1e-6)
     params = DomainParams(3.0)
@@ -256,15 +256,6 @@ def suite_bergman(rng) -> SuiteResult:
             len(out.coefficients) == len(monomials) and abs(c - 1.0) <= 1e-10,
             f"reproducing failure at ({j}, {k}): {c}",
         )
-    w = ModelPoint(0.5 + 0.1j, 1.02)
-    u = ModelPoint(0.3 - 0.2j, 0.95 + 0.1j)
-    K_wu = bergman.kernel_eval(w, u, params, (8, 8))
-    K_uw = bergman.kernel_eval(u, w, params, (8, 8))
-    K_ww = bergman.kernel_eval(w, w, params, (8, 8))
-    res.check(K_wu.value == K_uw.value.conjugate(), "kernel Hermitian symmetry broken")
-    res.check(
-        K_ww.value.imag == 0.0 and K_ww.value.real > 0.0, "kernel diagonal not positive"
-    )
     return res
 
 
@@ -318,7 +309,7 @@ def check_counterexample_transport(res: SuiteResult) -> None:
         ok = (
             set(out.coefficients) == {witness}
             and out.coefficients[witness].real > 0.0
-            and bergman.basis_norm_sq(witness, thr.r, params).kind == "divergent"
+            and not witness.admissible(thr.r, params)
         )
         res.check(ok, f"counterexample transport failed at p={p}")
 

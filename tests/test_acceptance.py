@@ -79,7 +79,7 @@ def test_criterion_3_base_moment_desk_check():
         for mu in MU_MOMENTS:
             v = measure.lambda_closed(measure.MomentArgs(0.0, 0.0, 0.0, DomainParams(mu)))
             expected = 2.0 * math.pi**3 * mu
-            assert abs(v.value - expected) / expected <= 1e-10
+            assert abs(v - expected) / expected <= 1e-10
 
 
 def geometry_criterion(res):

@@ -1,8 +1,10 @@
 """The settable surface and the layering of the package: every defaulted
 parameter of a public function or method, every command-line option,
 every module's public names (``__all__``), every module's imports from the
-package and every caller of the adaptive quadrature, pinned, so that a new
-knob, flag, public path, dependency or integrator is added on purpose."""
+package, every caller of the adaptive quadrature and every public function
+that the package itself never calls, pinned, so that a new knob, flag,
+public path, dependency, integrator or test-only surface is added on
+purpose."""
 
 import argparse
 import ast
@@ -79,21 +81,21 @@ def test_cli_options_pinned():
 # each module's public names; errors declares none
 EXPORTS = {
     "__init__": {"DomainError", "NonIntegrableTermError", "DomainParams", "ModelPoint", "CoverPoint",
-                 "FrameAt", "MomentArgs", "MomentValue", "GrowthFit", "BasisIndex", "Component",
+                 "FrameAt", "MomentArgs", "GrowthFit", "BasisIndex", "Component",
                  "RadialTerm", "RadialTermFunction", "ThresholdReport", "ContinuityCertificate",
                  "DivergenceWitness", "threshold", "mu_for_threshold", "continuity_certificate",
                  "divergence_witness", "smooth_counterexample", "__version__"},
     "bergman": {"Component", "FAMILIES", "BasisIndex", "RadialTerm", "RadialTermFunction",
-                "ProjectionResult", "KernelValue", "basis_norm_sq", "membership_min_j",
-                "basis_indices", "project", "kernel_eval", "gram_matrix"},
+                "ProjectionResult", "basis_norm_sq", "membership_min_j", "basis_indices",
+                "project", "gram_matrix"},
     "cli": {"main", "build_parser"},
     "geometry": {"DomainParams", "ModelPoint", "CoverPoint", "FrameAt", "contains", "radial_bounds",
                  "delta0", "rho_tilde", "levi_form_boundary", "forward_map",
                  "inverse_map", "isometry_apply", "frame_at", "dw1_in_frame", "volume_density",
                  "sample_interior", "sample_boundary_cover"},
-    "measure": {"MomentArgs", "MomentValue", "GrowthFit", "S_CLAUSE", "X_CLAUSE",
-                "integrability_margin", "is_integrable", "lambda_closed", "lambda_closed_array",
-                "lambda_quadrature", "lambda_ratio_bound", "lambda_ratio_family", "lambda_truncated",
+    "measure": {"MomentArgs", "GrowthFit", "S_CLAUSE", "X_CLAUSE", "integrability_margin",
+                "is_integrable", "violated_clause", "lambda_closed", "lambda_quadrature",
+                "lambda_ratio_bound", "lambda_ratio_family", "lambda_truncated",
                 "lambda_truncated_oracle", "truncation_growth_fit", "radial_moment"},
     "quadrature": {"QuadratureError", "QuadResult", "nodes", "new_nodes", "integrate", "unsettled"},
     "regularity": {"ThresholdReport", "ContinuityCertificate", "DivergenceWitness", "threshold",
@@ -233,3 +235,29 @@ def test_nested_r1_callers_pinned():
 
 def test_fiber_callers_pinned():
     assert _callers(_named("_fiber")) == FIBER_CALLERS
+
+
+# the public functions that no module of the package calls, each with the
+# reason it is kept: a new one is test-only surface, added on purpose
+UNCALLED = {
+    "geometry.radial_bounds": "the |w2| fiber over |w1| = r1, for tying moments to geometry",
+    "geometry.dw1_in_frame": "dw1 in the frame (theta1, theta2), for tying moments to geometry",
+    "geometry.volume_density": "the push-forward volume density, for tying moments to geometry",
+    "measure.lambda_truncated_oracle": "the independent (u1, u2) reference of the r1 shells",
+    "special.log_abs_gamma": "the tested entry of the log-Gamma kernel that log_beta shares",
+}
+
+
+def test_uncalled_public_functions_pinned():
+    """module.function for each module-level function in its module's
+    ``__all__`` whose name is the callee of no call anywhere in the package,
+    by bare name or as an attribute (as _named)."""
+    called, public = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exports = _exports(tree) or set()
+        public.update(f"{path.stem}.{node.name}" for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name in exports)
+        called.update(getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                      for call in ast.walk(tree) if isinstance(call, ast.Call))
+    assert {name for name in public if name.split(".")[1] not in called} == set(UNCALLED)

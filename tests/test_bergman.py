@@ -1,4 +1,4 @@
-"""Basis norms, projection calculus, kernel, Gram identities."""
+"""Basis membership and norms, projection calculus, Gram identities."""
 
 import math
 from collections import Counter
@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bergsob import bergman, geometry, measure, quadrature, regularity, suites
+from bergsob import bergman, measure, quadrature, regularity, suites
 from bergsob.bergman import (
     BasisIndex,
     Component,
@@ -15,32 +15,15 @@ from bergsob.bergman import (
     basis_indices,
     basis_norm_sq,
     gram_matrix,
-    kernel_eval,
     project,
 )
 from bergsob.errors import DomainError, NonIntegrableTermError
-from bergsob.geometry import DomainParams, ModelPoint
+from bergsob.geometry import DomainParams
 from bergsob.measure import MomentArgs
 
 
 def ones(r1):
     return np.ones(np.shape(r1))
-
-
-def kernel_loop(w, u, params, truncation):
-    """Reference: the kernel summed term by term over the (j, k) lattice,
-    with one scalar basis norm per term."""
-    jmax, kmax = truncation
-    jmin = max(-jmax, bergman.membership_min_j(Component.FUNCTION, 0.0, params))
-    total, tail = 0.0 + 0.0j, 0.0
-    for j in range(jmin, jmax + 1):
-        for k in range(-kmax, kmax + 1):
-            lam = basis_norm_sq(BasisIndex(j, k, 0, Component.FUNCTION), 0.0, params)
-            term = (w.w1**j * w.w2**k) * (u.w1**j * u.w2**k).conjugate() / lam.value
-            total += term
-            if j == jmax or abs(k) == kmax:
-                tail += abs(term)
-    return total, tail
 
 
 def gram_loop(indices, s, params, level):
@@ -67,7 +50,7 @@ def gram_loop(indices, s, params, level):
     fiber_w = v * (np.sinc(d / (2.0 * math.pi)) * np.sin(c[:, None] - 0.5 * d)) ** (-2.0 * s)
     base_outer = 8.0 * math.pi**2 * mu * mu * wq * c**b_exp / b_exp
     inner, radial = {}, {}
-    norms = [basis_norm_sq(idx, s, params).value for idx in indices]
+    norms = basis_norm_sq(indices, s, params)
     n = len(indices)
     out = np.zeros((n, n), dtype=complex)
     for a, A in enumerate(indices):
@@ -135,6 +118,24 @@ class TestBasisIndex:
             assert BasisIndex(j, 0, p, comp).admissible(s, params)
             assert not BasisIndex(j - 1, 0, p, comp).admissible(s, params)
 
+    def test_no_member_at_or_above_one_half(self):
+        # every weight-s moment diverges at s >= 1/2, whatever j: the s clause
+        # counts as much as the x clause
+        for j in (5, 50):
+            assert not BasisIndex(j, 0, 0, Component.FUNCTION).admissible(0.7, P3)
+            assert not BasisIndex(j, 0, 1, Component.DW1).admissible(0.5, P3)
+            assert BasisIndex(j, 0, 1, Component.DW1).admissible(0.49, P3)
+
+    @pytest.mark.parametrize("s", [0.5, 0.7, -0.1, math.inf, math.nan])
+    def test_weight_outside_range_refused(self, s):
+        # refused before the stepping loops, which no admissible j would end
+        for comp in Component:
+            with pytest.raises(DomainError, match="need 0 <= s < 1/2"):
+                bergman.membership_min_j(comp, s, P3)
+        for p in (0, 1, 2):
+            with pytest.raises(DomainError, match="need 0 <= s < 1/2"):
+                basis_indices(p, s, P3, 3)
+
     def test_gram_at_a_threshold_weight(self):
         # at s = 1/mu the first dw1 index was the inadmissible (1, k)
         params = DomainParams(15.675328139329817)
@@ -159,22 +160,24 @@ class TestBasisIndex:
 
 class TestBasisNorms:
     def test_constant_function(self):
-        v = basis_norm_sq(BasisIndex(0, 0, 0, Component.FUNCTION), 0.0, P3)
-        assert v.value == pytest.approx(2.0 * math.pi**3 * 3.0, rel=1e-12)
+        (v,) = basis_norm_sq([BasisIndex(0, 0, 0, Component.FUNCTION)], 0.0, P3)
+        assert v == pytest.approx(2.0 * math.pi**3 * 3.0, rel=1e-12)
 
     def test_dw1_divergence_at_heavy_weight(self):
         # mu s >= 1 expels dw1 from the weighted space
-        v = basis_norm_sq(BasisIndex(1, 0, 1, Component.DW1), 0.4, P3)
-        assert v.kind == "divergent"
+        idx = BasisIndex(1, 0, 1, Component.DW1)
+        assert not idx.admissible(0.4, P3)
+        with pytest.raises(DomainError, match=r"\(x/mu \+ 1 - s > 0\)"):
+            basis_norm_sq([idx], 0.4, P3)
 
     def test_deep_negative_function_index(self):
-        v = basis_norm_sq(BasisIndex(-2, 0, 0, Component.FUNCTION), 0.0, P3)
-        assert v.is_finite
+        (v,) = basis_norm_sq([BasisIndex(-2, 0, 0, Component.FUNCTION)], 0.0, P3)
+        assert math.isfinite(v)
 
     def test_dw1_norm_is_shifted_moment(self):
-        v = basis_norm_sq(BasisIndex(2, 1, 1, Component.DW1), 0.1, P3)
+        (v,) = basis_norm_sq([BasisIndex(2, 1, 1, Component.DW1)], 0.1, P3)
         direct = measure.lambda_closed(MomentArgs(2.0 - 3.0, 1.0, 0.1, P3))
-        assert v.value == pytest.approx(direct.value, rel=1e-14)
+        assert v == pytest.approx(direct, rel=1e-14)
 
 
 class TestProjection:
@@ -200,8 +203,8 @@ class TestProjection:
         res = project(f, P3)
         idx = BasisIndex(-1, 0, 0, Component.FUNCTION)
         expected = (
-            measure.lambda_closed(MomentArgs(0.0, 0.0, 0.0, P3)).value
-            / measure.lambda_closed(MomentArgs(-1.0, 0.0, 0.0, P3)).value
+            measure.lambda_closed(MomentArgs(0.0, 0.0, 0.0, P3))
+            / measure.lambda_closed(MomentArgs(-1.0, 0.0, 0.0, P3))
         )
         assert res.coefficients[idx] == pytest.approx(expected, rel=1e-10)
         num, den = res.ratios[idx]
@@ -382,60 +385,6 @@ class TestProjection:
             )
 
 
-class TestKernel:
-    W = ModelPoint(0.5 + 0.1j, 1.02)
-    U = ModelPoint(0.3 - 0.2j, 0.95 + 0.1j)
-
-    def test_hermitian_symmetry_exact(self):
-        a = kernel_eval(self.W, self.U, P3, (8, 8))
-        b = kernel_eval(self.U, self.W, P3, (8, 8))
-        assert a.value == b.value.conjugate()
-
-    def test_diagonal_positive_exact(self):
-        d = kernel_eval(self.W, self.W, P3, (8, 8))
-        assert d.value.imag == 0.0
-        assert d.value.real > 0.0
-
-    def test_tail_reported(self):
-        small = kernel_eval(self.W, self.U, P3, (4, 4))
-        assert small.tail_estimate > 0.0
-
-    def test_reproducing_against_monomial(self):
-        # pairing the kernel against w1^j w2^k returns u1^j u2^k; with the
-        # selection rule the numeric content is one moment quadrature per
-        # term, checked through the projection machinery
-        j, k = 1, -1
-        f = RadialTermFunction(0, (RadialTerm(ones, j, k, Component.FUNCTION),))
-        res = project(f, P3)
-        coeff = res.coefficients[BasisIndex(j, k, 0, Component.FUNCTION)]
-        reproduced = coeff * self.U.w1**j * self.U.w2**k
-        assert reproduced == pytest.approx(self.U.w1**j * self.U.w2**k, rel=1e-10)
-
-    @pytest.mark.parametrize("truncation", [(4, 4), (8, 8), (20, 20)])
-    def test_matches_term_by_term_sum(self, truncation):
-        value, tail = kernel_loop(self.W, self.U, P3, truncation)
-        got = kernel_eval(self.W, self.U, P3, truncation)
-        assert abs(got.value - value) <= 1e-14 * abs(value)
-        assert got.tail_estimate == pytest.approx(tail, rel=1e-14)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_symmetry_exact_on_sampled_points(self, seed):
-        pts = geometry.sample_interior(P3, 2, np.random.default_rng(seed))
-        w, u = (ModelPoint(complex(pts.w1[i]), complex(pts.w2[i])) for i in range(2))
-        for pair in [(self.W, self.U), (w, u)]:
-            a, b = pair
-            for truncation in [(8, 8), (20, 20)]:
-                assert kernel_eval(a, b, P3, truncation).value == (
-                    kernel_eval(b, a, P3, truncation).value.conjugate()
-                )
-                d = kernel_eval(a, a, P3, truncation).value
-                assert d.imag == 0.0 and d.real > 0.0
-
-    def test_outside_domain_rejected(self):
-        with pytest.raises(DomainError):
-            kernel_eval(self.W, ModelPoint(0.5, math.e), P3, (8, 8))
-
-
 class TestGram:
     @pytest.mark.parametrize("p", [0, 1, 2])
     @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.48, 0.49, 0.499])
@@ -538,7 +487,7 @@ class TestBergmanSuite:
         for name in ("mesh_moments", "radial_moment", "_nested_r1"):
             monkeypatch.setattr(measure, name, counting(name, getattr(measure, name)))
         res = suites.suite_bergman(np.random.default_rng(1))
-        assert res.passed and res.checks == 44
+        assert res.passed and res.checks == 42
         assert calls == {"mesh_moments": 4, "radial_moment": 1, "_nested_r1": 5}
 
     def test_gram_failures_replay_degree_by_degree(self):

@@ -23,7 +23,7 @@ def run_cli(args):
     return cli.main(args)
 
 
-_CHECKS = {"special": 349, "geometry": 27, "measure": 84, "bergman": 44, "regularity": 48}
+_CHECKS = {"special": 349, "geometry": 27, "measure": 84, "bergman": 42, "regularity": 48}
 # the 18 beta recursion checks of the special suite, at its (x, y) grid
 _RECURSION_FAILURES = [f"beta recursion residual 1.00e-03 at ({x}, {y})"
                        for x in ("0.01", "0.0549", "0.302", "1.66", "9.1", "50")
@@ -104,8 +104,10 @@ class TestThresholdCommand:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
-# the exact stdout of `lambda` for a moment on the oracles' direct branch
-# and one whose alpha exponent (1e-3) takes the weak branch's two halves
+# the exact stdout of `lambda` for a moment on the oracles' direct branch,
+# one whose alpha exponent (1e-3) takes the weak branch's two halves, and
+# two divergent moments: one past s < 1/2, one past the x clause with its
+# growth fit
 _LAMBDA_STDOUT = {
     ("--x", "0.3", "--y", "1.5", "--s", "0.2"): (
         '{\n'
@@ -139,11 +141,44 @@ _LAMBDA_STDOUT = {
         '  "y": 0.0\n'
         '}\n'
     ),
+    ("--x", "0", "--y", "0", "--s", "0.6"): (
+        '{\n'
+        '  "command": "lambda",\n'
+        '  "integrable": false,\n'
+        '  "mu": 2.0,\n'
+        '  "s": 0.6,\n'
+        '  "schema_version": 1,\n'
+        '  "verdict": "divergent",\n'
+        '  "violated_condition": "s < 1/2 violated",\n'
+        '  "x": 0.0,\n'
+        '  "y": 0.0\n'
+        '}\n'
+    ),
+    ("--x=-2", "--y", "0", "--s", "0.3", "--truncate-fit"): (
+        '{\n'
+        '  "command": "lambda",\n'
+        '  "growth_fit": {\n'
+        '    "closed_form_coefficient": 1979.8120467962392,\n'
+        '    "coefficient": 1979.812046651143,\n'
+        '    "exponent": -0.5999999999999995,\n'
+        '    "kind": "power"\n'
+        '  },\n'
+        '  "integrable": false,\n'
+        '  "mu": 2.0,\n'
+        '  "s": 0.3,\n'
+        '  "schema_version": 1,\n'
+        '  "verdict": "divergent",\n'
+        '  "violated_condition": "x/mu + 1 - s > 0 violated",\n'
+        '  "x": -2.0,\n'
+        '  "y": 0.0\n'
+        '}\n'
+    ),
 }
 
 
 class TestLambdaCommand:
-    @pytest.mark.parametrize("args", list(_LAMBDA_STDOUT), ids=["direct", "weak"])
+    @pytest.mark.parametrize("args", list(_LAMBDA_STDOUT),
+                             ids=["direct", "weak", "s-clause", "x-clause-fit"])
     def test_stdout_pinned(self, args, capsys):
         assert run_cli(["lambda", "--mu", "2", *args]) == 0
         assert capsys.readouterr().out == _LAMBDA_STDOUT[args]
@@ -348,7 +383,7 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert run_cli(["verify", "--seed", "1", "--output", str(out)]) == 0
         counts = {r["name"]: r["checks"] for r in json.loads(out.read_text())["suites"]}
-        assert counts == {"special": 349, "geometry": 27, "measure": 84, "bergman": 44,
+        assert counts == {"special": 349, "geometry": 27, "measure": 84, "bergman": 42,
                           "regularity": 48}
 
     def test_unknown_suite_exits_2(self):
@@ -504,8 +539,7 @@ class TestVerifyCommand:
         "special": (special, "alpha_quadrature", lambda out: (out[0] * (1.0 + 1e-8), out[1]),
                     "alpha two-path disagreement"),
         "geometry": (geometry, "delta0", lambda out: out + 1e-10, "mu=1.5: delta0 vs rho"),
-        "measure": (measure, "lambda_quadrature",
-                    lambda out: dataclasses.replace(out, value=out.value * (1.0 + 1e-6)),
+        "measure": (measure, "lambda_quadrature", lambda out: (out[0] * (1.0 + 1e-6), out[1]),
                     "mu=1.5 "),
         "bergman": (bergman, "gram_matrix", lambda out: out + 1e-6, "p=0 s=0.0: offdiag"),
         "regularity": (regularity, "threshold",

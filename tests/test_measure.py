@@ -8,6 +8,7 @@ r-coordinate integral (agreement ~5e-11).
 """
 
 import math
+import re
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -42,10 +43,23 @@ class TestIntegrability:
 
     def test_named_violations(self):
         p = DomainParams(2.0)
-        v = measure.lambda_closed(MomentArgs(0.0, 0.0, 0.7, p))
-        assert v.kind == "divergent" and "s < 1/2" in v.violated_condition
-        v = measure.lambda_closed(MomentArgs(-3.0, 0.0, 0.0, p))
-        assert v.kind == "divergent" and "x/mu + 1 - s > 0" in v.violated_condition
+        m = MomentArgs(0.0, 0.0, 0.7, p)
+        assert measure.violated_clause(m) == "s < 1/2"
+        with pytest.raises(DomainError, match=r"^moment diverges \(s < 1/2\); see"):
+            measure.lambda_closed(m)
+        m = MomentArgs(-3.0, 0.0, 0.0, p)
+        assert measure.violated_clause(m) == "x/mu + 1 - s > 0"
+        with pytest.raises(DomainError, match=r"^moment diverges \(x/mu \+ 1 - s > 0\); see"):
+            measure.lambda_closed(m)
+
+    def test_s_clause_named_first(self):
+        # both clauses fail: the s clause is the one named, by both moment paths
+        m = MomentArgs(-3.0, 0.0, 0.6, DomainParams(2.0))
+        assert measure.integrability_margin(m) < 0.0
+        assert measure.violated_clause(m) == "s < 1/2"
+        for path in (measure.lambda_closed, measure.lambda_quadrature):
+            with pytest.raises(DomainError, match=r"^moment diverges \(s < 1/2\); see"):
+                path(m)
 
     def test_exact_borderline_is_divergent(self):
         # x = mu (s - 1) with dyadic values: the margin is exactly zero
@@ -67,14 +81,13 @@ class TestClosedForm:
     @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
     def test_base_moment(self, mu):
         v = measure.lambda_closed(MomentArgs(0.0, 0.0, 0.0, DomainParams(mu)))
-        assert v.is_finite
-        assert v.value == pytest.approx(TWO_PI_CUBED * mu, rel=1e-10)
+        assert v == pytest.approx(TWO_PI_CUBED * mu, rel=1e-10)
 
     def test_frozen_references(self):
         v = measure.lambda_closed(MomentArgs(1.0, 2.0, 0.3, DomainParams(2.0)))
-        assert v.value == pytest.approx(LAM_1_2_03_MU2, rel=1e-11)
+        assert v == pytest.approx(LAM_1_2_03_MU2, rel=1e-11)
         v = measure.lambda_closed(MomentArgs(-1.0, 1.0, 0.2, DomainParams(2.5)))
-        assert v.value == pytest.approx(LAM_M1_1_02_MU25, rel=1e-11)
+        assert v == pytest.approx(LAM_M1_1_02_MU25, rel=1e-11)
 
     def test_non_finite_argument_raises(self):
         # a nan y once reached the Stirling shift as "cannot convert float NaN to integer"
@@ -86,21 +99,21 @@ class TestClosedForm:
         params = DomainParams(2.5)
         j = np.arange(-1.0, 6.0)[:, None]
         k = np.arange(-7.0, 8.0)
-        vals = measure.lambda_closed_array(j, k, 0.3, params)
+        vals = measure.lambda_closed(MomentArgs(j, k, 0.3, params))
         for (a, b), v in np.ndenumerate(vals):
             scalar = measure.lambda_closed(MomentArgs(float(j[a, 0]), float(k[b]), 0.3, params))
-            assert v == pytest.approx(scalar.value, rel=1e-14)
+            assert v == pytest.approx(scalar, rel=1e-14)
 
     def test_array_rejects_divergent_element(self):
         # the first divergent element and its own clause, as lambda_quadrature names them
         with pytest.raises(DomainError, match=r"\(x/mu \+ 1 - s > 0\) at \(x, y, s\) = \(-3.0, 0.0, 0.0\)"):
-            measure.lambda_closed_array(np.array([0.0, -3.0]), 0.0, 0.0, DomainParams(2.0))
+            measure.lambda_closed(MomentArgs(np.array([0.0, -3.0]), 0.0, 0.0, DomainParams(2.0)))
         with pytest.raises(DomainError, match=r"\(s < 1/2\) at \(x, y, s\) = \(0.0, 0.0, 0.5\)"):
-            measure.lambda_closed_array(0.0, 0.0, np.array([0.2, 0.5]), DomainParams(2.0))
+            measure.lambda_closed(MomentArgs(0.0, 0.0, np.array([0.2, 0.5]), DomainParams(2.0)))
         with pytest.raises(DomainError, match=r"\(s < 1/2\) at \(x, y, s\) = \(5.0, 0.0, 0.5\)"):
-            measure.lambda_closed_array(np.array([5.0, 0.0]), 0.0, 0.5, DomainParams(2.0))
+            measure.lambda_closed(MomentArgs(np.array([5.0, 0.0]), 0.0, 0.5, DomainParams(2.0)))
         with pytest.raises(DomainError, match=r"^moment diverges \(x/mu \+ 1 - s > 0\); see"):
-            measure.lambda_closed_array(-3.0, 0.0, 0.0, DomainParams(2.0))
+            measure.lambda_closed(MomentArgs(-3.0, 0.0, 0.0, DomainParams(2.0)))
 
     @pytest.mark.parametrize("mu", [1.5, 2.5, 7.9])
     def test_array_weights_match_scalar_bitwise(self, mu):
@@ -109,27 +122,28 @@ class TestClosedForm:
         rng = np.random.default_rng(5)
         s = rng.uniform(0.0, 0.49, 40)
         x, y = mu * (s - 1.0 + rng.uniform(1e-3, 2.0, 40)), rng.uniform(-6.0, 6.0, 40)
-        vals = measure.lambda_closed_array(x, y, s, params)
+        vals = measure.lambda_closed(MomentArgs(x, y, s, params))
         for xi, yi, si, v in zip(x, y, s, vals):
-            assert v == measure.lambda_closed(MomentArgs(float(xi), float(yi), float(si), params)).value
+            assert v == measure.lambda_closed(MomentArgs(float(xi), float(yi), float(si), params))
         # and the weights broadcast against a lattice of x and y
-        grid = measure.lambda_closed_array(x[:4, None, None], np.array([-3.0, 0.5])[:, None],
-                                           s[:3], params)
+        grid = measure.lambda_closed(MomentArgs(x[:4, None, None], np.array([-3.0, 0.5])[:, None],
+                                                s[:3], params))
         for (a, b, c), v in np.ndenumerate(grid):
-            assert v == measure.lambda_closed_array(float(x[a]), (-3.0, 0.5)[b], float(s[c]), params)
+            assert v == measure.lambda_closed(MomentArgs(float(x[a]), (-3.0, 0.5)[b], float(s[c]),
+                                                         params))
 
 
 class TestQuadratureCross:
     def test_base_moment(self):
         m = MomentArgs(0.0, 0.0, 0.0, DomainParams(2.0))
-        q = measure.lambda_quadrature(m)
-        assert q.value == pytest.approx(TWO_PI_CUBED * 2.0, rel=1e-8)
+        q, _ = measure.lambda_quadrature(m)
+        assert q == pytest.approx(TWO_PI_CUBED * 2.0, rel=1e-8)
 
     def test_generic_point(self):
         m = MomentArgs(1.0, 2.0, 0.3, DomainParams(2.0))
         c = measure.lambda_closed(m)
-        q = measure.lambda_quadrature(m)
-        assert abs(c.value - q.value) / c.value <= 1e-8
+        q, _ = measure.lambda_quadrature(m)
+        assert abs(c - q) / c <= 1e-8
 
     @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("y", [0.0, -3.0, 10.0])
@@ -140,8 +154,8 @@ class TestQuadratureCross:
         m = MomentArgs(mu * (margin - 1.0 + s), y, s, DomainParams(mu))
         assert measure.integrability_margin(m) == pytest.approx(margin, abs=1e-14)
         c = measure.lambda_closed(m)
-        q = measure.lambda_quadrature(m)
-        assert abs(c.value - q.value) / c.value <= 1e-12
+        q, _ = measure.lambda_quadrature(m)
+        assert abs(c - q) / c <= 1e-12
 
     def test_divergent_rejected(self):
         with pytest.raises(DomainError):
@@ -168,12 +182,12 @@ class TestQuadratureCross:
         X, Y = measure._exponents(x, s, mu)
         weak_alpha = np.minimum(X, 1.0 - 2.0 * s) < 0.5
         assert np.any(Y < 0.5) and np.any(weak_alpha & (Y >= 0.5)) and np.any(~weak_alpha)
-        q = measure.lambda_quadrature(MomentArgs(x, y, s, params))
-        assert q.value.shape == q.err_estimate.shape == x.shape
+        value, err = measure.lambda_quadrature(MomentArgs(x, y, s, params))
+        assert value.shape == err.shape == x.shape
         for i in range(len(x)):
             one = measure.lambda_quadrature(MomentArgs(float(x[i]), float(y[i]), float(s[i]), params))
-            assert isinstance(one.value, float)
-            assert (one.value, one.err_estimate) == (q.value[i], q.err_estimate[i])
+            assert isinstance(one[0], float)
+            assert one == (value[i], err[i])
 
     def test_sweep(self):
         rng = np.random.default_rng(7)
@@ -188,8 +202,8 @@ class TestQuadratureCross:
                 if measure.integrability_margin(m) < 0.1:
                     continue
                 c = measure.lambda_closed(m)
-                q = measure.lambda_quadrature(m)
-                assert abs(c.value - q.value) / c.value <= 1e-8, m
+                q, _ = measure.lambda_quadrature(m)
+                assert abs(c - q) / c <= 1e-8, m
                 count += 1
 
 
@@ -400,7 +414,7 @@ class TestAlphaTail:
 class TestTruncation:
     def test_monotone_convergence(self):
         m = MomentArgs(0.5, 1.0, 0.2, DomainParams(2.0))
-        full = measure.lambda_closed(m).value
+        full = measure.lambda_closed(m)
         vals = [measure.lambda_truncated(m, 2.0**-k) for k in (2, 4, 8, 12, 16)]
         assert all(a <= b + 1e-9 * full for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(full, rel=1e-8)
@@ -453,7 +467,7 @@ class TestTruncation:
         # the shells summed down to 2^-60 reach the closed form; the old fixed
         # u1 rule was off by 6.6e-7 at s = 0.49 (mass below its smallest node)
         m = MomentArgs(1.0, y, s, DomainParams(2.0))
-        full = measure.lambda_closed(m).value
+        full = measure.lambda_closed(m)
         assert abs(measure.lambda_truncated(m, 2.0**-60) - full) <= 1e-12 * full
 
     @pytest.mark.parametrize("y", [0.0, 0.7, -2.5])
@@ -783,7 +797,7 @@ class TestMeshMoments:
         j = bergman.membership_min_j(bergman.Component.FUNCTION, s, params)
         x = np.arange(j, j + 6, 0.5)
         got = measure.mesh_moments(x, -2.0, 9, s, params)
-        want = measure.lambda_closed_array(x[:, None], np.arange(-2.0, 2.5, 0.5), s, params)
+        want = measure.lambda_closed(MomentArgs(x[:, None], np.arange(-2.0, 2.5, 0.5), s, params))
         assert np.max(np.abs(got / want - 1.0)) <= 1e-9
 
 
@@ -887,12 +901,13 @@ class TestFiber:
     s=st.floats(-0.5, 0.8),
 )
 def test_closed_form_totalizes(mu, x, y, s):
+    # every finite argument has a positive value or a refusal naming its clause
     m = MomentArgs(x, y, s, DomainParams(mu))
-    v = measure.lambda_closed(m)
     if measure.is_integrable(m):
-        assert v.is_finite and v.value > 0.0
+        assert measure.lambda_closed(m) > 0.0
     else:
-        assert v.kind == "divergent" and v.violated_condition
+        with pytest.raises(DomainError, match=re.escape(f"({measure.violated_clause(m)})")):
+            measure.lambda_closed(m)
 
 
 class TestMeasureSuite:
@@ -927,7 +942,7 @@ class TestMeasureSuite:
                 y = float(rng.uniform(-4.0, 4.0))
                 x = float(rng.uniform(mu * (s - 0.9), 3.0))
                 m = MomentArgs(x, y, s, DomainParams(mu))
-                c, q = measure.lambda_closed(m), measure.lambda_quadrature(m)
-                rel = abs(c.value - q.value) / c.value
+                c, (q, _) = measure.lambda_closed(m), measure.lambda_quadrature(m)
+                rel = abs(c - q) / c
                 expected.append(f"mu={mu} ({x:.3g},{y:.3g},{s:.3g}): paths differ by {rel:.2e}")
         assert res.checks == len(mus) * count and res.failures == expected

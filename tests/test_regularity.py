@@ -114,7 +114,7 @@ class TestIntegrabilityBoundary:
     def test_witness_at_one_twentieth(self):
         # mu = 20 once had the threshold 0.050000000000000044 and refused s = 0.05
         wit = regularity.divergence_witness(DomainParams(20.0), 0, 0.05)
-        assert wit.lambda_s.kind == "divergent"
+        assert not wit.index.admissible(wit.s, DomainParams(20.0))
         assert wit.growth.kind == "log"
 
     def test_tiny_threshold_inverts(self):
@@ -296,17 +296,25 @@ class TestContinuityCertificate:
 
 
 class TestDivergenceWitness:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_lambda0_is_the_unweighted_norm(self, p):
+        # a float, the witness's closed-form moment at s = 0
+        params = DomainParams(3.0)
+        w = regularity.divergence_witness(params, p, 0.4)
+        m = measure.MomentArgs(w.index.moment_x(params), 0.0, 0.0, params)
+        assert type(w.lambda0) is float and w.lambda0 == measure.lambda_closed(m)
+
     def test_log_mode_at_threshold(self):
         params = DomainParams(3.0)
         w = regularity.divergence_witness(params, 0, 1.0 / 3.0 + 1e-9)
         assert w.index.j == -2 and w.index.k == 0
-        assert w.lambda0.is_finite and w.lambda_s.kind == "divergent"
+        assert math.isfinite(w.lambda0) and not w.index.admissible(w.s, params)
 
     def test_exact_threshold_witness(self):
         params = DomainParams(3.0)
         thr = regularity.threshold(params, 0).r
         w = regularity.divergence_witness(params, 0, thr)
-        assert w.lambda_s.kind == "divergent"
+        assert not w.index.admissible(thr, params)
         assert w.growth.kind == "log"
 
     def test_power_mode_above_threshold(self):
@@ -375,7 +383,7 @@ class TestSmoothCounterexample:
             oracle = float(8 * mpmath.pi**2 * mu**2 * mpmath.quad(integrand, [0, 1]))
         lam = measure.lambda_closed(measure.MomentArgs(-2.0, 0.0, 0.0, params))
         assert num == pytest.approx(oracle, rel=1e-10)
-        assert den == pytest.approx(lam.value, rel=1e-14)
+        assert den == pytest.approx(lam, rel=1e-14)
 
 
 class TestSharpnessSandwich:

@@ -224,8 +224,8 @@ class TestLogAbsGamma:
             assert v == special.log_beta(xv, float(y[idx]))
             assert b[idx] == special.beta_eval(xv, float(y[idx]))
         params = DomainParams(2.0)
-        lam = measure.lambda_closed_array(0.5, y, 0.1, params)
-        assert all(lam[idx] == measure.lambda_closed_array(0.5, float(v), 0.1, params) for idx, v in np.ndenumerate(y))
+        lam = measure.lambda_closed(measure.MomentArgs(0.5, y, 0.1, params))
+        assert all(lam[idx] == measure.lambda_closed(measure.MomentArgs(0.5, float(v), 0.1, params)) for idx, v in np.ndenumerate(y))
 
     @pytest.mark.parametrize("z", [
         1e-150 + 0j, complex(1e-300, 1e-150), 1e150 + 0j, 1e150 * (0.6 + 0.8j),  # |z| in [1e-150, 1e150]
