@@ -20,8 +20,8 @@ each term's integrands settled at their own level.
 
 A Gram table (gram_matrix) may mix form degrees: elements of different
 degrees lie in orthogonal spaces, so the entries between different
-(p, component) pairs are exact zeros, and the degrees share one
-measure.mesh_moments table of moments.
+(p, component) pairs are exact zeros, and the degrees share one table of
+moments, one measure.radial_moment call.
 """
 
 from __future__ import annotations
@@ -247,22 +247,25 @@ def project(f: RadialTermFunction, params: DomainParams) -> ProjectionResult:
         p2s += [p2] * len(rtol)
         rtols += rtol
         profiles.append(integrands)
-    results = iter(measure.radial_moment(
-        lambda r1: [g for integrands in profiles for g in integrands(r1)], p1s, p2s, params,
-        rtol=rtols) if f.terms else ())
+    results = iter(())
+    if f.terms:
+        res = measure.radial_moment(
+            lambda r1: [g for integrands in profiles for g in integrands(r1)], p1s, p2s, 0.0, 0.0,
+            params, rtol=rtols)
+        results = zip(res.value.tolist(), res.converged.tolist())
     numerators: dict[BasisIndex, float] = {}
     warnings: list[str] = []
     for term, idx, inside in zip(f.terms, targets, in_space):
-        sq = next(results)
-        if not sq.converged or not math.isfinite(sq.value):
+        _, converged = next(results)
+        if not converged:
             raise NonIntegrableTermError(term.describe(), "L2 norm quadrature diverges")
         if not inside:
             warnings.append(f"selected monomial {(idx.j, idx.k)} outside the Bergman space")
             continue
-        num = next(results)
-        if not num.converged or not math.isfinite(num.value):
+        num, converged = next(results)
+        if not converged:
             raise NonIntegrableTermError(term.describe(), "pairing quadrature diverges")
-        numerators[idx] = numerators.get(idx, 0.0) + num.value
+        numerators[idx] = numerators.get(idx, 0.0) + num
     coefficients: dict[BasisIndex, complex] = {}
     ratios: dict[BasisIndex, tuple[float, float]] = {}
     dens = basis_norm_sq(list(numerators), 0.0, params)
@@ -290,6 +293,10 @@ def _angular_factor(m: int) -> float:
     return float(np.mean(np.cos(abs(m) * phi)))
 
 
+# a Gram table's radial moments each settle to _GRAM_RTOL relative
+_GRAM_RTOL = 1e-10
+
+
 def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np.ndarray:
     """Pairwise weight-s inner products of normalized basis elements.
 
@@ -305,11 +312,11 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
     basis_indices do: the fibers of a wider k range sum more terms).
     Contract: the result is the identity matrix to the module tolerances.
 
-    The radial moment of a pair is lam(e1 / 2, e2 / 2, s), with
-    e1 = jA + jB (shifted by -2 mu for dw1 pairs) and the integer
-    e2 = kA + kB; one measure.mesh_moments call tabulates it for every
-    distinct e1 and every e2 to 1e-10 relative, each entry settled at its
-    own level, or raises QuadratureError.
+    The radial moment of a pair is lam(e1 / 2, e2 / 2, s), the moment of
+    |w1|^e1 |w2|^e2 at weight s, with e1 = jA + jB (shifted by -2 mu for
+    dw1 pairs) and the integer e2 = kA + kB; one measure.radial_moment call
+    tabulates it for every distinct e1 and every e2 to _GRAM_RTOL relative,
+    each entry settled at its own level, or raises QuadratureError.
     """
     _check_weight(s)
     for idx in indices:
@@ -326,7 +333,13 @@ def gram_matrix(indices: list[BasisIndex], s: float, params: DomainParams) -> np
     e1 = (j[:, None] + j) + np.where(comp == Component.DW1.value, -2.0 * params.mu, 0.0)[:, None]
     e1_vals, e1_at = np.unique(e1[same], return_inverse=True)
     e2_lo, e2_hi = 2 * int(k.min()), 2 * int(k.max())
-    radial = measure.mesh_moments(0.5 * e1_vals, 0.5 * e2_lo, e2_hi - e2_lo + 1, s, params)
+    res = measure.radial_moment(None, e1_vals[:, None], np.arange(e2_lo, e2_hi + 1), s, 0.0, params,
+                                rtol=_GRAM_RTOL)
+    if not res.converged.all():
+        raise measure.quadrature.QuadratureError(
+            f"moments lam(x, {0.5 * e2_lo} + i/2, {s}) at mu = {params.mu} did not settle to a "
+            f"finite table by level {res.level.max()}")
+    radial = res.value
 
     ang_table = np.array([_angular_factor(m) for m in range(np.ptp(j) + np.ptp(k) + 1)])
     ang = ang_table[np.abs(j[:, None] - j)] * ang_table[np.abs(k[:, None] - k)]

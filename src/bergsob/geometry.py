@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _offender
 
 __all__ = [
     "DomainParams",
@@ -144,8 +144,10 @@ def radial_bounds(params: DomainParams, r1):
 
     a(r) = exp(-arccos(r^mu)/2), b(r) = 1/a(r).
     """
-    if not np.all((0.0 < r1) & (r1 < 1.0)):
-        raise DomainError(f"need 0 < r1 < 1, got {r1}")
+    ok = (0.0 < r1) & (r1 < 1.0)
+    if not np.all(ok):
+        r1, at = _offender(ok, r1)
+        raise DomainError(f"need 0 < r1 < 1, got {r1}{at}")
     half = 0.5 * np.arccos(r1**params.mu)
     return np.exp(-half), np.exp(half)
 

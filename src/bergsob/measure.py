@@ -37,23 +37,22 @@ integrated in (r1, u2) coordinates, where the cut is just r1 > eps:
 
 The fiber integral G_y is a 2F1 series of positive terms (``_fiber``, by
 DLMF 14.12.1 and 14.3.1), exact up to s -> 1/2, so the moment is a 1-d rule
-in r1: a nested tanh-sinh piece in log r1 (``_top_piece``) covers r1 down
-to 2^-4, where the fibers collapse as r1 -> 1, and the dyadic shells
-[2^-(k+1), 2^-k] below it, smooth in log r1, take one Gauss-Legendre rule
-(``_shell_rule``) in one fiber call (``_shells``).  As
-r1 -> 0 the fiber tends to G_y(0) = beta(1 - 2s, y) (Gradshteyn-Ryzhik
-3.631), a series in r1^mu from there, so the shells approach the closed
-form 8 pi^2 mu^2 beta(1 - 2s, y) ∫ r1^(mu e - 1) dr1: the values grow like
+in r1.  Every integral over the domain but the dyadic shells enters one
+loop in r1 (``_nested_r1``, tanh-sinh on (cut, 1), log r1 accurate as r1 -> 1
+where the fibers collapse) through ``radial_moment``: the Gram matrices'
+table of lam and the radial moments of the projection at cut 0, and the
+truncated moments' top piece down to 2^-4.  Below it the dyadic shells
+[2^-(k+1), 2^-k], smooth in log r1, take one Gauss-Legendre rule
+(``_shell_rule``) in one fiber call (``_shells``).  As r1 -> 0 the fiber
+tends to G_y(0) = beta(1 - 2s, y) (Gradshteyn-Ryzhik 3.631), a series in
+r1^mu from there, so the shells approach the closed form
+8 pi^2 mu^2 beta(1 - 2s, y) ∫ r1^(mu e - 1) dr1: the values grow like
 eps^(mu e) when e < 0 and like log(1/eps) when e = 0.  ``truncation_growth_fit``
 takes the shells k = 4..15 alone: mu e from their log ratios by a Richardson
 table at the rates 2^(j mu), and the deepest shell against the closed form;
 ``lambda_truncated`` is the top piece plus the same shells down to eps.
 ``lambda_truncated_oracle`` is the independent (u1, u2) route, kept off the
-hot path.  The Gram matrices' table of lam (``mesh_moments``) and the radial
-moments of the projection (``radial_moment``, profiles of |w1| alone at
-s = 0) are nested tanh-sinh in r1 on the same fibers, so every integral over
-the domain is one loop in r1 (``_nested_r1``) over the closed-form fibers,
-which returns each element settled at its own level, as ``quadrature.integrate``.
+hot path.
 """
 
 from __future__ import annotations
@@ -61,12 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import quadrature, special
-from .errors import DomainError
+from .errors import DomainError, _offender
 from .geometry import DomainParams
 
 __all__ = [
@@ -124,11 +123,10 @@ def _refuse_divergent(m: MomentArgs) -> None:
     ok = is_integrable(m)
     if np.all(ok):
         return
-    *args, ok = np.broadcast_arrays(m.x, m.y, m.s, ok)
-    i = int(np.argmin(ok))
-    first = MomentArgs(*(v.flat[i] for v in args), m.params)
-    where = f" at (x, y, s) = ({first.x}, {first.y}, {first.s})" if ok.ndim else ""
-    raise DomainError(f"moment diverges ({violated_clause(first)}){where}; see is_integrable")
+    x, y, s, at = _offender(ok, m.x, m.y, m.s)
+    where = f" at (x, y, s) = ({x}, {y}, {s})" if at else ""
+    clause = violated_clause(MomentArgs(x, y, s, m.params))
+    raise DomainError(f"moment diverges ({clause}){where}; see is_integrable")
 
 
 def _two_sum(a, b):
@@ -215,7 +213,9 @@ def lambda_closed(m: MomentArgs):
     with np.errstate(over="ignore"):
         val = 8.0 * math.pi**2 * mu * alpha * special.beta_eval(Y, y)
     if not np.all(np.isfinite(val)):
-        raise DomainError(f"lam(x, y, {s}) at mu = {mu} overflows a double")
+        *first, at = _offender(np.isfinite(val), x, y, s)
+        point = ", ".join(map(str, first)) if at else f"x, y, {s}"
+        raise DomainError(f"lam({point}) at mu = {mu} overflows a double{at}")
     return val
 
 
@@ -286,14 +286,18 @@ def lambda_truncated(m: MomentArgs, eps: float) -> float:
 
     Finite for every eps in (0, 1) as long as s < 1/2; nondecreasing as
     eps decreases, converging to the full moment in the integrable case.
-    It is the (r1, u2) integral over (eps, 1): the tanh-sinh _top_piece down
-    to max(eps, 2^-4) plus the dyadic _shells below it, those of the growth
-    fit.  Raises QuadratureError when the result is not finite or does not
-    converge to _TRUNCATED_RTOL.
+    It is the (r1, u2) integral over (eps, 1): the top piece, radial_moment
+    down to max(eps, 2^-4), plus the dyadic _shells below it, those of the
+    growth fit.  Raises QuadratureError when the result is not finite or
+    does not converge to _TRUNCATED_RTOL.
     """
     _check_truncation(m, eps)
     top = max(eps, 2.0**-_TOP_LEVEL)
-    pieces = [_top_piece(m, top)]
+    res = radial_moment(None, [2.0 * m.x], [2.0 * m.y], m.s, top, m.params, rtol=_TRUNCATED_RTOL)
+    _finite_or_raise(res.value, m)
+    if not res.converged.all():
+        raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
+    pieces = [float(res.value[0])]
     if eps < top:
         k = np.arange(_TOP_LEVEL, math.ceil(-math.log2(eps)))
         pieces.extend(_shells(m, np.log(np.append(2.0 ** -k.astype(float), eps)))[1])
@@ -348,20 +352,19 @@ def _finite_or_raise(value, m: MomentArgs):
     return value
 
 
-# lambda_truncated splits off its tanh-sinh piece at 2^-_TOP_LEVEL, which
-# settles to _TRUNCATED_RTOL; its oracle's u2 integral settles to _ORACLE_RTOL.
+# lambda_truncated splits off its top piece at 2^-_TOP_LEVEL, which settles
+# to _TRUNCATED_RTOL; its oracle's u2 integral settles to _ORACLE_RTOL.
 _TOP_LEVEL = 4
 _TRUNCATED_RTOL = 1e-9
 _ORACLE_RTOL = 1e-12
 
 # The rules in r1 are nested tanh-sinh over _LEVELS (the first one checked
-# against nothing); a Gram table settles to _MESH_RTOL.  The closed-form
-# fibers stop their series where its tail is below _FIBER_TAIL of the sum;
-# past _FIBER_REACH, |y| c > 1448 and the fiber exceeds a double.
+# against nothing).  The closed-form fibers stop their series where its tail
+# is below _FIBER_TAIL of the sum; past _FIBER_REACH, |y| c > 1448 and the
+# fiber exceeds a double.
 _FIBER_TAIL = 2.0**-60
 _FIBER_REACH = 1024.0
 _LEVELS = (3, 9)
-_MESH_RTOL = 1e-10
 
 # Each dyadic shell is split into panels in log r1 on which the integrand's
 # exponential rate times the panel width is at most _PANEL_RATE, and each
@@ -384,17 +387,16 @@ def _half_width(log_p):
     return 2.0 * np.arcsin(np.sqrt(-np.expm1(log_p)) * math.sqrt(0.5))
 
 
-@lru_cache(maxsize=None)
-def _nodes(level: int, fresh: bool):
-    """(t, log t, log w) of the tanh-sinh nodes t of (0, 1) at ``level``, only
-    those new at ``level`` when ``fresh``; log t keeps full accuracy as t -> 1."""
+@lru_cache(maxsize=64)
+def _r1_nodes(level: int, fresh: bool, cut: float):
+    """(log r1, log w) of the tanh-sinh rule in r1 on (cut, 1) at ``level``, only
+    the nodes new at ``level`` when ``fresh``.  log r1 keeps full accuracy as
+    r1 -> 1, where 1 - r1 = (1 - cut) p_hi exactly; the cache is bounded, as a
+    truncated moment brings its own cut."""
     p_lo, p_hi, w = (quadrature.new_nodes if fresh else quadrature.nodes)(level)
-    return p_lo, np.where(p_lo < 0.5, np.log(p_lo), np.log1p(-np.minimum(p_hi, 0.5))), np.log(w)
-
-
-def _unit_r1(level: int, fresh: bool):
-    """(log r1, log w) of the tanh-sinh rule in r1 on (0, 1), for _nested_r1."""
-    return _nodes(level, fresh)[1:]
+    width = 1.0 - cut
+    r1 = cut + width * p_lo
+    return np.where(r1 < 0.5, np.log(r1), np.log1p(-np.minimum(width * p_hi, 0.5))), np.log(width * w)
 
 
 def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
@@ -444,10 +446,10 @@ def _fiber(log_r1, mu: float, ys, s: float) -> np.ndarray:
     return fiber
 
 
-def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadResult:
+def _nested_r1(cut: float, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadResult:
     """8 pi^2 mu^2 times the sums of the node values moments(log r1, log w,
-    _fiber(log r1, mu, ys, s)) on the nested tanh-sinh rule(level, fresh) ->
-    (log r1, log w) over _LEVELS, each level adding its fresh nodes to half the
+    _fiber(log r1, mu, ys, s)) on the nested tanh-sinh rule in r1 on (cut, 1)
+    (_r1_nodes) over _LEVELS, each level adding its fresh nodes to half the
     sum of the last, as a QuadResult of arrays.  By quadrature.unsettled, the
     settle test of quadrature.integrate, each element stops at its first level
     that moves it by at most max(1e-300, rtol |total|), rtol broadcast, or as
@@ -455,7 +457,7 @@ def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadR
     checked against nothing, and the next share one _fiber call.
     """
     lo, hi = _LEVELS
-    (r_lo, w_lo), (r_new, w_new) = rule(lo, False), rule(lo + 1, True)
+    (r_lo, w_lo), (r_new, w_new) = _r1_nodes(lo, False, cut), _r1_nodes(lo + 1, True, cut)
     scale = 8.0 * math.pi**2 * mu * mu
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         fibers = _fiber(np.concatenate((r_lo, r_new)), mu, ys, s)
@@ -469,7 +471,7 @@ def _nested_r1(rule, moments, mu: float, ys, s: float, rtol) -> quadrature.QuadR
             if next_level == lo + 1:
                 part = moments(r_new, w_new, fibers[:, len(r_lo):]).sum(-1)
             else:
-                log_r1, log_w = rule(next_level, True)
+                log_r1, log_w = _r1_nodes(next_level, True, cut)
                 part = moments(log_r1, log_w, _fiber(log_r1, mu, ys, s)).sum(-1)
             prev, total = total, 0.5 * total + part
             value[open_], err[open_] = scale * total[open_], scale * np.abs(total - prev)[open_]
@@ -502,27 +504,6 @@ def _truncated_terms(rate: float, log_r1, log_w, fibers):
     """The truncated moments' r1^(rate - 1) w G_y(r1) at the nodes, the power as one exp,
     which can overflow at a strong divergence; a fiber that underflowed to 0 adds 0."""
     return np.where(fibers == 0.0, 0.0, np.exp((rate - 1.0) * log_r1 + log_w) * fibers)
-
-
-def _top_piece(m: MomentArgs, cut: float) -> float:
-    """The moment over r1 in (cut, 1), nested tanh-sinh in log r1 (its nodes
-    -(log cut) t keep full relative accuracy as r1 -> 1, where the fibers
-    collapse) settled to _TRUNCATED_RTOL; QuadratureError when it is not finite
-    or does not settle."""
-    mu = m.params.mu
-    span = -float(np.log(cut))
-
-    def top(level: int, fresh: bool):
-        t, _, log_w = _nodes(level, fresh)
-        log_r1 = -span * t  # the tanh-sinh rule is symmetric, so t stands for 1 - t
-        return log_r1, log_w + math.log(span) + log_r1
-
-    X, _ = _exponents(m.x, m.s, mu, finite=False)
-    res = _nested_r1(top, partial(_truncated_terms, mu * X), mu, [m.y], m.s, _TRUNCATED_RTOL)
-    _finite_or_raise(res.value, m)
-    if not res.converged.all():
-        raise quadrature.QuadratureError(f"truncated moment did not converge for {m}")
-    return float(res.value[0])
 
 
 def _shells(m: MomentArgs, log_cuts: np.ndarray):
@@ -604,57 +585,35 @@ def truncation_growth_fit(m: MomentArgs) -> GrowthFit:
                      closed_form, float(gap_bound), tuple(eps), tuple(shells))
 
 
-def radial_moment(profile: Callable, p1, p2, params: DomainParams, *,
-                  rtol: Sequence[float]) -> list:
-    """∫_D g_i(|w1|) |w1|^p1_i |w2|^p2_i dV_D for radial profiles g_i of |w1|, as
+def radial_moment(profile: Callable | None, p1, p2, s: float, cut: float, params: DomainParams,
+                  *, rtol) -> quadrature.QuadResult:
+    """∫ g_i(|w1|) |w1|^p1_i |w2|^p2_i delta0^(-2s) dV_D over |w1| > cut, as
 
-        8 pi^2 mu^2 ∫_0^1 r1^(p1_i + 2mu - 1) g_i(r1) G_(p2_i/2)(r1) dr1,
+        8 pi^2 mu^2 ∫_cut^1 r1^(p1_i + 2mu - 1 - 2s mu) g_i(r1) G_(p2_i/2)(r1) dr1,
 
-    the fiber integral G_y of |w2|^p2 = e^(y u2) at s = 0 in closed form
-    (_fiber), on nested tanh-sinh in r1 (_nested_r1), one integrand per
-    tolerance in ``rtol``, all on the same nodes.  The exponents p1 and p2
-    are per integrand: floats or sequences that broadcast against ``rtol``.
-    Each level takes one _fiber call over the distinct p2/2.
-
-    ``profile(r1)`` returns the sequence of the g_i, vectorized over numpy
-    arrays.  The result is a list of QuadResult, each taken at the first
-    level where its own tolerance was met, or as (inf, inf), unconverged, at
-    the first where its value was not finite (_nested_r1).
+    the fiber G_y of |w2|^p2 = e^(y u2) at weight s in closed form (_fiber), on
+    _nested_r1, one integrand per element of p1, p2 and rtol broadcast
+    together, all on the same nodes; each level takes one _fiber call over the
+    distinct p2/2 and one exp over the distinct r1 powers.  ``profile(r1)``
+    returns the sequence of the g_i (a 1-d broadcast), vectorized over numpy
+    arrays; None is g = 1.  Returns the QuadResult of _nested_r1, arrays of the
+    broadcast shape.
     """
     mu = params.mu
     p1, p2, rtol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p1, p2, rtol)))
-    power = (p1 + 2.0 * mu - 1.0)[:, None]
+    powers, power_at = np.unique(p1 + 2.0 * mu - 1.0 - 2.0 * s * mu, return_inverse=True)
     ys, y_at = np.unique(0.5 * p2, return_inverse=True)
+    power_at, y_at = power_at.reshape(p1.shape), y_at.reshape(p1.shape)
 
     def moments(log_r1, log_w, fibers):
-        r1 = np.exp(log_r1)
-        gs = [np.broadcast_to(g, r1.shape) for g in profile(r1)]
-        profiled = np.array(gs, dtype=float) * fibers[y_at]
+        profiled = fibers[y_at]
+        if profile is not None:
+            r1 = np.exp(log_r1)
+            profiled = np.array([np.broadcast_to(g, r1.shape) for g in profile(r1)],
+                                dtype=float) * profiled
         # r1^power w as one exp, as it can overflow at power -> -1; a
         # profiled fiber that underflowed to 0 adds 0 even there
-        return np.where(profiled == 0.0, 0.0, np.exp(power * log_r1 + log_w) * profiled)
+        weighted = np.exp(np.multiply.outer(powers, log_r1) + log_w)
+        return np.where(profiled == 0.0, 0.0, weighted[power_at] * profiled)
 
-    res = _nested_r1(_unit_r1, moments, mu, ys, 0.0, rtol)
-    return [quadrature.QuadResult(float(v), float(e), int(level), bool(ok))
-            for v, e, level, ok in zip(res.value, res.err_estimate, res.level, res.converged)]
-
-
-def mesh_moments(x, y_lo: float, count: int, s: float, params: DomainParams):
-    """lam(x_a, y_lo + i/2, s), i < count, as a (len(x), count) array over
-    the integrable x_a of the 1-d x: the Gram matrices' lam, each entry at its
-    first level that agrees with the level below to _MESH_RTOL (else
-    QuadratureError): 8 pi^2 mu^2 ∫_0^1 r1^a G_y(r1) dr1, a = 2x + 2mu - 1 - 2s mu,
-    with the fibers G_y in closed form (_fiber), on nested tanh-sinh in r1.
-    """
-    mu = params.mu
-    powers = 2.0 * np.asarray(x, dtype=float) + 2.0 * mu - 1.0 - 2.0 * s * mu
-    ys = y_lo + 0.5 * np.arange(count)
-
-    def moments(log_r1, log_w, fibers):
-        return np.exp(np.multiply.outer(powers, log_r1) + log_w)[:, None, :] * fibers
-
-    res = _nested_r1(_unit_r1, moments, mu, ys, s, _MESH_RTOL)
-    if not res.converged.all():
-        raise quadrature.QuadratureError(f"moments lam(x, {y_lo} + i/2, {s}) at mu = {mu} did "
-                                         f"not settle to a finite table by level {res.level.max()}")
-    return res.value
+    return _nested_r1(cut, moments, mu, ys, s, rtol)

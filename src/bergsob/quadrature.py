@@ -58,12 +58,12 @@ class QuadratureError(RuntimeError):
 class QuadResult:
     """Values, error estimates, levels and settle flags of a stack of
     integrals: arrays from ``integrate`` (0-d for scalar endpoints, one
-    level and converged for the whole stack) and from measure's nested
-    rules (one level and flag per element); measure.radial_moment splits
-    its stack into one result of Python scalars per integrand."""
+    level and converged for the whole stack) and from measure's loop in r1
+    (one level and flag per element), which measure.radial_moment returns
+    as it is."""
 
-    value: np.ndarray | float
-    err_estimate: np.ndarray | float
+    value: np.ndarray
+    err_estimate: np.ndarray
     level: np.ndarray | int
     converged: np.ndarray | bool
 

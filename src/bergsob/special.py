@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError
+from .errors import DomainError, _first, _offender
 
 __all__ = [
     "alpha_eval",
@@ -72,25 +72,24 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
         raise DomainError("log-Gamma overflows a double") from None
 
 
-def _positive(v) -> bool:
-    """Every element of v is finite and > 0."""
+def _positive(v) -> np.ndarray:
+    """0 < v < inf elementwise; False at nan."""
     v = np.asarray(v, dtype=float)
-    return v.size == 0 or bool(0.0 < v.min() and v.max() < math.inf)
-
-
-def _finite(v) -> bool:
-    v = np.asarray(v, dtype=float)
-    return v.size == 0 or bool(np.abs(v).max() < math.inf)
+    return (0.0 < v) & (v < math.inf)
 
 
 def _check_alpha_args(x, y) -> None:
-    if not (_positive(x) and _positive(y)):
-        raise DomainError(f"alpha requires finite x > 0 and y > 0, got ({x}, {y})")
+    ok = _positive(x) & _positive(y)
+    if not ok.all():
+        x, y, at = _offender(ok, x, y)
+        raise DomainError(f"alpha requires finite x > 0 and y > 0, got ({x}, {y}){at}")
 
 
 def _check_beta_args(x, y) -> None:
-    if not (_positive(x) and _finite(y)):
-        raise DomainError(f"beta requires finite x > 0 and finite y, got ({x}, {y})")
+    ok = _positive(x) & np.isfinite(y)
+    if not ok.all():
+        x, y, at = _offender(ok, x, y)
+        raise DomainError(f"beta requires finite x > 0 and finite y, got ({x}, {y}){at}")
 
 
 def _exp(log_values: np.ndarray, what: str) -> np.ndarray:
@@ -109,12 +108,6 @@ def _broadcast(*args) -> list[np.ndarray]:
     if len({a.shape for a in arrays}) == 1:  # the common case, without numpy's machinery
         return arrays
     return np.broadcast_arrays(*arrays)
-
-
-def _first(ok):
-    """The flat index of the first element where ok is False, or None."""
-    bad = ~np.ravel(ok)
-    return int(bad.argmax()) if bad.any() else None
 
 
 def _pow(base, exponent) -> np.ndarray:
@@ -156,8 +149,11 @@ def log_abs_gamma(z) -> np.ndarray:
     factors, (1e154)^(1/n) for n factors, |z| from ~1.3e154 unshifted.
     """
     z = np.asarray(z, dtype=complex)
-    if not (_positive(z.real) and _finite(z.imag) and np.min(np.abs(z), initial=1.0) >= 1e-150):
-        raise DomainError(f"log_abs_gamma requires finite z with Re z > 0 and |z| >= 1e-150, got {z}")
+    ok = _positive(z.real) & np.isfinite(z.imag) & (np.abs(z) >= 1e-150)
+    if not ok.all():
+        z, at = _offender(ok, z)
+        raise DomainError(f"log_abs_gamma requires finite z with Re z > 0 and |z| >= 1e-150, "
+                          f"got {z}{at}")
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _log_abs_gamma(z.real, z.imag)

@@ -186,12 +186,13 @@ ADAPTIVE_CALLERS = {
 
 
 # the integrals over the domain on measure's one loop in r1 over the
-# closed-form fibers: truncated moments, Gram tables and radial moments
-NESTED_R1_CALLERS = {
-    "measure._top_piece",
-    "measure.mesh_moments",
-    "measure.radial_moment",
-}
+# closed-form fibers, all through radial_moment: the truncated moments' top
+# piece, the Gram tables and the projection's radial moments
+NESTED_R1_CALLERS = {"measure.radial_moment"}
+
+# the two loops that settle integrals, each returning its own QuadResult of
+# arrays: one result convention, which no caller rebuilds
+QUAD_RESULT_MAKERS = {"quadrature.integrate", "measure._nested_r1"}
 
 
 # the closed-form fibers are evaluated on the loop in r1 and on the dyadic
@@ -231,6 +232,10 @@ def _named(name: str):
 
 def test_nested_r1_callers_pinned():
     assert _callers(_named("_nested_r1")) == NESTED_R1_CALLERS
+
+
+def test_quad_result_makers_pinned():
+    assert _callers(_named("QuadResult")) == QUAD_RESULT_MAKERS
 
 
 def test_fiber_callers_pinned():

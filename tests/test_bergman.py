@@ -297,15 +297,15 @@ class TestProjection:
         pairing = lambda r1: prof(r1) / scale
         square = lambda r1: prof(r1) ** 2 / (scale * scale)
         joint = measure.radial_moment(
-            lambda r1: (square(r1), pairing(r1)), p1, -2.0, P3, rtol=(1e-9, 1e-10)
+            lambda r1: (square(r1), pairing(r1)), p1, -2.0, 0.0, 0.0, P3, rtol=(1e-9, 1e-10)
         )
-        alone = [measure.radial_moment(lambda r1: (g(r1),), p1, -2.0, P3, rtol=[rtol])
-                 for g, rtol in [(square, 1e-9), (pairing, 1e-10)]]
-        for got, [single] in zip(joint, alone):
-            assert (got.level, got.converged) == (single.level, True)
-            assert got.value == pytest.approx(single.value, rel=1e-14)
+        for i, (g, rtol) in enumerate([(square, 1e-9), (pairing, 1e-10)]):
+            single = measure.radial_moment(lambda r1: (g(r1),), p1, -2.0, 0.0, 0.0, P3,
+                                           rtol=[rtol])
+            assert (joint.level[i], joint.converged[i]) == (single.level[0], True)
+            assert joint.value[i] == pytest.approx(single.value[0], rel=1e-14)
         (num, _), = res.ratios.values()
-        assert num == pytest.approx(joint[1].value, rel=1e-14)
+        assert num == pytest.approx(joint.value[1], rel=1e-14)
 
     def test_one_radial_pass_per_projection(self, monkeypatch):
         # every term of a function, its exponents its own, is integrated in
@@ -335,18 +335,19 @@ class TestProjection:
         assert len(passes) == 1 and len(joint.coefficients) == 4
         assert joint.tail_report == "selected monomial (-3, 0) outside the Bergman space"
         [batched] = moments
+        start = 0
         for term in terms:
             moments.clear()
             alone = project(RadialTermFunction(1, (term,)), P3)
             [single] = moments
-            assert [(r.level, r.converged) for r in single] == [
-                (r.level, r.converged) for r in batched[:len(single)]]
-            for got, want in zip(batched, single):
-                assert got.value == pytest.approx(want.value, rel=1e-14)
-            del batched[:len(single)]
+            part = slice(start, start + len(single.value))
+            assert np.array_equal(single.level, batched.level[part])
+            assert single.converged.all() and batched.converged[part].all()
+            assert single.value == pytest.approx(batched.value[part], rel=1e-14)
+            start = part.stop
             for idx, c in alone.coefficients.items():
                 assert joint.coefficients[idx] == pytest.approx(c, rel=1e-14)
-        assert batched == []
+        assert start == len(batched.value)
 
     def test_first_non_integrable_term_named(self):
         # with every term integrated in one pass, the error still names the
@@ -472,6 +473,83 @@ class TestGram:
         assert np.max(np.abs(G - gram_loop(idx, 0.2, P3, level + 1)[0])) <= 1e-10
 
 
+class TestFrozenBits:
+    """The bits of Gram entries and projection ratios, recorded from the
+    nested rule in r1 at cut 0: a change to its nodes, its exponents or its
+    summation order shows here, however small."""
+
+    # (s, p) -> {(row, column): repr of the real part} of the 25-element
+    # Gram matrix at mu = 3; the imaginary parts are 0.0
+    _GRAM = {
+        (0.0, 0): {(0, 0): "1.0000000000000018", (7, 7): "0.9999999999999961",
+                   (24, 24): "1.0000000000000036", (0, 1): "-4.486997626519048e-17",
+                   (2, 7): "-4.371815975104366e-17", (5, 24): "1.680534706075732e-33"},
+        (0.0, 1): {(0, 0): "1.0000000000000018", (7, 7): "0.9999999999999961",
+                   (24, 24): "0.9999999999999976", (0, 1): "-4.486997626519048e-17",
+                   (2, 7): "-4.371815975104366e-17", (5, 24): "0.0"},
+        (0.0, 2): {(0, 0): "1.0000000000000018", (7, 7): "0.9999999999999961",
+                   (24, 24): "1.0000000000000036", (0, 1): "-4.486997626519048e-17",
+                   (2, 7): "-4.371815975104366e-17", (5, 24): "1.680534706075732e-33"},
+        (0.49, 0): {(0, 0): "1.0000000000000002", (7, 7): "0.9999999999999958",
+                    (24, 24): "0.9999999999999967", (0, 1): "-4.526677365501484e-17",
+                    (2, 7): "-4.151177251369185e-17", (5, 24): "1.2232337464465496e-33"},
+        (0.49, 1): {(0, 0): "1.0000000000000002", (7, 7): "0.9999999999999958",
+                    (24, 24): "1.0000000000000036", (0, 1): "-4.526677365501484e-17",
+                    (2, 7): "-4.151177251369185e-17", (5, 24): "0.0"},
+        (0.49, 2): {(0, 0): "1.0000000000000002", (7, 7): "0.9999999999999958",
+                    (24, 24): "0.9999999999999967", (0, 1): "-4.526677365501484e-17",
+                    (2, 7): "-4.151177251369185e-17", (5, 24): "1.2232337464465496e-33"},
+    }
+
+    @pytest.mark.parametrize("s,p", sorted(_GRAM))
+    def test_gram_entries(self, s, p):
+        G = gram_matrix(basis_indices(p, s, P3, 25), s, P3)
+        assert not G.imag.any()
+        assert {ij: repr(float(G[ij].real)) for ij in self._GRAM[s, p]} == self._GRAM[s, p]
+
+    # (j, k) -> repr of (numerator, denominator) of the reproducing monomials
+    # of verify's bergman suite, projected as one function at mu = 3
+    _MONOMIALS = {
+        (-2, -2): ("2074.340159454138", "2074.3401594541347"),
+        (-2, 0): ("796.0634758148701", "796.0634758148711"),
+        (-2, 3): ("5419.877026927518", "5419.8770269275"),
+        (-1, -2): ("683.3231781239706", "683.3231781239754"),
+        (-1, 0): ("323.5925851618473", "323.59258516184843"),
+        (-1, 3): ("1524.014141350137", "1524.0141413501465"),
+        (0, -2): ("341.9444663622749", "341.9444663622762"),
+        (0, 0): ("186.03766008179895", "186.0376600817996"),
+        (0, 3): ("676.0453999842321", "676.0453999842358"),
+        (1, -2): ("207.4340159454138", "207.43401594541413"),
+        (1, 0): ("124.38491809607345", "124.38491809607378"),
+        (1, 3): ("373.78462254672536", "373.7846225467276"),
+        (2, -2): ("140.6841837314057", "140.68418373140523"),
+        (2, 0): ("90.60592384531724", "90.60592384531685"),
+        (2, 3): ("235.75909368952392", "235.75909368952298"),
+        (3, -2): ("102.58333990868248", "102.58333990868297"),
+        (3, 0): ("69.7641225306746", "69.76412253067485"),
+        (3, 3): ("162.25089599621566", "162.25089599621634"),
+    }
+
+    def test_reproducing_monomials(self):
+        res = project(RadialTermFunction(0, tuple(
+            RadialTerm(ones, j, k, Component.FUNCTION) for j, k in self._MONOMIALS)), P3)
+        got = {(idx.j, idx.k): tuple(map(repr, ratio)) for idx, ratio in res.ratios.items()}
+        assert got == self._MONOMIALS
+
+    # p -> repr of (numerator, denominator) of the smooth counterexample at mu = 3
+    _COUNTEREXAMPLE = {
+        0: ("56.83646904986249", "796.0634758148711"),
+        1: ("9.472744841643749", "796.0634758148711"),
+        2: ("9.472744841643749", "796.0634758148711"),
+    }
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_smooth_counterexample(self, p):
+        res = project(regularity.smooth_counterexample(P3, p), P3)
+        (ratio,) = res.ratios.values()
+        assert tuple(map(repr, ratio)) == self._COUNTEREXAMPLE[p]
+
+
 class TestBergmanSuite:
     def test_one_table_per_weight_and_one_radial_pass(self, monkeypatch):
         # 4 weights, one Gram table each for the three degrees, and the 18
@@ -484,11 +562,11 @@ class TestBergmanSuite:
                 return function(*args, **kw)
             return wrapper
 
-        for name in ("mesh_moments", "radial_moment", "_nested_r1"):
+        for name in ("radial_moment", "_nested_r1"):
             monkeypatch.setattr(measure, name, counting(name, getattr(measure, name)))
         res = suites.suite_bergman(np.random.default_rng(1))
         assert res.passed and res.checks == 42
-        assert calls == {"mesh_moments": 4, "radial_moment": 1, "_nested_r1": 5}
+        assert calls == {"radial_moment": 5, "_nested_r1": 5}
 
     def test_gram_failures_replay_degree_by_degree(self):
         # at negative tolerances every check fails, in the order and with the

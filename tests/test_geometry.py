@@ -57,8 +57,14 @@ class TestRadialBounds:
         assert not geometry.contains(params, ModelPoint(0.5, a * 0.999))
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^need 0 < r1 < 1, got 1\.5$"):
             geometry.radial_bounds(DomainParams(2.0), 1.5)
+
+    def test_array_refusal_names_the_element(self):
+        r1 = np.linspace(0.1, 0.9, 3000)
+        r1[1717] = 1.25
+        with pytest.raises(DomainError, match=r"^need 0 < r1 < 1, got 1\.25 at index 1717$"):
+            geometry.radial_bounds(DomainParams(2.0), r1)
 
 
 class TestDelta0:

@@ -7,6 +7,7 @@ and independently confirmed by adaptive 2D quadrature of the raw
 r-coordinate integral (agreement ~5e-11).
 """
 
+import itertools
 import math
 import re
 import warnings
@@ -114,6 +115,18 @@ class TestClosedForm:
             measure.lambda_closed(MomentArgs(np.array([5.0, 0.0]), 0.0, 0.5, DomainParams(2.0)))
         with pytest.raises(DomainError, match=r"^moment diverges \(x/mu \+ 1 - s > 0\); see"):
             measure.lambda_closed(MomentArgs(-3.0, 0.0, 0.0, DomainParams(2.0)))
+
+    def test_overflow_names_the_element(self):
+        # alpha and beta are each finite at y = 444.25 near the boundary, but
+        # their product is not: a scalar keeps its message, and an array names
+        # the first overflowing element and its index, not the whole weight array
+        params = DomainParams(2.0)
+        with pytest.raises(DomainError, match=r"^lam\(x, y, 0\.0\) at mu = 2\.0 overflows a double$"):
+            measure.lambda_closed(MomentArgs(-1.999998, 444.25, 0.0, params))
+        with pytest.raises(DomainError, match=r"^lam\(-1\.999998, 444\.25, 0\.0\) at mu = 2\.0 "
+                                              r"overflows a double at index 2$"):
+            measure.lambda_closed(MomentArgs(-1.999998, np.array([0.0, 1.0, 444.25, 2.0]),
+                                             np.zeros(4), params))
 
     @pytest.mark.parametrize("mu", [1.5, 2.5, 7.9])
     def test_array_weights_match_scalar_bitwise(self, mu):
@@ -483,6 +496,17 @@ class TestTruncation:
         assert np.all(np.abs(shells - np.diff(oracle)) <= 1e-12 * shells)
         assert np.all(np.abs(values - oracle) <= 1e-12 * np.array(oracle))
 
+    @pytest.mark.parametrize("eps", [0.5, 0.9, 1.0 - 2.0**-20, 1.0 - 2.0**-40])
+    @pytest.mark.parametrize("mu", [1.5, 7.3, 20.04])
+    def test_top_piece_near_one_matches_oracle(self, eps, mu):
+        # a cut above 2^-4 is the top piece alone, tanh-sinh in r1 on (eps, 1),
+        # where the fibers collapse as r1 -> 1; against the (u1, u2) route, to
+        # 1e-12, at a divergent x (the worst difference seen was 3.6e-15)
+        for s, y in itertools.product([0.0, 0.45, 0.49], [0.0, -2.5, 6.0]):
+            m = MomentArgs(mu * (s - 1.2), y, s, DomainParams(mu))
+            oracle = measure.lambda_truncated_oracle(m, eps)
+            assert abs(measure.lambda_truncated(m, eps) - oracle) <= 1e-12 * oracle, (s, y)
+
     def test_fit_values_are_truncated_moments(self):
         # the fit's shells are the first differences of the truncated moments
         m = MomentArgs(-2.2, 0.3, 0.2, DomainParams(2.5))
@@ -702,11 +726,11 @@ RADIAL_CASES = [(_smooth, 2.0, -2.0, mu) for mu in (2.5, 3.0, 4.2)] + [_dw1_coun
 class TestRadialMoment:
     @pytest.mark.parametrize("profile,p1,p2,mu", RADIAL_CASES, ids=["2.5", "3", "4.2", "dw1"])
     def test_nested_matches_full_evaluation(self, profile, p1, p2, mu):
-        [res] = measure.radial_moment(lambda r1: (profile(r1),), p1, p2, DomainParams(mu),
-                                       rtol=[1e-10])
+        res = measure.radial_moment(lambda r1: (profile(r1),), p1, p2, 0.0, 0.0, DomainParams(mu),
+                                    rtol=[1e-10])
         value, level, converged = radial_every_node(profile, p1, p2, DomainParams(mu))
-        assert (res.level, res.converged) == (level, converged)
-        assert res.value == pytest.approx(value, rel=1e-14)
+        assert (res.level[0], res.converged[0]) == (level, converged)
+        assert res.value[0] == pytest.approx(value, rel=1e-14)
 
     @pytest.mark.parametrize("profile,p1,p2,mu,points", [
         (_smooth, 2.0, -2.0, 3.0, ()),
@@ -718,24 +742,24 @@ class TestRadialMoment:
     ], ids=["y=-1", "y=1.5", "y=3.5", "peak", "dw1", "dw1-7.3"])
     def test_against_mpmath(self, profile, p1, p2, mu, points):
         # the worst relative difference seen on these cases was about 4e-16
-        [res] = measure.radial_moment(lambda r1: (profile(r1),), p1, p2, DomainParams(mu),
-                                       rtol=[1e-13])
-        assert res.converged
-        assert res.value == pytest.approx(_mp_radial(profile, p1, p2, mu, points), rel=1e-13)
+        res = measure.radial_moment(lambda r1: (profile(r1),), p1, p2, 0.0, 0.0, DomainParams(mu),
+                                    rtol=[1e-13])
+        assert res.converged[0]
+        assert res.value[0] == pytest.approx(_mp_radial(profile, p1, p2, mu, points), rel=1e-13)
 
     def test_each_integrand_keeps_its_tolerance(self):
         # the peak settles a level earlier to the loose tolerance
         params = DomainParams(3.0)
         square = lambda r1: _peak(r1) ** 2
-        loose, tight = measure.radial_moment(
-            lambda r1: (_peak(r1), square(r1)), 2.0, -2.0, params, rtol=[1e-4, 1e-12]
+        both = measure.radial_moment(
+            lambda r1: (_peak(r1), square(r1)), 2.0, -2.0, 0.0, 0.0, params, rtol=[1e-4, 1e-12]
         )
-        assert loose.level < tight.level
-        for got, profile, rtol in [(loose, _peak, 1e-4), (tight, square, 1e-12)]:
-            [alone] = measure.radial_moment(lambda r1: (profile(r1),), 2.0, -2.0, params,
-                                            rtol=[rtol])
-            assert (got.level, got.converged) == (alone.level, True)
-            assert got.value == pytest.approx(alone.value, rel=1e-14)
+        assert both.level[0] < both.level[1]
+        for i, (profile, rtol) in enumerate([(_peak, 1e-4), (square, 1e-12)]):
+            alone = measure.radial_moment(lambda r1: (profile(r1),), 2.0, -2.0, 0.0, 0.0, params,
+                                          rtol=[rtol])
+            assert (both.level[i], both.converged[i]) == (alone.level[0], True)
+            assert both.value[i] == pytest.approx(alone.value[0], rel=1e-14)
 
     def test_per_integrand_exponents(self, monkeypatch):
         # exponents per integrand, broadcast against rtol: each result is
@@ -744,7 +768,8 @@ class TestRadialMoment:
         params = DomainParams(3.0)
         cases = [(_smooth, 2.0, -2.0, 1e-10), (_peak, 2.0, 3.0, 1e-4), (_smooth, -1.5, 3.0, 1e-12),
                  (_smooth, 2.0, -2.0, 1e-12)]
-        alone = [measure.radial_moment(lambda r1, g=g: (g(r1),), p1, p2, params, rtol=[rtol])[0]
+        alone = [measure.radial_moment(lambda r1, g=g: (g(r1),), p1, p2, 0.0, 0.0, params,
+                                       rtol=[rtol])
                  for g, p1, p2, rtol in cases]
         ys, fiber = [], measure._fiber
 
@@ -754,18 +779,18 @@ class TestRadialMoment:
 
         monkeypatch.setattr(measure, "_fiber", recording)
         joint = measure.radial_moment(lambda r1: [g(r1) for g, *_ in cases],
-                                      [c[1] for c in cases], [c[2] for c in cases], params,
-                                      rtol=[c[3] for c in cases])
+                                      [c[1] for c in cases], [c[2] for c in cases], 0.0, 0.0,
+                                      params, rtol=[c[3] for c in cases])
         assert ys and all(y == [-1.0, 1.5] for y in ys)
-        assert len(ys) == max(r.level for r in joint) - 3
-        for got, want in zip(joint, alone):
-            assert (got.level, got.converged) == (want.level, True)
-            assert got.value == pytest.approx(want.value, rel=1e-14)
+        assert len(ys) == joint.level.max() - 3
+        for i, want in enumerate(alone):
+            assert (joint.level[i], joint.converged[i]) == (want.level[0], True)
+            assert joint.value[i] == pytest.approx(want.value[0], rel=1e-14)
 
     def test_fiber_past_a_double_is_infinite_alone(self):
         # a row whose series peaks past _FIBER_REACH is infinite; the other
         # rows are the bits of their own call
-        log_r1 = measure._unit_r1(5, False)[0]
+        log_r1 = measure._r1_nodes(5, False, 0.0)[0]
         mixed = measure._fiber(log_r1, 3.0, [0.5, 1100.0, -2.0], 0.0)
         assert np.isinf(mixed[1]).all()
         assert np.array_equal(mixed[[0, 2]], measure._fiber(log_r1, 3.0, [0.5, -2.0], 0.0))
@@ -776,29 +801,33 @@ class TestRadialMoment:
         # unconverged, at the first level, and the finite one beside it
         # settles as it does alone
         params = DomainParams(3.0)
-        finite, overflowing = measure.radial_moment(
-            lambda r1: (_peak(r1), np.full_like(r1, math.inf)), 2.0, -2.0, params,
+        both = measure.radial_moment(
+            lambda r1: (_peak(r1), np.full_like(r1, math.inf)), 2.0, -2.0, 0.0, 0.0, params,
             rtol=[1e-12, 1e-12])
-        [alone] = measure.radial_moment(lambda r1: (_peak(r1),), 2.0, -2.0, params, rtol=[1e-12])
-        assert (finite.level, finite.converged) == (alone.level, alone.converged)
-        assert finite.value == pytest.approx(alone.value, rel=1e-14)
-        assert (overflowing.value, overflowing.err_estimate, overflowing.converged) == (
+        alone = measure.radial_moment(lambda r1: (_peak(r1),), 2.0, -2.0, 0.0, 0.0, params,
+                                      rtol=[1e-12])
+        assert (both.level[0], both.converged[0]) == (alone.level[0], alone.converged[0])
+        assert both.value[0] == pytest.approx(alone.value[0], rel=1e-14)
+        assert (both.value[1], both.err_estimate[1], both.converged[1]) == (
             math.inf, math.inf, False)
-        assert overflowing.level == measure._LEVELS[0]
+        assert both.level[1] == measure._LEVELS[0]
 
 
 class TestMeshMoments:
     @pytest.mark.parametrize("mu", [1.5, 2.5, 3.0, 4.2857142857142856, 7.3])
     @pytest.mark.parametrize("s", [0.0, 0.2, 0.4, 0.49, 0.499])
     def test_against_closed_form(self, mu, s):
-        # the Gram matrices' moments, a third evaluation of lam; the worst
-        # relative difference seen on this grid was 1.4e-14
+        # the Gram matrices' mesh of moments lam(x, y, s), as radial_moment
+        # tabulates it with p1 = 2x and p2 = 2y: a third evaluation of lam; the
+        # worst relative difference seen on this grid was 1.4e-14
         params = DomainParams(mu)
         j = bergman.membership_min_j(bergman.Component.FUNCTION, s, params)
         x = np.arange(j, j + 6, 0.5)
-        got = measure.mesh_moments(x, -2.0, 9, s, params)
-        want = measure.lambda_closed(MomentArgs(x[:, None], np.arange(-2.0, 2.5, 0.5), s, params))
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+        y = np.arange(-2.0, 2.5, 0.5)
+        got = measure.radial_moment(None, 2.0 * x[:, None], 2.0 * y, s, 0.0, params, rtol=1e-10)
+        assert got.value.shape == (len(x), len(y)) and got.converged.all()
+        want = measure.lambda_closed(MomentArgs(x[:, None], y, s, params))
+        assert np.max(np.abs(got.value / want - 1.0)) <= 1e-9
 
 
 def _mp_fiber(log_p, y, s):
@@ -888,9 +917,9 @@ class TestFiber:
         bergman.gram_matrix(bergman.basis_indices(1, 0.2, params, 9), 0.2, params)
         assert len(calls) == 4
         term = regularity.smooth_counterexample(params, 0).terms[0]
-        [res] = measure.radial_moment(lambda r1: (term.profile(r1),), 2.0 * term.a, 0.0, params,
-                                      rtol=[1e-10])
-        assert res.level == 5 and len(calls) == 6
+        res = measure.radial_moment(lambda r1: (term.profile(r1),), 2.0 * term.a, 0.0, 0.0, 0.0,
+                                    params, rtol=[1e-10])
+        assert res.level[0] == 5 and len(calls) == 6
 
 
 @settings(max_examples=120, deadline=None)

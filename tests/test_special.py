@@ -257,6 +257,53 @@ class TestLogAbsGamma:
                 special.log_abs_gamma(z)
 
 
+def _one_bad(shape=(3000,), at=1717):
+    """1, ..., 2 in the given shape, with -1 at flat index ``at``."""
+    x = np.linspace(1.0, 2.0, math.prod(shape))
+    x[at] = -1.0
+    return x.reshape(shape)
+
+
+class TestRefusalsNameTheElement:
+    # a refused array argument is named by its first bad element and that
+    # element's index, not by numpy's elided repr, which hides both
+    @pytest.mark.parametrize("call,message", [
+        (lambda x: special.alpha_eval(x, 1.0),
+         "alpha requires finite x > 0 and y > 0, got (-1.0, 1.0) at index 1717"),
+        (lambda x: special.alpha_eval(1.0, x),
+         "alpha requires finite x > 0 and y > 0, got (1.0, -1.0) at index 1717"),
+        (lambda x: special.beta_eval(x, 1.0),
+         "beta requires finite x > 0 and finite y, got (-1.0, 1.0) at index 1717"),
+        (lambda x: special.beta_eval(1.0, np.where(x < 0.0, math.inf, x)),
+         "beta requires finite x > 0 and finite y, got (1.0, inf) at index 1717"),
+        (lambda x: special.alpha_quadrature(x, 1.0),
+         "alpha requires finite x > 0 and y > 0, got (-1.0, 1.0) at index 1717"),
+        (lambda x: special.beta_quadrature(x, 0.0),
+         "beta requires finite x > 0 and finite y, got (-1.0, 0.0) at index 1717"),
+        (lambda x: special.log_abs_gamma(x + 0j),
+         "log_abs_gamma requires finite z with Re z > 0 and |z| >= 1e-150, got (-1+0j) at index 1717"),
+    ], ids=["alpha-x", "alpha-y", "beta-x", "beta-y", "alpha-oracle", "beta-oracle", "log-gamma"])
+    def test_first_bad_element_and_index(self, call, message):
+        with pytest.raises(DomainError) as raised:
+            call(_one_bad())
+        assert str(raised.value) == message
+
+    def test_index_in_the_broadcast_shape(self):
+        with pytest.raises(DomainError, match=r"got \(-1\.0, 1\.0\) at index \(1, 717\)$"):
+            special.alpha_eval(_one_bad((3, 1000)), np.ones((1, 1000)))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: special.alpha_eval(-1.0, 1.0), "alpha requires finite x > 0 and y > 0, got (-1.0, 1.0)"),
+        (lambda: special.beta_eval(1.0, math.nan), "beta requires finite x > 0 and finite y, got (1.0, nan)"),
+        (lambda: special.log_abs_gamma(-1.0 + 0j),
+         "log_abs_gamma requires finite z with Re z > 0 and |z| >= 1e-150, got (-1+0j)"),
+    ], ids=["alpha", "beta", "log-gamma"])
+    def test_scalar_messages_unchanged(self, call, message):
+        with pytest.raises(DomainError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 class TestRecursions:
     def test_alpha_trivial_point(self):
         # alpha(1,2) and alpha(1,1)/2 are both 1/2
